@@ -4,6 +4,7 @@ tier1: lint
 	go build ./...
 	go test ./...
 	go test -race ./internal/gemm ./internal/conv ./internal/par ./internal/serve ./internal/obs ./internal/telemetry ./internal/planner ./internal/analysis/...
+	go test -count=3 -cpu 1,2,4 ./internal/telemetry ./internal/obs ./internal/serve
 
 # Static analysis: the stock vet suite plus this repo's analyzers
 # (spanend, arenaput, errcmp, ctxbg, rawgo, obsstop, lockheld,

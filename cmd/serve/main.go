@@ -104,63 +104,53 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// One plane across every policy: the dashboard's rolling windows
-	// span the whole run, so policy-to-policy shifts in p99 and shed
-	// rate show up as live series rather than separate snapshots.
-	plane := obs.NewPlane(obs.Options{})
-	// Kernel workspace-arena hit rate and high-water mark on the dash:
-	// the fused im2col path's memory win shows up here live.
-	obs.AttachWorkspace(plane)
-	// Plan-time autotuner decisions on the dash: with -engine Autotuned
-	// (the planner registers the eighth engine via its init), the
-	// "planner" section shows which engine each layer runs on and why,
-	// plus per-strategy pick counters.
-	planner.AttachPlane(plane)
+	// Each policy (or fleet row) serves into a fresh plane: its registry
+	// is the run's -metrics snapshot, and the dashboard follows the run
+	// in flight.
+	var live atomic.Pointer[obs.Plane]
+	var prof *obs.Profiler
+	newPlane := func() *obs.Plane {
+		p := obs.NewPlane(telemetry.NewRegistry())
+		// Kernel workspace-arena hit rate and high-water mark on the dash:
+		// the fused im2col path's memory win shows up here live.
+		obs.AttachWorkspace(p)
+		// Plan-time autotuner decisions on the dash: with -engine Autotuned
+		// (the planner registers the eighth engine via its init), the
+		// "planner" section shows which engine each layer runs on and why,
+		// plus per-strategy decision counters.
+		planner.AttachPlane(p)
+		p.AttachProfiler(prof)
+		live.Store(p)
+		return p
+	}
 	slo := serve.SLOConfig{
 		E2EThreshold: sloP99.Seconds(),
 		E2ETarget:    *sloTarget,
 		ShedMax:      *sloShed,
 	}
 
-	// The Prometheus registry stays per-policy (the -metrics file keys
-	// snapshots by policy), so the HTTP /metrics routes read whichever
-	// registry the current policy is writing through.
-	var liveReg atomic.Pointer[telemetry.Registry]
 	if *dashAddr != "" {
-		mux := http.NewServeMux()
-		obs.Mount(mux, plane)
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if reg := liveReg.Load(); reg != nil {
-				_ = reg.WritePrometheus(w)
-			}
+		if *profDir != "" {
+			prof = obs.NewProfiler(obs.ProfilerConfig{Dir: *profDir})
+			prof.Start()
+			defer prof.Stop()
+		}
+		dash := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			obs.Handler(live.Load(), nil).ServeHTTP(w, r)
 		})
-		mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			if reg := liveReg.Load(); reg != nil {
-				_ = reg.WriteJSON(w)
-			}
-		})
-		srv := &http.Server{Addr: *dashAddr, Handler: mux}
+		srv := &http.Server{Addr: *dashAddr, Handler: dash}
 		par.Go("serve.dash", func() {
 			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Fatalf("serve: dashboard: %v", err)
 			}
 		})
 		fmt.Printf("dashboard: http://%s/debug/dash\n", *dashAddr)
-
-		if *profDir != "" {
-			prof := obs.NewProfiler(obs.ProfilerConfig{Plane: plane, Dir: *profDir})
-			prof.Start()
-			defer prof.Stop()
-			plane.AttachProfiler(prof)
-		}
 	}
 
 	if *fleetMode {
 		runFleetSweep(ctx, fleetSweep{
-			plane: plane, liveReg: &liveReg,
-			engine: eng, model: model, slo: slo,
+			newPlane: newPlane,
+			engine:   eng, model: model, slo: slo,
 			shards: *shards, shardDevices: *shardDevices,
 			routeName: *route, traceName: *traceShape,
 			baseRPS: *baseRPS, peakRPS: *peakRPS,
@@ -200,8 +190,7 @@ func main() {
 
 	snapshots := map[string]telemetry.MetricsSnapshot{}
 	for _, p := range policies {
-		reg := telemetry.NewRegistry()
-		liveReg.Store(reg)
+		plane := newPlane()
 		s, err := serve.New(multigpu.New(*devices, spec), serve.Options{
 			Engine:    eng,
 			Model:     model,
@@ -209,7 +198,6 @@ func main() {
 			MaxWait:   p.maxWait,
 			QueueCap:  *queueCap,
 			TimeScale: *timeScale,
-			Registry:  reg,
 			Obs:       plane,
 			SLO:       slo,
 		})
@@ -233,7 +221,7 @@ func main() {
 		if p.maxBatch > 1 {
 			key = fmt.Sprintf("dynamic-%s", p.maxWait)
 		}
-		snapshots[key] = reg.Snapshot()
+		snapshots[key] = plane.Registry().Snapshot()
 		if ctx.Err() != nil {
 			break
 		}
@@ -281,11 +269,10 @@ func worstState(m *obs.Monitor) string {
 
 // fleetSweep carries the -fleet mode's resolved configuration.
 type fleetSweep struct {
-	plane   *obs.Plane
-	liveReg *atomic.Pointer[telemetry.Registry]
-	engine  impls.Engine
-	model   conv.Config
-	slo     serve.SLOConfig
+	newPlane func() *obs.Plane
+	engine   impls.Engine
+	model    conv.Config
+	slo      serve.SLOConfig
 
 	shards       string
 	shardDevices int
@@ -343,8 +330,6 @@ func runFleetSweep(ctx context.Context, cfg fleetSweep) {
 	}
 	var logs []rowLog
 	for _, n := range counts {
-		reg := telemetry.NewRegistry()
-		cfg.liveReg.Store(reg)
 		maxReplicas := cfg.asMax
 		if maxReplicas <= 0 {
 			maxReplicas = 2 * n
@@ -354,9 +339,9 @@ func runFleetSweep(ctx context.Context, cfg fleetSweep) {
 			Server: serve.Options{
 				Engine: cfg.engine, Model: cfg.model,
 				MaxBatch: cfg.maxBatch, MaxWait: cfg.maxWait, QueueCap: cfg.queueCap,
-				TimeScale: cfg.timeScale, Registry: reg, Obs: cfg.plane,
+				TimeScale: cfg.timeScale, Obs: cfg.newPlane(), SLO: cfg.slo,
 			},
-			Route: routePolicy, SLO: cfg.slo,
+			Route: routePolicy,
 			Autoscale: serve.AutoscaleConfig{
 				Min: n, Max: maxReplicas, Interval: cfg.asInterval,
 				ScaleOutAfter: 2, ScaleInAfter: 6, Cooldown: 2,

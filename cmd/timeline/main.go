@@ -4,16 +4,15 @@
 // chrome://tracing or https://ui.perfetto.dev — a visual rendering of
 // the kernel sequences behind the paper's Figure 4.
 //
-// The timeline now comes from the hierarchical tracer in
+// The timeline comes from the hierarchical tracer in
 // internal/telemetry: kernels and transfers nest under the engine's
 // phase spans (h2d → forward → backward_data → backward_filter) inside
 // one iteration span, with flow arrows linking each host→device copy to
-// the first kernel that consumes it. Pass -flat for the legacy
-// two-track flat trace from gpusim.EnableTrace.
+// the first kernel that consumes it.
 //
 // Usage:
 //
-//	timeline [-impl fbfft] [-b 64] [-i 128] [-c 3] [-f 64] [-k 11] [-s 1] [-o trace.json] [-flat]
+//	timeline [-impl fbfft] [-b 64] [-i 128] [-c 3] [-f 64] [-k 11] [-s 1] [-o trace.json]
 package main
 
 import (
@@ -37,7 +36,6 @@ func main() {
 	k := flag.Int("k", 11, "kernel extent")
 	s := flag.Int("s", 1, "stride")
 	out := flag.String("o", "trace.json", "output file ('-' for stdout)")
-	flat := flag.Bool("flat", false, "emit the legacy flat two-track trace instead of nested spans")
 	flag.Parse()
 
 	e, err := impls.ByName(*implName)
@@ -47,20 +45,14 @@ func main() {
 	cfg := conv.Config{Batch: *b, Input: *i, Channels: *c, Filters: *f, Kernel: *k, Stride: *s}
 	dev := gpusim.New(gpusim.TeslaK40c())
 
-	var flatTrace *gpusim.Trace
 	tracer := telemetry.NewTracer()
-	var root *telemetry.Span
-	if *flat {
-		flatTrace = dev.EnableTrace()
-	} else {
-		tracer.SetSimClock(dev.Elapsed)
-		root = tracer.Root("iteration").
-			SetAttr("impl", e.Name()).
-			SetAttr("cfg", fmt.Sprint(cfg))
-		rec := telemetry.NewRecorder()
-		rec.Attach(root)
-		dev.SetSink(rec)
-	}
+	tracer.SetSimClock(dev.Elapsed)
+	root := tracer.Root("iteration").
+		SetAttr("impl", e.Name()).
+		SetAttr("cfg", fmt.Sprint(cfg))
+	rec := telemetry.NewRecorder()
+	rec.Attach(root)
+	dev.SetSink(rec)
 
 	plan, err := e.Plan(dev, cfg)
 	if err != nil {
@@ -81,18 +73,9 @@ func main() {
 		defer file.Close()
 		w = file
 	}
-	events := 0
-	if *flat {
-		if err := flatTrace.WriteChromeObject(w); err != nil {
-			log.Fatal(err)
-		}
-		events = flatTrace.Len()
-	} else {
-		if err := tracer.WriteChrome(w); err != nil {
-			log.Fatal(err)
-		}
-		events = tracer.EventCount()
+	if err := tracer.WriteChrome(w); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "%s on %v: %d events over %v simulated -> %s\n",
-		e.Name(), cfg, events, dev.Elapsed(), *out)
+		e.Name(), cfg, tracer.EventCount(), dev.Elapsed(), *out)
 }

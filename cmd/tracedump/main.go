@@ -18,8 +18,8 @@
 // window are kept whole.
 //
 // With -http the process keeps running after the dump, serving
-// /metrics (Prometheus), /metrics.json and /trace (always the full
-// trace; the window applies to the file dump).
+// /metrics (Prometheus), /metrics.json, /trace (always the full trace;
+// the window applies to the file dump) and the /debug/dash dashboard.
 package main
 
 import (
@@ -35,6 +35,7 @@ import (
 	"gpucnn/internal/impls"
 	"gpucnn/internal/models"
 	"gpucnn/internal/nn"
+	"gpucnn/internal/obs"
 	"gpucnn/internal/telemetry"
 )
 
@@ -149,7 +150,7 @@ func main() {
 		dev.Elapsed(), run.Depth(), *traceOut, *metricsOut)
 
 	if *httpAddr != "" {
-		fmt.Fprintf(os.Stderr, "serving /metrics, /metrics.json and /trace on %s\n", *httpAddr)
-		log.Fatal(http.ListenAndServe(*httpAddr, telemetry.Handler(reg, tracer)))
+		fmt.Fprintf(os.Stderr, "serving /metrics, /metrics.json, /trace and /debug/dash on %s\n", *httpAddr)
+		log.Fatal(http.ListenAndServe(*httpAddr, obs.Handler(obs.NewPlane(reg), tracer)))
 	}
 }

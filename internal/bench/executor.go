@@ -12,7 +12,6 @@ import (
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/impls"
-	"gpucnn/internal/obs"
 	"gpucnn/internal/par"
 	"gpucnn/internal/telemetry"
 )
@@ -62,13 +61,12 @@ type Task struct {
 // or exceeding opt.Timeout marks the affected cells Canceled. The
 // other cells complete normally either way.
 //
-// When ctx carries a telemetry registry, per-cell latency lands in the
-// bench_cell_latency_seconds histogram (labelled by implementation)
+// When ctx carries a telemetry registry, per-cell host latency lands in
+// the bench_cell_latency_seconds histogram (labelled by implementation)
 // and pool behaviour in the bench_executor_* series.
 func RunCells(ctx context.Context, tasks []Task, opt Options) []Cell {
 	cells := make([]Cell, len(tasks))
 	reg := telemetry.RegistryFromContext(ctx)
-	plane := obs.FromContext(ctx)
 	errs := runIndexed(ctx, len(tasks), opt, func(ctx context.Context, i int) {
 		t := tasks[i]
 		if opt.Timeout > 0 {
@@ -76,20 +74,13 @@ func RunCells(ctx context.Context, tasks []Task, opt Options) []Cell {
 			ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
 			defer cancel()
 		}
-		// The active-op tag keys profile captures to the sweep cell in
-		// flight (last writer wins across concurrent workers — any of
-		// the simultaneously running cells is a truthful answer).
-		plane.SetOp(fmt.Sprintf("sweep/%s/%s", t.Engine.Name(), t.Cfg))
 		start := time.Now()
 		defer func() {
-			wall := time.Since(start).Seconds()
 			if reg != nil {
 				reg.Histogram("bench_cell_latency_seconds",
-					telemetry.Labels{"impl": t.Engine.Name()}, nil).
-					Observe(wall)
+					telemetry.Labels{"impl": t.Engine.Name(), "clock": "host"}, nil).
+					Observe(time.Since(start).Seconds())
 			}
-			plane.Counter("bench.cells").Inc()
-			plane.Histogram("bench.cell_seconds", nil).Observe(wall)
 		}()
 		cells[i] = MeasureCtx(ctx, t.Engine, t.Cfg, t.Spec)
 	})
@@ -150,27 +141,15 @@ func runIndexed(ctx context.Context, n int, opt Options, job func(ctx context.Co
 		})
 	}
 	wg.Wait()
-	if plane := obs.FromContext(ctx); plane != nil {
-		wall := time.Since(start)
-		var totalBusy time.Duration
-		for _, b := range busy {
-			totalBusy += b
-		}
-		plane.Gauge("bench.pool_workers").Set(float64(workers))
-		plane.Counter("bench.pool_jobs").Add(float64(n))
-		if wall > 0 {
-			plane.Gauge("bench.pool_utilization").
-				Set(totalBusy.Seconds() / (float64(workers) * wall.Seconds()))
-		}
-	}
 	if reg := telemetry.RegistryFromContext(ctx); reg != nil {
 		wall := time.Since(start)
+		host := telemetry.Labels{"clock": "host"}
 		reg.Gauge("bench_executor_workers", nil).Set(float64(workers))
 		reg.Counter("bench_executor_jobs_total", nil).Add(float64(n))
-		reg.Histogram("bench_executor_pool_wall_seconds", nil, nil).Observe(wall.Seconds())
+		reg.Histogram("bench_executor_pool_wall_seconds", host, nil).Observe(wall.Seconds())
 		for w, b := range busy {
 			labels := telemetry.Labels{"worker": strconv.Itoa(w)}
-			reg.Counter("bench_executor_busy_seconds_total", labels).Add(b.Seconds())
+			reg.Counter("bench_executor_busy_seconds_total", labels.With("clock", "host")).Add(b.Seconds())
 			if wall > 0 {
 				reg.Gauge("bench_executor_utilization", labels).Set(b.Seconds() / wall.Seconds())
 			}

@@ -191,7 +191,7 @@ func TestExecutorTelemetry(t *testing.T) {
 	if got := reg.Counter("bench_executor_jobs_total", nil).Value(); got != 6 {
 		t.Fatalf("bench_executor_jobs_total = %v, want 6", got)
 	}
-	h := reg.Histogram("bench_cell_latency_seconds", telemetry.Labels{"impl": "ok"}, nil)
+	h := reg.Histogram("bench_cell_latency_seconds", telemetry.Labels{"impl": "ok", "clock": "host"}, nil)
 	if h.Count() != 6 {
 		t.Fatalf("bench_cell_latency_seconds count = %d, want 6", h.Count())
 	}

@@ -20,14 +20,12 @@ type Device struct {
 	transferTime   time.Duration // transfers on the critical path
 	hiddenTransfer time.Duration // transfers overlapped with compute
 	launches       int64
-	trace          *Trace
 	sink           TraceSink
 }
 
-// SetSink installs (or, with nil, removes) an additional event sink —
+// SetSink installs (or, with nil, removes) the device's event sink —
 // the hook internal/telemetry's Recorder uses to nest kernel and
-// transfer events under the span that issued them. The sink receives
-// events alongside any EnableTrace recorder.
+// transfer events under the span that issued them.
 func (d *Device) SetSink(s TraceSink) {
 	d.mu.Lock()
 	d.sink = s
@@ -62,17 +60,11 @@ func (d *Device) Launch(k KernelSpec) (Metrics, error) {
 	start := d.kernelTime + d.transferTime
 	d.kernelTime += m.Duration
 	d.launches++
-	tr, sink := d.trace, d.sink
+	sink := d.sink
 	d.mu.Unlock()
-	if tr != nil || sink != nil {
-		e := TraceEvent{Name: k.Name, Category: "kernel", Start: start, Duration: m.Duration,
-			FLOPs: m.FLOPs, DRAMBytes: m.DRAMBytes}
-		if tr != nil {
-			tr.RecordEvent(e)
-		}
-		if sink != nil {
-			sink.RecordEvent(e)
-		}
+	if sink != nil {
+		sink.RecordEvent(TraceEvent{Name: k.Name, Category: "kernel", Start: start, Duration: m.Duration,
+			FLOPs: m.FLOPs, DRAMBytes: m.DRAMBytes})
 	}
 	return m, nil
 }
@@ -111,20 +103,14 @@ func (d *Device) Copy(t Transfer) time.Duration {
 	} else {
 		d.transferTime += dur
 	}
-	tr, sink := d.trace, d.sink
+	sink := d.sink
 	d.mu.Unlock()
-	if tr != nil || sink != nil {
+	if sink != nil {
 		name := "memcpy_HtoD"
 		if t.Async {
 			name = "memcpy_HtoD_async"
 		}
-		e := TraceEvent{Name: name, Category: "transfer", Start: start, Duration: dur, Bytes: t.Bytes}
-		if tr != nil {
-			tr.RecordEvent(e)
-		}
-		if sink != nil {
-			sink.RecordEvent(e)
-		}
+		sink.RecordEvent(TraceEvent{Name: name, Category: "transfer", Start: start, Duration: dur, Bytes: t.Bytes})
 	}
 	return dur
 }

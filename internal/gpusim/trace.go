@@ -1,11 +1,6 @@
 package gpusim
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-	"time"
-)
+import "time"
 
 // TraceEvent is one simulated-timeline entry: a kernel execution or a
 // host↔device transfer, positioned at its simulated start time.
@@ -22,108 +17,8 @@ type TraceEvent struct {
 }
 
 // TraceSink receives every kernel launch and host↔device copy as it is
-// simulated. The flat Trace implements it; internal/telemetry's
-// Recorder implements it to attach events to a hierarchical span tree.
+// simulated. internal/telemetry's Recorder implements it to attach
+// events to a hierarchical span tree and count them into a registry.
 type TraceSink interface {
 	RecordEvent(TraceEvent)
-}
-
-// Trace records the device's simulated timeline for visualisation. It
-// is enabled per device with EnableTrace and rendered with WriteChrome
-// into the Chrome trace-event format (chrome://tracing, Perfetto).
-type Trace struct {
-	mu     sync.Mutex
-	events []TraceEvent
-}
-
-// EnableTrace attaches a timeline recorder to the device and returns
-// it. Subsequent launches and copies are recorded at their simulated
-// start offsets.
-func (d *Device) EnableTrace() *Trace {
-	t := &Trace{}
-	d.mu.Lock()
-	d.trace = t
-	d.mu.Unlock()
-	return t
-}
-
-// RecordEvent implements TraceSink.
-func (t *Trace) RecordEvent(e TraceEvent) {
-	t.mu.Lock()
-	t.events = append(t.events, e)
-	t.mu.Unlock()
-}
-
-// Events returns a copy of the recorded timeline.
-func (t *Trace) Events() []TraceEvent {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]TraceEvent(nil), t.events...)
-}
-
-// Len returns the number of recorded events.
-func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// chromeEvent is the Chrome trace-event JSON schema ("X" = complete
-// event with timestamp and duration in microseconds).
-type chromeEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`
-	Dur  float64 `json:"dur"`
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-}
-
-// WriteChrome renders the timeline as a bare Chrome trace-event JSON
-// array, loadable in chrome://tracing or https://ui.perfetto.dev.
-// Kernels and transfers land on separate tracks. See WriteChromeObject
-// for the {"traceEvents":[...]} object form.
-func (t *Trace) WriteChrome(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(t.chromeEvents())
-}
-
-// chromeFile is the object form of the trace-event format. The
-// displayTimeUnit field makes viewers render the microsecond
-// timestamps at full precision ("ns") instead of rounding to ms.
-type chromeFile struct {
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-}
-
-// WriteChromeObject renders the timeline in the trace-event object form
-// {"displayTimeUnit":"ns","traceEvents":[...]}, which Perfetto prefers
-// and which leaves room for the format's top-level metadata fields.
-func (t *Trace) WriteChromeObject(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeFile{DisplayTimeUnit: "ns", TraceEvents: t.chromeEvents()})
-}
-
-func (t *Trace) chromeEvents() []chromeEvent {
-	t.mu.Lock()
-	events := append([]TraceEvent(nil), t.events...)
-	t.mu.Unlock()
-	out := make([]chromeEvent, 0, len(events))
-	for _, e := range events {
-		tid := 1
-		if e.Category == "transfer" {
-			tid = 2
-		}
-		out = append(out, chromeEvent{
-			Name: e.Name,
-			Cat:  e.Category,
-			Ph:   "X",
-			Ts:   float64(e.Start.Nanoseconds()) / 1e3,
-			Dur:  float64(e.Duration.Nanoseconds()) / 1e3,
-			Pid:  1,
-			Tid:  tid,
-		})
-	}
-	return out
 }

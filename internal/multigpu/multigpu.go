@@ -22,7 +22,6 @@ import (
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/impls"
-	"gpucnn/internal/obs"
 	"gpucnn/internal/telemetry"
 )
 
@@ -117,7 +116,8 @@ func (c *Cluster) Iteration(e impls.Engine, cfg conv.Config) (Result, error) {
 // appears as a sync span after the slowest replica — the view that
 // makes the conv-scales/FC-stalls behaviour visible on a timeline.
 // Counters for sharded iterations, all-reduced bytes and sync time land
-// in the context's registry, if any.
+// in the context's registry, if any, as do every replica's gpusim_*
+// event counters (labelled by device).
 func (c *Cluster) IterationCtx(ctx context.Context, e impls.Engine, cfg conv.Config) (Result, error) {
 	n := len(c.Devices)
 	cfg = cfg.WithDefaults()
@@ -133,8 +133,7 @@ func (c *Cluster) IterationCtx(ctx context.Context, e impls.Engine, cfg conv.Con
 	_, span := telemetry.StartSpan(ctx, "multigpu.iteration")
 	span.SetAttr("impl", e.Name()).SetAttr("devices", fmt.Sprint(n))
 	defer span.End()
-	plane := obs.FromContext(ctx)
-	plane.SetOp(fmt.Sprintf("multigpu/%s/x%d/%s", e.Name(), n, cfg))
+	reg := telemetry.RegistryFromContext(ctx)
 
 	// runReplica executes one device's shard. The replica span is ended
 	// and the device's telemetry sink detached on every exit path —
@@ -145,19 +144,13 @@ func (c *Cluster) IterationCtx(ctx context.Context, e impls.Engine, cfg conv.Con
 		dev.ResetClock()
 		rsp := span.Child(fmt.Sprintf("replica-%d", i)).SetProc(i).
 			SetAttr("shard_batch", fmt.Sprint(shard.Batch))
-		// Tee the span recorder with the plane's per-device windowed
-		// sink; either leg may be absent.
-		var sink gpusim.TraceSink
-		if rsp != nil {
+		if rsp != nil || reg != nil {
 			rec := telemetry.NewRecorder()
+			if reg != nil {
+				rec.CountInto(reg, telemetry.Labels{"device": fmt.Sprint(i)})
+			}
 			rec.Attach(rsp)
-			sink = rec
-		}
-		if plane != nil {
-			sink = obs.TeeSinks(sink, obs.NewDeviceSink(plane, fmt.Sprint(i)))
-		}
-		if sink != nil {
-			dev.SetSink(sink)
+			dev.SetSink(rec)
 		}
 		defer func() {
 			rsp.SetSim(0, dev.Elapsed())
@@ -191,17 +184,14 @@ func (c *Cluster) IterationCtx(ctx context.Context, e impls.Engine, cfg conv.Con
 		SetAttr("bytes", fmt.Sprint(cfg.FilterBytes())).
 		SetSim(slowest, total).End()
 	span.SetSim(0, total)
-	if reg := telemetry.RegistryFromContext(ctx); reg != nil {
+	if reg != nil {
 		labels := telemetry.Labels{"impl": e.Name(), "devices": fmt.Sprint(n)}
+		sim := labels.With("clock", "sim")
 		reg.Counter("multigpu_iterations_total", labels).Inc()
 		reg.Counter("multigpu_allreduce_bytes_total", labels).Add(float64(cfg.FilterBytes()))
-		reg.Counter("multigpu_allreduce_seconds_total", labels).Add(ar.Seconds())
-		reg.Counter("multigpu_compute_seconds_total", labels).Add(slowest.Seconds())
+		reg.Counter("multigpu_allreduce_seconds_total", sim).Add(ar.Seconds())
+		reg.Counter("multigpu_compute_seconds_total", sim).Add(slowest.Seconds())
 	}
-	plane.Counter("multigpu.iterations").Inc()
-	plane.Counter("multigpu.allreduce_bytes").Add(float64(cfg.FilterBytes()))
-	plane.Counter("multigpu.allreduce_seconds").Add(ar.Seconds())
-	plane.Counter("multigpu.compute_seconds").Add(slowest.Seconds())
 
 	// Single-device reference for the speedup.
 	ref := gpusim.New(c.spec)

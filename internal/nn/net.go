@@ -75,9 +75,10 @@ func (n *Net) Backward(ctx *Context, dy *Value) *Value {
 }
 
 // observeLayer opens the layer's span and returns the closure that ends
-// it and records the layer's latency (simulated when a device drives
-// the clock, host wall time otherwise) into the pass's histogram, plus
-// its attributed device work into per-layer counters.
+// it and records the layer's latency into the pass's histogram —
+// simulated seconds (clock="sim") when a device drives the clock, host
+// wall seconds (clock="host") otherwise — plus its attributed device
+// work into per-layer counters.
 func (n *Net) observeLayer(ctx *Context, l Layer, pass string) func() {
 	if ctx.Span == nil && ctx.Metrics == nil {
 		return func() {}
@@ -91,16 +92,16 @@ func (n *Net) observeLayer(ctx *Context, l Layer, pass string) func() {
 		if ctx.Metrics == nil {
 			return
 		}
-		dur := ctx.simNow() - simStart
+		dur, clock := ctx.simNow()-simStart, "sim"
 		if ctx.Dev == nil {
-			dur = time.Since(wallStart)
+			dur, clock = time.Since(wallStart), "host"
 		}
 		labels := telemetry.Labels{
 			"net": n.Name, "layer": l.Name(), "kind": string(l.Kind()),
 		}
 		ctx.Metrics.Help("nn_layer_"+pass+"_seconds",
-			"Per-layer "+pass+" latency (simulated seconds).")
-		ctx.Metrics.Histogram("nn_layer_"+pass+"_seconds", labels, nil).Observe(dur.Seconds())
+			"Per-layer "+pass+" latency: simulated device seconds under clock=\"sim\", host wall seconds under clock=\"host\".")
+		ctx.Metrics.Histogram("nn_layer_"+pass+"_seconds", labels.With("clock", clock), nil).Observe(dur.Seconds())
 		if sp != nil {
 			tot := sp.Totals()
 			ctx.Metrics.Counter("nn_layer_flops_total", labels).Add(tot.FLOPs)

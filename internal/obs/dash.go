@@ -9,9 +9,11 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"gpucnn/internal/telemetry"
 )
 
-// CounterStat is the dashboard view of one windowed counter.
+// CounterStat is the dashboard view of one counter series.
 type CounterStat struct {
 	Name     string  `json:"name"`
 	Total    float64 `json:"total"`
@@ -21,14 +23,14 @@ type CounterStat struct {
 	RateSlow float64 `json:"rate_slow"`
 }
 
-// GaugeStat is the dashboard view of one windowed gauge.
+// GaugeStat is the dashboard view of one gauge series.
 type GaugeStat struct {
 	Name    string  `json:"name"`
 	Value   float64 `json:"value"`
 	MaxSlow float64 `json:"max_slow"`
 }
 
-// HistStat is the dashboard view of one windowed histogram; quantiles
+// HistStat is the dashboard view of one histogram series; quantiles
 // are 0 (not NaN) when a window is empty so the JSON stays valid.
 type HistStat struct {
 	Name      string    `json:"name"`
@@ -41,11 +43,12 @@ type HistStat struct {
 	Series    []float64 `json:"series,omitempty"` // per-slot counts, oldest first
 }
 
-// DashSnapshot is one self-contained dashboard frame: every windowed
-// instrument evaluated over the fast and slow windows, SLO states with
-// live burn rates, recent transitions, latest profile attributions and
-// the registered info sections. It is the JSON body of
-// /debug/dash.json and the input of RenderText.
+// DashSnapshot is one self-contained dashboard frame: every series of
+// the plane's registry read over the fast and slow windows, SLO states
+// with live burn rates, recent transitions, latest profile
+// attributions and the registered info sections. Series are named by
+// family plus rendered labels. It is the JSON body of /debug/dash.json
+// and the input of RenderText.
 type DashSnapshot struct {
 	At          time.Time                 `json:"at"`
 	Op          string                    `json:"op,omitempty"`
@@ -67,40 +70,54 @@ const recentTransitions = 12
 // Dash snapshots the plane. Safe on a nil plane (returns an empty
 // frame stamped by the wall clock).
 func (p *Plane) Dash() DashSnapshot {
-	snap := DashSnapshot{At: p.Clock().Now(), Fast: FastWindow.String()}
+	snap := DashSnapshot{At: p.Clock().Now(), Fast: FastWindow.String(), Slow: "0s"}
 	if p == nil {
-		snap.Slow = "0s"
 		return snap
 	}
-	fast := FastWindow
-	if fast > p.win {
-		fast = p.win
-	}
-	snap.Fast, snap.Slow = fast.String(), p.win.String()
+	win := p.reg.Window()
+	fast := min(FastWindow, win)
+	snap.Fast, snap.Slow = fast.String(), win.String()
 
-	cNames, gNames, hNames, cs, gs, hs, monitors, profilers, sections, secFns, op := p.instruments()
-	snap.Op = op
-	for _, name := range cNames {
-		c := cs[name]
-		snap.Counters = append(snap.Counters, CounterStat{
-			Name: name, Total: c.Total(),
-			SumFast: c.Sum(fast), SumSlow: c.Sum(0),
-			RateFast: c.Rate(fast), RateSlow: c.Rate(0),
-		})
+	p.mu.Lock()
+	snap.Op = p.op
+	monitors := append([]*Monitor(nil), p.monitors...)
+	profilers := append([]*Profiler(nil), p.profilers...)
+	sections := append([]string(nil), p.secOrder...)
+	secFns := make([]func() map[string]any, len(sections))
+	for i, name := range sections {
+		secFns[i] = p.sections[name]
 	}
-	for _, name := range gNames {
-		g := gs[name]
-		snap.Gauges = append(snap.Gauges, GaugeStat{Name: name, Value: g.Value(), MaxSlow: g.Max(0)})
+	p.mu.Unlock()
+
+	// Sections first: their callbacks may sample lazily set gauges.
+	if len(sections) > 0 {
+		snap.Sections = map[string]map[string]any{}
+		for i, name := range sections {
+			snap.Sections[name] = secFns[i]()
+			snap.SectionKeys = append(snap.SectionKeys, name)
+		}
 	}
-	for _, name := range hNames {
-		h := hs[name]
-		snap.Histograms = append(snap.Histograms, HistStat{
-			Name:      name,
-			CountFast: h.Count(fast), CountSlow: h.Count(0),
-			P50Fast: quantileOr(h, fast, 0.5, 0), P99Fast: quantileOr(h, fast, 0.99, 0),
-			P50Slow: quantileOr(h, 0, 0.5, 0), P99Slow: quantileOr(h, 0, 0.99, 0),
-			Series: h.CountSeries(0),
-		})
+	for _, s := range p.reg.Series() {
+		name := s.Name + s.Labels
+		switch inst := s.Inst.(type) {
+		case *telemetry.Counter:
+			snap.Counters = append(snap.Counters, CounterStat{
+				Name: name, Total: inst.Value(),
+				SumFast: inst.Sum(fast), SumSlow: inst.Sum(0),
+				RateFast: inst.Rate(fast), RateSlow: inst.Rate(0),
+			})
+		case *telemetry.Gauge:
+			snap.Gauges = append(snap.Gauges, GaugeStat{Name: name, Value: inst.Value(), MaxSlow: inst.Max(0)})
+		case *telemetry.Histogram:
+			f, sl := inst.Window(fast), inst.Window(0)
+			snap.Histograms = append(snap.Histograms, HistStat{
+				Name:      name,
+				CountFast: f.Count, CountSlow: sl.Count,
+				P50Fast: quantileOr0(f, 0.5), P99Fast: quantileOr0(f, 0.99),
+				P50Slow: quantileOr0(sl, 0.5), P99Slow: quantileOr0(sl, 0.99),
+				Series: inst.Series(0),
+			})
+		}
 	}
 	for _, m := range monitors {
 		snap.SLOs = append(snap.SLOs, m.Status()...)
@@ -113,23 +130,22 @@ func (p *Plane) Dash() DashSnapshot {
 		snap.Transitions = snap.Transitions[len(snap.Transitions)-recentTransitions:]
 	}
 	for _, pr := range profilers {
-		if c, ok := pr.Last("cpu"); ok {
-			snap.Profiles = append(snap.Profiles, c)
-		}
-		if c, ok := pr.Last("heap"); ok {
-			snap.Profiles = append(snap.Profiles, c)
-		}
-	}
-	if len(sections) > 0 {
-		snap.Sections = map[string]map[string]any{}
-		for _, name := range sections {
-			if fn := secFns[name]; fn != nil {
-				snap.Sections[name] = fn()
-				snap.SectionKeys = append(snap.SectionKeys, name)
+		for _, kind := range []string{"cpu", "heap"} {
+			if c, ok := pr.Last(kind); ok {
+				snap.Profiles = append(snap.Profiles, c)
 			}
 		}
 	}
 	return snap
+}
+
+// quantileOr0 returns the quantile, or 0 for an empty window
+// (dashboards render 0, not NaN).
+func quantileOr0(s telemetry.HistogramSnapshot, q float64) float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	return s.Quantile(q)
 }
 
 func fmtNum(v float64) string {
@@ -160,24 +176,27 @@ func (s DashSnapshot) RenderText(w io.Writer) {
 		}
 	}
 	if len(s.Histograms) > 0 {
-		fmt.Fprintf(w, "\n%-24s %8s %10s %10s %10s %10s\n",
-			"latency", "n(slow)", "p50-fast", "p99-fast", "p50-slow", "p99-slow")
+		fmt.Fprintf(w, "\n%10s %10s %10s %10s %10s  %s\n",
+			"n(slow)", "p50-fast", "p99-fast", "p50-slow", "p99-slow", "histogram")
 		for _, h := range s.Histograms {
-			fmt.Fprintf(w, "  %-22s %8d %10s %10s %10s %10s\n",
-				h.Name, h.CountSlow,
-				fmtSecs(h.P50Fast), fmtSecs(h.P99Fast), fmtSecs(h.P50Slow), fmtSecs(h.P99Slow))
+			f := fmtNum
+			if family, _, _ := strings.Cut(h.Name, "{"); strings.HasSuffix(family, "_seconds") {
+				f = fmtSecs
+			}
+			fmt.Fprintf(w, "%10d %10s %10s %10s %10s  %s\n",
+				h.CountSlow, f(h.P50Fast), f(h.P99Fast), f(h.P50Slow), f(h.P99Slow), h.Name)
 		}
 	}
 	if len(s.Counters) > 0 {
-		fmt.Fprintf(w, "\n%-24s %12s %12s %12s\n", "counter", "total", "rate-fast/s", "rate-slow/s")
+		fmt.Fprintf(w, "\n%12s %12s %12s  %s\n", "total", "rate-fast/s", "rate-slow/s", "counter")
 		for _, c := range s.Counters {
-			fmt.Fprintf(w, "  %-22s %12s %12.4g %12.4g\n", c.Name, fmtNum(c.Total), c.RateFast, c.RateSlow)
+			fmt.Fprintf(w, "%12s %12.4g %12.4g  %s\n", fmtNum(c.Total), c.RateFast, c.RateSlow, c.Name)
 		}
 	}
 	if len(s.Gauges) > 0 {
-		fmt.Fprintf(w, "\n%-24s %12s %12s\n", "gauge", "value", "max(slow)")
+		fmt.Fprintf(w, "\n%12s %12s  %s\n", "value", "max(slow)", "gauge")
 		for _, g := range s.Gauges {
-			fmt.Fprintf(w, "  %-22s %12s %12s\n", g.Name, fmtNum(g.Value), fmtNum(g.MaxSlow))
+			fmt.Fprintf(w, "%12s %12s  %s\n", fmtNum(g.Value), fmtNum(g.MaxSlow), g.Name)
 		}
 	}
 	for _, name := range s.SectionKeys {
@@ -218,28 +237,48 @@ func (s DashSnapshot) RenderText(w io.Writer) {
 	}
 }
 
-// Mount registers the dashboard routes on a mux (typically the one
-// from telemetry.HandlerMux):
+// Handler serves the plane's registry, an optional tracer and the
+// dashboard from one mux:
 //
-//	/debug/dash       plain-text frame
+//	/metrics, /       Prometheus text (JSON with ?format=json)
+//	/metrics.json     registry JSON snapshot
+//	/trace            Chrome trace-event JSON (when t is non-nil)
+//	/debug/dash       plain-text dashboard frame
 //	/debug/dash.json  DashSnapshot JSON
-func Mount(mux *http.ServeMux, p *Plane) {
+func Handler(p *Plane, t *telemetry.Tracer) http.Handler {
+	reg := p.Registry()
+	mux := http.NewServeMux()
+	writeJSON := func(w http.ResponseWriter, v any) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(v)
+	}
+	metrics := func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Query().Get("format") == "json" {
+			writeJSON(w, reg.Snapshot())
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = reg.WritePrometheus(w)
+	}
+	mux.HandleFunc("/", metrics)
+	mux.HandleFunc("/metrics", metrics)
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, reg.Snapshot())
+	})
+	if t != nil {
+		mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_ = t.WriteChrome(w)
+		})
+	}
 	mux.HandleFunc("/debug/dash", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		p.Dash().RenderText(w)
 	})
 	mux.HandleFunc("/debug/dash.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(p.Dash())
+		writeJSON(w, p.Dash())
 	})
-}
-
-// DashHandler returns a standalone handler serving only the dashboard
-// routes, for embedders without a telemetry mux.
-func DashHandler(p *Plane) http.Handler {
-	mux := http.NewServeMux()
-	Mount(mux, p)
 	return mux
 }

@@ -23,8 +23,8 @@ type Frame struct {
 
 // Capture is one profile taken by the Profiler: the raw pprof protobuf
 // (written to Path when a directory is configured) plus a parsed top-N
-// frame attribution and the plane's active operation at capture time,
-// so a hot profile can be traced back to the sweep cell or serve batch
+// frame attribution and the attached plane's active operation at
+// capture time, so a hot profile can be traced back to the serve batch
 // that produced it.
 type Capture struct {
 	Kind  string    `json:"kind"` // "cpu" or "heap"
@@ -35,14 +35,11 @@ type Capture struct {
 	Top   []Frame   `json:"top,omitempty"`
 }
 
-// ProfilerConfig tunes a Profiler. Zero values mean: the plane's
-// clock, a 30 s capture interval under the wall clock (manual
-// CaptureOnce otherwise; Interval < 0 forces manual), 200 ms CPU
-// profile duration, top 5 frames, last 16 captures kept in memory,
-// and no profile files written (Dir empty).
+// ProfilerConfig tunes a Profiler. Zero values mean: a 30 s capture
+// interval (Interval < 0 means manual CaptureOnce only), 200 ms CPU
+// profile duration, top 5 frames, last 16 captures kept in memory, and
+// no profile files written (Dir empty).
 type ProfilerConfig struct {
-	Plane       *Plane
-	Clock       Clock
 	Dir         string
 	Interval    time.Duration
 	CPUDuration time.Duration
@@ -58,11 +55,13 @@ var cpuProfileMu sync.Mutex
 // runtime/pprof. Construction only configures; Start launches the
 // periodic loop (a no-op in manual mode) and every NewProfiler must
 // reach Stop (enforced by the obsstop analyzer). CaptureOnce works in
-// both modes.
+// both modes. Plane.AttachProfiler lists its captures on the dashboard
+// and tags them with the plane's active operation.
 type Profiler struct {
 	cfg ProfilerConfig
 
 	mu       sync.Mutex
+	plane    *Plane
 	captures []Capture
 	seq      int
 	started  bool
@@ -74,10 +73,7 @@ type Profiler struct {
 
 // NewProfiler builds a profiler. Pair with Stop.
 func NewProfiler(cfg ProfilerConfig) *Profiler {
-	if cfg.Clock == nil {
-		cfg.Clock = cfg.Plane.Clock()
-	}
-	if cfg.Interval == 0 && IsWall(cfg.Clock) {
+	if cfg.Interval == 0 {
 		cfg.Interval = 30 * time.Second
 	}
 	if cfg.CPUDuration <= 0 {
@@ -96,9 +92,8 @@ func NewProfiler(cfg ProfilerConfig) *Profiler {
 	}
 }
 
-// Start launches the periodic capture loop. In manual mode (fake
-// clock or negative interval) it is a no-op; call CaptureOnce
-// directly. Idempotent.
+// Start launches the periodic capture loop. In manual mode (negative
+// interval) it is a no-op; call CaptureOnce directly. Idempotent.
 func (p *Profiler) Start() {
 	p.mu.Lock()
 	if p.started || p.stopped {
@@ -154,8 +149,10 @@ func (p *Profiler) Stop() {
 // tooling, but the sampled top frames answer "where was the process"
 // without any dependency.
 func (p *Profiler) CaptureOnce() ([]Capture, error) {
-	op := p.cfg.Plane.Op()
-	now := p.cfg.Clock.Now()
+	p.mu.Lock()
+	plane := p.plane
+	p.mu.Unlock()
+	op, now := plane.Op(), plane.Clock().Now()
 
 	// CPU: profile for the configured duration, sampling goroutine
 	// stacks halfway through for the top-N attribution.

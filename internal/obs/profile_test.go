@@ -12,12 +12,13 @@ import (
 // attribution plumbing: kind, op tag, raw bytes, files on disk.
 func TestCaptureOnce(t *testing.T) {
 	dir := t.TempDir()
-	p := NewPlane(Options{})
+	p := NewPlane(nil)
 	p.SetOp("sweep/alexnet/conv2")
 	pr := NewProfiler(ProfilerConfig{
-		Plane: p, Dir: dir, Interval: -1, CPUDuration: 50 * time.Millisecond,
+		Dir: dir, Interval: -1, CPUDuration: 50 * time.Millisecond,
 	})
 	defer pr.Stop()
+	p.AttachProfiler(pr)
 	pr.Start() // manual mode: Start is a no-op, CaptureOnce drives it
 
 	caps, err := pr.CaptureOnce()
@@ -112,9 +113,8 @@ func TestParseProfileBlocks(t *testing.T) {
 
 // TestProfilerPeriodic runs the real ticker loop briefly.
 func TestProfilerPeriodic(t *testing.T) {
-	p := NewPlane(Options{})
 	pr := NewProfiler(ProfilerConfig{
-		Plane: p, Interval: 60 * time.Millisecond, CPUDuration: 20 * time.Millisecond,
+		Interval: 60 * time.Millisecond, CPUDuration: 20 * time.Millisecond,
 	})
 	pr.Start()
 	deadline := time.Now().Add(3 * time.Second)

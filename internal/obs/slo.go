@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gpucnn/internal/par"
+	"gpucnn/internal/telemetry"
 )
 
 // State is an SLO alert level.
@@ -44,13 +45,16 @@ type Objective interface {
 }
 
 // LatencyObjective is "quantile latency under threshold": the bad
-// fraction is the share of requests slower than Threshold seconds,
-// and the budget is 1−Target (Target 0.99 tolerates 1% slow). Align
-// Threshold with a bucket bound of H — FractionAbove resolves at
-// bucket granularity.
+// fraction is the share of observations slower than Threshold seconds
+// across every series of the histogram family Family in Reg, and the
+// budget is 1−Target (Target 0.99 tolerates 1% slow). Reading the
+// whole family makes one objective cover every replica or engine
+// writing it. Align Threshold with a bucket bound of the family —
+// FractionAbove resolves at bucket granularity.
 type LatencyObjective struct {
 	ObjName   string
-	H         *WindowedHistogram
+	Reg       *telemetry.Registry
+	Family    string
 	Threshold float64 // seconds
 	Target    float64 // e.g. 0.99 for "99% of requests under Threshold"
 }
@@ -65,17 +69,31 @@ func (o LatencyObjective) Budget() float64 { return 1 - o.Target }
 // traffic burns no budget, which is what lets a paged objective
 // recover once the overload clears.
 func (o LatencyObjective) BadFraction(w time.Duration) float64 {
-	return o.H.Window(w).FractionAbove(o.Threshold)
+	var bad, total float64
+	for _, s := range family(o.Reg, o.Family) {
+		if h, ok := s.(*telemetry.Histogram); ok {
+			snap := h.Window(w)
+			bad += snap.FractionAbove(o.Threshold) * float64(snap.Count)
+			total += float64(snap.Count)
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return bad / total
 }
 
-// RateObjective is "bad events under a fraction of total": shed rate,
-// failure rate. MaxRate is both the budget and the threshold — a shed
-// rate objective with MaxRate 0.05 burns at 1× when exactly 5% of
-// offered load is shed.
+// RateObjective is "bad events under a fraction of all events": shed
+// rate, failure rate. Bad and Good name counter families in Reg whose
+// windowed sums, over all their series, count the two outcomes.
+// MaxRate is both the budget and the threshold — a shed-rate objective
+// with MaxRate 0.05 burns at 1× when exactly 5% of offered load is
+// shed.
 type RateObjective struct {
-	ObjName    string
-	Bad, Total *WindowedCounter
-	MaxRate    float64
+	ObjName   string
+	Reg       *telemetry.Registry
+	Bad, Good string
+	MaxRate   float64
 }
 
 // Name implements Objective.
@@ -86,11 +104,34 @@ func (o RateObjective) Budget() float64 { return o.MaxRate }
 
 // BadFraction implements Objective; 0 when the window saw no traffic.
 func (o RateObjective) BadFraction(w time.Duration) float64 {
-	total := o.Total.Sum(w)
+	bad := familySum(o.Reg, o.Bad, w)
+	total := bad + familySum(o.Reg, o.Good, w)
 	if total <= 0 {
 		return 0
 	}
-	return o.Bad.Sum(w) / total
+	return bad / total
+}
+
+// family returns the instruments of every series of the named family.
+func family(reg *telemetry.Registry, name string) []any {
+	var out []any
+	for _, s := range reg.Series() {
+		if s.Name == name {
+			out = append(out, s.Inst)
+		}
+	}
+	return out
+}
+
+// familySum sums a counter family's windowed reads over all its series.
+func familySum(reg *telemetry.Registry, name string, w time.Duration) float64 {
+	var sum float64
+	for _, s := range family(reg, name) {
+		if c, ok := s.(*telemetry.Counter); ok {
+			sum += c.Sum(w)
+		}
+	}
+	return sum
 }
 
 // Transition is one state change of one objective.
@@ -116,12 +157,12 @@ type ObjectiveStatus struct {
 	BurnSlow float64 `json:"burn_slow"`
 }
 
-// MonitorConfig tunes a Monitor. Zero values mean: plane clock (or
-// Wall), FastWindow/SlowWindow burn windows, WarnBurn 2, PageBurn 10,
+// MonitorConfig tunes a Monitor. Zero values mean: the wall clock,
+// FastWindow/SlowWindow burn windows, WarnBurn 2, PageBurn 10,
 // and a 1 s evaluation ticker under the wall clock (manual Eval
 // otherwise). Interval < 0 forces manual evaluation.
 type MonitorConfig struct {
-	Clock    Clock
+	Clock    telemetry.Clock
 	Fast     time.Duration
 	Slow     time.Duration
 	WarnBurn float64
@@ -172,7 +213,7 @@ const maxTransitions = 256
 // goroutine. Callers must Stop it.
 func NewMonitor(cfg MonitorConfig, objs ...Objective) *Monitor {
 	if cfg.Clock == nil {
-		cfg.Clock = Wall
+		cfg.Clock = telemetry.Wall
 	}
 	if cfg.Fast <= 0 {
 		cfg.Fast = FastWindow
@@ -186,7 +227,7 @@ func NewMonitor(cfg MonitorConfig, objs ...Objective) *Monitor {
 	if cfg.PageBurn <= 0 {
 		cfg.PageBurn = PageBurn
 	}
-	if cfg.Interval == 0 && IsWall(cfg.Clock) {
+	if cfg.Interval == 0 && telemetry.IsWall(cfg.Clock) {
 		cfg.Interval = time.Second
 	}
 	m := &Monitor{

@@ -3,50 +3,53 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"gpucnn/internal/telemetry"
 )
 
 // sloHarness is a serving SLO pair over a fake clock: a latency
 // objective (99% under 8 ms) and a shed-rate objective (under 5%),
 // evaluated manually after each clock step.
 type sloHarness struct {
-	fc      *FakeClock
-	p       *Plane
-	lat     *WindowedHistogram
-	offered *WindowedCounter
-	shed    *WindowedCounter
-	m       *Monitor
+	fc       *telemetry.FakeClock
+	p        *Plane
+	lat      *telemetry.Histogram
+	admitted *telemetry.Counter
+	shed     *telemetry.Counter
+	m        *Monitor
 }
 
 func newSLOHarness(t *testing.T) *sloHarness {
 	t.Helper()
-	fc := NewFakeClock(t0)
-	p := testPlane(fc, time.Minute, time.Second)
+	fc := telemetry.NewFakeClock(t0)
+	r := testRegistry(fc, time.Minute, time.Second)
+	p := NewPlane(r)
 	h := &sloHarness{
-		fc:      fc,
-		p:       p,
-		lat:     p.Histogram("e2e", []float64{0.001, 0.002, 0.004, 0.008, 0.016}),
-		offered: p.Counter("offered"),
-		shed:    p.Counter("shed"),
+		fc:       fc,
+		p:        p,
+		lat:      r.Histogram("e2e_seconds", nil, []float64{0.001, 0.002, 0.004, 0.008, 0.016}),
+		admitted: r.Counter("admitted_total", nil),
+		shed:     r.Counter("shed_total", nil),
 	}
 	h.m = NewMonitor(MonitorConfig{Clock: fc, Fast: 5 * time.Second, Slow: time.Minute},
-		LatencyObjective{ObjName: "e2e-p99", H: h.lat, Threshold: 0.008, Target: 0.99},
-		RateObjective{ObjName: "shed-rate", Bad: h.shed, Total: h.offered, MaxRate: 0.05},
+		LatencyObjective{ObjName: "e2e-p99", Reg: r, Family: "e2e_seconds", Threshold: 0.008, Target: 0.99},
+		RateObjective{ObjName: "shed-rate", Reg: r, Bad: "shed_total", Good: "admitted_total", MaxRate: 0.05},
 	)
 	t.Cleanup(h.m.Stop)
 	p.Watch(h.m)
 	return h
 }
 
-// tick records one second of traffic: good fast requests plus bad slow
-// ones, then advances the clock and evaluates.
+// tick records one second of admitted traffic: good fast requests plus
+// bad slow ones, then advances the clock and evaluates.
 func (h *sloHarness) tick(good, bad int) []Transition {
 	for i := 0; i < good; i++ {
 		h.lat.Observe(0.002)
-		h.offered.Inc()
+		h.admitted.Inc()
 	}
 	for i := 0; i < bad; i++ {
 		h.lat.Observe(0.016)
-		h.offered.Inc()
+		h.admitted.Inc()
 	}
 	h.fc.Advance(time.Second)
 	return h.m.Eval()
@@ -131,10 +134,9 @@ func TestSLOShedRate(t *testing.T) {
 	shedTick := func() []Transition {
 		for i := 0; i < 50; i++ {
 			h.lat.Observe(0.002)
-			h.offered.Inc()
+			h.admitted.Inc()
 		}
 		for i := 0; i < 50; i++ {
-			h.offered.Inc()
 			h.shed.Inc()
 		}
 		h.fc.Advance(time.Second)
@@ -209,14 +211,14 @@ func TestSLONoTrafficIsOK(t *testing.T) {
 // TestMonitorCallbacksAndStatus covers OnTransition delivery and the
 // dashboard Status view.
 func TestMonitorCallbacksAndStatus(t *testing.T) {
-	fc := NewFakeClock(t0)
-	p := testPlane(fc, time.Minute, time.Second)
-	lat := p.Histogram("e2e", []float64{0.001, 0.008})
+	fc := telemetry.NewFakeClock(t0)
+	r := testRegistry(fc, time.Minute, time.Second)
+	lat := r.Histogram("e2e_seconds", nil, []float64{0.001, 0.008})
 	var seen []Transition
 	m := NewMonitor(MonitorConfig{
 		Clock: fc, Fast: 5 * time.Second, Slow: time.Minute,
 		OnTransition: func(tr Transition) { seen = append(seen, tr) },
-	}, LatencyObjective{ObjName: "lat", H: lat, Threshold: 0.008, Target: 0.99})
+	}, LatencyObjective{ObjName: "lat", Reg: r, Family: "e2e_seconds", Threshold: 0.008, Target: 0.99})
 	defer m.Stop()
 
 	for i := 0; i < 70; i++ {
@@ -242,13 +244,13 @@ func TestMonitorCallbacksAndStatus(t *testing.T) {
 // serve autoscaler: Worst is the max across objectives and States a
 // safe copy; both are nil-tolerant.
 func TestMonitorWorstAndStates(t *testing.T) {
-	fc := NewFakeClock(t0)
-	p := testPlane(fc, time.Minute, time.Second)
-	bad, total := p.Counter("bad"), p.Counter("total")
-	lat := p.Histogram("e2e", []float64{0.001, 0.008})
+	fc := telemetry.NewFakeClock(t0)
+	r := testRegistry(fc, time.Minute, time.Second)
+	bad, good := r.Counter("bad_total", nil), r.Counter("good_total", nil)
+	lat := r.Histogram("e2e_seconds", nil, []float64{0.001, 0.008})
 	m := NewMonitor(MonitorConfig{Clock: fc, Fast: 5 * time.Second, Slow: 10 * time.Second},
-		LatencyObjective{ObjName: "lat", H: lat, Threshold: 0.008, Target: 0.99},
-		RateObjective{ObjName: "shed", Bad: bad, Total: total, MaxRate: 0.05},
+		LatencyObjective{ObjName: "lat", Reg: r, Family: "e2e_seconds", Threshold: 0.008, Target: 0.99},
+		RateObjective{ObjName: "shed", Reg: r, Bad: "bad_total", Good: "good_total", MaxRate: 0.05},
 	)
 	defer m.Stop()
 
@@ -258,7 +260,7 @@ func TestMonitorWorstAndStates(t *testing.T) {
 	// Burn only the shed objective into PAGE; lat stays OK, so Worst
 	// must surface the max, not the first.
 	for i := 0; i < 12; i++ {
-		total.Add(100)
+		good.Add(50)
 		bad.Add(50)
 		lat.Observe(0.001) // comfortably inside the latency bound
 		fc.Advance(time.Second)

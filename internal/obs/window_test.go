@@ -5,10 +5,16 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gpucnn/internal/telemetry"
 )
 
-func testPlane(fc *FakeClock, win, res time.Duration) *Plane {
-	return NewPlane(Options{Clock: fc, Window: win, Resolution: res})
+// These tests pin the windowed reads of telemetry's instruments that
+// the monitors and the dashboard are built on, through a registry on a
+// fake clock.
+
+func testRegistry(fc *telemetry.FakeClock, win, res time.Duration) *telemetry.Registry {
+	return telemetry.NewRegistryWith(telemetry.Options{Clock: fc, Window: win, Resolution: res})
 }
 
 var t0 = time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
@@ -18,9 +24,9 @@ var t0 = time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 // exact slot boundary (new slot just opened, zero partial fill) still
 // covers the k−1 preceding full slots.
 func TestCounterWindowRotation(t *testing.T) {
-	fc := NewFakeClock(t0)
-	p := testPlane(fc, 10*time.Second, time.Second)
-	c := p.Counter("reqs")
+	fc := telemetry.NewFakeClock(t0)
+	r := testRegistry(fc, 10*time.Second, time.Second)
+	c := r.Counter("reqs", nil)
 
 	// One Add of 1 at the start of each of the first 5 seconds.
 	for i := 0; i < 5; i++ {
@@ -37,8 +43,8 @@ func TestCounterWindowRotation(t *testing.T) {
 	if got := c.Sum(3 * time.Second); got != 2 {
 		t.Fatalf("Sum(3s) at a boundary = %v, want 2 (slots 3,4 + empty partial)", got)
 	}
-	if got := c.Total(); got != 5 {
-		t.Fatalf("Total = %v, want 5", got)
+	if got := c.Value(); got != 5 {
+		t.Fatalf("Value = %v, want 5", got)
 	}
 
 	// Advance to t0+12s: the full-window query merges slots 3..12, so
@@ -47,8 +53,8 @@ func TestCounterWindowRotation(t *testing.T) {
 	if got := c.Sum(0); got != 2 {
 		t.Fatalf("Sum after aging = %v, want 2 (adds at 3s,4s)", got)
 	}
-	if got := c.Total(); got != 5 {
-		t.Fatalf("Total must never age: %v, want 5", got)
+	if got := c.Value(); got != 5 {
+		t.Fatalf("Value must never age: %v, want 5", got)
 	}
 
 	// One resolution step further ages out the add at 3s.
@@ -62,8 +68,8 @@ func TestCounterWindowRotation(t *testing.T) {
 	if got := c.Sum(0); got != 0 {
 		t.Fatalf("Sum after an idle hour = %v, want 0", got)
 	}
-	if got := c.Total(); got != 5 {
-		t.Fatalf("Total after an idle hour = %v, want 5", got)
+	if got := c.Value(); got != 5 {
+		t.Fatalf("Value after an idle hour = %v, want 5", got)
 	}
 }
 
@@ -71,9 +77,9 @@ func TestCounterWindowRotation(t *testing.T) {
 // indices wrap and verifies a stale slot is re-zeroed on reuse rather
 // than leaking its old sum into the new interval.
 func TestCounterExactBoundaryReuse(t *testing.T) {
-	fc := NewFakeClock(t0)
-	p := testPlane(fc, 3*time.Second, time.Second) // 4 slots
-	c := p.Counter("wrap")
+	fc := telemetry.NewFakeClock(t0)
+	r := testRegistry(fc, 3*time.Second, time.Second) // 4 slots
+	c := r.Counter("wrap", nil)
 
 	c.Add(100) // slot 0
 	// Jump exactly one full ring ahead: slot 4 reuses slot 0's array cell.
@@ -82,15 +88,15 @@ func TestCounterExactBoundaryReuse(t *testing.T) {
 	if got := c.Sum(0); got != 1 {
 		t.Fatalf("Sum after exact ring wrap = %v, want 1 (the 100 must not resurface)", got)
 	}
-	if got := c.Total(); got != 101 {
-		t.Fatalf("Total = %v, want 101", got)
+	if got := c.Value(); got != 101 {
+		t.Fatalf("Value = %v, want 101", got)
 	}
 }
 
 func TestCounterRate(t *testing.T) {
-	fc := NewFakeClock(t0)
-	p := testPlane(fc, 10*time.Second, time.Second)
-	c := p.Counter("rate")
+	fc := telemetry.NewFakeClock(t0)
+	r := testRegistry(fc, 10*time.Second, time.Second)
+	c := r.Counter("rate", nil)
 
 	// 10 events over 2 s of history — rate must divide by the covered
 	// 2 s, not the configured 10 s window.
@@ -104,9 +110,9 @@ func TestCounterRate(t *testing.T) {
 }
 
 func TestGaugeWindow(t *testing.T) {
-	fc := NewFakeClock(t0)
-	p := testPlane(fc, 10*time.Second, time.Second)
-	g := p.Gauge("depth")
+	fc := telemetry.NewFakeClock(t0)
+	r := testRegistry(fc, 10*time.Second, time.Second)
+	g := r.Gauge("depth", nil)
 
 	g.Set(3)
 	g.Set(9)
@@ -136,11 +142,11 @@ func TestGaugeWindow(t *testing.T) {
 // TestHistogramEmptyWindow pins the empty-window semantics the SLO
 // layer depends on: NaN quantiles, zero FractionAbove, zero Count.
 func TestHistogramEmptyWindow(t *testing.T) {
-	fc := NewFakeClock(t0)
-	p := testPlane(fc, 10*time.Second, time.Second)
-	h := p.Histogram("lat", []float64{0.001, 0.01, 0.1})
+	fc := telemetry.NewFakeClock(t0)
+	r := testRegistry(fc, 10*time.Second, time.Second)
+	h := r.Histogram("lat", nil, []float64{0.001, 0.01, 0.1})
 
-	if got := h.Quantile(0, 0.99); !math.IsNaN(got) {
+	if got := h.Window(0).Quantile(0.99); !math.IsNaN(got) {
 		t.Fatalf("empty-window quantile = %v, want NaN", got)
 	}
 	if got := h.Window(0).FractionAbove(0.01); got != 0 {
@@ -148,17 +154,17 @@ func TestHistogramEmptyWindow(t *testing.T) {
 	}
 
 	h.Observe(0.05)
-	if got := h.Quantile(0, 0.99); got != 0.1 {
+	if got := h.Window(0).Quantile(0.99); got != 0.1 {
 		t.Fatalf("quantile = %v, want 0.1", got)
 	}
 
 	// Observations age out with their slots: the window goes back to
 	// the empty semantics, not to a stale last value.
 	fc.Advance(time.Hour)
-	if got := h.Count(0); got != 0 {
+	if got := h.Window(0).Count; got != 0 {
 		t.Fatalf("Count after aging = %v, want 0", got)
 	}
-	if got := h.Quantile(0, 0.99); !math.IsNaN(got) {
+	if got := h.Window(0).Quantile(0.99); !math.IsNaN(got) {
 		t.Fatalf("aged-out quantile = %v, want NaN", got)
 	}
 }
@@ -167,36 +173,36 @@ func TestHistogramEmptyWindow(t *testing.T) {
 // recent distribution, not the lifetime one: a burst of slow requests
 // lifts it, and sliding past the burst drops it again.
 func TestHistogramRollingQuantile(t *testing.T) {
-	fc := NewFakeClock(t0)
-	p := testPlane(fc, 10*time.Second, time.Second)
-	h := p.Histogram("lat", []float64{0.001, 0.002, 0.004, 0.008, 0.016})
+	fc := telemetry.NewFakeClock(t0)
+	r := testRegistry(fc, 10*time.Second, time.Second)
+	h := r.Histogram("lat", nil, []float64{0.001, 0.002, 0.004, 0.008, 0.016})
 
 	for i := 0; i < 100; i++ {
 		h.Observe(0.001)
 	}
-	if got := h.Quantile(0, 0.99); got != 0.001 {
+	if got := h.Window(0).Quantile(0.99); got != 0.001 {
 		t.Fatalf("baseline p99 = %v, want 0.001", got)
 	}
 	fc.Advance(time.Second)
 	for i := 0; i < 100; i++ {
 		h.Observe(0.016)
 	}
-	if got := h.Quantile(0, 0.99); got != 0.016 {
+	if got := h.Window(0).Quantile(0.99); got != 0.016 {
 		t.Fatalf("p99 during burst = %v, want 0.016", got)
 	}
 	// 11 s later both bursts are out of the 10 s window; only fresh
 	// fast traffic remains.
 	fc.Advance(11 * time.Second)
 	h.Observe(0.001)
-	if got := h.Quantile(0, 0.99); got != 0.001 {
+	if got := h.Window(0).Quantile(0.99); got != 0.001 {
 		t.Fatalf("p99 after burst aged out = %v, want 0.001", got)
 	}
 }
 
 func TestCounterSeries(t *testing.T) {
-	fc := NewFakeClock(t0)
-	p := testPlane(fc, 4*time.Second, time.Second)
-	c := p.Counter("s")
+	fc := telemetry.NewFakeClock(t0)
+	r := testRegistry(fc, 4*time.Second, time.Second)
+	c := r.Counter("s", nil)
 	c.Add(1)
 	fc.Advance(time.Second)
 	c.Add(2)
@@ -214,33 +220,27 @@ func TestCounterSeries(t *testing.T) {
 	}
 }
 
-// TestNilSafety: every instrument and the plane itself must be safe to
-// use as nil, so optional wiring needs no conditionals.
+// TestNilSafety: every plane method must be safe on a nil plane, so
+// optional wiring needs no conditionals, and a nil plane still hands
+// out the default registry to write into.
 func TestNilSafety(t *testing.T) {
 	var p *Plane
 	p.SetOp("x")
 	if p.Op() != "" {
 		t.Fatal("nil plane Op")
 	}
-	c := p.Counter("c")
-	c.Inc()
-	c.Add(2)
-	if c.Sum(0) != 0 || c.Rate(0) != 0 || c.Total() != 0 || c.Series(0) != nil {
-		t.Fatal("nil counter must read zero")
+	p.Section("s", func() map[string]any { return nil })
+	p.Watch(nil)
+	p.Unwatch(nil)
+	p.AttachProfiler(nil)
+	if p.Registry() != telemetry.Default() {
+		t.Fatal("nil plane must write to the default registry")
 	}
-	g := p.Gauge("g")
-	g.Set(1)
-	g.Add(1)
-	if g.Value() != 0 || g.Max(0) != 0 {
-		t.Fatal("nil gauge must read zero")
-	}
-	h := p.Histogram("h", nil)
-	h.Observe(1)
-	if h.Count(0) != 0 || !math.IsNaN(h.Quantile(0, 0.5)) {
-		t.Fatal("nil histogram must read empty")
+	if !telemetry.IsWall(p.Clock()) {
+		t.Fatal("nil plane clock must be the wall clock")
 	}
 	snap := p.Dash()
-	if len(snap.Counters) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Fatal("nil plane Dash must be empty")
 	}
 }
@@ -249,10 +249,11 @@ func TestNilSafety(t *testing.T) {
 // concurrent writers while a reader snapshots — the -race gate for the
 // ring machinery.
 func TestWindowRace(t *testing.T) {
-	p := NewPlane(Options{Window: time.Second, Resolution: 50 * time.Millisecond})
-	c := p.Counter("c")
-	g := p.Gauge("g")
-	h := p.Histogram("h", nil)
+	r := telemetry.NewRegistryWith(telemetry.Options{Window: time.Second, Resolution: 50 * time.Millisecond})
+	p := NewPlane(r)
+	c := r.Counter("c", nil)
+	g := r.Gauge("g", nil)
+	h := r.Histogram("h", nil, nil)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -280,7 +281,8 @@ func TestWindowRace(t *testing.T) {
 			_ = c.Sum(0)
 			_ = c.Rate(0)
 			_ = g.Max(0)
-			_ = h.Quantile(0, 0.99)
+			_ = h.Window(0).Quantile(0.99)
+			_ = h.Series(0)
 			_ = p.Dash()
 		}
 	}()
@@ -288,7 +290,7 @@ func TestWindowRace(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if got := c.Total(); got != 4*3000 {
-		t.Fatalf("Total = %v, want %v", got, 4*3000)
+	if got := c.Value(); got != 4*3000 {
+		t.Fatalf("Value = %v, want %v", got, 4*3000)
 	}
 }

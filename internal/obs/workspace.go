@@ -5,17 +5,17 @@ import (
 )
 
 // AttachWorkspace surfaces the workspace arena pool on the plane: a
-// "workspace" dashboard section with the raw counters, plus gauges for
-// the carve hit rate and high-water mark so /debug/dash charts them in
-// its windowed instrument table. The gauges are sampled lazily at
+// "workspace" dashboard section with the raw counters, plus registry
+// gauges for the carve hit rate and high-water mark so /debug/dash
+// charts them with their windowed peaks. The gauges are sampled lazily at
 // snapshot time (the section callback runs on every dashboard render),
 // so the kernels' hot paths pay nothing for the wiring.
 func AttachWorkspace(p *Plane) {
 	if p == nil {
 		return
 	}
-	hwGauge := p.Gauge("workspace.highwater.bytes")
-	hitGauge := p.Gauge("workspace.carve.hitrate")
+	hwGauge := p.reg.Gauge("workspace_highwater_bytes", nil)
+	hitGauge := p.reg.Gauge("workspace_carve_hit_ratio", nil)
 	p.Section("workspace", func() map[string]any {
 		s := workspace.ReadStats()
 		hitRate := 1.0

@@ -3,11 +3,12 @@ package obs
 import (
 	"testing"
 
+	"gpucnn/internal/telemetry"
 	"gpucnn/internal/workspace"
 )
 
 func TestAttachWorkspaceSectionAndGauges(t *testing.T) {
-	p := NewPlane(Options{})
+	p := NewPlane(telemetry.NewRegistry())
 	AttachWorkspace(p)
 
 	// Generate some arena traffic so the counters are non-trivial.
@@ -32,10 +33,10 @@ func TestAttachWorkspaceSectionAndGauges(t *testing.T) {
 		t.Errorf("highwater_bytes = %d, want >= %d", hw, 2048*4)
 	}
 	// The lazily sampled gauges must exist after a snapshot.
-	if g := p.Gauge("workspace.highwater.bytes"); g.Value() < 2048*4 {
+	if g := p.Registry().Gauge("workspace_highwater_bytes", nil); g.Value() < 2048*4 {
 		t.Errorf("highwater gauge = %v, want >= %d", g.Value(), 2048*4)
 	}
-	rate := p.Gauge("workspace.carve.hitrate").Value()
+	rate := p.Registry().Gauge("workspace_carve_hit_ratio", nil).Value()
 	if rate < 0 || rate > 1 {
 		t.Errorf("hit-rate gauge = %v, want within [0,1]", rate)
 	}

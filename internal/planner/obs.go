@@ -2,26 +2,30 @@ package planner
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"gpucnn/internal/obs"
+	"gpucnn/internal/telemetry"
 )
 
-// attachedPlane receives per-decision counters once AttachPlane is
-// called; obs instruments are nil-safe, so the unattached state costs
-// one atomic load per decision.
-var attachedPlane atomic.Pointer[obs.Plane]
+// attachedRegistry receives per-decision counters once AttachPlane is
+// called; the unattached state costs one atomic load per decision.
+var attachedRegistry atomic.Pointer[telemetry.Registry]
 
-// AttachPlane surfaces the planner on the observability plane: a
-// windowed counter per chosen strategy ("planner.pick.fft", ...),
-// decision and cache-hit counters, and a "planner" dashboard section
-// rendering the DefaultCache decision table — which engine each layer
-// of a live serving fleet is running on, and why, at /debug/dash.
+// AttachPlane surfaces the planner on the plane: a
+// planner_decisions_total counter in its registry (labelled by the
+// chosen strategy and whether the cache served the decision), and a
+// "planner" dashboard section rendering the DefaultCache decision table
+// — which engine each layer of a live serving fleet is running on, and
+// why, at /debug/dash.
 func AttachPlane(p *obs.Plane) {
 	if p == nil {
 		return
 	}
-	attachedPlane.Store(p)
+	reg := p.Registry()
+	reg.Help("planner_decisions_total", "Planner decisions, by chosen strategy and cache hit.")
+	attachedRegistry.Store(reg)
 	p.Section("planner", func() map[string]any {
 		stats := DefaultCache.Stats()
 		out := map[string]any{
@@ -38,16 +42,12 @@ func AttachPlane(p *obs.Plane) {
 	})
 }
 
-// observeDecision bumps the attached plane's counters for one decision
-// (fresh or cache-served).
+// observeDecision counts one decision (fresh or cache-served) into the
+// attached registry.
 func observeDecision(d Decision) {
-	p := attachedPlane.Load()
-	if p == nil {
-		return
+	if reg := attachedRegistry.Load(); reg != nil {
+		reg.Counter("planner_decisions_total", telemetry.Labels{
+			"strategy": d.Strategy.String(), "cached": strconv.FormatBool(d.FromCache),
+		}).Inc()
 	}
-	p.Counter("planner.decisions").Inc()
-	if d.FromCache {
-		p.Counter("planner.decisions.cached").Inc()
-	}
-	p.Counter("planner.pick." + d.Strategy.String()).Inc()
 }

@@ -7,6 +7,7 @@ import (
 
 	"gpucnn/internal/obs"
 	"gpucnn/internal/par"
+	"gpucnn/internal/telemetry"
 )
 
 // AutoscaleConfig tunes the fleet autoscaler. Zero values take the
@@ -109,7 +110,7 @@ func newAutoscaler(f *Fleet, cfg AutoscaleConfig) *Autoscaler {
 		done:          make(chan struct{}),
 	}
 	interval := cfg.Interval
-	if interval == 0 && obs.IsWall(f.plane.Clock()) {
+	if interval == 0 && telemetry.IsWall(f.plane.Clock()) {
 		interval = time.Second
 	}
 	if interval > 0 && !cfg.Disable {

@@ -7,8 +7,6 @@ import (
 
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/impls"
-	"gpucnn/internal/obs"
-	"gpucnn/internal/telemetry"
 )
 
 // batch is a formed group of requests bound for one device.
@@ -68,7 +66,6 @@ func (s *Server) collect(first *request) []*request {
 // and surfaces as ErrOverloaded — backpressure instead of backlog.
 func (s *Server) dispatch(reqs []*request) {
 	s.qDepth.Set(float64(len(s.queue)))
-	s.wQDepth.Set(float64(len(s.queue)))
 	d := 0
 	min := s.load[0].Load()
 	for i := 1; i < len(s.load); i++ {
@@ -107,25 +104,19 @@ func (s *Server) runBatch(i int, b *batch) {
 	// batch can never leak an open span into the trace (the PR 4 bug
 	// class); the explicit End below stays the precise close.
 	defer bsp.EndIfOpen()
-	s.plane.SetOp(fmt.Sprintf("serve/dev%d/batch-%d/size-%d", i, nb, len(b.reqs)))
+	if s.plane != nil {
+		s.plane.SetOp(fmt.Sprintf("serve/dev%d/batch-%d/size-%d", i, nb, len(b.reqs)))
+	}
 
 	var sim time.Duration
+	dm := s.dev[i]
 	err := s.plans.Exec(i, cfg, func(dev *gpusim.Device, p impls.Plan) error {
-		// Tee the span recorder (when tracing) with the plane's device
-		// sink (when observing): one event stream, both consumers.
-		var sink gpusim.TraceSink
-		if bsp != nil {
-			rec := telemetry.NewRecorder()
-			rec.Attach(bsp)
-			sink = rec
-		}
-		if s.devObs != nil {
-			sink = obs.TeeSinks(sink, s.devObs[i])
-		}
-		if sink != nil {
-			dev.SetSink(sink)
-			defer dev.SetSink(nil)
-		}
+		// The device is ours until Exec returns: point its recorder at
+		// this batch's span (nil when untraced — events are then only
+		// counted) for the duration.
+		dm.rec.Attach(bsp)
+		dev.SetSink(dm.rec)
+		defer dev.SetSink(nil)
 		e0 := dev.Elapsed()
 		err := p.Inference()
 		sim = dev.Elapsed() - e0
@@ -137,15 +128,18 @@ func (s *Server) runBatch(i int, b *batch) {
 	}
 
 	s.inflight.Set(float64(sumLoads(s.load)))
-	s.wInflight.Set(float64(sumLoads(s.load)))
-	s.cBatches.Inc()
-	s.wBatches.Inc()
+	s.batches.Inc()
 	s.hBatch.Observe(float64(len(b.reqs)))
-	s.wOccup.Set(float64(len(b.reqs)) / float64(s.opts.MaxBatch))
-	s.devBatches[i].Add(1)
-	labels := telemetry.Labels{"engine": s.opts.Engine.Name(), "device": fmt.Sprint(i)}
-	s.opts.Registry.Counter("serve_device_busy_seconds_total", labels).Add(sim.Seconds())
-	s.opts.Registry.Counter("serve_device_images_total", labels).Add(float64(len(b.reqs)))
+	dm.batches.Inc()
+	dm.busy.Add(sim.Seconds())
+	// The batch succeeds or fails as a whole. Count before replying, so
+	// a caller that sees its result also sees it counted.
+	if n := float64(len(b.reqs)); err != nil {
+		s.failed.Add(n)
+	} else {
+		s.images.Add(n)
+		dm.images.Add(n)
+	}
 
 	res := Result{BatchSize: len(b.reqs), Device: i, BatchSim: sim}
 	for _, r := range b.reqs {
@@ -153,20 +147,11 @@ func (s *Server) runBatch(i int, b *batch) {
 		rr.QueueWait = start.Sub(r.enq)
 		rr.E2E = time.Since(r.enq)
 		s.hQueue.Observe(rr.QueueWait.Seconds())
-		s.wQueue.Observe(rr.QueueWait.Seconds())
 		if err != nil {
-			s.failed.Add(1)
-			s.cFailed.Inc()
-			s.wFailed.Inc()
 			r.done <- reqDone{err: err}
 			continue
 		}
 		s.hE2E.Observe(rr.E2E.Seconds())
-		s.wE2E.Observe(rr.E2E.Seconds())
-		s.completed.Add(1)
-		s.cImages.Inc()
-		s.wCompleted.Inc()
-		s.devImages[i].Add(1)
 		bsp.Child("request").
 			SetAttr("queue_wait", rr.QueueWait.String()).
 			SetAttr("e2e", rr.E2E.String()).
@@ -183,4 +168,3 @@ func sumLoads(ls []atomic.Int64) int64 {
 	}
 	return t
 }
-

@@ -9,7 +9,6 @@ import (
 
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/multigpu"
-	"gpucnn/internal/telemetry"
 )
 
 // BenchmarkServe measures end-to-end serving cost per request across
@@ -36,7 +35,8 @@ func BenchmarkServe(b *testing.B) {
 				MaxWait:   p.maxWait,
 				QueueCap:  4096,
 				TimeScale: -1, // no wall occupancy: measure the machinery
-				Registry:  telemetry.NewRegistry(),
+				Obs:       testPlane(),
+				SLO:       SLOConfig{Disable: true},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -76,7 +76,8 @@ func BenchmarkSubmitReject(b *testing.B) {
 	s, err := New(multigpu.New(1, gpusim.TeslaK40c()), Options{
 		Model:    testModel(),
 		QueueCap: 1,
-		Registry: telemetry.NewRegistry(),
+		Obs:      testPlane(),
+		SLO:      SLOConfig{Disable: true},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -4,8 +4,7 @@
 // private multigpu.Cluster shard, behind a front door that routes by
 // consistent hash or least load. Priority classes shed low-value
 // traffic first under pressure, and an autoscaler grows and shrinks
-// the pool off the obs plane's SLO burn-rate monitor — the PR 6
-// substrate consumed as a control signal.
+// the pool off the plane's SLO burn-rate monitor.
 
 package serve
 
@@ -14,11 +13,13 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/multigpu"
 	"gpucnn/internal/obs"
+	"gpucnn/internal/telemetry"
 )
 
 // FleetOptions configures a Fleet. Zero values take the documented
@@ -32,19 +33,17 @@ type FleetOptions struct {
 	ShardDevices int
 	// Spec is the simulated device model. Default gpusim.TeslaK40c().
 	Spec gpusim.DeviceSpec
-	// Server configures every replica's server. The fleet overrides
-	// SLO.Disable: burn-rate monitoring runs once at fleet level over
-	// the shared Obs plane (all replicas write the same windowed
-	// instruments, so the plane's serve.* series are fleet aggregates).
+	// Server configures every replica's server. Its SLO drives the one
+	// fleet-level monitor (fleet-e2e-p99, fleet-shed-rate), registered
+	// when Obs is set; replicas run none of their own. Every replica
+	// writes the plane's registry under its own replica label, and the
+	// objectives read each serve_* family across all of them.
 	Server Options
 	// Route picks the front-door policy. Default RouteLeastLoaded.
 	Route RoutePolicy
 	// HashVnodes is the consistent-hash virtual-node count per replica.
 	// Default 64.
 	HashVnodes int
-	// SLO tunes the fleet-level objectives (fleet-e2e-p99,
-	// fleet-shed-rate) registered when Server.Obs is set.
-	SLO SLOConfig
 	// Autoscale bounds and paces the autoscaler.
 	Autoscale AutoscaleConfig
 }
@@ -113,22 +112,10 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 		replicas: map[int]*replica{},
 		ring:     newHashRing(opts.HashVnodes),
 	}
-	if f.plane != nil && !opts.SLO.Disable {
-		slo := opts.SLO.withDefaults()
+	if slo := opts.Server.SLO.withDefaults(); f.plane != nil && !slo.Disable {
 		f.monitor = obs.NewMonitor(obs.MonitorConfig{
 			Clock: f.plane.Clock(), Fast: slo.Fast, Slow: slo.Slow, Interval: slo.Interval,
-		},
-			obs.LatencyObjective{
-				ObjName: "fleet-e2e-p99",
-				H:       f.plane.Histogram("serve.e2e_seconds", serveLatencyBuckets(slo.E2EThreshold)),
-				Threshold: slo.E2EThreshold, Target: slo.E2ETarget,
-			},
-			obs.RateObjective{
-				ObjName: "fleet-shed-rate",
-				Bad:     f.plane.Counter("serve.shed"), Total: f.plane.Counter("serve.offered"),
-				MaxRate: slo.ShedMax,
-			},
-		)
+		}, servingObjectives(f.plane.Registry(), "fleet-", slo)...)
 		f.plane.Watch(f.monitor)
 	}
 	f.mu.Lock()
@@ -145,9 +132,8 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 	return f, nil
 }
 
-// replicaOptions derives one replica's server options: the shared
-// plane feeds fleet-aggregate instruments, but the per-replica SLO
-// monitor is disabled — the fleet runs exactly one.
+// replicaOptions derives one replica's server options: the per-replica
+// SLO monitor is disabled — the fleet runs exactly one.
 func (f *Fleet) replicaOptions() Options {
 	o := f.opts.Server
 	o.SLO.Disable = true
@@ -160,7 +146,7 @@ func (f *Fleet) addReplicaLocked() (*replica, error) {
 	id := f.nextID
 	f.nextID++
 	cl := multigpu.New(f.opts.ShardDevices, f.opts.Spec)
-	srv, err := New(cl, f.replicaOptions())
+	srv, err := newServer(cl, f.replicaOptions(), telemetry.Labels{"replica": strconv.Itoa(id)})
 	if err != nil {
 		return nil, fmt.Errorf("serve: fleet replica %d: %w", id, err)
 	}
@@ -288,7 +274,7 @@ func (f *Fleet) Options() FleetOptions { return f.opts }
 
 // Stats aggregates every live replica's counters. Replicas already
 // scaled in are not represented — the fleet-wide monotonic view lives
-// in the shared registry and plane counters.
+// in the plane's registry.
 func (f *Fleet) Stats() FleetStats {
 	f.mu.RLock()
 	defer f.mu.RUnlock()

@@ -96,34 +96,37 @@ func RunLoad(ctx context.Context, s *Server, opts LoadOptions) Report {
 		wg.Add(1)
 		par.Go(fmt.Sprintf("serve.loadgen-%d", c), func() {
 			defer wg.Done()
+			// Each quota slot is retried until it completes: the quota
+			// counts completions, and a slot handed back after a
+			// rejection could be missed by clients that already saw the
+			// quota run out and left.
 			for ctx.Err() == nil {
 				if opts.Requests > 0 && remaining.Add(-1) < 0 {
 					return
 				}
-				res, err := s.Submit(ctx)
-				switch {
-				case err == nil:
-					mu.Lock()
-					e2es = append(e2es, res.E2E)
-					queues = append(queues, res.QueueWait)
-					simShare += res.SimPerImage()
-					batchSum += int64(res.BatchSize)
-					mu.Unlock()
-				case errors.Is(err, ErrOverloaded):
-					rejected.Add(1)
-					if opts.Requests > 0 {
-						remaining.Add(1) // the quota counts completions
+				for {
+					res, err := s.Submit(ctx)
+					if err == nil {
+						mu.Lock()
+						e2es = append(e2es, res.E2E)
+						queues = append(queues, res.QueueWait)
+						simShare += res.SimPerImage()
+						batchSum += int64(res.BatchSize)
+						mu.Unlock()
+						break
 					}
+					if ctx.Err() != nil {
+						return
+					}
+					if !errors.Is(err, ErrOverloaded) {
+						failed.Add(1)
+						continue
+					}
+					rejected.Add(1)
 					select {
 					case <-time.After(opts.RetryWait):
 					case <-ctx.Done():
-					}
-				case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-					return
-				default:
-					failed.Add(1)
-					if opts.Requests > 0 {
-						remaining.Add(1) // the quota counts completions
+						return
 					}
 				}
 			}
@@ -156,10 +159,10 @@ func RunLoad(ctx context.Context, s *Server, opts LoadOptions) Report {
 	rep.QueueP99 = percentile(queues, 0.99)
 
 	labels := telemetry.Labels{"engine": s.opts.Engine.Name()}
-	reg := s.opts.Registry
+	reg := s.opts.Obs.Registry()
 	reg.Gauge("serve_load_throughput_rps", labels).Set(rep.ThroughputRPS)
 	reg.Gauge("serve_load_sim_images_per_second", labels).Set(rep.SimImagesPerSec)
-	reg.Gauge("serve_load_p99_seconds", labels).Set(rep.P99.Seconds())
+	reg.Gauge("serve_load_p99_seconds", labels.With("clock", "host")).Set(rep.P99.Seconds())
 	return rep
 }
 

@@ -156,14 +156,14 @@ func TestRunLoadDuration(t *testing.T) {
 // TestRunLoadExportsHeadlines: the headline gauges land in the
 // server's registry — the acceptance criterion's export path.
 func TestRunLoadExportsHeadlines(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	s := newTestServer(t, 1, Options{MaxBatch: 8, MaxWait: time.Millisecond, Registry: reg})
+	s := newTestServer(t, 1, Options{MaxBatch: 8, MaxWait: time.Millisecond})
+	reg := s.plane.Registry()
 	rep := RunLoad(context.Background(), s, LoadOptions{Clients: 8, Requests: 64})
 	labels := telemetry.Labels{"engine": "cuDNN"}
 	if g := reg.Gauge("serve_load_sim_images_per_second", labels).Value(); g != rep.SimImagesPerSec || g <= 0 {
 		t.Fatalf("sim img/s gauge %v, report %v", g, rep.SimImagesPerSec)
 	}
-	if g := reg.Gauge("serve_load_p99_seconds", labels).Value(); g != rep.P99.Seconds() {
+	if g := reg.Gauge("serve_load_p99_seconds", labels.With("clock", "host")).Value(); g != rep.P99.Seconds() {
 		t.Fatalf("p99 gauge %v, report %v", g, rep.P99.Seconds())
 	}
 	if g := reg.Gauge("serve_load_throughput_rps", labels).Value(); g != rep.ThroughputRPS {

@@ -9,16 +9,18 @@ import (
 	"time"
 
 	"gpucnn/internal/obs"
+	"gpucnn/internal/telemetry"
 )
 
-// TestServeFeedsObsPlane serves real traffic and checks every windowed
-// surface the server registers: counters, gauges, histograms, the
-// batcher section, and the per-device sink.
+// TestServeFeedsObsPlane serves real traffic and checks the surfaces
+// the server feeds through its plane: the serve_* and per-device
+// gpusim_* series (whole-run and windowed reads of the same
+// instruments), the SLO monitor, the batcher section and the op tag.
 func TestServeFeedsObsPlane(t *testing.T) {
-	plane := obs.NewPlane(obs.Options{})
+	plane := testPlane()
+	reg := plane.Registry()
 	s := newTestServer(t, 2, Options{
-		MaxBatch: 4, MaxWait: time.Millisecond, TimeScale: -1,
-		Obs: plane, SLO: SLOConfig{Interval: -1},
+		MaxBatch: 4, MaxWait: time.Millisecond, TimeScale: -1, Obs: plane,
 	})
 	s.Start()
 	for i := 0; i < 16; i++ {
@@ -27,23 +29,25 @@ func TestServeFeedsObsPlane(t *testing.T) {
 		}
 	}
 
-	if got := plane.Counter("serve.offered").Total(); got != 16 {
-		t.Errorf("offered = %v, want 16", got)
+	labels := telemetry.Labels{"engine": "cuDNN"}
+	for name, want := range map[string]float64{"serve_requests_total": 16, "serve_images_total": 16} {
+		c := reg.Counter(name, labels)
+		if c.Value() != want || c.Sum(0) != want {
+			t.Errorf("%s = %v (window %v), want %v", name, c.Value(), c.Sum(0), want)
+		}
 	}
-	if got := plane.Counter("serve.admitted").Total(); got != 16 {
-		t.Errorf("admitted = %v, want 16", got)
+	if st := s.Stats(); st.Submitted != 16 || st.Completed != 16 || st.Rejected != 0 {
+		t.Errorf("Stats = %+v, want 16 submitted and completed", st)
 	}
-	if got := plane.Counter("serve.completed").Total(); got != 16 {
-		t.Errorf("completed = %v, want 16", got)
+	if got := reg.Histogram("serve_e2e_latency_seconds", labels.With("clock", "host"), nil).Window(0).Count; got != 16 {
+		t.Errorf("e2e observations in window = %v, want 16", got)
 	}
-	if got := plane.Counter("serve.shed").Total(); got != 0 {
-		t.Errorf("shed = %v, want 0", got)
+	kernels := 0.0
+	for _, d := range []string{"0", "1"} {
+		kernels += reg.Counter("gpusim_kernel_launches_total", labels.With("device", d)).Value()
 	}
-	if got := plane.Histogram("serve.e2e_seconds", nil).Count(0); got != 16 {
-		t.Errorf("e2e observations = %v, want 16", got)
-	}
-	if got := plane.Counter("dev0.kernels").Total() + plane.Counter("dev1.kernels").Total(); got == 0 {
-		t.Error("device sinks saw no kernels")
+	if kernels == 0 {
+		t.Error("device recorders counted no kernels")
 	}
 	if s.Monitor() == nil {
 		t.Fatal("monitor missing")
@@ -67,14 +71,13 @@ func TestServeFeedsObsPlane(t *testing.T) {
 // whose batcher never drains (Start withheld), so a fixed slice of
 // each second's offered load is admitted and the rest is shed.
 func TestServeSLOEscalationFakeClock(t *testing.T) {
-	fc := obs.NewFakeClock(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
-	plane := obs.NewPlane(obs.Options{Clock: fc, Window: time.Minute, Resolution: time.Second})
+	fc := telemetry.NewFakeClock(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
+	plane := obs.NewPlane(telemetry.NewRegistryWith(telemetry.Options{Clock: fc, Window: time.Minute, Resolution: time.Second}))
 
 	// Phase 1: healthy traffic fills the slow window — 20 served
 	// requests per fake second for a minute.
 	healthy := newTestServer(t, 1, Options{
-		MaxBatch: 4, MaxWait: time.Millisecond, TimeScale: -1,
-		Obs: plane, SLO: SLOConfig{Interval: -1},
+		MaxBatch: 4, MaxWait: time.Millisecond, TimeScale: -1, Obs: plane,
 	})
 	healthy.Start()
 	for sec := 0; sec < 60; sec++ {
@@ -97,10 +100,7 @@ func TestServeSLOEscalationFakeClock(t *testing.T) {
 	// admitted Submit immediately instead of blocking on completion.
 	// The shared plane keeps the healthy history in the slow window,
 	// so the burn ramps WARN before PAGE instead of jumping.
-	under := newTestServer(t, 1, Options{
-		MaxBatch: 4, QueueCap: 4, TimeScale: -1,
-		Obs: plane, SLO: SLOConfig{Interval: -1},
-	})
+	under := newTestServer(t, 1, Options{MaxBatch: 4, QueueCap: 4, TimeScale: -1, Obs: plane})
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -135,7 +135,7 @@ func TestServeSLOEscalationFakeClock(t *testing.T) {
 
 	// The PAGE state and the transition history are on the dashboard.
 	rr := httptest.NewRecorder()
-	obs.DashHandler(plane).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/dash.json", nil))
+	obs.Handler(plane, nil).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/dash.json", nil))
 	var snap obs.DashSnapshot
 	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("dash.json: %v", err)

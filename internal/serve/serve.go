@@ -17,16 +17,18 @@
 // Every request's journey is observable: an optional telemetry.Tracer
 // receives a span per batch (kernel/transfer events attached, one
 // process lane per device) with a child span per request, and the
-// telemetry.Registry carries queue-depth and in-flight gauges,
+// plane's registry carries queue-depth and in-flight gauges,
 // batch-size, queue-wait and end-to-end latency histograms, and
-// per-device busy-time counters, so p50/p99 under load fall out of the
-// standard exporters.
+// per-device busy-time counters — each written once, read whole-run by
+// the exporters and Stats and over rolling windows by the dashboard and
+// the SLO monitors.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,15 +115,12 @@ type Options struct {
 	// that speed. Negative disables the sleep (pure simulation).
 	// Default 1.
 	TimeScale float64
-	// Registry receives the serve_* metrics. Default telemetry.Default().
-	Registry *telemetry.Registry
 	// Tracer, when set, receives one root span per server with a child
 	// span per batch and grandchild per request.
 	Tracer *telemetry.Tracer
-	// Obs, when set, receives the server's rolling-window instruments
-	// (offered/admitted/shed/completed/failed counters, queue-depth and
-	// batch-occupancy gauges, e2e and queue-wait histograms, per-device
-	// throughput via sinks), a "batcher" dashboard section, and — unless
+	// Obs carries the registry the serve_* and per-device gpusim_*
+	// metrics land in; nil writes them to telemetry.Default(). A
+	// non-nil plane also gets a "batcher" dashboard section and — unless
 	// SLO.Disable — a burn-rate monitor over the serving objectives.
 	Obs *obs.Plane
 	// SLO tunes the objectives registered on Obs.
@@ -135,7 +134,7 @@ type SLOConfig struct {
 	Disable bool
 	// E2EThreshold is the end-to-end latency bound in seconds; requests
 	// slower than this burn the latency budget. Default 10ms. The bound
-	// is inserted into the windowed histogram's buckets, so the bad
+	// is inserted into the latency histograms' buckets, so the bad
 	// fraction is exact at the threshold.
 	E2EThreshold float64
 	// E2ETarget is the fraction of requests that must meet the bound.
@@ -188,9 +187,6 @@ func (o Options) withDefaults() Options {
 	} else if o.TimeScale == 0 {
 		o.TimeScale = 1
 	}
-	if o.Registry == nil {
-		o.Registry = telemetry.Default()
-	}
 	return o
 }
 
@@ -222,8 +218,9 @@ type request struct {
 	done chan reqDone
 }
 
-// Stats is a point-in-time counter snapshot, mainly for tests; the
-// registry carries the full metric surface.
+// Stats is a point-in-time read of the server's counters, mainly for
+// tests and the autoscaler; the registry carries the full metric
+// surface.
 type Stats struct {
 	Submitted int64
 	Rejected  int64
@@ -252,41 +249,40 @@ type Server struct {
 	root   *telemetry.Span
 	nbatch atomic.Uint64
 
-	submitted, rejected, completed, failed atomic.Int64
-	devBatches, devImages                  []atomic.Int64
+	// One instrument per quantity: Stats, the exporters, the dashboard
+	// and the SLO monitors all read these.
+	plane    *obs.Plane
+	monitor  *obs.Monitor
+	requests *telemetry.Counter    // admitted
+	rejected [3]*telemetry.Counter // shed, per Priority class
+	failed   *telemetry.Counter
+	images   *telemetry.Counter // completed
+	batches  *telemetry.Counter
+	qDepth   *telemetry.Gauge
+	inflight *telemetry.Gauge
+	hBatch   *telemetry.Histogram
+	hQueue   *telemetry.Histogram
+	hE2E     *telemetry.Histogram
+	dev      []deviceMetrics
+}
 
-	qDepth    *telemetry.Gauge
-	inflight  *telemetry.Gauge
-	hBatch    *telemetry.Histogram
-	hQueue    *telemetry.Histogram
-	hE2E      *telemetry.Histogram
-	cRequests *telemetry.Counter
-	cRejected *telemetry.Counter
-	cFailed   *telemetry.Counter
-	cImages   *telemetry.Counter
-	cBatches  *telemetry.Counter
-
-	// Rolling-window plane (every instrument nil-safe, so the hot path
-	// writes unconditionally whether or not Options.Obs was set).
-	plane      *obs.Plane
-	monitor    *obs.Monitor
-	devObs     []*obs.DeviceSink
-	wOffered   *obs.WindowedCounter
-	wAdmitted  *obs.WindowedCounter
-	wShed      *obs.WindowedCounter
-	wCompleted *obs.WindowedCounter
-	wFailed    *obs.WindowedCounter
-	wBatches   *obs.WindowedCounter
-	wQDepth    *obs.WindowedGauge
-	wInflight  *obs.WindowedGauge
-	wOccup     *obs.WindowedGauge
-	wE2E       *obs.WindowedHistogram
-	wQueue     *obs.WindowedHistogram
-	wShedClass [3]*obs.WindowedCounter // per Priority class
+// deviceMetrics are one device's instruments, resolved once so the
+// batch path does no registry lookups.
+type deviceMetrics struct {
+	rec     *telemetry.Recorder // gpusim_* event counters; attached to each batch span
+	busy    *telemetry.Counter  // simulated seconds
+	images  *telemetry.Counter
+	batches *telemetry.Counter
 }
 
 // New builds a server over the cluster. Call Start before Submit.
 func New(cluster *multigpu.Cluster, opts Options) (*Server, error) {
+	return newServer(cluster, opts, nil)
+}
+
+// newServer is New with extra constant labels on every series (a fleet
+// tells its replicas apart with a replica label).
+func newServer(cluster *multigpu.Cluster, opts Options, extra telemetry.Labels) (*Server, error) {
 	opts = opts.withDefaults()
 	if err := opts.Model.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: bad model: %w", err)
@@ -302,44 +298,60 @@ func New(cluster *multigpu.Cluster, opts Options) (*Server, error) {
 	}
 	n := cluster.Size()
 	s := &Server{
-		opts:       opts,
-		cluster:    cluster,
-		plans:      multigpu.NewPlanCache(cluster, opts.Engine),
-		queue:      make(chan *request, opts.QueueCap),
-		devq:       make([]chan *batch, n),
-		load:       make([]atomic.Int64, n),
-		devBatches: make([]atomic.Int64, n),
-		devImages:  make([]atomic.Int64, n),
+		opts:    opts,
+		cluster: cluster,
+		plans:   multigpu.NewPlanCache(cluster, opts.Engine),
+		queue:   make(chan *request, opts.QueueCap),
+		devq:    make([]chan *batch, n),
+		load:    make([]atomic.Int64, n),
+		plane:   opts.Obs,
 	}
 	for i := range s.devq {
 		s.devq[i] = make(chan *batch, opts.DeviceQueue)
 	}
-	reg, labels := opts.Registry, telemetry.Labels{"engine": opts.Engine.Name()}
+	reg := opts.Obs.Registry()
+	labels := extra.With("engine", opts.Engine.Name())
+	host := labels.With("clock", "host")
+	latency := serveLatencyBuckets(opts.SLO.withDefaults().E2EThreshold)
 	reg.Help("serve_queue_depth", "Requests waiting in the admission queue.")
 	reg.Help("serve_batch_size_images", "Images per dispatched batch.")
 	reg.Help("serve_queue_wait_seconds", "Admission to execution start, per request.")
 	reg.Help("serve_e2e_latency_seconds", "Admission to completion, per request.")
+	reg.Help("serve_rejected_total", "Requests shed by admission control, per priority class.")
+	reg.Help("serve_device_busy_seconds_total", "Simulated device time spent on batches.")
 	s.qDepth = reg.Gauge("serve_queue_depth", labels)
 	s.inflight = reg.Gauge("serve_outstanding_images", labels)
 	s.hBatch = reg.Histogram("serve_batch_size_images", labels, batchBuckets(opts.MaxBatch))
-	s.hQueue = reg.Histogram("serve_queue_wait_seconds", labels, nil)
-	s.hE2E = reg.Histogram("serve_e2e_latency_seconds", labels, nil)
-	s.cRequests = reg.Counter("serve_requests_total", labels)
-	s.cRejected = reg.Counter("serve_rejected_total", labels)
-	s.cFailed = reg.Counter("serve_failed_total", labels)
-	s.cImages = reg.Counter("serve_images_total", labels)
-	s.cBatches = reg.Counter("serve_batches_total", labels)
+	s.hQueue = reg.Histogram("serve_queue_wait_seconds", host, latency)
+	s.hE2E = reg.Histogram("serve_e2e_latency_seconds", host, latency)
+	s.requests = reg.Counter("serve_requests_total", labels)
+	s.failed = reg.Counter("serve_failed_total", labels)
+	s.images = reg.Counter("serve_images_total", labels)
+	s.batches = reg.Counter("serve_batches_total", labels)
+	for pr := PriorityBatch; pr <= PriorityInteractive; pr++ {
+		s.rejected[pr.index()] = reg.Counter("serve_rejected_total", labels.With("priority", pr.String()))
+	}
+	s.dev = make([]deviceMetrics, n)
+	for i := range s.dev {
+		dl := labels.With("device", strconv.Itoa(i))
+		s.dev[i] = deviceMetrics{
+			rec:     telemetry.NewRecorder().CountInto(reg, dl),
+			busy:    reg.Counter("serve_device_busy_seconds_total", dl.With("clock", "sim")),
+			images:  reg.Counter("serve_device_images_total", dl),
+			batches: reg.Counter("serve_device_batches_total", dl),
+		}
+	}
 	if opts.Tracer != nil {
 		s.root = opts.Tracer.Root("serve").
 			SetAttr("engine", opts.Engine.Name()).
 			SetAttr("devices", fmt.Sprint(n))
 	}
-	s.wireObs(n)
+	s.wireObs()
 	return s, nil
 }
 
-// serveLatencyBuckets are ms-aligned e2e bounds; the SLO threshold is
-// spliced in so FractionAbove is exact at the objective's boundary.
+// serveLatencyBuckets are ms-aligned latency bounds; the SLO threshold
+// is spliced in so FractionAbove is exact at the objective's boundary.
 func serveLatencyBuckets(threshold float64) []float64 {
 	out := []float64{
 		1e-4, 2.5e-4, 5e-4, 1e-3, 2e-3, 4e-3, 8e-3,
@@ -350,36 +362,31 @@ func serveLatencyBuckets(threshold float64) []float64 {
 			return out
 		}
 	}
-	return append(out, threshold) // Plane.Histogram sorts
+	return append(out, threshold) // Registry.Histogram sorts
 }
 
-// wireObs registers the windowed instruments, the batcher dashboard
-// section, per-device sinks, and the SLO monitor on Options.Obs. With
-// a nil plane every instrument comes back nil and no-ops.
-func (s *Server) wireObs(devices int) {
-	p := s.opts.Obs
-	s.plane = p
-	slo := s.opts.SLO.withDefaults()
-	s.wOffered = p.Counter("serve.offered")
-	s.wAdmitted = p.Counter("serve.admitted")
-	s.wShed = p.Counter("serve.shed")
-	s.wCompleted = p.Counter("serve.completed")
-	s.wFailed = p.Counter("serve.failed")
-	s.wBatches = p.Counter("serve.batches")
-	s.wQDepth = p.Gauge("serve.queue_depth")
-	s.wInflight = p.Gauge("serve.inflight_images")
-	s.wOccup = p.Gauge("serve.batch_occupancy")
-	s.wE2E = p.Histogram("serve.e2e_seconds", serveLatencyBuckets(slo.E2EThreshold))
-	s.wQueue = p.Histogram("serve.queue_wait_seconds", serveLatencyBuckets(slo.E2EThreshold))
-	for pr := PriorityBatch; pr <= PriorityInteractive; pr++ {
-		s.wShedClass[pr.index()] = p.Counter("serve.shed_" + pr.String())
+// servingObjectives are the e2e-latency and shed-rate objectives over
+// every series the registry's servers write.
+func servingObjectives(reg *telemetry.Registry, prefix string, slo SLOConfig) []obs.Objective {
+	return []obs.Objective{
+		obs.LatencyObjective{
+			ObjName: prefix + "e2e-p99", Reg: reg, Family: "serve_e2e_latency_seconds",
+			Threshold: slo.E2EThreshold, Target: slo.E2ETarget,
+		},
+		obs.RateObjective{
+			ObjName: prefix + "shed-rate", Reg: reg,
+			Bad: "serve_rejected_total", Good: "serve_requests_total",
+			MaxRate: slo.ShedMax,
+		},
 	}
+}
+
+// wireObs registers the batcher dashboard section and the SLO monitor
+// on Options.Obs; without a plane there is neither.
+func (s *Server) wireObs() {
+	p := s.plane
 	if p == nil {
 		return
-	}
-	s.devObs = make([]*obs.DeviceSink, devices)
-	for i := range s.devObs {
-		s.devObs[i] = obs.NewDeviceSink(p, fmt.Sprint(i))
 	}
 	p.Section("batcher", func() map[string]any {
 		sec := map[string]any{
@@ -396,19 +403,10 @@ func (s *Server) wireObs(devices int) {
 		}
 		return sec
 	})
-	if !slo.Disable {
+	if slo := s.opts.SLO.withDefaults(); !slo.Disable {
 		s.monitor = obs.NewMonitor(obs.MonitorConfig{
 			Clock: p.Clock(), Fast: slo.Fast, Slow: slo.Slow, Interval: slo.Interval,
-		},
-			obs.LatencyObjective{
-				ObjName: "e2e-p99", H: s.wE2E,
-				Threshold: slo.E2EThreshold, Target: slo.E2ETarget,
-			},
-			obs.RateObjective{
-				ObjName: "shed-rate", Bad: s.wShed, Total: s.wOffered,
-				MaxRate: slo.ShedMax,
-			},
-		)
+		}, servingObjectives(p.Registry(), "", slo)...)
 		p.Watch(s.monitor)
 	}
 }
@@ -470,7 +468,6 @@ func (s *Server) SubmitPriority(ctx context.Context, pr Priority) (Result, error
 		s.mu.RUnlock()
 		return Result{}, ErrClosed
 	}
-	s.wOffered.Inc()
 	admitted := false
 	if len(s.queue) < s.admitLimit(pr) {
 		select {
@@ -481,17 +478,11 @@ func (s *Server) SubmitPriority(ctx context.Context, pr Priority) (Result, error
 	}
 	s.mu.RUnlock()
 	if !admitted {
-		s.rejected.Add(1)
-		s.cRejected.Inc()
-		s.wShed.Inc()
-		s.wShedClass[pr.index()].Inc()
+		s.rejected[pr.index()].Inc()
 		return Result{}, ErrOverloaded
 	}
-	s.submitted.Add(1)
-	s.cRequests.Inc()
-	s.wAdmitted.Inc()
+	s.requests.Inc()
 	s.qDepth.Set(float64(len(s.queue)))
-	s.wQDepth.Set(float64(len(s.queue)))
 	select {
 	case d := <-r.done:
 		return d.res, d.err
@@ -554,17 +545,21 @@ func (s *Server) Close() {
 	s.plane.Unwatch(s.monitor)
 }
 
-// Stats snapshots the server counters.
+// Stats reads the server's counters. Servers writing one registry
+// under the same labels share series, and so share Stats; a fleet's
+// replica label keeps its replicas apart.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Submitted: s.submitted.Load(),
-		Rejected:  s.rejected.Load(),
-		Completed: s.completed.Load(),
-		Failed:    s.failed.Load(),
+		Submitted: int64(s.requests.Value()),
+		Completed: int64(s.images.Value()),
+		Failed:    int64(s.failed.Value()),
 	}
-	for i := range s.devBatches {
-		st.Batches = append(st.Batches, s.devBatches[i].Load())
-		st.Images = append(st.Images, s.devImages[i].Load())
+	for _, c := range s.rejected {
+		st.Rejected += int64(c.Value())
+	}
+	for _, d := range s.dev {
+		st.Batches = append(st.Batches, int64(d.batches.Value()))
+		st.Images = append(st.Images, int64(d.images.Value()))
 	}
 	return st
 }

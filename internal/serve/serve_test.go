@@ -21,13 +21,22 @@ func testModel() conv.Config {
 	return conv.Config{Input: 32, Channels: 3, Filters: 32, Kernel: 5, Stride: 1, Pad: 2}
 }
 
+// testPlane is a plane over a fresh registry, so a test's metrics
+// start from zero.
+func testPlane() *obs.Plane { return obs.NewPlane(telemetry.NewRegistry()) }
+
+// newTestServer builds a server over its own plane (unless opts brings
+// one) with manual SLO evaluation.
 func newTestServer(t *testing.T, devices int, opts Options) *Server {
 	t.Helper()
 	if (opts.Model == conv.Config{}) {
 		opts.Model = testModel()
 	}
-	if opts.Registry == nil {
-		opts.Registry = telemetry.NewRegistry()
+	if opts.Obs == nil {
+		opts.Obs = testPlane()
+	}
+	if opts.SLO.Interval == 0 {
+		opts.SLO.Interval = -1
 	}
 	s, err := New(multigpu.New(devices, gpusim.TeslaK40c()), opts)
 	if err != nil {
@@ -180,10 +189,11 @@ func TestUnsupportedEngineRejectedUpFront(t *testing.T) {
 // all ended; registry carries the serving metric surface.
 func TestTelemetry(t *testing.T) {
 	tr := telemetry.NewTracer()
-	reg := telemetry.NewRegistry()
+	plane := testPlane()
+	reg := plane.Registry()
 	s := newTestServer(t, 2, Options{
 		MaxBatch: 4, MaxWait: time.Millisecond,
-		Tracer: tr, Registry: reg,
+		Tracer: tr, Obs: plane,
 	})
 	rep := RunLoad(context.Background(), s, LoadOptions{Clients: 8, Requests: 64})
 	if rep.Completed != 64 {
@@ -228,13 +238,13 @@ func TestTelemetry(t *testing.T) {
 	if v := reg.Counter("serve_images_total", telemetry.Labels{"engine": "cuDNN"}).Value(); v != 64 {
 		t.Errorf("serve_images_total = %v, want 64", v)
 	}
-	if h := reg.Histogram("serve_e2e_latency_seconds", telemetry.Labels{"engine": "cuDNN"}, nil); h.Count() != 64 {
+	if h := reg.Histogram("serve_e2e_latency_seconds", telemetry.Labels{"engine": "cuDNN", "clock": "host"}, nil); h.Count() != 64 {
 		t.Errorf("e2e histogram count = %d, want 64", h.Count())
 	}
 	busy := 0.0
 	for i := 0; i < 2; i++ {
 		busy += reg.Counter("serve_device_busy_seconds_total",
-			telemetry.Labels{"engine": "cuDNN", "device": []string{"0", "1"}[i]}).Value()
+			telemetry.Labels{"engine": "cuDNN", "device": []string{"0", "1"}[i], "clock": "sim"}).Value()
 	}
 	if busy <= 0 {
 		t.Error("no simulated busy time accumulated")
@@ -247,10 +257,7 @@ func TestTelemetry(t *testing.T) {
 // stays bounded by the max-wait knob (plus generous scheduler slack).
 func TestDynamicBatchingBeatsBatchOne(t *testing.T) {
 	run := func(maxBatch int, maxWait time.Duration) Report {
-		reg := telemetry.NewRegistry()
-		s := newTestServer(t, 2, Options{
-			MaxBatch: maxBatch, MaxWait: maxWait, Registry: reg,
-		})
+		s := newTestServer(t, 2, Options{MaxBatch: maxBatch, MaxWait: maxWait})
 		defer s.Close()
 		return RunLoad(context.Background(), s, LoadOptions{Clients: 64, Requests: 512})
 	}
@@ -302,7 +309,7 @@ func TestStartCloseRaceStress(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		s, err := New(multigpu.New(1, gpusim.TeslaK40c()), Options{
 			Model: testModel(), MaxBatch: 4, MaxWait: 200 * time.Microsecond,
-			QueueCap: 8, TimeScale: -1, Registry: telemetry.NewRegistry(),
+			QueueCap: 8, TimeScale: -1, Obs: testPlane(), SLO: SLOConfig{Disable: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -338,11 +345,7 @@ func TestStartCloseRaceStress(t *testing.T) {
 // deterministically, and the admission limits must shed batch traffic
 // at half capacity, standard at 7/8, and interactive only when full.
 func TestPrioritySheddingOrder(t *testing.T) {
-	plane := obs.NewPlane(obs.Options{})
-	s := newTestServer(t, 1, Options{
-		MaxBatch: 4, QueueCap: 16, TimeScale: -1,
-		Obs: plane, SLO: SLOConfig{Interval: -1},
-	})
+	s := newTestServer(t, 1, Options{MaxBatch: 4, QueueCap: 16, TimeScale: -1})
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel() // admitted submits return immediately; queued slots persist
 
@@ -368,12 +371,10 @@ func TestPrioritySheddingOrder(t *testing.T) {
 		t.Fatalf("interactive at full queue: %v, want ErrOverloaded", err)
 	}
 
-	for pr, want := range map[Priority]float64{
-		PriorityBatch: 1, PriorityStandard: 1, PriorityInteractive: 1,
-	} {
-		name := "serve.shed_" + pr.String()
-		if got := plane.Counter(name).Total(); got != want {
-			t.Errorf("%s = %v, want %v", name, got, want)
+	for pr := PriorityBatch; pr <= PriorityInteractive; pr++ {
+		labels := telemetry.Labels{"engine": "cuDNN", "priority": pr.String()}
+		if got := s.plane.Registry().Counter("serve_rejected_total", labels).Value(); got != 1 {
+			t.Errorf("serve_rejected_total%v = %v, want 1", labels, got)
 		}
 	}
 	s.Start() // drain the queued requests before Cleanup closes

@@ -5,9 +5,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"gpucnn/internal/obs"
-	"gpucnn/internal/telemetry"
 )
 
 // TestBuildTraceDeterminism: the schedule is a pure function of the
@@ -116,15 +113,13 @@ func TestTraceShapeByName(t *testing.T) {
 // TestRunTraceAgainstFleet replays a short steady trace open-loop
 // against a two-replica fleet and checks the report reconciles.
 func TestRunTraceAgainstFleet(t *testing.T) {
-	plane := obs.NewPlane(obs.Options{})
 	f, err := NewFleet(FleetOptions{
 		Replicas: 2, ShardDevices: 2,
 		Server: Options{
 			Model: testModel(), MaxBatch: 16, MaxWait: 500 * time.Microsecond,
 			QueueCap: 1024, TimeScale: -1,
-			Registry: telemetry.NewRegistry(), Obs: plane,
+			Obs: testPlane(), SLO: SLOConfig{Interval: -1},
 		},
-		SLO:       SLOConfig{Interval: -1},
 		Autoscale: AutoscaleConfig{Min: 2, Max: 2, Interval: -1},
 	})
 	if err != nil {

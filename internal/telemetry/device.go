@@ -7,16 +7,18 @@ import (
 // CollectDevice snapshots a simulated device's cumulative state into
 // the registry as gauges: simulated clock components, launch count,
 // memory accountant state, and the profiler's per-kernel totals (the
-// paper's Figure 4 hotspot data, now scrapeable).
+// paper's Figure 4 hotspot data, now scrapeable). Time series carry
+// clock="sim".
 func CollectDevice(r *Registry, dev *gpusim.Device, labels Labels) {
+	sim := labels.With("clock", "sim")
 	r.Help("gpusim_kernel_time_seconds", "Accumulated simulated kernel execution time.")
-	r.Gauge("gpusim_kernel_time_seconds", labels).Set(dev.KernelTime().Seconds())
+	r.Gauge("gpusim_kernel_time_seconds", sim).Set(dev.KernelTime().Seconds())
 	r.Help("gpusim_transfer_time_seconds", "Accumulated critical-path transfer time.")
-	r.Gauge("gpusim_transfer_time_seconds", labels).Set(dev.TransferTime().Seconds())
+	r.Gauge("gpusim_transfer_time_seconds", sim).Set(dev.TransferTime().Seconds())
 	r.Help("gpusim_hidden_transfer_time_seconds", "Accumulated compute-overlapped transfer time.")
-	r.Gauge("gpusim_hidden_transfer_time_seconds", labels).Set(dev.HiddenTransferTime().Seconds())
+	r.Gauge("gpusim_hidden_transfer_time_seconds", sim).Set(dev.HiddenTransferTime().Seconds())
 	r.Help("gpusim_elapsed_seconds", "Simulated wall clock: kernels plus visible transfers.")
-	r.Gauge("gpusim_elapsed_seconds", labels).Set(dev.Elapsed().Seconds())
+	r.Gauge("gpusim_elapsed_seconds", sim).Set(dev.Elapsed().Seconds())
 	r.Help("gpusim_launches", "Kernels launched on the device.")
 	r.Gauge("gpusim_launches", labels).Set(float64(dev.Launches()))
 
@@ -32,9 +34,8 @@ func CollectDevice(r *Registry, dev *gpusim.Device, labels Labels) {
 	r.Help("gpusim_kernel_flops", "Per-kernel cumulative FLOPs.")
 	r.Help("gpusim_kernel_dram_bytes", "Per-kernel cumulative DRAM traffic.")
 	for _, k := range dev.Prof.Kernels() {
-		kl := labels.clone()
-		kl["kernel"] = k.Name
-		r.Gauge("gpusim_kernel_total_seconds", kl).Set(k.Total.Seconds())
+		kl := labels.With("kernel", k.Name)
+		r.Gauge("gpusim_kernel_total_seconds", kl.With("clock", "sim")).Set(k.Total.Seconds())
 		r.Gauge("gpusim_kernel_launches", kl).Set(float64(k.Launches))
 		r.Gauge("gpusim_kernel_flops", kl).Set(k.FLOPs)
 		r.Gauge("gpusim_kernel_dram_bytes", kl).Set(k.DRAMBytes)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"strings"
 )
@@ -26,50 +25,30 @@ func spliceLabel(key, kv string) string {
 // format (version 0.0.4): one # TYPE line per family, histograms as
 // cumulative le buckets plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	fams := make([]*family, 0, len(order))
-	type row struct {
-		key  string
-		inst any
-	}
-	rows := make(map[string][]row)
-	for _, name := range order {
-		f := r.families[name]
-		fams = append(fams, f)
-		for _, key := range f.sorder {
-			rows[name] = append(rows[name], row{key, f.series[key]})
-		}
-	}
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
-		}
-		typ := f.typ
-		if typ == "" {
-			typ = "untyped"
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, typ)
-		for _, s := range rows[f.name] {
-			switch inst := s.inst.(type) {
-			case *Counter:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.key, formatFloat(inst.Value()))
-			case *Gauge:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.key, formatFloat(inst.Value()))
-			case *Histogram:
-				snap := inst.Snapshot()
-				for i, bound := range snap.Bounds {
-					le := spliceLabel(s.key, fmt.Sprintf("le=%q", formatFloat(bound)))
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, le, snap.Cumulative[i])
-				}
-				le := spliceLabel(s.key, `le="+Inf"`)
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, le, snap.Count)
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, s.key, formatFloat(snap.Sum))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, s.key, snap.Count)
+	prev := ""
+	for _, s := range r.Series() {
+		if s.Name != prev {
+			prev = s.Name
+			if s.Help != "" {
+				fmt.Fprintf(&b, "# HELP %s %s\n", s.Name, s.Help)
 			}
+			fmt.Fprintf(&b, "# TYPE %s %s\n", s.Name, s.Type)
+		}
+		switch inst := s.Inst.(type) {
+		case *Counter:
+			fmt.Fprintf(&b, "%s%s %s\n", s.Name, s.Labels, formatFloat(inst.Value()))
+		case *Gauge:
+			fmt.Fprintf(&b, "%s%s %s\n", s.Name, s.Labels, formatFloat(inst.Value()))
+		case *Histogram:
+			snap := inst.Snapshot()
+			for i, bound := range snap.Bounds {
+				le := spliceLabel(s.Labels, fmt.Sprintf("le=%q", formatFloat(bound)))
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", s.Name, le, snap.Cumulative[i])
+			}
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", s.Name, spliceLabel(s.Labels, `le="+Inf"`), snap.Count)
+			fmt.Fprintf(&b, "%s_sum%s %s\n", s.Name, s.Labels, formatFloat(snap.Sum))
+			fmt.Fprintf(&b, "%s_count%s %d\n", s.Name, s.Labels, snap.Count)
 		}
 	}
 	_, err := io.WriteString(w, b.String())
@@ -85,33 +64,19 @@ type MetricsSnapshot struct {
 
 // Snapshot captures all series, keyed by name plus rendered labels.
 func (r *Registry) Snapshot() MetricsSnapshot {
-	r.mu.Lock()
-	type row struct {
-		series string
-		inst   any
-	}
-	var all []row
-	for _, name := range r.order {
-		f := r.families[name]
-		for _, key := range f.sorder {
-			all = append(all, row{name + key, f.series[key]})
-		}
-	}
-	r.mu.Unlock()
-
 	snap := MetricsSnapshot{
 		Counters:   map[string]float64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramSnapshot{},
 	}
-	for _, s := range all {
-		switch inst := s.inst.(type) {
+	for _, s := range r.Series() {
+		switch inst := s.Inst.(type) {
 		case *Counter:
-			snap.Counters[s.series] = inst.Value()
+			snap.Counters[s.Name+s.Labels] = inst.Value()
 		case *Gauge:
-			snap.Gauges[s.series] = inst.Value()
+			snap.Gauges[s.Name+s.Labels] = inst.Value()
 		case *Histogram:
-			snap.Histograms[s.series] = inst.Snapshot()
+			snap.Histograms[s.Name+s.Labels] = inst.Snapshot()
 		}
 	}
 	return snap
@@ -122,43 +87,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// Handler serves the registry (and, when non-nil, the tracer) over
-// HTTP:
-//
-//	/metrics       Prometheus text format (also the root path)
-//	/metrics.json  JSON snapshot
-//	/trace         Chrome trace-event JSON of the span forest so far
-func Handler(r *Registry, t *Tracer) http.Handler {
-	return HandlerMux(r, t)
-}
-
-// HandlerMux is Handler returning the concrete mux, so layers above
-// telemetry (internal/obs's /debug/dash dashboard) can mount additional
-// routes on the same endpoint.
-func HandlerMux(r *Registry, t *Tracer) *http.ServeMux {
-	mux := http.NewServeMux()
-	metrics := func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = r.WriteJSON(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
-	}
-	mux.HandleFunc("/", metrics)
-	mux.HandleFunc("/metrics", metrics)
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteJSON(w)
-	})
-	if t != nil {
-		mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = t.WriteChrome(w)
-		})
-	}
-	return mux
 }

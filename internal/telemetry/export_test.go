@@ -2,10 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func exportRegistry() *Registry {
@@ -62,40 +60,5 @@ func TestSnapshotJSON(t *testing.T) {
 	h, ok := snap.Histograms[`lat_seconds{layer="conv1"}`]
 	if !ok || h.Count != 2 {
 		t.Fatalf("histograms %v", snap.Histograms)
-	}
-}
-
-func TestHandler(t *testing.T) {
-	reg := exportRegistry()
-	tr := NewTracer()
-	s := tr.Root("run")
-	s.AddEvent(Event{Name: "k", Cat: "kernel", Dur: time.Millisecond})
-	s.End()
-	h := Handler(reg, tr)
-
-	get := func(path string) *httptest.ResponseRecorder {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
-		return w
-	}
-
-	if w := get("/metrics"); w.Code != 200 ||
-		!strings.Contains(w.Body.String(), "reqs_total") ||
-		!strings.HasPrefix(w.Header().Get("Content-Type"), "text/plain") {
-		t.Fatalf("/metrics: code=%d type=%q", w.Code, w.Header().Get("Content-Type"))
-	}
-	if w := get("/metrics?format=json"); !strings.HasPrefix(w.Header().Get("Content-Type"), "application/json") {
-		t.Fatal("/metrics?format=json should return JSON")
-	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal(get("/metrics.json").Body.Bytes(), &snap); err != nil {
-		t.Fatalf("/metrics.json invalid: %v", err)
-	}
-	var trace map[string]any
-	if err := json.Unmarshal(get("/trace").Body.Bytes(), &trace); err != nil {
-		t.Fatalf("/trace invalid: %v", err)
-	}
-	if _, ok := trace["traceEvents"]; !ok {
-		t.Fatal("/trace missing traceEvents")
 	}
 }

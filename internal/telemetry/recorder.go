@@ -14,10 +14,13 @@ import (
 type Recorder struct {
 	mu  sync.Mutex
 	cur *Span
+	ctr *deviceCounters // optional, set by CountInto
+}
 
-	// Optional: device-work counters bumped on every event.
-	reg    *Registry
-	labels Labels
+// deviceCounters are the gpusim_* series one recorder feeds, resolved
+// once so recording an event costs no registry lookup.
+type deviceCounters struct {
+	kernels, flops, dram, transfers, transferBytes, busy *Counter
 }
 
 // NewRecorder creates a detached recorder. Attach a span before
@@ -25,13 +28,26 @@ type Recorder struct {
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // CountInto additionally accumulates every event into the registry's
-// gpusim_* counters under the given constant labels.
+// gpusim_* counters under the given constant labels: launches, FLOPs
+// and DRAM traffic per kernel, count and bytes per transfer, and the
+// simulated seconds the device spent busy on either. The windowed
+// reads of these counters give the live attained throughput — the
+// rolling counterpart of the paper's per-layer GFLOPS tables.
 func (r *Recorder) CountInto(reg *Registry, labels Labels) *Recorder {
 	if r == nil {
 		return nil
 	}
+	reg.Help("gpusim_busy_seconds_total", "Simulated seconds spent in kernels and transfers.")
+	c := &deviceCounters{
+		kernels:       reg.Counter("gpusim_kernel_launches_total", labels),
+		flops:         reg.Counter("gpusim_flops_total", labels),
+		dram:          reg.Counter("gpusim_dram_bytes_total", labels),
+		transfers:     reg.Counter("gpusim_transfers_total", labels),
+		transferBytes: reg.Counter("gpusim_transfer_bytes_total", labels),
+		busy:          reg.Counter("gpusim_busy_seconds_total", labels.With("clock", "sim")),
+	}
 	r.mu.Lock()
-	r.reg, r.labels = reg, labels
+	r.ctr = c
 	r.mu.Unlock()
 	return r
 }
@@ -63,7 +79,7 @@ func (r *Recorder) RecordEvent(e gpusim.TraceEvent) {
 		return
 	}
 	r.mu.Lock()
-	cur, reg, labels := r.cur, r.reg, r.labels
+	cur, c := r.cur, r.ctr
 	r.mu.Unlock()
 	cur.AddEvent(Event{
 		Name:      e.Name,
@@ -74,16 +90,17 @@ func (r *Recorder) RecordEvent(e gpusim.TraceEvent) {
 		DRAMBytes: e.DRAMBytes,
 		Bytes:     e.Bytes,
 	})
-	if reg == nil {
+	if c == nil {
 		return
 	}
+	c.busy.Add(e.Duration.Seconds())
 	if e.Category == "transfer" {
-		reg.Counter("gpusim_transfers_total", labels).Inc()
-		reg.Counter("gpusim_transfer_bytes_total", labels).Add(float64(e.Bytes))
+		c.transfers.Inc()
+		c.transferBytes.Add(float64(e.Bytes))
 	} else {
-		reg.Counter("gpusim_kernel_launches_total", labels).Inc()
-		reg.Counter("gpusim_flops_total", labels).Add(e.FLOPs)
-		reg.Counter("gpusim_dram_bytes_total", labels).Add(e.DRAMBytes)
+		c.kernels.Inc()
+		c.flops.Add(e.FLOPs)
+		c.dram.Add(e.DRAMBytes)
 	}
 }
 

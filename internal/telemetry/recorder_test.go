@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -115,6 +116,9 @@ func TestRecorderCountInto(t *testing.T) {
 	if v := reg.Counter("gpusim_transfer_bytes_total", l).Value(); v != 4096 {
 		t.Fatalf("transfer bytes counter = %v", v)
 	}
+	if v := reg.Counter("gpusim_busy_seconds_total", l.With("clock", "sim")).Value(); math.Abs(v-dev.Elapsed().Seconds()) > 1e-12 {
+		t.Fatalf("busy seconds = %v, want the device's elapsed %v", v, dev.Elapsed().Seconds())
+	}
 }
 
 func TestCollectDevice(t *testing.T) {
@@ -126,7 +130,7 @@ func TestCollectDevice(t *testing.T) {
 	if v := reg.Gauge("gpusim_launches", Labels{"device": "k40c"}).Value(); v != 1 {
 		t.Fatalf("gpusim_launches = %v", v)
 	}
-	if v := reg.Gauge("gpusim_elapsed_seconds", Labels{"device": "k40c"}).Value(); v <= 0 {
+	if v := reg.Gauge("gpusim_elapsed_seconds", Labels{"device": "k40c", "clock": "sim"}).Value(); v <= 0 {
 		t.Fatalf("gpusim_elapsed_seconds = %v", v)
 	}
 	perKernel := Labels{"device": "k40c", "kernel": "sgemm"}
