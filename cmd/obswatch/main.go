@@ -1,6 +1,6 @@
 // Command obswatch is a terminal dashboard client: it polls a live
-// /debug/dash.json endpoint (cmd/serve -dash, or any process that
-// mounted obs on its telemetry mux) and re-renders the frame in
+// /debug/dash.json endpoint (cmd/serve -dash, cmd/tracedump -http, or
+// any process serving obs.Handler) and re-renders the frame in
 // place — rolling-window rates and quantiles, SLO burn states, recent
 // transitions and the latest profile attributions, refreshed at the
 // poll interval without a browser.
