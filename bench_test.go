@@ -83,7 +83,7 @@ func BenchmarkFigure4HotspotKernels(b *testing.B) {
 // reports the extreme peak-memory values.
 func BenchmarkFigure5MemoryUsage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Figure5("batch")
+		rows := bench.Figure3("batch")
 		if i == 0 {
 			last := rows[len(rows)-1]
 			if c, ok := last.CellFor("fbfft"); ok && c.Ok() {

@@ -1,6 +1,6 @@
 // Command explain is the paper's practitioner guidance as an
 // interactive tool: for one convolution configuration it prints which
-// engine the Auto dispatcher selects and why, then profiles every
+// engine the plan-time autotuner selects and why, then profiles every
 // implementation and decomposes each one's dominant kernel — occupancy
 // limiter, compute-vs-memory bound, sustained throughput, and the
 // advisory notes matching the paper's Section V summaries.
@@ -57,12 +57,12 @@ func main() {
 		return
 	}
 
-	auto := impls.NewAuto(0).(interface {
-		PickOn(gpusim.DeviceSpec, conv.Config) (impls.Engine, string)
-	})
-	pick, reason := auto.PickOn(spec, cfg)
+	d, err := planner.New(planner.Options{}).Decide(spec, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("configuration %v (channels %d)\n", cfg, cfg.Channels)
-	fmt.Printf("recommended engine: %s — %s\n\n", pick.Name(), reason)
+	fmt.Printf("recommended engine: %s — %s\n\n", d.Engine, d.Reason)
 	for _, e := range impls.All() {
 		if err := e.Supports(cfg); err != nil {
 			fmt.Printf("%s: shape unsupported (%v)\n\n", e.Name(), err)

@@ -58,9 +58,9 @@ func ExampleNewDevice() {
 	// clock advanced: true
 }
 
-// The Auto extension applies the paper's guidance per layer shape.
-func ExampleNewAuto() {
-	auto := gpucnn.NewAuto(0)
+// Autotuned picks the implementation per layer shape by cost model.
+func ExampleNewAutotuned() {
+	auto := gpucnn.NewAutotuned()
 	large := gpucnn.BaseConfig() // kernel 11
 	small := gpucnn.BaseConfig()
 	small.Kernel = 3

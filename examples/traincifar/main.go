@@ -1,8 +1,7 @@
 // Traincifar: train cuda-convnet's classic CIFAR-10 architecture on a
-// synthetic 3-channel dataset with the Auto engine — the paper's
-// practitioner guidance picking the convolution implementation per
-// layer shape — and report held-out accuracy plus the simulated
-// per-layer cost.
+// synthetic 3-channel dataset with the Autotuned engine — the planner
+// picking the convolution implementation per layer shape by cost model
+// — and report held-out accuracy plus the simulated per-layer cost.
 //
 // Usage:
 //
@@ -15,9 +14,9 @@ import (
 
 	"gpucnn/internal/dataset"
 	"gpucnn/internal/gpusim"
-	"gpucnn/internal/impls"
 	"gpucnn/internal/models"
 	"gpucnn/internal/nn"
+	"gpucnn/internal/planner"
 )
 
 func main() {
@@ -28,12 +27,12 @@ func main() {
 	data := dataset.SyntheticColor(2048, 32, 0.1, 3)
 	train, test := data.Split(1792)
 
-	m := models.CIFARNet(impls.NewAuto(0))
+	m := models.CIFARNet(planner.NewAutotuned(planner.Options{}))
 	dev := gpusim.New(gpusim.TeslaK40c())
 	ctx := nn.NewContext(dev, true)
 	opt := nn.NewSGD(0.02, 0.9, 1e-4)
 
-	fmt.Printf("training CIFARNet on %d synthetic colour images (%d held out), Auto engine, batch %d\n\n",
+	fmt.Printf("training CIFARNet on %d synthetic colour images (%d held out), Autotuned engine, batch %d\n\n",
 		train.Len(), test.Len(), *batch)
 	for step := 1; step <= *steps; step++ {
 		x, labels := train.Batch((step-1)*(*batch), *batch)

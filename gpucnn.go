@@ -27,6 +27,7 @@ import (
 	"gpucnn/internal/impls"
 	"gpucnn/internal/models"
 	"gpucnn/internal/nn"
+	"gpucnn/internal/planner"
 	"gpucnn/internal/tensor"
 	"gpucnn/internal/workload"
 )
@@ -64,12 +65,17 @@ var (
 	EngineByName    = impls.ByName
 	EngineNames     = impls.Names
 
-	// Extensions beyond the paper's seven implementations: the
-	// F(2×2,3×3) Winograd engine and the rule-based Auto dispatcher.
+	// Extensions beyond the paper's seven implementations, among them
+	// the F(2×2,3×3) Winograd engine and Autotuned.
 	NewWinograd      = impls.NewWinograd
-	NewAuto          = impls.NewAuto
 	EngineExtensions = impls.Extensions
 )
+
+// NewAutotuned returns the plan-time autotuner as an engine: per layer
+// configuration it scores every candidate implementation through the
+// cost model and delegates to the predicted winner, caching each
+// decision process-wide.
+func NewAutotuned() Engine { return planner.NewAutotuned(planner.Options{}) }
 
 // Device is the simulated GPU.
 type Device = gpusim.Device

@@ -157,17 +157,6 @@ type Row struct {
 	Cells []Cell
 }
 
-// Sweep measures every implementation across a list of configurations
-// on the paper's K40c.
-func Sweep(cfgs []conv.Config, value func(conv.Config) int) []Row {
-	return SweepOn(cfgs, value, gpusim.TeslaK40c())
-}
-
-// SweepOn is Sweep on an arbitrary device specification.
-func SweepOn(cfgs []conv.Config, value func(conv.Config) int, spec gpusim.DeviceSpec) []Row {
-	return SweepCtx(context.Background(), cfgs, value, spec, Options{})
-}
-
 // SweepCtx runs the sweep grid through the parallel executor: every
 // (implementation, configuration) cell is an independent measurement on
 // its own device, fanned out over opt.Workers goroutines. Results land

@@ -305,7 +305,7 @@ func TestFig4FFTKernelFamilies(t *testing.T) {
 // --- Figure 5: memory -----------------------------------------------
 
 func TestFig5MemoryOrderingAcrossBatchSweep(t *testing.T) {
-	for _, row := range Figure5("batch") {
+	for _, row := range Figure3("batch") {
 		get := func(name string) int64 {
 			c, _ := row.CellFor(name)
 			if !c.Ok() {
@@ -326,7 +326,7 @@ func TestFig5MemoryOrderingAcrossBatchSweep(t *testing.T) {
 
 func TestFig5FbfftHighestEverywhere(t *testing.T) {
 	for _, sweep := range []string{"batch", "filter"} {
-		for _, row := range Figure5(sweep) {
+		for _, row := range Figure3(sweep) {
 			fb, _ := row.CellFor("fbfft")
 			if !fb.Ok() {
 				continue

@@ -29,8 +29,8 @@ type Options struct {
 	// Engines overrides the engine set a sweep measures. Nil means the
 	// paper's seven (impls.All(), fresh instances per configuration);
 	// non-nil instances are shared across every cell of the sweep, so
-	// stateful engines — the planner's Autotuned, the Auto dispatcher —
-	// must be safe for concurrent use (both are).
+	// stateful engines such as the planner's Autotuned must be safe for
+	// concurrent use (Autotuned is).
 	Engines []impls.Engine
 }
 

@@ -78,16 +78,14 @@ func Figure2Ctx(ctx context.Context, opt Options) []ModelBreakdown {
 // Figure3 runs the runtime comparison for one named sweep ("batch",
 // "input", "filter", "kernel" or "stride") on the paper's K40c.
 func Figure3(sweep string) []Row {
-	return Figure3On(sweep, gpusim.TeslaK40c())
+	return Figure3Ctx(context.Background(), sweep, gpusim.TeslaK40c(), Options{})
 }
 
-// Figure3On is Figure3 on an arbitrary device specification.
-func Figure3On(sweep string, spec gpusim.DeviceSpec) []Row {
-	return Figure3Ctx(context.Background(), sweep, spec, Options{})
-}
-
-// Figure3Ctx is Figure3On with a context, worker pool and per-cell
-// timeout: the sweep grid runs through the parallel executor.
+// Figure3Ctx is Figure3 on an arbitrary device specification, with a
+// context, worker pool and per-cell timeout: the sweep grid runs
+// through the parallel executor. Its cells carry both the runtime
+// (Figure 3) and the peak memory (Figure 5) of each measurement, as
+// the paper measured both in the same runs.
 func Figure3Ctx(ctx context.Context, sweep string, spec gpusim.DeviceSpec, opt Options) []Row {
 	cfgs, ok := workload.Sweeps()[sweep]
 	if !ok {
@@ -144,18 +142,6 @@ func GEMMShare(shares []KernelShare) float64 {
 		}
 	}
 	return s
-}
-
-// Figure5 runs the peak-memory comparison for one named sweep.
-// Sweep cells already carry PeakBytes; this simply reuses Figure3's
-// machinery (the paper, likewise, measured both in the same runs).
-func Figure5(sweep string) []Row {
-	return Figure3(sweep)
-}
-
-// Figure5Ctx is Figure5 through the parallel executor.
-func Figure5Ctx(ctx context.Context, sweep string, spec gpusim.DeviceSpec, opt Options) []Row {
-	return Figure3Ctx(ctx, sweep, spec, opt)
 }
 
 // MetricsRow is one implementation's weighted metric profile on one

@@ -32,7 +32,7 @@ func pinMs(t *testing.T, name string, wantMs float64) {
 }
 
 func TestGoldenBaseRuntimes(t *testing.T) {
-	// From `go run ./cmd/runall` (documented in EXPERIMENTS.md).
+	// From `go run ./cmd/paper all` (documented in EXPERIMENTS.md).
 	pinMs(t, "fbfft", 16.76)
 	pinMs(t, "cuDNN", 43.74)
 	pinMs(t, "cuda-convnet2", 54.15)

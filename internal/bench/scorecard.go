@@ -12,8 +12,8 @@ import (
 )
 
 // Claim is one of the paper's comparative findings, re-measured on the
-// simulator and graded. The scorecard (cmd/report) is the one-page
-// answer to "did the reproduction hold?".
+// simulator and graded. The scorecard (`paper scorecard`) is the
+// one-page answer to "did the reproduction hold?".
 type Claim struct {
 	ID       string
 	Text     string // the paper's statement

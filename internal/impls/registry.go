@@ -48,12 +48,14 @@ func RegisterExtension(ctor func() Engine) {
 }
 
 // Extensions returns implementations that go beyond the paper's seven —
-// post-publication optimisations implemented as the "opportunities for
-// further optimization" the paper's conclusion identifies, plus any
-// engines installed via RegisterExtension. They are kept out of All()
-// so the reproduced comparisons stay faithful.
+// the Winograd engine, one of the "opportunities for further
+// optimization" the paper's conclusion identifies, and Theano-legacy,
+// which the paper names but does not evaluate — plus the engines
+// installed via RegisterExtension (the planner's Autotuned, in any
+// binary that links internal/planner). They are kept out of All() so
+// the reproduced comparisons stay faithful.
 func Extensions() []Engine {
-	out := []Engine{NewWinograd(), NewAuto(0), NewTheanoLegacy()}
+	out := []Engine{NewWinograd(), NewTheanoLegacy()}
 	extMu.Lock()
 	defer extMu.Unlock()
 	for _, ctor := range extCtor {

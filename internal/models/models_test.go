@@ -6,6 +6,7 @@ import (
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/impls"
 	"gpucnn/internal/nn"
+	"gpucnn/internal/planner"
 	"gpucnn/internal/tensor"
 )
 
@@ -235,17 +236,17 @@ func TestEvaluateBatches(t *testing.T) {
 	}
 }
 
-// TestAutoEngineRunsEveryModel: the dispatching engine must plan every
-// layer of every profiled model (strided, 1×1, 3×3, 5×5, 7×7, 11×11)
-// and never be slower than a fixed cuDNN choice.
+// TestAutoEngineRunsEveryModel: the planner's Autotuned engine must
+// plan every layer of every profiled model (strided, 1×1, 3×3, 5×5,
+// 7×7, 11×11) and never be slower than a fixed cuDNN choice.
 func TestAutoEngineRunsEveryModel(t *testing.T) {
 	for name := range All(nil) {
-		auto := All(impls.NewAuto(0))[name]
+		auto := All(planner.NewAutotuned(planner.Options{Cache: planner.NewCache()}))[name]
 		fixed := All(impls.NewCuDNN())[name]
 		_, devA := simulate(t, auto, 32)
 		_, devF := simulate(t, fixed, 32)
 		if devA.Elapsed() > devF.Elapsed() {
-			t.Errorf("%s: Auto (%v) slower than fixed cuDNN (%v)", name, devA.Elapsed(), devF.Elapsed())
+			t.Errorf("%s: Autotuned (%v) slower than fixed cuDNN (%v)", name, devA.Elapsed(), devF.Elapsed())
 		}
 		auto.Net.Release()
 		fixed.Net.Release()

@@ -125,8 +125,8 @@ type Options struct {
 
 // DefaultCandidates returns the engine pool a zero-Options planner
 // scores: the paper's seven implementations plus the cuDNN-Winograd
-// and Theano-legacy extensions. The Auto dispatcher is excluded — it
-// is itself a selection policy, not a strategy.
+// and Theano-legacy extensions. Autotuned itself is excluded — it is
+// a selection policy, not a strategy.
 func DefaultCandidates() []impls.Engine {
 	return append(impls.All(), impls.NewWinograd(), impls.NewTheanoLegacy())
 }
@@ -226,8 +226,9 @@ func (p *Planner) decide(spec gpusim.DeviceSpec, cfg conv.Config) (Decision, err
 			continue
 		}
 		c.Predicted = cost
-		// Strategy after scoring: dispatching candidates (none in the
-		// default pool) report what they delegated to.
+		// Strategy after scoring: a dispatching candidate (another
+		// planner's Autotuned; none in the default pool) reports what
+		// it delegated to.
 		c.Strategy = e.Strategy()
 		d.Candidates = append(d.Candidates, c)
 	}
