@@ -29,7 +29,7 @@ lint-json:
 .PHONY: bench-kernels
 bench-kernels:
 	go test ./internal/gemm -run '^$$' -bench 'BenchmarkBlockedGEMM|BenchmarkGEMM|BenchmarkCGEMM' -count=5 -timeout 60m | tee bench_kernels.txt
-	go test ./internal/conv -run '^$$' -bench 'BenchmarkConvForward' -count=5 -timeout 60m | tee -a bench_kernels.txt
+	go test ./internal/conv -run '^$$' -bench 'BenchmarkConvForward|BenchmarkConvFFT' -count=5 -timeout 60m | tee -a bench_kernels.txt
 	go run ./cmd/benchjson -in bench_kernels.txt -out BENCH_kernels.json
 
 .PHONY: bench-kernels-quick
@@ -44,7 +44,7 @@ bench-kernels-quick:
 .PHONY: bench-kernels-compare
 bench-kernels-compare:
 	go test ./internal/gemm -run '^$$' -bench 'BenchmarkBlockedGEMM|BenchmarkGEMM|BenchmarkCGEMM' -count=5 -timeout 60m | tee bench_kernels_new.txt
-	go test ./internal/conv -run '^$$' -bench 'BenchmarkConvForward' -count=5 -timeout 60m | tee -a bench_kernels_new.txt
+	go test ./internal/conv -run '^$$' -bench 'BenchmarkConvForward|BenchmarkConvFFT' -count=5 -timeout 60m | tee -a bench_kernels_new.txt
 	go run ./cmd/benchjson -in bench_kernels_new.txt -compare BENCH_kernels.json -regress 1.15
 
 # Planner decision-quality snapshot: decision latency (cold + cached)

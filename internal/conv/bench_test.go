@@ -51,3 +51,42 @@ func BenchmarkConvForward(b *testing.B) {
 		b.ReportAllocs()
 	})
 }
+
+// cifarNetConvs are CIFARNet's three 5×5 conv layers at the batch-16
+// training shape the cifarnet_train_fbfft benchmark workload runs;
+// their FFT plan sizes are 64, 32 and 16.
+var cifarNetConvs = []struct {
+	name string
+	cfg  Config
+}{
+	{"conv1", Config{Batch: 16, Input: 32, Channels: 3, Filters: 32, Kernel: 5, Stride: 1, Pad: 2}},
+	{"conv2", Config{Batch: 16, Input: 16, Channels: 32, Filters: 32, Kernel: 5, Stride: 1, Pad: 2}},
+	{"conv3", Config{Batch: 16, Input: 8, Channels: 32, Filters: 64, Kernel: 5, Stride: 1, Pad: 2}},
+}
+
+// BenchmarkConvFFT measures each FFT-convolution pass on the CIFARNet
+// layers; GFLOPS is the direct-convolution FLOP count per second, so
+// the three passes of one layer are comparable with each other and
+// with the other engines.
+func BenchmarkConvFFT(b *testing.B) {
+	passes := []struct {
+		name string
+		run  func(cfg Config, x, w, y, dx, dw, dy *tensor.Tensor)
+	}{
+		{"fwd", func(cfg Config, x, w, y, _, _, _ *tensor.Tensor) { FFTForward(cfg, x, w, y) }},
+		{"bwd_data", func(cfg Config, _, w, _, dx, _, dy *tensor.Tensor) { FFTBackwardData(cfg, dy, w, dx) }},
+		{"bwd_filter", func(cfg Config, x, _, _, _, dw, dy *tensor.Tensor) { FFTBackwardFilter(cfg, x, dy, dw) }},
+	}
+	for _, pass := range passes {
+		for _, tc := range cifarNetConvs {
+			x, w, y, dx, dw, dy := allocTensors(tc.cfg)
+			b.Run(pass.name+"/"+tc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					pass.run(tc.cfg, x, w, y, dx, dw, dy)
+				}
+				b.ReportMetric(tc.cfg.ForwardFLOPs()*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			})
+		}
+	}
+}

@@ -175,17 +175,22 @@ func TestUnrollMatchesDirectForward(t *testing.T) {
 	}
 }
 
+// checkCIFARNetLayers runs agree on CIFARNet's conv1–conv3 at batch 2,
+// whose FFT plan sizes (64, 32, 16) are larger than the random configs
+// reach.
+func checkCIFARNetLayers(t *testing.T, agree func(cfg Config, seed uint64) bool) {
+	t.Helper()
+	for _, tc := range cifarNetConvs {
+		cfg := tc.cfg
+		cfg.Batch = 2
+		if !agree(cfg, 1) {
+			t.Errorf("%s %v: engines disagree", tc.name, cfg)
+		}
+	}
+}
+
 func TestFFTMatchesDirectForward(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := tensor.NewRNG(seed)
-		cfg := Config{
-			Batch: 1 + r.Intn(3), Input: 6 + r.Intn(10),
-			Channels: 1 + r.Intn(3), Filters: 1 + r.Intn(4),
-			Kernel: 1 + r.Intn(5), Stride: 1, Pad: r.Intn(2),
-		}
-		if cfg.Validate() != nil {
-			return true
-		}
+	agree := func(cfg Config, seed uint64) bool {
 		x, w := randTensors(cfg, seed+2)
 		y1 := tensor.New(cfg.OutputShape()...)
 		y2 := tensor.New(cfg.OutputShape()...)
@@ -193,9 +198,19 @@ func TestFFTMatchesDirectForward(t *testing.T) {
 		FFTForward(cfg, x, w, y2)
 		return tensor.AllClose(y1, y2, 1e-3)
 	}
+	f := func(seed uint64) bool {
+		r := tensor.NewRNG(seed)
+		cfg := Config{
+			Batch: 1 + r.Intn(3), Input: 6 + r.Intn(10),
+			Channels: 1 + r.Intn(3), Filters: 1 + r.Intn(4),
+			Kernel: 1 + r.Intn(5), Stride: 1, Pad: r.Intn(2),
+		}
+		return cfg.Validate() != nil || agree(cfg, seed)
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+	checkCIFARNetLayers(t, agree)
 }
 
 func TestFFTForwardRejectsStride2(t *testing.T) {
@@ -210,16 +225,7 @@ func TestFFTForwardRejectsStride2(t *testing.T) {
 }
 
 func TestBackwardDataAgreement(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := tensor.NewRNG(seed)
-		cfg := Config{
-			Batch: 1 + r.Intn(2), Input: 6 + r.Intn(6),
-			Channels: 1 + r.Intn(3), Filters: 1 + r.Intn(3),
-			Kernel: 1 + r.Intn(4), Stride: 1, Pad: r.Intn(2),
-		}
-		if cfg.Validate() != nil {
-			return true
-		}
+	agree := func(cfg Config, seed uint64) bool {
 		_, w := randTensors(cfg, seed+3)
 		dy := tensor.New(cfg.OutputShape()...)
 		dy.FillUniform(tensor.NewRNG(seed+4), -1, 1)
@@ -231,12 +237,6 @@ func TestBackwardDataAgreement(t *testing.T) {
 		FFTBackwardData(cfg, dy, w, dx3)
 		return tensor.AllClose(dx1, dx2, 1e-4) && tensor.AllClose(dx1, dx3, 1e-3)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBackwardFilterAgreement(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := tensor.NewRNG(seed)
 		cfg := Config{
@@ -244,9 +244,16 @@ func TestBackwardFilterAgreement(t *testing.T) {
 			Channels: 1 + r.Intn(3), Filters: 1 + r.Intn(3),
 			Kernel: 1 + r.Intn(4), Stride: 1, Pad: r.Intn(2),
 		}
-		if cfg.Validate() != nil {
-			return true
-		}
+		return cfg.Validate() != nil || agree(cfg, seed)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+	checkCIFARNetLayers(t, agree)
+}
+
+func TestBackwardFilterAgreement(t *testing.T) {
+	agree := func(cfg Config, seed uint64) bool {
 		x, _ := randTensors(cfg, seed+5)
 		dy := tensor.New(cfg.OutputShape()...)
 		dy.FillUniform(tensor.NewRNG(seed+6), -1, 1)
@@ -258,9 +265,19 @@ func TestBackwardFilterAgreement(t *testing.T) {
 		FFTBackwardFilter(cfg, x, dy, dw3)
 		return tensor.AllClose(dw1, dw2, 1e-4) && tensor.AllClose(dw1, dw3, 1e-3)
 	}
+	f := func(seed uint64) bool {
+		r := tensor.NewRNG(seed)
+		cfg := Config{
+			Batch: 1 + r.Intn(2), Input: 6 + r.Intn(6),
+			Channels: 1 + r.Intn(3), Filters: 1 + r.Intn(3),
+			Kernel: 1 + r.Intn(4), Stride: 1, Pad: r.Intn(2),
+		}
+		return cfg.Validate() != nil || agree(cfg, seed)
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+	checkCIFARNetLayers(t, agree)
 }
 
 func TestStridedBackwardAgreement(t *testing.T) {

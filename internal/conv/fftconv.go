@@ -2,6 +2,8 @@ package conv
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 
 	"gpucnn/internal/fft"
 	"gpucnn/internal/gemm"
@@ -24,115 +26,120 @@ func fftCheckStride(cfg Config) {
 	}
 }
 
-// paddedPlane copies one i×i channel plane into an arena-carved
-// zero-padded ip×ip buffer, or returns the original plane when pad == 0.
-func paddedPlane(cfg Config, plane []float32, ws *workspace.Arena) ([]float32, int) {
-	ip := cfg.Input + 2*cfg.Pad
-	if cfg.Pad == 0 {
-		return plane[:ip*ip], ip
-	}
-	out := ws.Float32(ip * ip)
-	for r := 0; r < cfg.Input; r++ {
-		copy(out[(r+cfg.Pad)*ip+cfg.Pad:][:cfg.Input], plane[r*cfg.Input:][:cfg.Input])
-	}
-	return out, ip
+// fftSpan hands n work items out to one worker per scratch slot. Every
+// FFT pass checks out a single arena and carves each slot from it, so
+// no job nests a second arena inside the pass's: with nested arenas the
+// pool hands them back in swapped roles on the next call, and the
+// smaller one must grow. Workers claim items one at a time, so a slow
+// worker does not hold up a fixed share of the pass.
+type fftSpan struct {
+	n, slots int
+	next     atomic.Int64
 }
 
-// fftPlaneJob FFTs real planes (h×w each, stored flat in src) into
-// flat n×n frequency grids in dst; pooled for allocation-free dispatch.
+func (s *fftSpan) reset(n int) {
+	s.n, s.slots = n, max(min(runtime.GOMAXPROCS(0), n), 1)
+	s.next.Store(0)
+}
+
+// claim returns the next unclaimed item, or false once all are taken.
+func (s *fftSpan) claim() (int, bool) {
+	i := int(s.next.Add(1)) - 1
+	return i, i < s.n
+}
+
+// forwardPlane transforms one side×side real plane, zero-padded by pad
+// on every side, into grid. buf holds the padded plane; only its
+// interior is written, so a zeroed buf keeps its border across calls.
+func forwardPlane(plan *fft.Plan2D, plane []float32, side, pad int, buf []float32, grid, scratch []complex64) {
+	if pad > 0 {
+		ip := side + 2*pad
+		for r := 0; r < side; r++ {
+			copy(buf[(r+pad)*ip+pad:][:side], plane[r*side:][:side])
+		}
+		plane, side = buf, ip
+	}
+	plan.ForwardHalf(plane[:side*side], side, side, grid, scratch)
+}
+
+// padLen is the padded-plane buffer a slot needs for side×side planes.
+func padLen(side, pad int) int {
+	if pad == 0 {
+		return 0
+	}
+	return (side + 2*pad) * (side + 2*pad)
+}
+
+// fftPlaneJob FFTs real side×side planes (stored flat in src, each
+// zero-padded by pad) into flat half-spectrum grids in dst; pooled for
+// allocation-free dispatch.
 type fftPlaneJob struct {
-	plan     *fft.Plan2D
-	h, w, nn int
-	src      []float32
-	dst      []complex64
+	fftSpan
+	plan           *fft.Plan2D
+	side, pad, nn  int
+	src, pads      []float32
+	dst, scratches []complex64
 }
 
-func (j *fftPlaneJob) Run(i int) {
-	plane := j.src[i*j.h*j.w : (i+1)*j.h*j.w]
-	j.plan.ForwardRealInto(plane, j.h, j.w, j.dst[i*j.nn:(i+1)*j.nn])
+func (j *fftPlaneJob) Run(slot int) {
+	n, pl := j.plan.N(), padLen(j.side, j.pad)
+	scratch, buf := j.scratches[slot*n:(slot+1)*n], j.pads[slot*pl:(slot+1)*pl]
+	for i, ok := j.claim(); ok; i, ok = j.claim() {
+		plane := j.src[i*j.side*j.side : (i+1)*j.side*j.side]
+		forwardPlane(j.plan, plane, j.side, j.pad, buf, j.dst[i*j.nn:(i+1)*j.nn], scratch)
+	}
 }
 
 var fftPlanePool = newJobPool[fftPlaneJob]()
 
-// fftPadPlaneJob FFTs zero-padded input channel planes: plane j is
-// channel j%C of image j/C, padded to ip×ip before the transform.
-type fftPadPlaneJob struct {
-	cfg    Config
-	plan   *fft.Plan2D
-	nn     int
-	imgLen int
-	x      []float32
-	dst    []complex64
-}
-
-func (j *fftPadPlaneJob) Run(i int) {
-	ws := workspace.Get()
-	defer workspace.Put(ws)
-	c := j.cfg.Channels
-	bi, ci := i/c, i%c
-	plane := j.x[bi*j.imgLen+ci*j.cfg.Input*j.cfg.Input:]
-	padded, ip := paddedPlane(j.cfg, plane, ws)
-	j.plan.ForwardRealInto(padded, ip, ip, j.dst[i*j.nn:(i+1)*j.nn])
-}
-
-var fftPadPlanePool = newJobPool[fftPadPlaneJob]()
-
-// transformFiltersInto FFTs every (f, c) filter plane into flat n×n
-// grids carved by the caller.
-func transformFiltersInto(cfg Config, plan *fft.Plan2D, w []float32, dst []complex64) {
-	k := cfg.Kernel
+// transformPlanes FFTs count side×side planes of src, each zero-padded
+// by pad, into the first count grids of dst, carving per-slot scratch
+// from ws.
+func transformPlanes(plan *fft.Plan2D, src []float32, count, side, pad int, dst []complex64, ws *workspace.Arena) {
 	j := fftPlanePool.Get()
-	j.plan, j.h, j.w, j.nn = plan, k, k, plan.N()*plan.N()
-	j.src, j.dst = w, dst
-	par.ForEachRunner(cfg.Filters*cfg.Channels, j)
-	j.src, j.dst = nil, nil
+	j.reset(count)
+	j.plan, j.side, j.pad, j.nn = plan, side, pad, plan.Bins()
+	j.src, j.dst = src, dst
+	j.scratches = ws.Complex64Uninit(j.slots * plan.N())
+	j.pads = ws.Float32(j.slots * padLen(side, pad))
+	par.ForEachNRunner(j.slots, j.slots, j)
+	j.src, j.dst, j.scratches, j.pads = nil, nil, nil, nil
 	fftPlanePool.Put(j)
 }
 
-// transformPaddedInputsInto FFTs every (batch, channel) input plane —
-// zero-padded — into flat grids carved by the caller.
-func transformPaddedInputsInto(cfg Config, plan *fft.Plan2D, x []float32, dst []complex64) {
-	j := fftPadPlanePool.Get()
-	j.cfg, j.plan, j.nn = cfg, plan, plan.N()*plan.N()
-	j.imgLen = cfg.Channels * cfg.Input * cfg.Input
-	j.x, j.dst = x, dst
-	par.ForEachRunner(cfg.Batch*cfg.Channels, j)
-	j.x, j.dst = nil, nil
-	fftPadPlanePool.Put(j)
-}
-
-// fftFwdJob computes one image's outputs: it transforms the image's
-// channel planes into per-worker arena grids (so the live grid
-// footprint stays at workers×C×n², not batch×C×n²) and reduces them
-// against the shared pre-transformed filter spectra.
+// fftFwdJob computes images' outputs: a worker transforms each image's
+// channel planes into its slot's grids (so the live grid footprint
+// stays at workers×C grids, not batch×C) and reduces them against the
+// shared pre-transformed filter spectra.
 type fftFwdJob struct {
-	cfg    Config
-	plan   *fft.Plan2D
-	nn, o  int
-	imgLen int
-	x      []float32
-	wgrids []complex64
-	y      []float32
+	fftSpan
+	cfg        Config
+	plan       *fft.Plan2D
+	nn, o      int
+	x, y, pads []float32
+	wgrids     []complex64
+	scratches  []complex64
 }
 
-func (j *fftFwdJob) Run(bi int) {
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+func (j *fftFwdJob) Run(slot int) {
 	cfg, nn, o := j.cfg, j.nn, j.o
-	planeLen := cfg.Input * cfg.Input
-	xg := ws.Complex64Uninit(cfg.Channels * nn)
-	for c := 0; c < cfg.Channels; c++ {
-		plane := j.x[bi*j.imgLen+c*planeLen:]
-		padded, ip := paddedPlane(cfg, plane, ws)
-		j.plan.ForwardRealInto(padded, ip, ip, xg[c*nn:(c+1)*nn])
-	}
-	acc := ws.Complex64Uninit(nn)
-	for f := 0; f < cfg.Filters; f++ {
-		clear(acc)
-		for c := 0; c < cfg.Channels; c++ {
-			gemm.CMulAccPointwise(acc, xg[c*nn:(c+1)*nn], j.wgrids[(f*cfg.Channels+c)*nn:(f*cfg.Channels+c+1)*nn], true)
+	c := cfg.Channels
+	planeLen, pl := cfg.Input*cfg.Input, padLen(cfg.Input, cfg.Pad)
+	slotLen := (c+1)*nn + j.plan.N()
+	own, buf := j.scratches[slot*slotLen:(slot+1)*slotLen], j.pads[slot*pl:(slot+1)*pl]
+	xg, acc, scratch := own[:c*nn], own[c*nn:(c+1)*nn], own[(c+1)*nn:]
+	for bi, ok := j.claim(); ok; bi, ok = j.claim() {
+		for ch := 0; ch < c; ch++ {
+			plane := j.x[(bi*c+ch)*planeLen : (bi*c+ch+1)*planeLen]
+			forwardPlane(j.plan, plane, cfg.Input, cfg.Pad, buf, xg[ch*nn:(ch+1)*nn], scratch)
 		}
-		j.plan.InverseRealInto(acc, j.y[(bi*cfg.Filters+f)*o*o:(bi*cfg.Filters+f+1)*o*o], o, o, 0, 0)
+		for f := 0; f < cfg.Filters; f++ {
+			clear(acc)
+			for ch := 0; ch < c; ch++ {
+				gemm.CMulAccPointwise(acc, xg[ch*nn:(ch+1)*nn], j.wgrids[(f*c+ch)*nn:(f*c+ch+1)*nn], true)
+			}
+			j.plan.InverseHalf(acc, j.y[(bi*cfg.Filters+f)*o*o:(bi*cfg.Filters+f+1)*o*o], o, o, 0, 0, scratch)
+		}
 	}
 }
 
@@ -145,46 +152,51 @@ var fftFwdPool = newJobPool[fftFwdJob]()
 func FFTForward(cfg Config, x, w, y *tensor.Tensor) {
 	fftCheckStride(cfg)
 	checkShapes(cfg, x, w, y)
-	n := FFTPlanSize(cfg)
-	plan := fft.Plan2DFor(n)
-	nn := n * n
+	plan := fft.Plan2DFor(FFTPlanSize(cfg))
+	nn := plan.Bins()
 	ws := workspace.Get()
 	defer workspace.Put(ws)
 	wgrids := ws.Complex64Uninit(cfg.Filters * cfg.Channels * nn)
-	transformFiltersInto(cfg, plan, w.Data, wgrids)
+	transformPlanes(plan, w.Data, cfg.Filters*cfg.Channels, cfg.Kernel, 0, wgrids, ws)
 	j := fftFwdPool.Get()
+	j.reset(cfg.Batch)
 	j.cfg, j.plan, j.nn, j.o = cfg, plan, nn, cfg.Out()
-	j.imgLen = cfg.Channels * cfg.Input * cfg.Input
+	j.scratches = ws.Complex64Uninit(j.slots * ((cfg.Channels+1)*nn + plan.N()))
+	j.pads = ws.Float32(j.slots * padLen(cfg.Input, cfg.Pad))
 	j.x, j.wgrids, j.y = x.Data, wgrids, y.Data
-	par.ForEachRunner(cfg.Batch, j)
-	j.x, j.wgrids, j.y = nil, nil, nil
+	par.ForEachNRunner(j.slots, j.slots, j)
+	j.x, j.wgrids, j.y, j.scratches, j.pads = nil, nil, nil, nil, nil
 	fftFwdPool.Put(j)
 }
 
-// fftBwdDataJob computes one image's input gradient from
-// pre-transformed output-gradient and filter spectra.
+// fftBwdDataJob computes images' input gradients from pre-transformed
+// output-gradient and filter spectra.
 type fftBwdDataJob struct {
-	cfg     Config
-	plan    *fft.Plan2D
-	nn      int
-	dygrids []complex64
-	wgrids  []complex64
-	dx      []float32
+	fftSpan
+	cfg       Config
+	plan      *fft.Plan2D
+	nn        int
+	dygrids   []complex64
+	wgrids    []complex64
+	scratches []complex64
+	dx        []float32
 }
 
-func (j *fftBwdDataJob) Run(bi int) {
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+func (j *fftBwdDataJob) Run(slot int) {
 	cfg, nn := j.cfg, j.nn
 	i := cfg.Input
-	acc := ws.Complex64Uninit(nn)
-	dyg := j.dygrids[bi*cfg.Filters*nn:]
-	for c := 0; c < cfg.Channels; c++ {
-		clear(acc)
-		for f := 0; f < cfg.Filters; f++ {
-			gemm.CMulAccPointwise(acc, dyg[f*nn:(f+1)*nn], j.wgrids[(f*cfg.Channels+c)*nn:(f*cfg.Channels+c+1)*nn], false)
+	slotLen := nn + j.plan.N()
+	own := j.scratches[slot*slotLen : (slot+1)*slotLen]
+	acc, scratch := own[:nn], own[nn:]
+	for bi, ok := j.claim(); ok; bi, ok = j.claim() {
+		dyg := j.dygrids[bi*cfg.Filters*nn:]
+		for c := 0; c < cfg.Channels; c++ {
+			clear(acc)
+			for f := 0; f < cfg.Filters; f++ {
+				gemm.CMulAccPointwise(acc, dyg[f*nn:(f+1)*nn], j.wgrids[(f*cfg.Channels+c)*nn:(f*cfg.Channels+c+1)*nn], false)
+			}
+			j.plan.InverseHalf(acc, j.dx[(bi*cfg.Channels+c)*i*i:(bi*cfg.Channels+c+1)*i*i], i, i, cfg.Pad, cfg.Pad, scratch)
 		}
-		j.plan.InverseRealInto(acc, j.dx[(bi*cfg.Channels+c)*i*i:(bi*cfg.Channels+c+1)*i*i], i, i, cfg.Pad, cfg.Pad)
 	}
 }
 
@@ -196,52 +208,52 @@ var fftBwdDataPool = newJobPool[fftBwdDataJob]()
 func FFTBackwardData(cfg Config, dy, w, dx *tensor.Tensor) {
 	fftCheckStride(cfg)
 	checkShapes(cfg, dx, w, dy)
-	n := FFTPlanSize(cfg)
-	plan := fft.Plan2DFor(n)
-	nn := n * n
-	o := cfg.Out()
+	plan := fft.Plan2DFor(FFTPlanSize(cfg))
+	nn := plan.Bins()
 	ws := workspace.Get()
 	defer workspace.Put(ws)
 	wgrids := ws.Complex64Uninit(cfg.Filters * cfg.Channels * nn)
-	transformFiltersInto(cfg, plan, w.Data, wgrids)
+	transformPlanes(plan, w.Data, cfg.Filters*cfg.Channels, cfg.Kernel, 0, wgrids, ws)
 	dygrids := ws.Complex64Uninit(cfg.Batch * cfg.Filters * nn)
-	pj := fftPlanePool.Get()
-	pj.plan, pj.h, pj.w, pj.nn = plan, o, o, nn
-	pj.src, pj.dst = dy.Data, dygrids
-	par.ForEachRunner(cfg.Batch*cfg.Filters, pj)
-	pj.src, pj.dst = nil, nil
-	fftPlanePool.Put(pj)
+	transformPlanes(plan, dy.Data, cfg.Batch*cfg.Filters, cfg.Out(), 0, dygrids, ws)
 	j := fftBwdDataPool.Get()
+	j.reset(cfg.Batch)
 	j.cfg, j.plan, j.nn = cfg, plan, nn
+	j.scratches = ws.Complex64Uninit(j.slots * (nn + plan.N()))
 	j.dygrids, j.wgrids, j.dx = dygrids, wgrids, dx.Data
-	par.ForEachRunner(cfg.Batch, j)
-	j.dygrids, j.wgrids, j.dx = nil, nil, nil
+	par.ForEachNRunner(j.slots, j.slots, j)
+	j.dygrids, j.wgrids, j.dx, j.scratches = nil, nil, nil, nil
 	fftBwdDataPool.Put(j)
 }
 
-// fftBwdFilterJob reduces one (filter, channel) pair's gradient
-// spectrum over the batch.
+// fftBwdFilterJob reduces (filter, channel) pairs' gradient spectra
+// over the batch.
 type fftBwdFilterJob struct {
-	cfg     Config
-	plan    *fft.Plan2D
-	nn      int
-	xgrids  []complex64
-	dygrids []complex64
-	dw      []float32
+	fftSpan
+	cfg       Config
+	plan      *fft.Plan2D
+	nn        int
+	xgrids    []complex64
+	dygrids   []complex64
+	scratches []complex64
+	dw        []float32
 }
 
-func (j *fftBwdFilterJob) Run(idx int) {
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+func (j *fftBwdFilterJob) Run(slot int) {
 	cfg, nn := j.cfg, j.nn
 	k := cfg.Kernel
-	f, c := idx/cfg.Channels, idx%cfg.Channels
-	acc := ws.Complex64(nn)
-	for bi := 0; bi < cfg.Batch; bi++ {
-		gemm.CMulAccPointwise(acc, j.xgrids[(bi*cfg.Channels+c)*nn:(bi*cfg.Channels+c+1)*nn],
-			j.dygrids[(bi*cfg.Filters+f)*nn:(bi*cfg.Filters+f+1)*nn], true)
+	slotLen := nn + j.plan.N()
+	own := j.scratches[slot*slotLen : (slot+1)*slotLen]
+	acc, scratch := own[:nn], own[nn:]
+	for idx, ok := j.claim(); ok; idx, ok = j.claim() {
+		f, c := idx/cfg.Channels, idx%cfg.Channels
+		clear(acc)
+		for bi := 0; bi < cfg.Batch; bi++ {
+			gemm.CMulAccPointwise(acc, j.xgrids[(bi*cfg.Channels+c)*nn:(bi*cfg.Channels+c+1)*nn],
+				j.dygrids[(bi*cfg.Filters+f)*nn:(bi*cfg.Filters+f+1)*nn], true)
+		}
+		j.plan.InverseHalf(acc, j.dw[idx*k*k:(idx+1)*k*k], k, k, 0, 0, scratch)
 	}
-	j.plan.InverseRealInto(acc, j.dw[idx*k*k:(idx+1)*k*k], k, k, 0, 0)
 }
 
 var fftBwdFilterPool = newJobPool[fftBwdFilterJob]()
@@ -252,27 +264,22 @@ var fftBwdFilterPool = newJobPool[fftBwdFilterJob]()
 func FFTBackwardFilter(cfg Config, x, dy, dw *tensor.Tensor) {
 	fftCheckStride(cfg)
 	checkShapes(cfg, x, dw, dy)
-	n := FFTPlanSize(cfg)
-	plan := fft.Plan2DFor(n)
-	nn := n * n
-	o := cfg.Out()
+	plan := fft.Plan2DFor(FFTPlanSize(cfg))
+	nn := plan.Bins()
 	ws := workspace.Get()
 	defer workspace.Put(ws)
 	// Transform all activations and gradients up front; the per-(f,c)
 	// reduction below then reads them without synchronisation.
 	xgrids := ws.Complex64Uninit(cfg.Batch * cfg.Channels * nn)
-	transformPaddedInputsInto(cfg, plan, x.Data, xgrids)
+	transformPlanes(plan, x.Data, cfg.Batch*cfg.Channels, cfg.Input, cfg.Pad, xgrids, ws)
 	dygrids := ws.Complex64Uninit(cfg.Batch * cfg.Filters * nn)
-	pj := fftPlanePool.Get()
-	pj.plan, pj.h, pj.w, pj.nn = plan, o, o, nn
-	pj.src, pj.dst = dy.Data, dygrids
-	par.ForEachRunner(cfg.Batch*cfg.Filters, pj)
-	pj.src, pj.dst = nil, nil
-	fftPlanePool.Put(pj)
+	transformPlanes(plan, dy.Data, cfg.Batch*cfg.Filters, cfg.Out(), 0, dygrids, ws)
 	j := fftBwdFilterPool.Get()
+	j.reset(cfg.Filters * cfg.Channels)
 	j.cfg, j.plan, j.nn = cfg, plan, nn
+	j.scratches = ws.Complex64Uninit(j.slots * (nn + plan.N()))
 	j.xgrids, j.dygrids, j.dw = xgrids, dygrids, dw.Data
-	par.ForEachRunner(cfg.Filters*cfg.Channels, j)
-	j.xgrids, j.dygrids, j.dw = nil, nil, nil
+	par.ForEachNRunner(j.slots, j.slots, j)
+	j.xgrids, j.dygrids, j.dw, j.scratches = nil, nil, nil, nil
 	fftBwdFilterPool.Put(j)
 }

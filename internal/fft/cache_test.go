@@ -99,10 +99,10 @@ func cmplxAbsDiff(a, b complex64) float64 {
 	return math.Hypot(float64(real(a)-real(b)), float64(imag(a)-imag(b)))
 }
 
-// TestForwardRealIntoClearsPadRegion feeds a dirty grid through
-// ForwardRealInto and checks the result equals a transform of a clean
-// zero-padded grid — i.e. the pad region is fully overwritten, which is
-// what lets callers pass uninitialised arena carve-outs.
+// TestForwardRealIntoClearsPadRegion feeds a dirty grid and dirty
+// scratch through ForwardHalf and checks the result equals a transform
+// into clean buffers — i.e. every bin is overwritten and no padding is
+// read, which is what lets callers pass uninitialised arena carve-outs.
 func TestForwardRealIntoClearsPadRegion(t *testing.T) {
 	const n, h, w = 16, 5, 3
 	p := Plan2DFor(n)
@@ -110,12 +110,16 @@ func TestForwardRealIntoClearsPadRegion(t *testing.T) {
 	for i := range img {
 		img[i] = float32(i + 1)
 	}
-	clean := p.ForwardReal(img, h, w)
-	dirty := make([]complex64, n*n)
-	for i := range dirty {
-		dirty[i] = complex(999, -999)
+	clean := make([]complex64, p.Bins())
+	p.ForwardHalf(img, h, w, clean, make([]complex64, n))
+	dirty := make([]complex64, p.Bins())
+	scratch := make([]complex64, n)
+	for _, buf := range [][]complex64{dirty, scratch} {
+		for i := range buf {
+			buf[i] = complex(999, -999)
+		}
 	}
-	p.ForwardRealInto(img, h, w, dirty)
+	p.ForwardHalf(img, h, w, dirty, scratch)
 	for i := range clean {
 		if d := cmplxAbsDiff(clean[i], dirty[i]); d > 1e-3 {
 			t.Fatalf("dirty grid leaked into transform at %d: want %v got %v", i, clean[i], dirty[i])

@@ -1,8 +1,9 @@
 // Package fft implements the Fast Fourier Transform machinery behind the
 // FFT-based convolution strategy (fbfft, Theano-fft). It provides an
 // iterative radix-2 decimation-in-time transform, a decimation-in-
-// frequency variant (fbfft's decimateInFrequency kernel uses DIF), 2-D
-// transforms, and a naive DFT used as the correctness oracle in tests.
+// frequency variant (fbfft's decimateInFrequency kernel uses DIF),
+// half-spectrum real 2-D transforms, and a naive DFT used as the
+// correctness oracle in tests.
 package fft
 
 import (
@@ -90,76 +91,96 @@ func PlanFor(n int) *Plan {
 
 // Forward performs an in-place forward DFT of x (length must equal the
 // plan length) using iterative radix-2 decimation in time.
-func (p *Plan) Forward(x []complex64) { p.transform(x, p.forward, false) }
+func (p *Plan) Forward(x []complex64) {
+	p.checkLen(x)
+	p.permute(x)
+	p.dit(x, p.forward, p.n)
+}
 
 // Inverse performs an in-place inverse DFT including the 1/n scaling.
-func (p *Plan) Inverse(x []complex64) { p.transform(x, p.inverse, true) }
-
-func (p *Plan) transform(x []complex64, tw []complex64, scale bool) {
-	n := p.n
-	if len(x) != n {
-		panic(fmt.Sprintf("fft: input length %d does not match plan length %d", len(x), n))
-	}
-	// Bit-reversal permutation.
-	for i, j := range p.rev {
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	// Butterfly stages.
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			k := 0
-			for i := start; i < start+half; i++ {
-				w := tw[k]
-				a := x[i]
-				b := x[i+half] * w
-				x[i] = a + b
-				x[i+half] = a - b
-				k += step
-			}
-		}
-	}
-	if scale {
-		inv := complex(float32(1)/float32(n), 0)
-		for i := range x {
-			x[i] *= inv
-		}
+func (p *Plan) Inverse(x []complex64) {
+	p.checkLen(x)
+	p.permute(x)
+	p.dit(x, p.inverse, p.n)
+	inv := complex(float32(1)/float32(p.n), 0)
+	for i := range x {
+		x[i] *= inv
 	}
 }
 
 // ForwardDIF performs an in-place forward DFT using decimation in
 // frequency, leaving the output in natural order. Numerically it
-// matches Forward; it exists because fbfft's hotspot kernel
-// (decimateInFrequency) uses this schedule, and the kernel cost model
-// keys off it.
+// matches Forward. The DIF stages it runs are the schedule of fbfft's
+// decimateInFrequency kernel, and the ones the half-spectrum 2-D
+// transforms use without the final permutation.
 func (p *Plan) ForwardDIF(x []complex64) {
-	n := p.n
-	if len(x) != n {
-		panic(fmt.Sprintf("fft: input length %d does not match plan length %d", len(x), n))
+	p.checkLen(x)
+	p.dif(x, p.n)
+	p.permute(x)
+}
+
+func (p *Plan) checkLen(x []complex64) {
+	if len(x) != p.n {
+		panic(fmt.Sprintf("fft: input length %d does not match plan length %d", len(x), p.n))
 	}
-	tw := p.forward
-	for size := n; size >= 2; size >>= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			k := 0
-			for i := start; i < start+half; i++ {
-				a := x[i]
-				b := x[i+half]
-				x[i] = a + b
-				x[i+half] = (a - b) * tw[k]
-				k += step
-			}
-		}
-	}
-	// DIF leaves results bit-reversed; restore natural order.
+}
+
+// permute applies the bit-reversal permutation in place.
+func (p *Plan) permute(x []complex64) {
 	for i, j := range p.rev {
 		if i < j {
 			x[i], x[j] = x[j], x[i]
 		}
+	}
+}
+
+// dit runs the radix-2 decimation-in-time butterflies with twiddles tw
+// over x held in bit-reversed order, leaving natural order. Only the
+// outputs x[:need] are computed; butterflies that feed nothing but
+// later entries are skipped, and those entries are left undefined.
+func (p *Plan) dit(x, tw []complex64, need int) {
+	n := p.n
+	x = x[:n]
+	for size := 2; size <= n; size <<= 1 {
+		half, step := size>>1, n/size
+		// Each size-block needs its first min(need, size) outputs,
+		// which take the first lim entries of both half-blocks.
+		blockNeed := min(need, size)
+		lim, full := min(blockNeed, half), max(blockNeed-half, 0)
+		for start := 0; start < n; start += size {
+			lo, hi := x[start:start+lim], x[start+half:start+half+lim]
+			for i := 0; i < full; i++ {
+				a, b := lo[i], hi[i]*tw[i*step]
+				lo[i], hi[i] = a+b, a-b
+			}
+			for i := full; i < lim; i++ {
+				lo[i] += hi[i] * tw[i*step]
+			}
+		}
+	}
+}
+
+// dif runs the radix-2 decimation-in-frequency butterflies over x in
+// natural order, leaving bit-reversed order. Entries from x[live] on
+// are taken as zero and never read, so a caller need not clear them;
+// butterflies whose partner is such a zero only scale their input.
+func (p *Plan) dif(x []complex64, live int) {
+	n, tw := p.n, p.forward
+	x = x[:n]
+	for size := n; size >= 2; size >>= 1 {
+		half, step := size>>1, n/size
+		lim, full := min(live, half), max(live-half, 0)
+		for start := 0; start < n; start += size {
+			lo, hi := x[start:start+lim], x[start+half:start+half+lim]
+			for i := 0; i < full; i++ {
+				a, b := lo[i], hi[i]
+				lo[i], hi[i] = a+b, (a-b)*tw[i*step]
+			}
+			for i := full; i < lim; i++ {
+				hi[i] = lo[i] * tw[i*step]
+			}
+		}
+		live = lim
 	}
 }
 

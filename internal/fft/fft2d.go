@@ -3,22 +3,25 @@ package fft
 import (
 	"fmt"
 	"sync"
-
-	"gpucnn/internal/par"
-	"gpucnn/internal/workspace"
 )
 
-// Plan2D performs square 2-D transforms of size n×n by applying the 1-D
-// plan along rows and then columns. Convolution pads both extents to
-// the same power of two, so only the square case is needed.
+// Plan2D performs n×n real-input 2-D transforms over half-spectrum
+// grids. The DFT of a real image is Hermitian, X[-u,-v] = conj(X[u,v]),
+// so a grid keeps only columns 0..n/2: n rows of n/2+1 bins, row-major,
+// the layout of fbfft and cuFFT's R2C transforms. Grid row rev(u)
+// holds frequency row u: the forward column pass is decimation in
+// frequency and the inverse is decimation in time, so neither runs a
+// bit-reversal permutation, and pointwise products of two grids do not
+// depend on the order. Convolution pads both extents to the same power
+// of two, so only the square case is needed.
 type Plan2D struct {
-	n    int
-	plan *Plan
+	n, cols int
+	plan    *Plan
 }
 
 // NewPlan2D builds a 2-D plan of size n×n (n must be a power of two).
 func NewPlan2D(n int) *Plan2D {
-	return &Plan2D{n: n, plan: PlanFor(n)}
+	return &Plan2D{n: n, cols: n/2 + 1, plan: PlanFor(n)}
 }
 
 // plan2DCache holds one immutable *Plan2D per size, sharing the 1-D
@@ -38,93 +41,197 @@ func Plan2DFor(n int) *Plan2D {
 // N returns the per-axis transform size.
 func (p *Plan2D) N() int { return p.n }
 
-// Forward transforms x (row-major, length n*n) in place.
-func (p *Plan2D) Forward(x []complex64) { p.apply(x, (*Plan).Forward) }
+// Bins returns the length of a half-spectrum grid, n·(n/2+1).
+func (p *Plan2D) Bins() int { return p.n * p.cols }
 
-// Inverse inverse-transforms x in place, including full 1/n² scaling.
-func (p *Plan2D) Inverse(x []complex64) { p.apply(x, (*Plan).Inverse) }
-
-func (p *Plan2D) apply(x []complex64, f func(*Plan, []complex64)) {
-	n := p.n
-	if len(x) != n*n {
-		panic(fmt.Sprintf("fft: 2-D input length %d does not match %d×%d", len(x), n, n))
-	}
-	// Rows.
-	for r := 0; r < n; r++ {
-		f(p.plan, x[r*n:(r+1)*n])
-	}
-	// Columns via gather/scatter through arena scratch.
-	ws := workspace.Get()
-	defer workspace.Put(ws)
-	col := ws.Complex64Uninit(n)
-	for c := 0; c < n; c++ {
-		for r := 0; r < n; r++ {
-			col[r] = x[r*n+c]
+// ForwardHalf transforms the real h×w image img (row-major), zero-padded
+// to n×n, into the half-spectrum grid (length Bins()). Every bin is
+// written, so an uninitialised arena carve-out is a valid grid. Rows
+// are transformed two at a time, packed as the real and imaginary
+// parts of one complex row, and only the h image rows are transformed;
+// the column pass skips butterflies whose partner rows are padding.
+// scratch must hold at least n complex64s.
+func (p *Plan2D) ForwardHalf(img []float32, h, w int, grid, scratch []complex64) {
+	n, m, pl := p.n, p.cols, p.plan
+	p.check("real input", h, w, 0, 0, grid, scratch)
+	z := scratch[:n]
+	for r := 0; r < h; r += 2 {
+		a := img[r*w : (r+1)*w]
+		if r+1 == h {
+			for c, v := range a {
+				z[c] = complex(v, 0)
+			}
+			pl.dif(z, w)
+			pl.splitOne(z, grid[r*m:(r+1)*m])
+			continue
 		}
-		f(p.plan, col)
-		for r := 0; r < n; r++ {
-			x[r*n+c] = col[r]
+		b := img[(r+1)*w : (r+2)*w]
+		for c, v := range a {
+			z[c] = complex(v, b[c])
 		}
+		pl.dif(z, w)
+		pl.splitPair(z, grid[r*m:(r+1)*m], grid[(r+1)*m:(r+2)*m])
 	}
+	pl.difRows(grid, m, h)
 }
 
-// ForwardRealInto zero-pads a real-valued h×w image into the caller's
-// n×n complex grid and transforms it in place. Every grid element is
-// written (the pad region is cleared), so an uninitialised arena
-// carve-out is a valid destination.
-func (p *Plan2D) ForwardRealInto(img []float32, h, w int, grid []complex64) {
-	n := p.n
-	if h > n || w > n {
-		panic(fmt.Sprintf("fft: real input %dx%d exceeds plan size %d", h, w, n))
-	}
-	if len(grid) != n*n {
-		panic(fmt.Sprintf("fft: grid length %d does not match %d×%d", len(grid), n, n))
-	}
-	for r := 0; r < h; r++ {
-		src := img[r*w : (r+1)*w]
-		dst := grid[r*n : (r+1)*n]
-		for c, v := range src {
-			dst[c] = complex(v, 0)
+// InverseHalf inverse-transforms grid in place, destroying it, and
+// writes the real h×w window whose top-left corner is at row offH,
+// column offW, scaled by 1/n², into out (row-major h×w). Only the
+// output rows and columns up to the window's far edge are computed.
+// scratch must hold at least n complex64s.
+func (p *Plan2D) InverseHalf(grid []complex64, out []float32, h, w, offH, offW int, scratch []complex64) {
+	n, m, pl := p.n, p.cols, p.plan
+	p.check("output window", h, w, offH, offW, grid, scratch)
+	pl.ditRows(grid, m, offH+h)
+	z := scratch[:n]
+	scale := float32(1) / float32(n*n)
+	need := offW + w
+	for r := 0; r < h; r += 2 {
+		// A lone last row is paired with itself: the real part of
+		// a + i·a is still a.
+		ga := grid[(offH+r)*m : (offH+r+1)*m]
+		gb := ga
+		if r+1 < h {
+			gb = grid[(offH+r+1)*m : (offH+r+2)*m]
 		}
-		clear(dst[w:])
-	}
-	clear(grid[h*n:])
-	p.Forward(grid)
-}
-
-// ForwardReal transforms a real-valued h×w image zero-padded into a
-// freshly allocated n×n complex grid and returns it. This is the
-// padding step that inflates FFT-convolution memory usage: the filter
-// (k×k) and the image (i×i) are both padded to the same n×n extent.
-// Zero-allocation paths use ForwardRealInto with an arena grid instead.
-func (p *Plan2D) ForwardReal(img []float32, h, w int) []complex64 {
-	grid := make([]complex64, p.n*p.n)
-	p.ForwardRealInto(img, h, w, grid)
-	return grid
-}
-
-// InverseRealInto inverse-transforms grid in place and writes the real
-// parts of the top-left h×w corner (offset by offH/offW) into out.
-func (p *Plan2D) InverseRealInto(grid []complex64, out []float32, h, w, offH, offW int) {
-	n := p.n
-	p.Inverse(grid)
-	for r := 0; r < h; r++ {
-		src := grid[(r+offH)*n:]
+		pl.mergePair(z, ga, gb)
+		pl.dit(z, pl.inverse, need)
 		dst := out[r*w : (r+1)*w]
+		if r+1 == h {
+			for c := range dst {
+				dst[c] = real(z[offW+c]) * scale
+			}
+			continue
+		}
+		dst2 := out[(r+1)*w : (r+2)*w]
 		for c := range dst {
-			dst[c] = real(src[c+offW])
+			v := z[offW+c]
+			dst[c], dst2[c] = real(v)*scale, imag(v)*scale
 		}
 	}
 }
 
-// BatchForwardReal transforms count images in parallel. images[i] must
-// be an h×w real image; the result slice holds count frequency grids.
-func (p *Plan2D) BatchForwardReal(images [][]float32, h, w int) [][]complex64 {
-	out := make([][]complex64, len(images))
-	par.ForEach(len(images), func(i int) {
-		out[i] = p.ForwardReal(images[i], h, w)
-	})
-	return out
+func (p *Plan2D) check(what string, h, w, offH, offW int, grid, scratch []complex64) {
+	if h < 1 || w < 1 || offH < 0 || offW < 0 || offH+h > p.n || offW+w > p.n {
+		panic(fmt.Sprintf("fft: %s %dx%d at (%d,%d) exceeds plan size %d", what, h, w, offH, offW, p.n))
+	}
+	if len(grid) != p.Bins() {
+		panic(fmt.Sprintf("fft: grid length %d does not match %d×%d", len(grid), p.n, p.cols))
+	}
+	if len(scratch) < p.n {
+		panic(fmt.Sprintf("fft: scratch length %d is below plan size %d", len(scratch), p.n))
+	}
+}
+
+// splitPair unpacks y, the bit-reversed spectrum of z = a + i·b for
+// real rows a and b, into their half spectra: A[k] = (Z[k] +
+// conj(Z[n-k]))/2 and B[k] = (Z[k] - conj(Z[n-k]))/2i.
+func (p *Plan) splitPair(y, da, db []complex64) {
+	n, rev := p.n, p.rev
+	da[0], db[0] = complex(real(y[0]), 0), complex(imag(y[0]), 0)
+	if n == 1 {
+		return
+	}
+	h := n / 2
+	zh := y[rev[h]]
+	da[h], db[h] = complex(real(zh), 0), complex(imag(zh), 0)
+	for k := 1; k < h; k++ {
+		zk, zn := y[rev[k]], y[rev[n-k]]
+		zn = complex(real(zn), -imag(zn))
+		s, d := zk+zn, zk-zn
+		da[k] = complex(real(s)*0.5, imag(s)*0.5)
+		db[k] = complex(imag(d)*0.5, -real(d)*0.5)
+	}
+}
+
+// splitOne copies the half spectrum of a single real row out of its
+// bit-reversed spectrum y.
+func (p *Plan) splitOne(y, da []complex64) {
+	for k := range da {
+		da[k] = y[p.rev[k]]
+	}
+}
+
+// mergePair builds in z the bit-reversed full spectrum of a + i·b from
+// the half spectra A and B of real rows a and b, using Z[k] = A[k] +
+// i·B[k] and Z[n-k] = conj(A[k]) + i·conj(B[k]). The DC and Nyquist
+// bins of a real row are real, so their rounding residue is dropped.
+func (p *Plan) mergePair(z, sa, sb []complex64) {
+	n, rev := p.n, p.rev
+	z[0] = complex(real(sa[0]), real(sb[0]))
+	if n == 1 {
+		return
+	}
+	h := n / 2
+	z[rev[h]] = complex(real(sa[h]), real(sb[h]))
+	for k := 1; k < h; k++ {
+		a, b := sa[k], sb[k]
+		z[rev[k]] = complex(real(a)-imag(b), imag(a)+real(b))
+		z[rev[n-k]] = complex(real(a)+imag(b), real(b)-imag(a))
+	}
+}
+
+// difRows runs dif over the n rows of x, each m bins wide, as the
+// elements of one length-n column transform, so every butterfly is a
+// contiguous loop over two whole rows. Rows from live on are taken as
+// zero and never read. The 1-D row transforms keep the scalar dif and
+// dit: run through these loops at m = 1 they make a convolution pass
+// about a tenth slower.
+func (p *Plan) difRows(x []complex64, m, live int) {
+	n, tw := p.n, p.forward
+	for size := n; size >= 2; size >>= 1 {
+		half, step := size>>1, n/size
+		lim, full := min(live, half), max(live-half, 0)
+		for start := 0; start < n; start += size {
+			for i := 0; i < lim; i++ {
+				w := tw[i*step]
+				lo := x[(start+i)*m : (start+i+1)*m]
+				hi := x[(start+half+i)*m : (start+half+i+1)*m]
+				hi = hi[:len(lo)]
+				if i < full {
+					for c, a := range lo {
+						b := hi[c]
+						lo[c], hi[c] = a+b, (a-b)*w
+					}
+				} else {
+					for c, a := range lo {
+						hi[c] = a * w
+					}
+				}
+			}
+		}
+		live = lim
+	}
+}
+
+// ditRows runs dit over the n rows of x, each m bins wide, held in
+// bit-reversed row order, and computes only output rows [0, need).
+func (p *Plan) ditRows(x []complex64, m, need int) {
+	n, tw := p.n, p.inverse
+	for size := 2; size <= n; size <<= 1 {
+		half, step := size>>1, n/size
+		blockNeed := min(need, size)
+		lim, full := min(blockNeed, half), max(blockNeed-half, 0)
+		for start := 0; start < n; start += size {
+			for i := 0; i < lim; i++ {
+				w := tw[i*step]
+				lo := x[(start+i)*m : (start+i+1)*m]
+				hi := x[(start+half+i)*m : (start+half+i+1)*m]
+				hi = hi[:len(lo)]
+				if i < full {
+					for c, a := range lo {
+						b := hi[c] * w
+						lo[c], hi[c] = a+b, a-b
+					}
+				} else {
+					for c := range lo {
+						lo[c] += hi[c] * w
+					}
+				}
+			}
+		}
+	}
 }
 
 // FLOPs1D returns the approximate real-flop cost of one length-n

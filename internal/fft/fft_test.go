@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gpucnn/internal/par"
 	"gpucnn/internal/tensor"
 )
 
@@ -217,7 +218,8 @@ func TestForwardRealPadding(t *testing.T) {
 	// A real 2x2 image in an 8x8 grid: DC bin must equal the pixel sum.
 	img := []float32{1, 2, 3, 4}
 	p := NewPlan2D(8)
-	grid := p.ForwardReal(img, 2, 2)
+	grid := make([]complex64, p.Bins())
+	p.ForwardHalf(img, 2, 2, grid, make([]complex64, 8))
 	if math.Abs(float64(real(grid[0]))-10) > 1e-4 || math.Abs(float64(imag(grid[0]))) > 1e-4 {
 		t.Fatalf("DC bin = %v, want 10", grid[0])
 	}
@@ -232,9 +234,11 @@ func TestInverseRealIntoOffset(t *testing.T) {
 		img[i] = r.Float32()
 	}
 	p := NewPlan2D(n)
-	grid := p.ForwardReal(img, n, n)
+	grid := make([]complex64, p.Bins())
+	scratch := make([]complex64, n)
+	p.ForwardHalf(img, n, n, grid, scratch)
 	out := make([]float32, 4*4)
-	p.InverseRealInto(grid, out, 4, 4, 2, 3)
+	p.InverseHalf(grid, out, 4, 4, 2, 3, scratch)
 	for rr := 0; rr < 4; rr++ {
 		for cc := 0; cc < 4; cc++ {
 			want := img[(rr+2)*n+cc+3]
@@ -245,6 +249,9 @@ func TestInverseRealIntoOffset(t *testing.T) {
 	}
 }
 
+// TestBatchForwardRealMatchesSerial transforms images concurrently
+// through one shared plan, each worker with its own scratch, and
+// requires bit-identical grids to a serial pass.
 func TestBatchForwardRealMatchesSerial(t *testing.T) {
 	p := NewPlan2D(16)
 	r := tensor.NewRNG(12)
@@ -255,9 +262,15 @@ func TestBatchForwardRealMatchesSerial(t *testing.T) {
 			images[i][j] = r.Float32()
 		}
 	}
-	batch := p.BatchForwardReal(images, 10, 12)
+	batch := make([][]complex64, len(images))
+	par.ForEach(len(images), func(i int) {
+		batch[i] = make([]complex64, p.Bins())
+		p.ForwardHalf(images[i], 10, 12, batch[i], make([]complex64, p.N()))
+	})
+	want := make([]complex64, p.Bins())
+	scratch := make([]complex64, p.N())
 	for i := range images {
-		want := p.ForwardReal(images[i], 10, 12)
+		p.ForwardHalf(images[i], 10, 12, want, scratch)
 		if d := cdist(batch[i], want); d != 0 {
 			t.Fatalf("batch transform %d differs by %g", i, d)
 		}
@@ -277,39 +290,40 @@ func TestFLOPCounts(t *testing.T) {
 }
 
 func TestConvolutionTheorem(t *testing.T) {
-	// Circular convolution via FFT equals direct circular convolution.
-	n := 32
+	// Circular 2-D convolution through half-spectrum grids equals direct
+	// circular convolution.
+	n := 16
 	r := tensor.NewRNG(13)
-	x := make([]float32, n)
-	h := make([]float32, n)
+	x := make([]float32, n*n)
+	h := make([]float32, n*n)
 	for i := range x {
 		x[i] = 2*r.Float32() - 1
 		h[i] = 2*r.Float32() - 1
 	}
-	// Direct circular convolution.
-	want := make([]float64, n)
+	want := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			want[i] += float64(x[j]) * float64(h[(i-j+n)%n])
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					want[i*n+j] += float64(x[u*n+v]) * float64(h[((i-u+n)%n)*n+(j-v+n)%n])
+				}
+			}
 		}
 	}
-	// FFT path.
-	X := make([]complex64, n)
-	H := make([]complex64, n)
-	for i := 0; i < n; i++ {
-		X[i] = complex(x[i], 0)
-		H[i] = complex(h[i], 0)
-	}
-	p := NewPlan(n)
-	p.Forward(X)
-	p.Forward(H)
+	p := NewPlan2D(n)
+	scratch := make([]complex64, n)
+	X := make([]complex64, p.Bins())
+	H := make([]complex64, p.Bins())
+	p.ForwardHalf(x, n, n, X, scratch)
+	p.ForwardHalf(h, n, n, H, scratch)
 	for i := range X {
 		X[i] *= H[i]
 	}
-	p.Inverse(X)
-	for i := 0; i < n; i++ {
-		if math.Abs(float64(real(X[i]))-want[i]) > 1e-3 {
-			t.Fatalf("convolution theorem violated at %d: %v vs %v", i, real(X[i]), want[i])
+	got := make([]float32, n*n)
+	p.InverseHalf(X, got, n, n, 0, 0, scratch)
+	for i := range got {
+		if math.Abs(float64(got[i])-want[i]) > 1e-3 {
+			t.Fatalf("convolution theorem violated at %d: %v vs %v", i, got[i], want[i])
 		}
 	}
 }

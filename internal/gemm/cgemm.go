@@ -49,8 +49,9 @@ func CParallel(alpha complex64, a []complex64, b []complex64, beta complex64, c 
 }
 
 // CMulAccPointwise accumulates c[i] += a[i] * conj-or-plain b[i] over a
-// slice. With conjB set it computes the correlation form used by
-// convolution backward passes in the frequency domain.
+// slice. With conjB set it computes the correlation form, which the
+// frequency-domain convolution's forward and backward-filter passes
+// use; backward-data uses the plain product.
 func CMulAccPointwise(c, a, b []complex64, conjB bool) {
 	if len(a) != len(b) || len(a) != len(c) {
 		panic("gemm: pointwise length mismatch")

@@ -116,7 +116,6 @@ func (a *Arena) Float32Uninit(n int) []float32 {
 	a.cycleBytes += int64(n) * 4
 	if a.f32off+n > len(a.f32) {
 		a.f32 = grow(a.f32, a.f32off+n)
-		a.f32off = 0
 		statGrows.Add(1)
 	}
 	s := a.f32[a.f32off : a.f32off+n : a.f32off+n]
@@ -137,7 +136,6 @@ func (a *Arena) Complex64Uninit(n int) []complex64 {
 	a.cycleBytes += int64(n) * 8
 	if a.c64off+n > len(a.c64) {
 		a.c64 = grow(a.c64, a.c64off+n)
-		a.c64off = 0
 		statGrows.Add(1)
 	}
 	s := a.c64[a.c64off : a.c64off+n : a.c64off+n]
@@ -153,8 +151,11 @@ func (a *Arena) Complex64(n int) []complex64 {
 }
 
 // grow replaces a full backing slab. Earlier carve-outs keep aliasing
-// the old slab (still valid until Put); the new slab is sized for the
-// whole cycle so far, so after a few cycles the arena stops allocating.
+// the old slab (still valid until Put). The carve that forced the grow
+// keeps its offset in the cycle, so the new slab is sized for the whole
+// cycle so far: after one cycle the slab holds every carve of that
+// cycle, and a pass that repeats its carves stops allocating on its
+// second call.
 func grow[T any](old []T, need int) []T {
 	size := 2 * len(old)
 	if size < need {

@@ -72,6 +72,29 @@ func TestGrowKeepsOldCarvesValid(t *testing.T) {
 	}
 }
 
+// TestOneCycleSizesSlabForTheCycle replays a carve sequence whose
+// middle carve forces a grow and whose last carve still fits after it:
+// the second cycle must fit the slabs the first one left, so a pass
+// needs a single warm-up call whatever capacity its arena arrived with.
+func TestOneCycleSizesSlabForTheCycle(t *testing.T) {
+	var a Arena
+	cycle := func() {
+		a.Reset()
+		a.Float32Uninit(1000)
+		a.Float32Uninit(3000)
+		a.Float32Uninit(1000)
+		a.Complex64Uninit(1000)
+		a.Complex64Uninit(3000)
+		a.Complex64Uninit(1000)
+	}
+	cycle()
+	f32, c64 := &a.f32[0], &a.c64[0]
+	cycle()
+	if &a.f32[0] != f32 || &a.c64[0] != c64 {
+		t.Fatalf("second cycle regrew a slab (float32 %d, complex64 %d elements)", len(a.f32), len(a.c64))
+	}
+}
+
 func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime instruments allocations")
