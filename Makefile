@@ -3,12 +3,12 @@
 tier1: lint
 	go build ./...
 	go test ./...
-	go test -race ./internal/gemm ./internal/conv ./internal/par ./internal/serve ./internal/obs ./internal/telemetry ./internal/planner ./internal/analysis/...
-	go test -count=3 -cpu 1,2,4 ./internal/telemetry ./internal/obs ./internal/serve ./internal/planner ./cmd/paper
+	go test -race ./internal/gemm ./internal/conv ./internal/par ./internal/workspace ./internal/impls ./internal/serve ./internal/obs ./internal/telemetry ./internal/planner ./internal/analysis/...
+	go test -count=3 -cpu 1,2,4 ./internal/conv ./internal/gemm ./internal/workspace ./internal/impls ./internal/telemetry ./internal/obs ./internal/serve ./internal/planner ./cmd/paper
 
 # Static analysis: the stock vet suite plus this repo's analyzers
-# (spanend, arenaput, errcmp, ctxbg, rawgo, obsstop, lockheld,
-# hotalloc, atomicmix, wallclock, bareignore — see internal/analysis).
+# (spanend, errcmp, ctxbg, rawgo, obsstop, lockheld, hotalloc,
+# atomicmix, wallclock, bareignore — see internal/analysis).
 # cmd/lint re-execs itself as go vet's -vettool, so one invocation
 # runs everything.
 .PHONY: lint

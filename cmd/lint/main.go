@@ -1,7 +1,6 @@
 // Command lint drives the repo's custom analyzer suite (spanend,
-// arenaput, errcmp, ctxbg, rawgo, obsstop, lockheld, hotalloc,
-// atomicmix, wallclock, bareignore — see internal/analysis) over Go
-// packages.
+// errcmp, ctxbg, rawgo, obsstop, lockheld, hotalloc, atomicmix,
+// wallclock, bareignore — see internal/analysis) over Go packages.
 //
 // It speaks the go vet -vettool protocol (unitchecker), so the go
 // command handles package loading, export data and facts — the same

@@ -4,7 +4,6 @@
 // machine rather than by reviewer:
 //
 //	spanend    every Tracer.Root/Span.Child reaches End on all paths
-//	arenaput   every workspace.Get is paired with workspace.Put
 //	errcmp     sentinel errors are tested with errors.Is, never == / !=
 //	ctxbg      no context.Background() where a ctx parameter is in scope
 //	rawgo      no naked goroutines in library packages (use par.Go)
@@ -23,7 +22,6 @@ package analysis
 import (
 	"golang.org/x/tools/go/analysis"
 
-	"gpucnn/internal/analysis/arenaput"
 	"gpucnn/internal/analysis/atomicmix"
 	"gpucnn/internal/analysis/ctxbg"
 	"gpucnn/internal/analysis/errcmp"
@@ -40,7 +38,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		spanend.Analyzer,
-		arenaput.Analyzer,
 		errcmp.Analyzer,
 		ctxbg.Analyzer,
 		rawgo.Analyzer,

@@ -1,7 +1,7 @@
-// Package paircheck is the shared control-flow engine behind the
-// spanend and arenaput analyzers: a resource minted by a "creation"
-// call must reach a releasing use on every path from its creation to
-// every return of the enclosing function.
+// Package paircheck is the control-flow engine behind the spanend
+// analyzer (its lockflow layer serves lockheld): a resource minted by
+// a "creation" call must reach a releasing use on every path from its
+// creation to every return of the enclosing function.
 //
 // The engine is modeled on vet's lostcancel pass: creations bound to a
 // local variable are tracked through the function's CFG (provided by
@@ -35,8 +35,7 @@ type Spec struct {
 	Analyzer string
 
 	// NewCall reports whether call mints a tracked resource and, if so,
-	// describes it for diagnostics (e.g. `span "batch"` or
-	// `workspace.Get()`).
+	// describes it for diagnostics (e.g. `span "batch"`).
 	NewCall func(pass *analysis.Pass, call *ast.CallExpr) (what string, ok bool)
 
 	// Fluent lists methods that return the receiver itself, so chain
@@ -44,12 +43,12 @@ type Spec struct {
 	Fluent map[string]bool
 
 	// Release lists methods on the resource that close it (Span.End).
-	// When empty, release must happen by passing the value to a
-	// function (workspace.Put), which the escape rule recognises.
+	// Passing the value to a function also ends tracking, through the
+	// escape rule.
 	Release map[string]bool
 
 	// Hint names the releasing call in diagnostics, e.g.
-	// "End (defer preferred)" or "workspace.Put (defer preferred)".
+	// "End (defer preferred)".
 	Hint string
 }
 

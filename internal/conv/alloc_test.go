@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
 // tableIConfigs mirrors workload.TableI (the paper's Conv1–Conv5) at
@@ -64,14 +65,15 @@ func TestUnrollZeroAllocTableI(t *testing.T) {
 	}
 	for _, tc := range tableIConfigs {
 		x, w, y, dx, dw, dy := allocTensors(tc.cfg)
+		var ws workspace.Arena
 		assertZeroAlloc(t, tc.name+"/forward", func() {
-			UnrollForward(tc.cfg, x, w, y)
+			UnrollForward(&ws, tc.cfg, x, w, y)
 		})
 		assertZeroAlloc(t, tc.name+"/backward-data", func() {
-			UnrollBackwardData(tc.cfg, dy, w, dx)
+			UnrollBackwardData(&ws, tc.cfg, dy, w, dx)
 		})
 		assertZeroAlloc(t, tc.name+"/backward-filter", func() {
-			UnrollBackwardFilter(tc.cfg, x, dy, dw)
+			UnrollBackwardFilter(&ws, tc.cfg, x, dy, dw)
 		})
 	}
 }
@@ -84,13 +86,13 @@ func TestOtherEnginesZeroAlloc(t *testing.T) {
 	}
 	cfg := Config{Batch: 2, Input: 12, Channels: 4, Filters: 6, Kernel: 3, Stride: 1, Pad: 1}
 	x, w, y, dx, dw, dy := allocTensors(cfg)
+	var ws workspace.Arena
 	assertZeroAlloc(t, "direct/forward", func() { DirectForward(cfg, x, w, y) })
 	assertZeroAlloc(t, "direct/backward-data", func() { DirectBackwardData(cfg, dy, w, dx) })
 	assertZeroAlloc(t, "direct/backward-filter", func() { DirectBackwardFilter(cfg, x, dy, dw) })
-	assertZeroAlloc(t, "fft/forward", func() { FFTForward(cfg, x, w, y) })
-	assertZeroAlloc(t, "fft/backward-data", func() { FFTBackwardData(cfg, dy, w, dx) })
-	assertZeroAlloc(t, "fft/backward-filter", func() { FFTBackwardFilter(cfg, x, dy, dw) })
-	assertZeroAlloc(t, "winograd/forward", func() { WinogradForward(cfg, x, w, y) })
-	assertZeroAlloc(t, "winograd/backward-data", func() { WinogradBackwardData(cfg, dy, w, dx) })
-	assertZeroAlloc(t, "winograd4/forward", func() { Winograd4Forward(cfg, x, w, y) })
+	assertZeroAlloc(t, "fft/forward", func() { FFTForward(&ws, cfg, x, w, y) })
+	assertZeroAlloc(t, "fft/backward-data", func() { FFTBackwardData(&ws, cfg, dy, w, dx) })
+	assertZeroAlloc(t, "fft/backward-filter", func() { FFTBackwardFilter(&ws, cfg, x, dy, dw) })
+	assertZeroAlloc(t, "winograd/forward", func() { WinogradForward(&ws, cfg, x, w, y) })
+	assertZeroAlloc(t, "winograd/backward-data", func() { WinogradBackwardData(&ws, cfg, dy, w, dx) })
 }

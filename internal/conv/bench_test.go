@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
 // benchConfigs are the paper's Conv1–Conv5 shapes at Batch=1, matching
@@ -28,8 +29,9 @@ func BenchmarkConvForward(b *testing.B) {
 	for _, tc := range tableIConfigs {
 		x, w, y := benchTensors(tc.cfg)
 		b.Run("unroll/"+tc.name, func(b *testing.B) {
+			var ws workspace.Arena
 			for i := 0; i < b.N; i++ {
-				UnrollForward(tc.cfg, x, w, y)
+				UnrollForward(&ws, tc.cfg, x, w, y)
 			}
 			b.ReportMetric(tc.cfg.ForwardFLOPs()*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 			b.ReportAllocs()
@@ -37,15 +39,16 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 	small := Config{Batch: 1, Input: 32, Channels: 16, Filters: 16, Kernel: 3, Stride: 1, Pad: 1}
 	x, w, y := benchTensors(small)
+	var ws workspace.Arena
 	b.Run("fft/small3x3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			FFTForward(small, x, w, y)
+			FFTForward(&ws, small, x, w, y)
 		}
 		b.ReportAllocs()
 	})
 	b.Run("winograd/small3x3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			WinogradForward(small, x, w, y)
+			WinogradForward(&ws, small, x, w, y)
 		}
 		b.ReportMetric(small.ForwardFLOPs()*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		b.ReportAllocs()
@@ -71,19 +74,24 @@ var cifarNetConvs = []struct {
 func BenchmarkConvFFT(b *testing.B) {
 	passes := []struct {
 		name string
-		run  func(cfg Config, x, w, y, dx, dw, dy *tensor.Tensor)
+		run  func(ws *workspace.Arena, cfg Config, x, w, y, dx, dw, dy *tensor.Tensor)
 	}{
-		{"fwd", func(cfg Config, x, w, y, _, _, _ *tensor.Tensor) { FFTForward(cfg, x, w, y) }},
-		{"bwd_data", func(cfg Config, _, w, _, dx, _, dy *tensor.Tensor) { FFTBackwardData(cfg, dy, w, dx) }},
-		{"bwd_filter", func(cfg Config, x, _, _, _, dw, dy *tensor.Tensor) { FFTBackwardFilter(cfg, x, dy, dw) }},
+		{"fwd", func(ws *workspace.Arena, cfg Config, x, w, y, _, _, _ *tensor.Tensor) { FFTForward(ws, cfg, x, w, y) }},
+		{"bwd_data", func(ws *workspace.Arena, cfg Config, _, w, _, dx, _, dy *tensor.Tensor) {
+			FFTBackwardData(ws, cfg, dy, w, dx)
+		}},
+		{"bwd_filter", func(ws *workspace.Arena, cfg Config, x, _, _, _, dw, dy *tensor.Tensor) {
+			FFTBackwardFilter(ws, cfg, x, dy, dw)
+		}},
 	}
 	for _, pass := range passes {
 		for _, tc := range cifarNetConvs {
 			x, w, y, dx, dw, dy := allocTensors(tc.cfg)
 			b.Run(pass.name+"/"+tc.name, func(b *testing.B) {
 				b.ReportAllocs()
+				var ws workspace.Arena
 				for i := 0; i < b.N; i++ {
-					pass.run(tc.cfg, x, w, y, dx, dw, dy)
+					pass.run(&ws, tc.cfg, x, w, y, dx, dw, dy)
 				}
 				b.ReportMetric(tc.cfg.ForwardFLOPs()*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 			})

@@ -4,7 +4,15 @@ import (
 	"testing"
 
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
+
+// held adapts an arena-taking forward pass to Forwarder, over one arena
+// held across calls the way a plan holds its own.
+func held(pass func(*workspace.Arena, Config, *tensor.Tensor, *tensor.Tensor, *tensor.Tensor)) Forwarder {
+	ws := new(workspace.Arena)
+	return func(cfg Config, x, w, y *tensor.Tensor) { pass(ws, cfg, x, w, y) }
+}
 
 // Edge geometries: 1×1 kernels, kernel == input, single-pixel outputs,
 // and batch-size-1 paths through every strategy.
@@ -23,7 +31,7 @@ func TestOneByOneKernelAllStrategies(t *testing.T) {
 	if got := ref.At(0, 1, 2, 3); absDiff(got, want) > 1e-5 {
 		t.Fatalf("1x1 reference wrong: %v vs %v", got, want)
 	}
-	for name, fwd := range map[string]Forwarder{"unroll": UnrollForward, "fft": FFTForward} {
+	for name, fwd := range map[string]Forwarder{"unroll": held(UnrollForward), "fft": held(FFTForward)} {
 		y := tensor.New(cfg.OutputShape()...)
 		fwd(cfg, x, w, y)
 		if !tensor.AllClose(ref, y, 1e-3) {
@@ -42,7 +50,7 @@ func TestKernelEqualsInput(t *testing.T) {
 	x, w := randTensors(cfg, 102)
 	ref := tensor.New(cfg.OutputShape()...)
 	DirectForward(cfg, x, w, ref)
-	for name, fwd := range map[string]Forwarder{"unroll": UnrollForward, "fft": FFTForward} {
+	for name, fwd := range map[string]Forwarder{"unroll": held(UnrollForward), "fft": held(FFTForward)} {
 		y := tensor.New(cfg.OutputShape()...)
 		fwd(cfg, x, w, y)
 		if !tensor.AllClose(ref, y, 1e-3) {
@@ -57,7 +65,7 @@ func TestBatchOfOne(t *testing.T) {
 	y1 := tensor.New(cfg.OutputShape()...)
 	y2 := tensor.New(cfg.OutputShape()...)
 	DirectForward(cfg, x, w, y1)
-	UnrollForward(cfg, x, w, y2)
+	UnrollForward(new(workspace.Arena), cfg, x, w, y2)
 	if !tensor.AllClose(y1, y2, 1e-4) {
 		t.Fatal("batch-1 strided disagreement")
 	}
@@ -71,8 +79,8 @@ func TestLargePaddingBeyondKernel(t *testing.T) {
 	y2 := tensor.New(cfg.OutputShape()...)
 	y3 := tensor.New(cfg.OutputShape()...)
 	DirectForward(cfg, x, w, y1)
-	UnrollForward(cfg, x, w, y2)
-	FFTForward(cfg, x, w, y3)
+	UnrollForward(new(workspace.Arena), cfg, x, w, y2)
+	FFTForward(new(workspace.Arena), cfg, x, w, y3)
 	if !tensor.AllClose(y1, y2, 1e-4) || !tensor.AllClose(y1, y3, 1e-3) {
 		t.Fatal("large-padding disagreement")
 	}
@@ -86,7 +94,7 @@ func TestZeroInputGivesZeroOutput(t *testing.T) {
 	cfg := Config{Batch: 2, Input: 8, Channels: 2, Filters: 3, Kernel: 3, Stride: 1}
 	x := tensor.New(cfg.InputShape()...)
 	_, w := randTensors(cfg, 105)
-	for name, fwd := range map[string]Forwarder{"direct": DirectForward, "unroll": UnrollForward, "fft": FFTForward} {
+	for name, fwd := range map[string]Forwarder{"direct": DirectForward, "unroll": held(UnrollForward), "fft": held(FFTForward)} {
 		y := tensor.New(cfg.OutputShape()...)
 		y.Fill(9)
 		fwd(cfg, x, w, y)
@@ -105,7 +113,7 @@ func TestLinearityInInput(t *testing.T) {
 	combo := x1.Clone()
 	combo.Scale(2.5)
 	combo.AddScaled(x2, 1)
-	for name, fwd := range map[string]Forwarder{"direct": DirectForward, "unroll": UnrollForward, "fft": FFTForward} {
+	for name, fwd := range map[string]Forwarder{"direct": DirectForward, "unroll": held(UnrollForward), "fft": held(FFTForward)} {
 		yCombo := tensor.New(cfg.OutputShape()...)
 		fwd(cfg, combo, w, yCombo)
 		y1 := tensor.New(cfg.OutputShape()...)

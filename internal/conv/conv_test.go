@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
 func TestConfigOut(t *testing.T) {
@@ -167,7 +168,7 @@ func TestUnrollMatchesDirectForward(t *testing.T) {
 		y1 := tensor.New(cfg.OutputShape()...)
 		y2 := tensor.New(cfg.OutputShape()...)
 		DirectForward(cfg, x, w, y1)
-		UnrollForward(cfg, x, w, y2)
+		UnrollForward(new(workspace.Arena), cfg, x, w, y2)
 		return tensor.AllClose(y1, y2, 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -195,7 +196,7 @@ func TestFFTMatchesDirectForward(t *testing.T) {
 		y1 := tensor.New(cfg.OutputShape()...)
 		y2 := tensor.New(cfg.OutputShape()...)
 		DirectForward(cfg, x, w, y1)
-		FFTForward(cfg, x, w, y2)
+		FFTForward(new(workspace.Arena), cfg, x, w, y2)
 		return tensor.AllClose(y1, y2, 1e-3)
 	}
 	f := func(seed uint64) bool {
@@ -221,7 +222,7 @@ func TestFFTForwardRejectsStride2(t *testing.T) {
 	}()
 	cfg := Config{Batch: 1, Input: 8, Channels: 1, Filters: 1, Kernel: 3, Stride: 2}
 	x, w := randTensors(cfg, 1)
-	FFTForward(cfg, x, w, tensor.New(cfg.OutputShape()...))
+	FFTForward(new(workspace.Arena), cfg, x, w, tensor.New(cfg.OutputShape()...))
 }
 
 func TestBackwardDataAgreement(t *testing.T) {
@@ -233,8 +234,8 @@ func TestBackwardDataAgreement(t *testing.T) {
 		dx2 := tensor.New(cfg.InputShape()...)
 		dx3 := tensor.New(cfg.InputShape()...)
 		DirectBackwardData(cfg, dy, w, dx1)
-		UnrollBackwardData(cfg, dy, w, dx2)
-		FFTBackwardData(cfg, dy, w, dx3)
+		UnrollBackwardData(new(workspace.Arena), cfg, dy, w, dx2)
+		FFTBackwardData(new(workspace.Arena), cfg, dy, w, dx3)
 		return tensor.AllClose(dx1, dx2, 1e-4) && tensor.AllClose(dx1, dx3, 1e-3)
 	}
 	f := func(seed uint64) bool {
@@ -261,8 +262,8 @@ func TestBackwardFilterAgreement(t *testing.T) {
 		dw2 := tensor.New(cfg.FilterShape()...)
 		dw3 := tensor.New(cfg.FilterShape()...)
 		DirectBackwardFilter(cfg, x, dy, dw1)
-		UnrollBackwardFilter(cfg, x, dy, dw2)
-		FFTBackwardFilter(cfg, x, dy, dw3)
+		UnrollBackwardFilter(new(workspace.Arena), cfg, x, dy, dw2)
+		FFTBackwardFilter(new(workspace.Arena), cfg, x, dy, dw3)
 		return tensor.AllClose(dw1, dw2, 1e-4) && tensor.AllClose(dw1, dw3, 1e-3)
 	}
 	f := func(seed uint64) bool {
@@ -289,14 +290,14 @@ func TestStridedBackwardAgreement(t *testing.T) {
 	dx1 := tensor.New(cfg.InputShape()...)
 	dx2 := tensor.New(cfg.InputShape()...)
 	DirectBackwardData(cfg, dy, w, dx1)
-	UnrollBackwardData(cfg, dy, w, dx2)
+	UnrollBackwardData(new(workspace.Arena), cfg, dy, w, dx2)
 	if !tensor.AllClose(dx1, dx2, 1e-4) {
 		t.Fatalf("strided backward-data disagreement: %g", tensor.RelDiff(dx1, dx2))
 	}
 	dw1 := tensor.New(cfg.FilterShape()...)
 	dw2 := tensor.New(cfg.FilterShape()...)
 	DirectBackwardFilter(cfg, x, dy, dw1)
-	UnrollBackwardFilter(cfg, x, dy, dw2)
+	UnrollBackwardFilter(new(workspace.Arena), cfg, x, dy, dw2)
 	if !tensor.AllClose(dw1, dw2, 1e-4) {
 		t.Fatalf("strided backward-filter disagreement: %g", tensor.RelDiff(dw1, dw2))
 	}

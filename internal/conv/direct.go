@@ -60,7 +60,7 @@ func (j *directFwdJob) Run(job int) {
 	}
 }
 
-var directFwdPool = newJobPool[directFwdJob]()
+var directFwdPool = par.NewJobPool[directFwdJob]()
 
 // DirectForward computes y = x ⋆ w by the definition: each output
 // element is the dot product of one receptive field with one filter.
@@ -118,7 +118,7 @@ func (j *directBwdDataJob) Run(job int) {
 	}
 }
 
-var directBwdDataPool = newJobPool[directBwdDataJob]()
+var directBwdDataPool = par.NewJobPool[directBwdDataJob]()
 
 // DirectBackwardData computes dx given dy and w: every input pixel
 // gathers the contributions of all output positions whose receptive
@@ -179,7 +179,7 @@ func (j *directBwdFilterJob) Run(fi int) {
 	}
 }
 
-var directBwdFilterPool = newJobPool[directBwdFilterJob]()
+var directBwdFilterPool = par.NewJobPool[directBwdFilterJob]()
 
 // DirectBackwardFilter computes dw given x and dy, accumulating over
 // the batch. Work is distributed over filters so each goroutine owns

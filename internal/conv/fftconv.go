@@ -2,8 +2,6 @@ package conv
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"gpucnn/internal/fft"
 	"gpucnn/internal/gemm"
@@ -24,28 +22,6 @@ func fftCheckStride(cfg Config) {
 	if cfg.Stride != 1 {
 		panic(fmt.Sprintf("conv: FFT strategy requires stride 1, got %d (config %v)", cfg.Stride, cfg))
 	}
-}
-
-// fftSpan hands n work items out to one worker per scratch slot. Every
-// FFT pass checks out a single arena and carves each slot from it, so
-// no job nests a second arena inside the pass's: with nested arenas the
-// pool hands them back in swapped roles on the next call, and the
-// smaller one must grow. Workers claim items one at a time, so a slow
-// worker does not hold up a fixed share of the pass.
-type fftSpan struct {
-	n, slots int
-	next     atomic.Int64
-}
-
-func (s *fftSpan) reset(n int) {
-	s.n, s.slots = n, max(min(runtime.GOMAXPROCS(0), n), 1)
-	s.next.Store(0)
-}
-
-// claim returns the next unclaimed item, or false once all are taken.
-func (s *fftSpan) claim() (int, bool) {
-	i := int(s.next.Add(1)) - 1
-	return i, i < s.n
 }
 
 // forwardPlane transforms one side×side real plane, zero-padded by pad
@@ -74,7 +50,7 @@ func padLen(side, pad int) int {
 // zero-padded by pad) into flat half-spectrum grids in dst; pooled for
 // allocation-free dispatch.
 type fftPlaneJob struct {
-	fftSpan
+	par.Span
 	plan           *fft.Plan2D
 	side, pad, nn  int
 	src, pads      []float32
@@ -84,25 +60,25 @@ type fftPlaneJob struct {
 func (j *fftPlaneJob) Run(slot int) {
 	n, pl := j.plan.N(), padLen(j.side, j.pad)
 	scratch, buf := j.scratches[slot*n:(slot+1)*n], j.pads[slot*pl:(slot+1)*pl]
-	for i, ok := j.claim(); ok; i, ok = j.claim() {
+	for i, ok := j.Claim(); ok; i, ok = j.Claim() {
 		plane := j.src[i*j.side*j.side : (i+1)*j.side*j.side]
 		forwardPlane(j.plan, plane, j.side, j.pad, buf, j.dst[i*j.nn:(i+1)*j.nn], scratch)
 	}
 }
 
-var fftPlanePool = newJobPool[fftPlaneJob]()
+var fftPlanePool = par.NewJobPool[fftPlaneJob]()
 
 // transformPlanes FFTs count side×side planes of src, each zero-padded
 // by pad, into the first count grids of dst, carving per-slot scratch
-// from ws.
+// from the pass's arena ws.
 func transformPlanes(plan *fft.Plan2D, src []float32, count, side, pad int, dst []complex64, ws *workspace.Arena) {
 	j := fftPlanePool.Get()
-	j.reset(count)
+	j.Reset(count)
 	j.plan, j.side, j.pad, j.nn = plan, side, pad, plan.Bins()
 	j.src, j.dst = src, dst
-	j.scratches = ws.Complex64Uninit(j.slots * plan.N())
-	j.pads = ws.Float32(j.slots * padLen(side, pad))
-	par.ForEachNRunner(j.slots, j.slots, j)
+	j.scratches = ws.Complex64Uninit(j.Slots() * plan.N())
+	j.pads = ws.Float32(j.Slots() * padLen(side, pad))
+	par.ForEachSlot(&j.Span, j)
 	j.src, j.dst, j.scratches, j.pads = nil, nil, nil, nil
 	fftPlanePool.Put(j)
 }
@@ -112,7 +88,7 @@ func transformPlanes(plan *fft.Plan2D, src []float32, count, side, pad int, dst 
 // stays at workers×C grids, not batch×C) and reduces them against the
 // shared pre-transformed filter spectra.
 type fftFwdJob struct {
-	fftSpan
+	par.Span
 	cfg        Config
 	plan       *fft.Plan2D
 	nn, o      int
@@ -128,7 +104,7 @@ func (j *fftFwdJob) Run(slot int) {
 	slotLen := (c+1)*nn + j.plan.N()
 	own, buf := j.scratches[slot*slotLen:(slot+1)*slotLen], j.pads[slot*pl:(slot+1)*pl]
 	xg, acc, scratch := own[:c*nn], own[c*nn:(c+1)*nn], own[(c+1)*nn:]
-	for bi, ok := j.claim(); ok; bi, ok = j.claim() {
+	for bi, ok := j.Claim(); ok; bi, ok = j.Claim() {
 		for ch := 0; ch < c; ch++ {
 			plane := j.x[(bi*c+ch)*planeLen : (bi*c+ch+1)*planeLen]
 			forwardPlane(j.plan, plane, cfg.Input, cfg.Pad, buf, xg[ch*nn:(ch+1)*nn], scratch)
@@ -143,28 +119,29 @@ func (j *fftFwdJob) Run(slot int) {
 	}
 }
 
-var fftFwdPool = newJobPool[fftFwdJob]()
+var fftFwdPool = par.NewJobPool[fftFwdJob]()
 
 // FFTForward computes the convolution in the frequency domain:
 // transform inputs and filters, multiply input spectra with conjugated
 // filter spectra (correlation form), accumulate over channels, inverse
-// transform, crop the valid o×o region. Requires stride 1.
-func FFTForward(cfg Config, x, w, y *tensor.Tensor) {
+// transform, crop the valid o×o region. Requires stride 1. Every
+// spectrum and per-worker scratch slot is carved from ws, which the
+// pass resets.
+func FFTForward(ws *workspace.Arena, cfg Config, x, w, y *tensor.Tensor) {
 	fftCheckStride(cfg)
 	checkShapes(cfg, x, w, y)
 	plan := fft.Plan2DFor(FFTPlanSize(cfg))
 	nn := plan.Bins()
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+	ws.Reset()
 	wgrids := ws.Complex64Uninit(cfg.Filters * cfg.Channels * nn)
 	transformPlanes(plan, w.Data, cfg.Filters*cfg.Channels, cfg.Kernel, 0, wgrids, ws)
 	j := fftFwdPool.Get()
-	j.reset(cfg.Batch)
+	j.Reset(cfg.Batch)
 	j.cfg, j.plan, j.nn, j.o = cfg, plan, nn, cfg.Out()
-	j.scratches = ws.Complex64Uninit(j.slots * ((cfg.Channels+1)*nn + plan.N()))
-	j.pads = ws.Float32(j.slots * padLen(cfg.Input, cfg.Pad))
+	j.scratches = ws.Complex64Uninit(j.Slots() * ((cfg.Channels+1)*nn + plan.N()))
+	j.pads = ws.Float32(j.Slots() * padLen(cfg.Input, cfg.Pad))
 	j.x, j.wgrids, j.y = x.Data, wgrids, y.Data
-	par.ForEachNRunner(j.slots, j.slots, j)
+	par.ForEachSlot(&j.Span, j)
 	j.x, j.wgrids, j.y, j.scratches, j.pads = nil, nil, nil, nil, nil
 	fftFwdPool.Put(j)
 }
@@ -172,7 +149,7 @@ func FFTForward(cfg Config, x, w, y *tensor.Tensor) {
 // fftBwdDataJob computes images' input gradients from pre-transformed
 // output-gradient and filter spectra.
 type fftBwdDataJob struct {
-	fftSpan
+	par.Span
 	cfg       Config
 	plan      *fft.Plan2D
 	nn        int
@@ -188,7 +165,7 @@ func (j *fftBwdDataJob) Run(slot int) {
 	slotLen := nn + j.plan.N()
 	own := j.scratches[slot*slotLen : (slot+1)*slotLen]
 	acc, scratch := own[:nn], own[nn:]
-	for bi, ok := j.claim(); ok; bi, ok = j.claim() {
+	for bi, ok := j.Claim(); ok; bi, ok = j.Claim() {
 		dyg := j.dygrids[bi*cfg.Filters*nn:]
 		for c := 0; c < cfg.Channels; c++ {
 			clear(acc)
@@ -200,28 +177,27 @@ func (j *fftBwdDataJob) Run(slot int) {
 	}
 }
 
-var fftBwdDataPool = newJobPool[fftBwdDataJob]()
+var fftBwdDataPool = par.NewJobPool[fftBwdDataJob]()
 
 // FFTBackwardData computes dx in the frequency domain: the gradient is
 // the full (non-conjugated) product of output-gradient spectra with
 // filter spectra, summed over filters. Requires stride 1.
-func FFTBackwardData(cfg Config, dy, w, dx *tensor.Tensor) {
+func FFTBackwardData(ws *workspace.Arena, cfg Config, dy, w, dx *tensor.Tensor) {
 	fftCheckStride(cfg)
 	checkShapes(cfg, dx, w, dy)
 	plan := fft.Plan2DFor(FFTPlanSize(cfg))
 	nn := plan.Bins()
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+	ws.Reset()
 	wgrids := ws.Complex64Uninit(cfg.Filters * cfg.Channels * nn)
 	transformPlanes(plan, w.Data, cfg.Filters*cfg.Channels, cfg.Kernel, 0, wgrids, ws)
 	dygrids := ws.Complex64Uninit(cfg.Batch * cfg.Filters * nn)
 	transformPlanes(plan, dy.Data, cfg.Batch*cfg.Filters, cfg.Out(), 0, dygrids, ws)
 	j := fftBwdDataPool.Get()
-	j.reset(cfg.Batch)
+	j.Reset(cfg.Batch)
 	j.cfg, j.plan, j.nn = cfg, plan, nn
-	j.scratches = ws.Complex64Uninit(j.slots * (nn + plan.N()))
+	j.scratches = ws.Complex64Uninit(j.Slots() * (nn + plan.N()))
 	j.dygrids, j.wgrids, j.dx = dygrids, wgrids, dx.Data
-	par.ForEachNRunner(j.slots, j.slots, j)
+	par.ForEachSlot(&j.Span, j)
 	j.dygrids, j.wgrids, j.dx, j.scratches = nil, nil, nil, nil
 	fftBwdDataPool.Put(j)
 }
@@ -229,7 +205,7 @@ func FFTBackwardData(cfg Config, dy, w, dx *tensor.Tensor) {
 // fftBwdFilterJob reduces (filter, channel) pairs' gradient spectra
 // over the batch.
 type fftBwdFilterJob struct {
-	fftSpan
+	par.Span
 	cfg       Config
 	plan      *fft.Plan2D
 	nn        int
@@ -245,7 +221,7 @@ func (j *fftBwdFilterJob) Run(slot int) {
 	slotLen := nn + j.plan.N()
 	own := j.scratches[slot*slotLen : (slot+1)*slotLen]
 	acc, scratch := own[:nn], own[nn:]
-	for idx, ok := j.claim(); ok; idx, ok = j.claim() {
+	for idx, ok := j.Claim(); ok; idx, ok = j.Claim() {
 		f, c := idx/cfg.Channels, idx%cfg.Channels
 		clear(acc)
 		for bi := 0; bi < cfg.Batch; bi++ {
@@ -256,18 +232,17 @@ func (j *fftBwdFilterJob) Run(slot int) {
 	}
 }
 
-var fftBwdFilterPool = newJobPool[fftBwdFilterJob]()
+var fftBwdFilterPool = par.NewJobPool[fftBwdFilterJob]()
 
 // FFTBackwardFilter computes dw in the frequency domain: for each
 // (filter, channel) pair the gradient spectrum is Σ_batch X·conj(DY),
 // inverse-transformed and cropped to k×k. Requires stride 1.
-func FFTBackwardFilter(cfg Config, x, dy, dw *tensor.Tensor) {
+func FFTBackwardFilter(ws *workspace.Arena, cfg Config, x, dy, dw *tensor.Tensor) {
 	fftCheckStride(cfg)
 	checkShapes(cfg, x, dw, dy)
 	plan := fft.Plan2DFor(FFTPlanSize(cfg))
 	nn := plan.Bins()
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+	ws.Reset()
 	// Transform all activations and gradients up front; the per-(f,c)
 	// reduction below then reads them without synchronisation.
 	xgrids := ws.Complex64Uninit(cfg.Batch * cfg.Channels * nn)
@@ -275,11 +250,11 @@ func FFTBackwardFilter(cfg Config, x, dy, dw *tensor.Tensor) {
 	dygrids := ws.Complex64Uninit(cfg.Batch * cfg.Filters * nn)
 	transformPlanes(plan, dy.Data, cfg.Batch*cfg.Filters, cfg.Out(), 0, dygrids, ws)
 	j := fftBwdFilterPool.Get()
-	j.reset(cfg.Filters * cfg.Channels)
+	j.Reset(cfg.Filters * cfg.Channels)
 	j.cfg, j.plan, j.nn = cfg, plan, nn
-	j.scratches = ws.Complex64Uninit(j.slots * (nn + plan.N()))
+	j.scratches = ws.Complex64Uninit(j.Slots() * (nn + plan.N()))
 	j.xgrids, j.dygrids, j.dw = xgrids, dygrids, dw.Data
-	par.ForEachNRunner(j.slots, j.slots, j)
+	par.ForEachSlot(&j.Span, j)
 	j.xgrids, j.dygrids, j.dw, j.scratches = nil, nil, nil, nil
 	fftBwdFilterPool.Put(j)
 }

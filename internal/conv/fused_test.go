@@ -7,6 +7,7 @@ import (
 	"gpucnn/internal/gemm"
 	"gpucnn/internal/im2col"
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
 // materializedForward is the pre-fusion reference: im2col into a real
@@ -20,7 +21,7 @@ func materializedForward(cfg Config, x, w, y *tensor.Tensor) {
 	col := make([]float32, rows*cols)
 	for n := 0; n < cfg.Batch; n++ {
 		im2col.Im2col(g, x.Data[n*imgLen:(n+1)*imgLen], col)
-		gemm.Packed(1, w.Data, col, 0, y.Data[n*outLen:(n+1)*outLen], cfg.Filters, cols, rows)
+		gemm.Packed(new(workspace.Arena), 1, w.Data, col, 0, y.Data[n*outLen:(n+1)*outLen], cfg.Filters, cols, rows)
 	}
 }
 
@@ -35,7 +36,7 @@ func materializedBackwardFilter(cfg Config, x, dy, dw *tensor.Tensor) {
 	clear(dw.Data)
 	for n := 0; n < cfg.Batch; n++ {
 		im2col.Im2col(g, x.Data[n*imgLen:(n+1)*imgLen], col)
-		gemm.NT(1, dy.Data[n*outLen:(n+1)*outLen], col, 1, dw.Data, cfg.Filters, rows, cols)
+		gemm.NT(new(workspace.Arena), 1, dy.Data[n*outLen:(n+1)*outLen], col, 1, dw.Data, cfg.Filters, rows, cols)
 	}
 }
 
@@ -59,7 +60,7 @@ func TestFusedForwardMatchesMaterialized(t *testing.T) {
 		want := tensor.New(cfg.OutputShape()...)
 		got := tensor.New(cfg.OutputShape()...)
 		materializedForward(cfg, x, w, want)
-		UnrollForward(cfg, x, w, got)
+		UnrollForward(new(workspace.Arena), cfg, x, w, got)
 		if !tensor.AllClose(want, got, 1e-4) {
 			t.Errorf("fused forward diverges from materialised reference at %v", cfg)
 		}
@@ -75,7 +76,7 @@ func TestFusedBackwardFilterMatchesMaterialized(t *testing.T) {
 		want := tensor.New(cfg.FilterShape()...)
 		got := tensor.New(cfg.FilterShape()...)
 		materializedBackwardFilter(cfg, x, dy, want)
-		UnrollBackwardFilter(cfg, x, dy, got)
+		UnrollBackwardFilter(new(workspace.Arena), cfg, x, dy, got)
 		if !tensor.AllClose(want, got, 1e-3) {
 			t.Errorf("fused backward-filter diverges from materialised reference at %v", cfg)
 		}
@@ -99,7 +100,7 @@ func TestFusedForwardPropertyRagged(t *testing.T) {
 		want := tensor.New(cfg.OutputShape()...)
 		got := tensor.New(cfg.OutputShape()...)
 		materializedForward(cfg, x, w, want)
-		UnrollForward(cfg, x, w, got)
+		UnrollForward(new(workspace.Arena), cfg, x, w, got)
 		return tensor.AllClose(want, got, 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -130,7 +131,7 @@ func FuzzFusedUnroll(f *testing.F) {
 		want := tensor.New(cfg.OutputShape()...)
 		got := tensor.New(cfg.OutputShape()...)
 		materializedForward(cfg, x, w, want)
-		UnrollForward(cfg, x, w, got)
+		UnrollForward(new(workspace.Arena), cfg, x, w, got)
 		if !tensor.AllClose(want, got, 1e-4) {
 			t.Fatalf("fused forward diverges at %v", cfg)
 		}
@@ -140,7 +141,7 @@ func FuzzFusedUnroll(f *testing.F) {
 		dwWant := tensor.New(cfg.FilterShape()...)
 		dwGot := tensor.New(cfg.FilterShape()...)
 		materializedBackwardFilter(cfg, x, dy, dwWant)
-		UnrollBackwardFilter(cfg, x, dy, dwGot)
+		UnrollBackwardFilter(new(workspace.Arena), cfg, x, dy, dwGot)
 		if !tensor.AllClose(dwWant, dwGot, 1e-3) {
 			t.Fatalf("fused backward-filter diverges at %v", cfg)
 		}

@@ -20,92 +20,115 @@ func (c Config) geom() im2col.Geom {
 	}
 }
 
-// unrollFwdJob is the pooled per-image work unit of UnrollForward. The
-// lowered column matrix is never materialised: a pooled im2col
-// PanelPacker generates each packed B micro-panel on demand inside the
-// GEMM (fused im2col→pack), so the engine's former dominant workspace
-// carve-out — rows×cols floats per worker — is gone entirely.
+// unrollFwdJob is the pooled work unit of UnrollForward: a worker runs
+// one GEMM per claimed image, carving its packing panels from its
+// slot's child arena. The lowered column matrix is never materialised:
+// a pooled im2col PanelPacker generates each packed B micro-panel on
+// demand inside the GEMM (fused im2col→pack), so no worker needs
+// rows×cols floats of workspace.
 type unrollFwdJob struct {
+	par.Span
 	g              im2col.Geom
 	rows, cols     int
 	imgLen, outLen int
 	filters        int
 	x, w, y        []float32
+	kids           []*workspace.Arena
 }
 
 //hot:noalloc
-func (j *unrollFwdJob) Run(n int) {
+func (j *unrollFwdJob) Run(slot int) {
+	ws := j.kids[slot]
 	pk := im2col.GetPacker()
-	pk.Reset(j.g, j.x[n*j.imgLen:(n+1)*j.imgLen])
-	// y_n (f×o²) = W (f×(c·k²)) · col ((c·k²)×o²), col virtual
-	gemm.BlockedVirtualB(1, j.w, pk, 0, j.y[n*j.outLen:(n+1)*j.outLen], j.filters, j.cols, j.rows)
+	for n, ok := j.Claim(); ok; n, ok = j.Claim() {
+		ws.Reset()
+		pk.Reset(j.g, j.x[n*j.imgLen:(n+1)*j.imgLen])
+		// y_n (f×o²) = W (f×(c·k²)) · col ((c·k²)×o²), col virtual
+		gemm.BlockedVirtualB(ws, 1, j.w, pk, 0, j.y[n*j.outLen:(n+1)*j.outLen], j.filters, j.cols, j.rows)
+	}
 	im2col.PutPacker(pk)
 }
 
-var unrollFwdPool = newJobPool[unrollFwdJob]()
+var unrollFwdPool = par.NewJobPool[unrollFwdJob]()
 
 // UnrollForward computes the convolution by lowering each image to a
 // column matrix (im2col) and multiplying it by the filter bank viewed
 // as an f×(c·k²) matrix — the Caffe/Torch-cunn/Theano-CorrMM scheme,
 // one GEMM per image, parallel over the batch. The lowering is fused
 // into the GEMM's packing, so the column matrix only ever exists as
-// L1-resident micro-panels.
-func UnrollForward(cfg Config, x, w, y *tensor.Tensor) {
+// L1-resident micro-panels. Scratch comes from ws, which the pass
+// resets.
+func UnrollForward(ws *workspace.Arena, cfg Config, x, w, y *tensor.Tensor) {
 	checkShapes(cfg, x, w, y)
+	ws.Reset()
 	g := cfg.geom()
 	j := unrollFwdPool.Get()
+	j.Reset(cfg.Batch)
 	j.g, j.rows, j.cols = g, g.ColRows(), g.ColCols()
 	j.imgLen = cfg.Channels * cfg.Input * cfg.Input
 	j.outLen = cfg.Filters * j.cols
 	j.filters = cfg.Filters
 	j.x, j.w, j.y = x.Data, w.Data, y.Data
-	par.ForEachRunner(cfg.Batch, j)
-	j.x, j.w, j.y = nil, nil, nil
+	j.kids = ws.Children(j.Slots())
+	par.ForEachSlot(&j.Span, j)
+	ws.Level()
+	j.x, j.w, j.y, j.kids = nil, nil, nil, nil
 	unrollFwdPool.Put(j)
 }
 
-// unrollBwdDataJob is the pooled per-image work unit of
-// UnrollBackwardData.
+// unrollBwdDataJob is the pooled work unit of UnrollBackwardData: a
+// worker lowers each claimed image's gradient into a column matrix and
+// scatters it back, carving both the column matrix and the GEMM's
+// packing panels from its slot's child arena.
 type unrollBwdDataJob struct {
+	par.Span
 	g              im2col.Geom
 	rows, cols     int
 	imgLen, outLen int
 	filters        int
 	dy, w, dx      []float32
+	kids           []*workspace.Arena
 }
 
-func (j *unrollBwdDataJob) Run(n int) {
-	ws := workspace.Get()
-	defer workspace.Put(ws)
-	col := ws.Float32Uninit(j.rows * j.cols)
-	// col ((c·k²)×o²) = Wᵀ ((c·k²)×f) · dy_n (f×o²)
-	gemm.TN(1, j.w, j.dy[n*j.outLen:(n+1)*j.outLen], 0, col, j.rows, j.cols, j.filters)
-	im2col.Col2im(j.g, col, j.dx[n*j.imgLen:(n+1)*j.imgLen])
+func (j *unrollBwdDataJob) Run(slot int) {
+	ws := j.kids[slot]
+	for n, ok := j.Claim(); ok; n, ok = j.Claim() {
+		ws.Reset()
+		col := ws.Float32Uninit(j.rows * j.cols)
+		// col ((c·k²)×o²) = Wᵀ ((c·k²)×f) · dy_n (f×o²)
+		gemm.TN(ws, 1, j.w, j.dy[n*j.outLen:(n+1)*j.outLen], 0, col, j.rows, j.cols, j.filters)
+		im2col.Col2im(j.g, col, j.dx[n*j.imgLen:(n+1)*j.imgLen])
+	}
 }
 
-var unrollBwdDataPool = newJobPool[unrollBwdDataJob]()
+var unrollBwdDataPool = par.NewJobPool[unrollBwdDataJob]()
 
 // UnrollBackwardData computes dx: per image, col = Wᵀ·dy_n followed by
 // col2im to scatter-accumulate the gradient back to input pixels.
-func UnrollBackwardData(cfg Config, dy, w, dx *tensor.Tensor) {
+func UnrollBackwardData(ws *workspace.Arena, cfg Config, dy, w, dx *tensor.Tensor) {
 	checkShapes(cfg, dx, w, dy)
+	ws.Reset()
 	g := cfg.geom()
 	j := unrollBwdDataPool.Get()
+	j.Reset(cfg.Batch)
 	j.g, j.rows, j.cols = g, g.ColRows(), g.ColCols()
 	j.imgLen = cfg.Channels * cfg.Input * cfg.Input
 	j.outLen = cfg.Filters * j.cols
 	j.filters = cfg.Filters
 	j.dy, j.w, j.dx = dy.Data, w.Data, dx.Data
-	par.ForEachRunner(cfg.Batch, j)
-	j.dy, j.w, j.dx = nil, nil, nil
+	j.kids = ws.Children(j.Slots())
+	par.ForEachSlot(&j.Span, j)
+	ws.Level()
+	j.dy, j.w, j.dx, j.kids = nil, nil, nil, nil
 	unrollBwdDataPool.Put(j)
 }
 
-// unrollBwdFilterJob processes one contiguous chunk of the batch,
-// accumulating that chunk's filter gradient into its own partial buffer
-// (one buffer per chunk, not per sample — the per-sample `partial`
-// allocation this replaces dominated backward-filter GC traffic).
+// unrollBwdFilterJob accumulates contiguous chunks of the batch, each
+// into its own partial filter gradient (one buffer per chunk, not per
+// sample). A worker claims chunks and carves its GEMMs' packing panels
+// from its slot's child arena.
 type unrollBwdFilterJob struct {
+	par.Span
 	g              im2col.Geom
 	rows, cols     int
 	imgLen, outLen int
@@ -113,58 +136,59 @@ type unrollBwdFilterJob struct {
 	batch, per     int
 	x, dy          []float32
 	partials       []float32
+	kids           []*workspace.Arena
 }
 
 //hot:noalloc
-func (j *unrollBwdFilterJob) Run(ci int) {
-	lo := ci * j.per
-	hi := lo + j.per
-	if hi > j.batch {
-		hi = j.batch
-	}
-	partial := j.partials[ci*j.wLen : (ci+1)*j.wLen]
+func (j *unrollBwdFilterJob) Run(slot int) {
+	ws := j.kids[slot]
 	pk := im2col.GetPacker()
-	for n := lo; n < hi; n++ {
-		// dw_n (f×(c·k²)) = dy_n (f×o²) · colᵀ (o²×(c·k²)) — an NN GEMM
-		// against the virtual transposed lowering; beta=1 accumulates
-		// straight into the chunk partial and col is never materialised.
-		pk.ResetTransposed(j.g, j.x[n*j.imgLen:(n+1)*j.imgLen])
-		gemm.BlockedVirtualB(1, j.dy[n*j.outLen:(n+1)*j.outLen], pk, 1, partial, j.filters, j.rows, j.cols)
+	for ci, ok := j.Claim(); ok; ci, ok = j.Claim() {
+		partial := j.partials[ci*j.wLen : (ci+1)*j.wLen]
+		for n := ci * j.per; n < min((ci+1)*j.per, j.batch); n++ {
+			// dw_n (f×(c·k²)) = dy_n (f×o²) · colᵀ (o²×(c·k²)) — an NN
+			// GEMM against the virtual transposed lowering; beta=1
+			// accumulates straight into the chunk partial and col is
+			// never materialised.
+			ws.Reset()
+			pk.ResetTransposed(j.g, j.x[n*j.imgLen:(n+1)*j.imgLen])
+			gemm.BlockedVirtualB(ws, 1, j.dy[n*j.outLen:(n+1)*j.outLen], pk, 1, partial, j.filters, j.rows, j.cols)
+		}
 	}
 	im2col.PutPacker(pk)
 }
 
-var unrollBwdFilterPool = newJobPool[unrollBwdFilterJob]()
+var unrollBwdFilterPool = par.NewJobPool[unrollBwdFilterJob]()
 
 // UnrollBackwardFilter computes dw = Σ_n dy_n · col_nᵀ. The batch is
 // split into one chunk per worker; each chunk accumulates into a
-// private arena-carved partial and the partials are reduced serially,
-// so no worker writes shared state.
-func UnrollBackwardFilter(cfg Config, x, dy, dw *tensor.Tensor) {
+// private arena-carved partial and the partials are reduced serially
+// in chunk order, so no worker writes shared state and the sum does
+// not depend on which worker took which chunk.
+func UnrollBackwardFilter(ws *workspace.Arena, cfg Config, x, dy, dw *tensor.Tensor) {
 	checkShapes(cfg, x, dw, dy)
+	ws.Reset()
 	g := cfg.geom()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.Batch {
-		workers = cfg.Batch
-	}
+	per := (cfg.Batch + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0)
+	chunks := (cfg.Batch + per - 1) / per
 	wLen := cfg.Filters * g.ColRows()
-	ws := workspace.Get()
-	defer workspace.Put(ws)
-	partials := ws.Float32(workers * wLen)
+	partials := ws.Float32(chunks * wLen)
 	j := unrollBwdFilterPool.Get()
+	j.Reset(chunks)
 	j.g, j.rows, j.cols = g, g.ColRows(), g.ColCols()
 	j.imgLen = cfg.Channels * cfg.Input * cfg.Input
 	j.outLen = cfg.Filters * j.cols
 	j.filters, j.wLen = cfg.Filters, wLen
-	j.batch, j.per = cfg.Batch, (cfg.Batch+workers-1)/workers
+	j.batch, j.per = cfg.Batch, per
 	j.x, j.dy, j.partials = x.Data, dy.Data, partials
-	par.ForEachNRunner(workers, workers, j)
-	j.x, j.dy, j.partials = nil, nil, nil
+	j.kids = ws.Children(j.Slots())
+	par.ForEachSlot(&j.Span, j)
+	ws.Level()
+	j.x, j.dy, j.partials, j.kids = nil, nil, nil, nil
 	unrollBwdFilterPool.Put(j)
 	clear(dw.Data)
-	for w := 0; w < workers; w++ {
-		partial := partials[w*wLen : (w+1)*wLen]
-		for i, v := range partial {
+	for ci := 0; ci < chunks; ci++ {
+		for i, v := range partials[ci*wLen : (ci+1)*wLen] {
 			dw.Data[i] += v
 		}
 	}

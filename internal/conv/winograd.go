@@ -104,7 +104,7 @@ func (j *wgFilterJob) Run(i int) {
 	winogradFilter(j.w[i*9:(i+1)*9], (*[16]float32)(j.us[i*16:(i+1)*16]))
 }
 
-var wgFilterPool = newJobPool[wgFilterJob]()
+var wgFilterPool = par.NewJobPool[wgFilterJob]()
 
 // wgTileJob computes one (batch, filter) output plane from the
 // pre-transformed filter bank.
@@ -165,26 +165,28 @@ func (j *wgTileJob) Run(job int) {
 	}
 }
 
-var wgTilePool = newJobPool[wgTileJob]()
+var wgTilePool = par.NewJobPool[wgTileJob]()
 
 // WinogradForward computes y = x ⋆ w with the F(2×2, 3×3) minimal
 // filtering algorithm. Results match DirectForward within float32
-// round-off. Work is distributed over (batch, filter) pairs.
-func WinogradForward(cfg Config, x, w, y *tensor.Tensor) {
+// round-off. Work is distributed over (batch, filter) pairs; the
+// transformed filter bank is carved from ws, which the pass resets.
+func WinogradForward(ws *workspace.Arena, cfg Config, x, w, y *tensor.Tensor) {
 	if err := WinogradSupported(cfg); err != nil {
 		panic(err)
 	}
 	checkShapes(cfg, x, w, y)
-	winogradForwardRaw(cfg, x.Data, w.Data, y.Data)
+	ws.Reset()
+	winogradForwardRaw(ws, cfg, x.Data, w.Data, y.Data)
 }
 
 // winogradForwardRaw is WinogradForward on raw slices, used by the
 // backward-data pass so the reinterpreted filter bank can live in an
-// arena carve-out instead of a fresh tensor.
-func winogradForwardRaw(cfg Config, x, w, y []float32) {
+// arena carve-out instead of a fresh tensor. It carves from ws without
+// resetting it. Tiles live on each worker's stack, so the workers need
+// no scratch slots of their own.
+func winogradForwardRaw(ws *workspace.Arena, cfg Config, x, w, y []float32) {
 	f, c := cfg.Filters, cfg.Channels
-	ws := workspace.Get()
-	defer workspace.Put(ws)
 	// Pre-transform every filter plane: U[f][c] is 16 floats, stored
 	// flat in the arena.
 	us := ws.Float32Uninit(f * c * 16)
@@ -216,7 +218,7 @@ func WinogradMultiplies(cfg Config) float64 {
 // 3×3 correlation of the padded output gradient with the
 // spatially-rotated, channel-transposed filter bank, so WinogradForward
 // applies directly to a reinterpreted configuration.
-func WinogradBackwardData(cfg Config, dy, w, dx *tensor.Tensor) {
+func WinogradBackwardData(ws *workspace.Arena, cfg Config, dy, w, dx *tensor.Tensor) {
 	if err := WinogradSupported(cfg); err != nil {
 		panic(err)
 	}
@@ -235,8 +237,7 @@ func WinogradBackwardData(cfg Config, dy, w, dx *tensor.Tensor) {
 	}
 	// wT[c][f] = rot180(w[f][c]), built in an arena carve-out.
 	k := cfg.Kernel
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+	ws.Reset()
 	wT := ws.Float32Uninit(cfg.Channels * cfg.Filters * k * k)
 	rj := wgRotPool.Get()
 	rj.k2, rj.f, rj.c = k*k, cfg.Filters, cfg.Channels
@@ -244,7 +245,7 @@ func WinogradBackwardData(cfg Config, dy, w, dx *tensor.Tensor) {
 	par.ForEachRunner(cfg.Filters*cfg.Channels, rj)
 	rj.w, rj.wT = nil, nil
 	wgRotPool.Put(rj)
-	winogradForwardRaw(back, dy.Data, wT, dx.Data)
+	winogradForwardRaw(ws, back, dy.Data, wT, dx.Data)
 }
 
 // wgRotJob builds the rotated, channel-transposed filter bank used by
@@ -263,4 +264,4 @@ func (j *wgRotJob) Run(idx int) {
 	}
 }
 
-var wgRotPool = newJobPool[wgRotJob]()
+var wgRotPool = par.NewJobPool[wgRotJob]()

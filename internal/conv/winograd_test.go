@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
 func TestWinogradSupported(t *testing.T) {
@@ -35,7 +36,7 @@ func TestWinogradIdentityFilter(t *testing.T) {
 	w := tensor.New(cfg.FilterShape()...)
 	w.Set(1, 0, 0, 1, 1) // centre tap
 	y := tensor.New(cfg.OutputShape()...)
-	WinogradForward(cfg, x, w, y)
+	WinogradForward(new(workspace.Arena), cfg, x, w, y)
 	o := cfg.Out()
 	for oy := 0; oy < o; oy++ {
 		for ox := 0; ox < o; ox++ {
@@ -70,7 +71,7 @@ func TestWinogradMatchesDirect(t *testing.T) {
 		y1 := tensor.New(cfg.OutputShape()...)
 		y2 := tensor.New(cfg.OutputShape()...)
 		DirectForward(cfg, x, w, y1)
-		WinogradForward(cfg, x, w, y2)
+		WinogradForward(new(workspace.Arena), cfg, x, w, y2)
 		return tensor.AllClose(y1, y2, 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -87,7 +88,7 @@ func TestWinogradOddOutputs(t *testing.T) {
 		y1 := tensor.New(cfg.OutputShape()...)
 		y2 := tensor.New(cfg.OutputShape()...)
 		DirectForward(cfg, x, w, y1)
-		WinogradForward(cfg, x, w, y2)
+		WinogradForward(new(workspace.Arena), cfg, x, w, y2)
 		if !tensor.AllClose(y1, y2, 1e-4) {
 			t.Fatalf("input %d: winograd differs from direct by %g", in, tensor.RelDiff(y1, y2))
 		}
@@ -116,7 +117,7 @@ func TestWinogradRejectsBadConfig(t *testing.T) {
 	}()
 	cfg := Config{Batch: 1, Input: 8, Channels: 1, Filters: 1, Kernel: 5, Stride: 1}
 	x, w := randTensors(cfg, 1)
-	WinogradForward(cfg, x, w, tensor.New(cfg.OutputShape()...))
+	WinogradForward(new(workspace.Arena), cfg, x, w, tensor.New(cfg.OutputShape()...))
 }
 
 func TestWinogradBackwardDataMatchesDirect(t *testing.T) {
@@ -136,7 +137,7 @@ func TestWinogradBackwardDataMatchesDirect(t *testing.T) {
 		dx1 := tensor.New(cfg.InputShape()...)
 		dx2 := tensor.New(cfg.InputShape()...)
 		DirectBackwardData(cfg, dy, w, dx1)
-		WinogradBackwardData(cfg, dy, w, dx2)
+		WinogradBackwardData(new(workspace.Arena), cfg, dy, w, dx2)
 		return tensor.AllClose(dx1, dx2, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

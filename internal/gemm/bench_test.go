@@ -3,6 +3,8 @@ package gemm
 import (
 	"fmt"
 	"testing"
+
+	"gpucnn/internal/workspace"
 )
 
 func benchMatrices(m, n, k int) (a, b, c []float32) {
@@ -33,8 +35,10 @@ func BenchmarkBlockedGEMM(bm *testing.B) {
 	})
 	bm.Run("packed", func(bm *testing.B) {
 		bm.SetBytes(int64(4 * (m*k + k*n + m*n)))
+		var ws workspace.Arena
 		for i := 0; i < bm.N; i++ {
-			Packed(1, a, b, 0, c, m, n, k)
+			ws.Reset()
+			Packed(&ws, 1, a, b, 0, c, m, n, k)
 		}
 		bm.ReportMetric(FLOPs(m, n, k)*float64(bm.N)/bm.Elapsed().Seconds()/1e9, "GFLOPS")
 	})
@@ -45,8 +49,10 @@ func BenchmarkGEMM(bm *testing.B) {
 	for _, s := range []int{64, 128, 256, 512} {
 		a, b, c := benchMatrices(s, s, s)
 		bm.Run(fmt.Sprintf("packed/%d", s), func(bm *testing.B) {
+			var ws workspace.Arena
 			for i := 0; i < bm.N; i++ {
-				Packed(1, a, b, 0, c, s, s, s)
+				ws.Reset()
+				Packed(&ws, 1, a, b, 0, c, s, s, s)
 			}
 			bm.ReportMetric(FLOPs(s, s, s)*float64(bm.N)/bm.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
@@ -54,8 +60,10 @@ func BenchmarkGEMM(bm *testing.B) {
 	for _, s := range []int{256, 512} {
 		a, b, c := benchMatrices(s, s, s)
 		bm.Run(fmt.Sprintf("parallel/%d", s), func(bm *testing.B) {
+			var ws workspace.Arena
 			for i := 0; i < bm.N; i++ {
-				Parallel(1, a, b, 0, c, s, s, s)
+				ws.Reset()
+				ParallelIn(&ws, 1, a, b, 0, c, s, s, s)
 			}
 			bm.ReportMetric(FLOPs(s, s, s)*float64(bm.N)/bm.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
@@ -69,15 +77,19 @@ func BenchmarkGEMMFused(bm *testing.B) {
 	const m, n, k = 64, 1024, 576 // a Conv-ish f×o²×ck² shape
 	a, b, c := benchMatrices(m, n, k)
 	bm.Run("materialized", func(bm *testing.B) {
+		var ws workspace.Arena
 		for i := 0; i < bm.N; i++ {
-			Packed(1, a, b, 0, c, m, n, k)
+			ws.Reset()
+			Packed(&ws, 1, a, b, 0, c, m, n, k)
 		}
 		bm.ReportMetric(FLOPs(m, n, k)*float64(bm.N)/bm.Elapsed().Seconds()/1e9, "GFLOPS")
 	})
 	bm.Run("virtualB", func(bm *testing.B) {
 		vb := materializedB(b, n)
+		var ws workspace.Arena
 		for i := 0; i < bm.N; i++ {
-			BlockedVirtualB(1, a, vb, 0, c, m, n, k)
+			ws.Reset()
+			BlockedVirtualB(&ws, 1, a, vb, 0, c, m, n, k)
 		}
 		bm.ReportMetric(FLOPs(m, n, k)*float64(bm.N)/bm.Elapsed().Seconds()/1e9, "GFLOPS")
 	})
@@ -102,8 +114,10 @@ func BenchmarkCGEMM(bm *testing.B) {
 		bm.ReportMetric(CFLOPs(m, n, k)*float64(bm.N)/bm.Elapsed().Seconds()/1e9, "GFLOPS")
 	})
 	bm.Run("packed", func(bm *testing.B) {
+		var ws workspace.Arena
 		for i := 0; i < bm.N; i++ {
-			CPacked(1, a, b, 0, c, m, n, k)
+			ws.Reset()
+			CPacked(&ws, 1, a, b, 0, c, m, n, k)
 		}
 		bm.ReportMetric(CFLOPs(m, n, k)*float64(bm.N)/bm.Elapsed().Seconds()/1e9, "GFLOPS")
 	})

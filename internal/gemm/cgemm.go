@@ -3,6 +3,8 @@ package gemm
 import (
 	"fmt"
 	"runtime"
+
+	"gpucnn/internal/workspace"
 )
 
 // CNaive computes the complex GEMM C = alpha*A*B + beta*C with A (m×k),
@@ -23,10 +25,10 @@ func CNaive(alpha complex64, a []complex64, b []complex64, beta complex64, c []c
 // CPacked computes the complex GEMM C = alpha*A*B + beta*C through the
 // planar packed kernel unconditionally (no small-size fallback); it is
 // the path property-tested against CNaive.
-func CPacked(alpha complex64, a []complex64, b []complex64, beta complex64, c []complex64, m, n, k int) {
+func CPacked(ws *workspace.Arena, alpha complex64, a []complex64, b []complex64, beta complex64, c []complex64, m, n, k int) {
 	checkCDims(len(a), len(b), len(c), m, n, k)
 	cscale(beta, c[:m*n])
-	cpackedGEMM(1, alpha, a, b, c, m, n, k)
+	cpackedGEMM(ws, 1, alpha, a, b, c, m, n, k)
 }
 
 // CParallel computes the complex GEMM C = alpha*A*B + beta*C through the
@@ -34,7 +36,7 @@ func CPacked(alpha complex64, a []complex64, b []complex64, beta complex64, c []
 // worker pool. The FFT-based convolution engines perform one small CGEMM
 // per frequency-domain pixel; batching them row-wise here mirrors how
 // fbfft batches its Cgemm kernel.
-func CParallel(alpha complex64, a []complex64, b []complex64, beta complex64, c []complex64, m, n, k int) {
+func CParallel(ws *workspace.Arena, alpha complex64, a []complex64, b []complex64, beta complex64, c []complex64, m, n, k int) {
 	checkCDims(len(a), len(b), len(c), m, n, k)
 	if m*n*k < cpackedThreshold() {
 		CNaive(alpha, a, b, beta, c, m, n, k)
@@ -45,7 +47,7 @@ func CParallel(alpha complex64, a []complex64, b []complex64, beta complex64, c 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	cscale(beta, c[:m*n])
-	cpackedGEMM(workers, alpha, a, b, c, m, n, k)
+	cpackedGEMM(ws, workers, alpha, a, b, c, m, n, k)
 }
 
 // CMulAccPointwise accumulates c[i] += a[i] * conj-or-plain b[i] over a

@@ -111,9 +111,11 @@ func cmicroKernel(kc int, apR, apI, bpR, bpI []float32, alpha complex64, ct []co
 	}
 }
 
-// cpackedTileJob is one mrC-row panel of complex C across the current
-// packed B block; pooled for allocation-free dispatch.
+// cpackedTileJob runs the mrC-row panels of complex C across the
+// current packed B block; each worker packs its panels' A rows into its
+// slot's planar panel pair, carved from the caller's arena.
 type cpackedTileJob struct {
+	par.Span
 	alpha  complex64
 	a      []complex64
 	c      []complex64
@@ -124,79 +126,58 @@ type cpackedTileJob struct {
 	jc, nc int
 	bpR    []float32
 	bpI    []float32
+	aps    []float32 // per slot: real then imag panel, mrC×kcMax each
+	aLen   int
 }
 
-func (j *cpackedTileJob) Run(pi int) {
-	ws := workspace.Get()
-	defer workspace.Put(ws)
-	apR := ws.Float32Uninit(mrC * j.kc)
-	apI := ws.Float32Uninit(mrC * j.kc)
-	i0 := pi * mrC
-	mv := j.m - i0
-	if mv > mrC {
-		mv = mrC
-	}
-	cpackA(apR, apI, j.a, j.lda, i0, mv, j.pc, j.kc)
-	for t, jr := 0, 0; jr < j.nc; t, jr = t+1, jr+nrC {
-		nv := j.nc - jr
-		if nv > nrC {
-			nv = nrC
+func (j *cpackedTileJob) Run(slot int) {
+	ap := j.aps[slot*2*j.aLen : (slot+1)*2*j.aLen]
+	apR, apI := ap[:mrC*j.kc], ap[j.aLen:j.aLen+mrC*j.kc]
+	for pi, ok := j.Claim(); ok; pi, ok = j.Claim() {
+		i0 := pi * mrC
+		mv := min(j.m-i0, mrC)
+		cpackA(apR, apI, j.a, j.lda, i0, mv, j.pc, j.kc)
+		for t, jr := 0, 0; jr < j.nc; t, jr = t+1, jr+nrC {
+			nv := min(j.nc-jr, nrC)
+			off := t * j.kc * nrC
+			cmicroKernel(j.kc, apR, apI, j.bpR[off:], j.bpI[off:], j.alpha,
+				j.c[i0*j.ldc+j.jc+jr:], j.ldc, mv, nv)
 		}
-		off := t * j.kc * nrC
-		cmicroKernel(j.kc, apR, apI, j.bpR[off:], j.bpI[off:], j.alpha,
-			j.c[i0*j.ldc+j.jc+jr:], j.ldc, mv, nv)
 	}
 }
 
-var ctileJobPool = newPool[cpackedTileJob]()
+var ctileJobPool = par.NewJobPool[cpackedTileJob]()
 
 // cpackedGEMM computes C += alpha·A·B over beta-prescaled complex C,
 // with planar packing and mrC-row tiles distributed over up to
-// `workers` goroutines.
-func cpackedGEMM(workers int, alpha complex64, a, b, c []complex64, m, n, k int) {
+// `workers` goroutines, carving its panels from ws.
+func cpackedGEMM(ws *workspace.Arena, workers int, alpha complex64, a, b, c []complex64, m, n, k int) {
 	if m == 0 || n == 0 || k == 0 || alpha == 0 {
 		return
 	}
-	ws := workspace.Get()
-	defer workspace.Put(ws)
 	bp := ctuneFor(m, n, k)
-	ncMax := n
-	if ncMax > bp.nc {
-		ncMax = bp.nc
-	}
-	kcMax := k
-	if kcMax > bp.kc {
-		kcMax = bp.kc
-	}
-	panelFloats := kcMax * roundUp(ncMax, nrC)
+	kcMax := min(k, bp.kc)
+	panelFloats := kcMax * roundUp(min(n, bp.nc), nrC)
 	bpR := ws.Float32Uninit(panelFloats)
 	bpI := ws.Float32Uninit(panelFloats)
 	j := ctileJobPool.Get()
 	j.alpha, j.a, j.c = alpha, a, c
 	j.lda, j.ldc, j.m = k, n, m
 	panels := (m + mrC - 1) / mrC
+	j.aLen, j.aps = mrC*kcMax, nil
 	for jc := 0; jc < n; jc += bp.nc {
-		nc := n - jc
-		if nc > bp.nc {
-			nc = bp.nc
-		}
+		nc := min(n-jc, bp.nc)
 		for pc := 0; pc < k; pc += bp.kc {
-			kc := k - pc
-			if kc > bp.kc {
-				kc = bp.kc
-			}
+			kc := min(k-pc, bp.kc)
 			for t, jr := 0, 0; jr < nc; t, jr = t+1, jr+nrC {
-				nv := nc - jr
-				if nv > nrC {
-					nv = nrC
-				}
-				cpackB(bpR[t*kc*nrC:], bpI[t*kc*nrC:], b, n, pc, kc, jc+jr, nv)
+				cpackB(bpR[t*kc*nrC:], bpI[t*kc*nrC:], b, n, pc, kc, jc+jr, min(nc-jr, nrC))
 			}
 			j.pc, j.kc, j.jc, j.nc, j.bpR, j.bpI = pc, kc, jc, nc, bpR, bpI
-			par.ForEachNRunner(panels, workers, j)
+			j.Reset(panels)
+			runSlots(ws, workers, &j.Span, j, &j.aps, 2*j.aLen)
 		}
 	}
-	j.a, j.c, j.bpR, j.bpI = nil, nil, nil, nil
+	j.a, j.c, j.bpR, j.bpI, j.aps = nil, nil, nil, nil, nil
 	ctileJobPool.Put(j)
 }
 

@@ -4,6 +4,11 @@
 // single SGEMM, the way Caffe/Torch-cunn/Theano-CorrMM call cuBLAS) and
 // of the FFT engines' frequency-domain CGEMM.
 //
+// Every packing entry point except Parallel takes a caller-owned
+// workspace.Arena as its first argument and carves its packing buffers
+// from it without resetting it (the caller's pass does); nothing below
+// an entry point takes scratch of its own.
+//
 // Three tiers are provided:
 //
 //   - Naive: the textbook triple loop, used as the correctness oracle.
@@ -14,8 +19,7 @@
 //     runtime-autotuned cache blocking (tune.go).
 //   - Parallel: the packed kernel with the ic/jr macro-loops fanned out
 //     over the par worker pool — workers share one packed B block and
-//     pack their own A blocks; this is the tier the convolution engines
-//     call.
+//     pack their own A blocks, one arena slot each.
 //
 // Operands may also be virtual (BlockedVirtualB and friends in
 // virtual.go): a panel packer generates op(A)/op(B) micro-panels on
@@ -28,7 +32,11 @@
 // benchmark reference the packed kernel is measured against.
 package gemm
 
-import "fmt"
+import (
+	"fmt"
+
+	"gpucnn/internal/workspace"
+)
 
 // blockM/blockN/blockK are the cache-block extents of the legacy serial
 // kernel. They are sized so one block of A (blockM×blockK) plus one
@@ -58,24 +66,24 @@ func Naive(alpha float32, a []float32, b []float32, beta float32, c []float32, m
 // Blocked computes C = alpha*A*B + beta*C serially. Problems large
 // enough to amortise panel packing go through the packed register-tiled
 // kernel; tiny ones use the legacy cache-blocked loop.
-func Blocked(alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
+func Blocked(ws *workspace.Arena, alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
 	checkDims(len(a), len(b), len(c), m, n, k)
 	if !routesToPacked(m, n, k) {
 		blockedLegacy(alpha, a, b, beta, c, m, n, k)
 		return
 	}
 	scaleRows(beta, c, 0, m, n)
-	packedGEMM(1, alpha, matA(a, k), matB(b, n), c, m, n, k)
+	packedGEMM(ws, 1, alpha, matA(a, k), matB(b, n), c, m, n, k)
 }
 
 // Packed computes C = alpha*A*B + beta*C through the packed
 // register-tiled kernel unconditionally (no small-size fallback). It is
 // the kernel benchmarked against blockedLegacy and property-tested
 // against Naive.
-func Packed(alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
+func Packed(ws *workspace.Arena, alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
 	checkDims(len(a), len(b), len(c), m, n, k)
 	scaleRows(beta, c, 0, m, n)
-	packedGEMM(1, alpha, matA(a, k), matB(b, n), c, m, n, k)
+	packedGEMM(ws, 1, alpha, matA(a, k), matB(b, n), c, m, n, k)
 }
 
 // blockedLegacy is the pre-packing cache-blocked kernel, kept as the
@@ -116,25 +124,31 @@ func blockedRows(alpha float32, a, b, c []float32, i0, i1, m, n, k int) {
 	}
 }
 
-// Parallel computes C = alpha*A*B + beta*C, partitioning the packed
+// Parallel is ParallelIn over a fresh arena, for callers that own no
+// workspace: a one-off product that need not be allocation-free.
+func Parallel(alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
+	ParallelIn(new(workspace.Arena), alpha, a, b, beta, c, m, n, k)
+}
+
+// ParallelIn computes C = alpha*A*B + beta*C, partitioning the packed
 // kernel's ic/jr macro-loops over the par worker pool. Small problems
 // fall through to the serial kernel to avoid dispatch overhead.
-func Parallel(alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
+func ParallelIn(ws *workspace.Arena, alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
 	checkDims(len(a), len(b), len(c), m, n, k)
 	workers := gemmWorkers(m, n, k)
 	if workers <= 1 {
-		Blocked(alpha, a, b, beta, c, m, n, k)
+		Blocked(ws, alpha, a, b, beta, c, m, n, k)
 		return
 	}
 	scaleRows(beta, c, 0, m, n)
-	packedGEMM(workers, alpha, matA(a, k), matB(b, n), c, m, n, k)
+	packedGEMM(ws, workers, alpha, matA(a, k), matB(b, n), c, m, n, k)
 }
 
 // NT computes C = alpha*A*Bᵀ + beta*C where A is m×k and B is n×k,
 // both row-major. This is the backward-filter GEMM shape; B's rows
 // become packed micro-panel columns, so no transpose copy of B is ever
 // materialised.
-func NT(alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
+func NT(ws *workspace.Arena, alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic(fmt.Sprintf("gemm: NT buffer too small for m=%d n=%d k=%d", m, n, k))
 	}
@@ -143,7 +157,7 @@ func NT(alpha float32, a []float32, b []float32, beta float32, c []float32, m, n
 		return
 	}
 	scaleRows(beta, c, 0, m, n)
-	packedGEMM(1, alpha, matA(a, k), matBT(b, k), c, m, n, k)
+	packedGEMM(ws, 1, alpha, matA(a, k), matBT(b, k), c, m, n, k)
 }
 
 // ntLegacy is the pre-packing dot-product NT kernel (small-problem
@@ -166,7 +180,7 @@ func ntLegacy(alpha float32, a []float32, b []float32, beta float32, c []float32
 // TN computes C = alpha*Aᵀ*B + beta*C where A is k×m and B is k×n,
 // both row-major. This is the backward-data GEMM shape; A's columns are
 // gathered during packing instead of in the inner loop.
-func TN(alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
+func TN(ws *workspace.Arena, alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		panic(fmt.Sprintf("gemm: TN buffer too small for m=%d n=%d k=%d", m, n, k))
 	}
@@ -175,7 +189,7 @@ func TN(alpha float32, a []float32, b []float32, beta float32, c []float32, m, n
 		return
 	}
 	scaleRows(beta, c, 0, m, n)
-	packedGEMM(1, alpha, matAT(a, m), matB(b, n), c, m, n, k)
+	packedGEMM(ws, 1, alpha, matAT(a, m), matB(b, n), c, m, n, k)
 }
 
 // tnLegacy is the pre-packing axpy TN kernel (small-problem fallback).
@@ -199,17 +213,17 @@ func tnLegacy(alpha float32, a []float32, b []float32, beta float32, c []float32
 
 // ParallelNT is NT with the packed macro-loops fanned out over the par
 // worker pool.
-func ParallelNT(alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
+func ParallelNT(ws *workspace.Arena, alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic(fmt.Sprintf("gemm: NT buffer too small for m=%d n=%d k=%d", m, n, k))
 	}
 	workers := gemmWorkers(m, n, k)
 	if workers <= 1 {
-		NT(alpha, a, b, beta, c, m, n, k)
+		NT(ws, alpha, a, b, beta, c, m, n, k)
 		return
 	}
 	scaleRows(beta, c, 0, m, n)
-	packedGEMM(workers, alpha, matA(a, k), matBT(b, k), c, m, n, k)
+	packedGEMM(ws, workers, alpha, matA(a, k), matBT(b, k), c, m, n, k)
 }
 
 // FLOPs returns the floating-point operation count of an m×n×k GEMM
@@ -240,11 +254,4 @@ func checkDims(la, lb, lc, m, n, k int) {
 		panic(fmt.Sprintf("gemm: buffers too small for m=%d n=%d k=%d (a=%d b=%d c=%d)",
 			m, n, k, la, lb, lc))
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"gpucnn/internal/tensor"
+
+	"gpucnn/internal/workspace"
 )
 
 func randMat(r *tensor.RNG, rows, cols int) []float32 {
@@ -75,7 +77,7 @@ func TestBlockedMatchesNaive(t *testing.T) {
 		c1 := randMat(r, m, n)
 		c2 := append([]float32(nil), c1...)
 		Naive(1.5, a, b, 0.5, c1, m, n, k)
-		Blocked(1.5, a, b, 0.5, c2, m, n, k)
+		Blocked(new(workspace.Arena), 1.5, a, b, 0.5, c2, m, n, k)
 		if d := maxDiff(c1, c2); d > 1e-4 {
 			t.Fatalf("m=%d n=%d k=%d: blocked differs from naive by %g", m, n, k, d)
 		}
@@ -112,7 +114,7 @@ func TestNTMatchesNaive(t *testing.T) {
 	c1 := make([]float32, m*n)
 	c2 := make([]float32, m*n)
 	Naive(1, a, b, 0, c1, m, n, k)
-	NT(1, a, bt, 0, c2, m, n, k)
+	NT(new(workspace.Arena), 1, a, bt, 0, c2, m, n, k)
 	if d := maxDiff(c1, c2); d > 1e-4 {
 		t.Fatalf("NT differs from naive by %g", d)
 	}
@@ -132,7 +134,7 @@ func TestTNMatchesNaive(t *testing.T) {
 	c1 := make([]float32, m*n)
 	c2 := make([]float32, m*n)
 	Naive(1, a, b, 0, c1, m, n, k)
-	TN(1, at, b, 0, c2, m, n, k)
+	TN(new(workspace.Arena), 1, at, b, 0, c2, m, n, k)
 	if d := maxDiff(c1, c2); d > 1e-4 {
 		t.Fatalf("TN differs from naive by %g", d)
 	}
@@ -145,8 +147,8 @@ func TestParallelNTMatchesNT(t *testing.T) {
 	bt := randMat(r, n, k)
 	c1 := make([]float32, m*n)
 	c2 := make([]float32, m*n)
-	NT(1, a, bt, 0, c1, m, n, k)
-	ParallelNT(1, a, bt, 0, c2, m, n, k)
+	NT(new(workspace.Arena), 1, a, bt, 0, c1, m, n, k)
+	ParallelNT(new(workspace.Arena), 1, a, bt, 0, c2, m, n, k)
 	if d := maxDiff(c1, c2); d > 1e-3 {
 		t.Fatalf("ParallelNT differs from NT by %g", d)
 	}
@@ -184,13 +186,13 @@ func TestScalarPullOut(t *testing.T) {
 		a := randMat(r, m, k)
 		b := randMat(r, k, n)
 		out1 := make([]float32, m*n)
-		Blocked(2.5, a, b, 0, out1, m, n, k)
+		Blocked(new(workspace.Arena), 2.5, a, b, 0, out1, m, n, k)
 		scaled := make([]float32, len(a))
 		for i := range a {
 			scaled[i] = 2.5 * a[i]
 		}
 		out2 := make([]float32, m*n)
-		Blocked(1, scaled, b, 0, out2, m, n, k)
+		Blocked(new(workspace.Arena), 1, scaled, b, 0, out2, m, n, k)
 		return maxDiff(out1, out2) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -205,8 +207,8 @@ func TestBetaZeroOverwritesGarbage(t *testing.T) {
 	nan := float32(math.NaN())
 	c1 := make([]float32, m*n)
 	c2 := []float32{nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan}
-	Blocked(1, a, b, 0, c1, m, n, k)
-	Blocked(1, a, b, 0, c2, m, n, k)
+	Blocked(new(workspace.Arena), 1, a, b, 0, c1, m, n, k)
+	Blocked(new(workspace.Arena), 1, a, b, 0, c2, m, n, k)
 	if d := maxDiff(c1, c2); d != 0 || math.IsNaN(float64(c2[0])) {
 		t.Fatal("beta=0 must overwrite pre-existing NaNs")
 	}
@@ -269,7 +271,7 @@ func TestCParallelMatchesCNaive(t *testing.T) {
 	c1 := make([]complex64, m*n)
 	c2 := make([]complex64, m*n)
 	CNaive(1, a, b, 0, c1, m, n, k)
-	CParallel(1, a, b, 0, c2, m, n, k)
+	CParallel(new(workspace.Arena), 1, a, b, 0, c2, m, n, k)
 	if d := cmaxDiff(c1, c2); d > 1e-3 {
 		t.Fatalf("CParallel differs by %g", d)
 	}
@@ -310,13 +312,13 @@ func TestAssociativity(t *testing.T) {
 		b := randMat(r, k, n)
 		c := randMat(r, n, l)
 		ab := make([]float32, m*n)
-		Blocked(1, a, b, 0, ab, m, n, k)
+		Blocked(new(workspace.Arena), 1, a, b, 0, ab, m, n, k)
 		abc1 := make([]float32, m*l)
-		Blocked(1, ab, c, 0, abc1, m, l, n)
+		Blocked(new(workspace.Arena), 1, ab, c, 0, abc1, m, l, n)
 		bc := make([]float32, k*l)
-		Blocked(1, b, c, 0, bc, k, l, n)
+		Blocked(new(workspace.Arena), 1, b, c, 0, bc, k, l, n)
 		abc2 := make([]float32, m*l)
-		Blocked(1, a, bc, 0, abc2, m, l, k)
+		Blocked(new(workspace.Arena), 1, a, bc, 0, abc2, m, l, k)
 		return maxDiff(abc1, abc2) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -358,7 +360,7 @@ func TestGEMMConsistencyAcrossKernels(t *testing.T) {
 	Naive(1, a, b, 0, want, m, n, k)
 	// The same product through Blocked and Parallel.
 	got1 := make([]float32, m*n)
-	Blocked(1, a, b, 0, got1, m, n, k)
+	Blocked(new(workspace.Arena), 1, a, b, 0, got1, m, n, k)
 	got2 := make([]float32, m*n)
 	Parallel(1, a, b, 0, got2, m, n, k)
 	if maxDiff(want, got1) > 1e-4 || maxDiff(want, got2) > 1e-4 {

@@ -3,7 +3,6 @@ package gemm
 import (
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"gpucnn/internal/par"
@@ -29,8 +28,8 @@ import (
 //	ir over mc in mr panels  → micro-kernel (FMA asm or scalar Go)
 //
 // Parallel entry points partition the ic/jr macro loops (not individual
-// C tiles): each worker packs its own A block into a per-worker arena
-// and all workers share the read-only packed B block.
+// C tiles): each worker packs its A blocks into its own slot of the
+// caller's arena and all workers share the read-only packed B block.
 const (
 	mr = 8 // rows per micro-tile (one packed A panel)
 	nr = 8 // columns per micro-tile (one packed B panel)
@@ -327,7 +326,7 @@ func (j *packBJob) Run(ci int) {
 	}
 }
 
-var packBJobPool = newPool[packBJob]()
+var packBJobPool = par.NewJobPool[packBJob]()
 
 // packBBlock fills the shared packed B block for (pc, jc), fanning the
 // panel packing out over the workers when there are enough panels to
@@ -357,11 +356,12 @@ func packBBlock(workers int, dst []float32, src bSrc, pc, kc, jc, nc int) {
 	packBJobPool.Put(j)
 }
 
-// macroJob is the parallel work unit of the ic/jr macro loops: one
-// (A block, jr sub-range) pair of the current (jc, pc) iteration. Each
-// invocation packs its A block into a per-worker arena; the packed B
-// block is shared read-only across all invocations.
+// macroJob runs the ic/jr macro loops of one (jc, pc) iteration: each
+// item is one (A block, jr sub-range) pair. A worker packs its items'
+// A blocks into its slot's block, carved from the caller's arena; the
+// packed B block is shared read-only across all items.
 type macroJob struct {
+	par.Span
 	alpha   float32
 	aOp     aSrc
 	c       []float32
@@ -373,114 +373,95 @@ type macroJob struct {
 	jChunks int
 	jcw     int // jr sub-range width (multiple of nr)
 	bp      []float32
+	aBlks   []float32 // one A block per slot
+	aLen    int
 }
 
-func (j *macroJob) Run(idx int) {
-	ic := (idx / j.jChunks) * j.mc
-	jLo := (idx % j.jChunks) * j.jcw
-	if ic >= j.m || jLo >= j.nc {
-		return
+//hot:noalloc
+func (j *macroJob) Run(slot int) {
+	apBlk := j.aBlks[slot*j.aLen : (slot+1)*j.aLen]
+	for idx, ok := j.Claim(); ok; idx, ok = j.Claim() {
+		ic := (idx / j.jChunks) * j.mc
+		jLo := (idx % j.jChunks) * j.jcw
+		if ic >= j.m || jLo >= j.nc {
+			continue
+		}
+		mBlk := min(j.m-ic, j.mc)
+		jHi := min(jLo+j.jcw, j.nc)
+		packABlock(apBlk, j.aOp, ic, mBlk, j.pc, j.kc)
+		macroKernel(j.kc, apBlk, j.bp, j.c, j.ldc, j.alpha, ic, mBlk, j.jc, jLo, jHi, j.nc)
 	}
-	mBlk := j.m - ic
-	if mBlk > j.mc {
-		mBlk = j.mc
-	}
-	jHi := jLo + j.jcw
-	if jHi > j.nc {
-		jHi = j.nc
-	}
-	ws := workspace.Get()
-	defer workspace.Put(ws)
-	apBlk := ws.Float32Uninit(roundUp(mBlk, mr) * j.kc)
-	packABlock(apBlk, j.aOp, ic, mBlk, j.pc, j.kc)
-	macroKernel(j.kc, apBlk, j.bp, j.c, j.ldc, j.alpha, ic, mBlk, j.jc, jLo, jHi, j.nc)
 }
 
-var macroJobPool = newPool[macroJob]()
+var macroJobPool = par.NewJobPool[macroJob]()
 
 // packedGEMM computes C += alpha·op(A)·op(B) over beta-prescaled C with
-// autotuned blocking. Operand sources may be materialised (with
-// per-operand transpose, which is how NT/TN reuse the same micro-kernel)
-// or virtual (panel-generating packers — the fused im2col path).
-func packedGEMM(workers int, alpha float32, aOp aSrc, bOp bSrc, c []float32, m, n, k int) {
-	packedGEMMParams(workers, alpha, aOp, bOp, c, m, n, k, tuneFor(m, n, k))
+// autotuned blocking, carving its packing buffers from ws. Operand
+// sources may be materialised (with per-operand transpose, which is how
+// NT/TN reuse the same micro-kernel) or virtual (panel-generating
+// packers — the fused im2col path).
+func packedGEMM(ws *workspace.Arena, workers int, alpha float32, aOp aSrc, bOp bSrc, c []float32, m, n, k int) {
+	packedGEMMParams(ws, workers, alpha, aOp, bOp, c, m, n, k, tuneFor(m, n, k))
 }
 
 // packedGEMMParams is packedGEMM with explicit blocking parameters
 // (the measured probe calls it directly to avoid recursive tuning).
-func packedGEMMParams(workers int, alpha float32, aOp aSrc, bOp bSrc, c []float32,
+// With workers <= 1 it runs on the calling goroutine alone.
+func packedGEMMParams(ws *workspace.Arena, workers int, alpha float32, aOp aSrc, bOp bSrc, c []float32,
 	m, n, k int, bp blockParams) {
 	if m == 0 || n == 0 || k == 0 || alpha == 0 {
 		return
 	}
-	ws := workspace.Get()
-	defer workspace.Put(ws)
-	kcMax := bp.kc
-	if kcMax > k {
-		kcMax = k
-	}
-	ncMax := bp.nc
-	if ncMax > n {
-		ncMax = n
-	}
+	kcMax, ncMax := min(bp.kc, k), min(bp.nc, n)
 	bpBuf := ws.Float32Uninit(kcMax * roundUp(ncMax, nr))
-	var apBlk []float32
-	if workers <= 1 {
-		mcMax := bp.mc
-		if mcMax > m {
-			mcMax = m
-		}
-		apBlk = ws.Float32Uninit(roundUp(mcMax, mr) * kcMax)
-	}
 	icBlocks := (m + bp.mc - 1) / bp.mc
+	j := macroJobPool.Get()
+	j.alpha, j.aOp, j.c = alpha, aOp, c
+	j.ldc, j.m, j.mc = n, m, bp.mc
+	j.aLen = roundUp(min(bp.mc, m), mr) * kcMax
+	j.aBlks = nil
 	for jc := 0; jc < n; jc += bp.nc {
-		nc := n - jc
-		if nc > bp.nc {
-			nc = bp.nc
+		nc := min(n-jc, bp.nc)
+		// Partition the macro loops: one item per A block when there
+		// are enough blocks to feed every worker, otherwise split each
+		// block's jr range until ic×jr items cover the worker pool.
+		// Extra jr chunks re-pack A, so the split is only as fine as
+		// occupancy requires.
+		jChunks := 1
+		if icBlocks < workers {
+			jChunks = min((workers+icBlocks-1)/icBlocks, (nc+nr-1)/nr)
 		}
+		jcw := roundUp((nc+jChunks-1)/jChunks, nr)
+		j.jChunks, j.jcw = (nc+jcw-1)/jcw, jcw
 		for pc := 0; pc < k; pc += bp.kc {
-			kc := k - pc
-			if kc > bp.kc {
-				kc = bp.kc
-			}
+			kc := min(k-pc, bp.kc)
 			packBBlock(workers, bpBuf, bOp, pc, kc, jc, nc)
-			if workers <= 1 {
-				for ic := 0; ic < m; ic += bp.mc {
-					mBlk := m - ic
-					if mBlk > bp.mc {
-						mBlk = bp.mc
-					}
-					packABlock(apBlk, aOp, ic, mBlk, pc, kc)
-					macroKernel(kc, apBlk, bpBuf, c, n, alpha, ic, mBlk, jc, 0, nc, nc)
-				}
-				continue
-			}
-			// Partition the macro loops: one item per A block when
-			// there are enough blocks to feed every worker, otherwise
-			// split each block's jr range until ic×jr items cover the
-			// worker pool. Extra jr chunks re-pack A, so the split is
-			// only as fine as occupancy requires.
-			jChunks := 1
-			if icBlocks < workers {
-				jChunks = (workers + icBlocks - 1) / icBlocks
-				maxChunks := (nc + nr - 1) / nr
-				if jChunks > maxChunks {
-					jChunks = maxChunks
-				}
-			}
-			jcw := roundUp((nc+jChunks-1)/jChunks, nr)
-			jChunks = (nc + jcw - 1) / jcw
-			j := macroJobPool.Get()
-			j.alpha, j.aOp, j.c = alpha, aOp, c
-			j.ldc, j.m = n, m
-			j.pc, j.kc, j.jc, j.nc = pc, kc, jc, nc
-			j.mc, j.jChunks, j.jcw = bp.mc, jChunks, jcw
-			j.bp = bpBuf
-			par.ForEachNRunner(icBlocks*jChunks, workers, j)
-			j.aOp, j.c, j.bp = aSrc{}, nil, nil
-			macroJobPool.Put(j)
+			j.pc, j.kc, j.jc, j.nc, j.bp = pc, kc, jc, nc, bpBuf
+			j.Reset(icBlocks * j.jChunks)
+			runSlots(ws, workers, &j.Span, j, &j.aBlks, j.aLen)
 		}
 	}
+	j.aOp, j.c, j.bp, j.aBlks = aSrc{}, nil, nil, nil
+	macroJobPool.Put(j)
+}
+
+// runSlots runs a slot job over the items of s: on the calling
+// goroutine alone when workers <= 1, else one worker per slot. It first
+// makes sure *scratch holds per floats for every slot, carving a new
+// share from ws only when it does not (the first iteration of a call).
+func runSlots(ws *workspace.Arena, workers int, s *par.Span, r par.Runner, scratch *[]float32, per int) {
+	slots := 1
+	if workers > 1 {
+		slots = s.Slots()
+	}
+	if len(*scratch) < slots*per {
+		*scratch = ws.Float32Uninit(slots * per)
+	}
+	if slots == 1 {
+		r.Run(0)
+		return
+	}
+	par.ForEachSlot(s, r)
 }
 
 // gemmWorkers picks the fan-out for a parallel entry point: GOMAXPROCS,
@@ -491,15 +472,3 @@ func gemmWorkers(m, n, k int) int {
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// jobPool is a typed sync.Pool for parallel job structs: Get/Put of a
-// *T avoids both the interface-conversion allocation of storing the
-// struct by value and the per-call make of a fresh job.
-type jobPool[T any] struct{ p sync.Pool }
-
-func newPool[T any]() *jobPool[T] {
-	return &jobPool[T]{p: sync.Pool{New: func() any { return new(T) }}}
-}
-
-func (jp *jobPool[T]) Get() *T  { return jp.p.Get().(*T) }
-func (jp *jobPool[T]) Put(t *T) { jp.p.Put(t) }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"gpucnn/internal/workspace"
 )
 
 // raggedSizes covers the packing edge cases: tiny shapes, the mr/nr
@@ -45,7 +47,7 @@ func TestPackedMatchesNaiveRagged(t *testing.T) {
 				want := randSlice(rng, m*n)
 				got := append([]float32(nil), want...)
 				Naive(1.3, a, b, 0.4, want, m, n, k)
-				Packed(1.3, a, b, 0.4, got, m, n, k)
+				Packed(new(workspace.Arena), 1.3, a, b, 0.4, got, m, n, k)
 				if d := maxAbsDiff(want, got); d > tol(k) {
 					t.Fatalf("Packed mismatch m=%d n=%d k=%d: max diff %g", m, n, k, d)
 				}
@@ -68,7 +70,7 @@ func TestPackedParallelMatchesNaiveRagged(t *testing.T) {
 			got := append([]float32(nil), want...)
 			Naive(1, a, b, 0.5, want, m, n, k)
 			scaleRows(0.5, got, 0, m, n)
-			packedGEMM(4, 1, matA(a, k), matB(b, n), got, m, n, k)
+			packedGEMM(new(workspace.Arena), 4, 1, matA(a, k), matB(b, n), got, m, n, k)
 			if d := maxAbsDiff(want, got); d > tol(k) {
 				t.Fatalf("parallel packed mismatch m=%d n=%d k=%d: max diff %g", m, n, k, d)
 			}
@@ -87,7 +89,7 @@ func TestPackedNTMatchesOracleRagged(t *testing.T) {
 			got := make([]float32, m*n)
 			ntLegacy(1, a, b, 0, want, m, n, k)
 			scaleRows(0, got, 0, m, n)
-			packedGEMM(1, 1, matA(a, k), matBT(b, k), got, m, n, k)
+			packedGEMM(new(workspace.Arena), 1, 1, matA(a, k), matBT(b, k), got, m, n, k)
 			if d := maxAbsDiff(want, got); d > tol(k) {
 				t.Fatalf("packed NT mismatch m=%d n=%d k=%d: max diff %g", m, n, k, d)
 			}
@@ -106,7 +108,7 @@ func TestPackedTNMatchesOracleRagged(t *testing.T) {
 			got := make([]float32, m*n)
 			tnLegacy(1, a, b, 0, want, m, n, k)
 			scaleRows(0, got, 0, m, n)
-			packedGEMM(1, 1, matAT(a, m), matB(b, n), got, m, n, k)
+			packedGEMM(new(workspace.Arena), 1, 1, matAT(a, m), matB(b, n), got, m, n, k)
 			if d := maxAbsDiff(want, got); d > tol(k) {
 				t.Fatalf("packed TN mismatch m=%d n=%d k=%d: max diff %g", m, n, k, d)
 			}
@@ -145,11 +147,11 @@ func TestLargeEntryPointsUsePackedKernel(t *testing.T) {
 		name string
 		run  func(c []float32)
 	}{
-		{"Blocked", func(c []float32) { Blocked(2, a, b, 0, c, m, n, k) }},
+		{"Blocked", func(c []float32) { Blocked(new(workspace.Arena), 2, a, b, 0, c, m, n, k) }},
 		{"Parallel", func(c []float32) { Parallel(2, a, b, 0, c, m, n, k) }},
-		{"NT", func(c []float32) { NT(2, a, bT, 0, c, m, n, k) }},
-		{"TN", func(c []float32) { TN(2, aT, b, 0, c, m, n, k) }},
-		{"ParallelNT", func(c []float32) { ParallelNT(2, a, bT, 0, c, m, n, k) }},
+		{"NT", func(c []float32) { NT(new(workspace.Arena), 2, a, bT, 0, c, m, n, k) }},
+		{"TN", func(c []float32) { TN(new(workspace.Arena), 2, aT, b, 0, c, m, n, k) }},
+		{"ParallelNT", func(c []float32) { ParallelNT(new(workspace.Arena), 2, a, bT, 0, c, m, n, k) }},
 	} {
 		got := make([]float32, m*n)
 		tc.run(got)
@@ -179,7 +181,7 @@ func TestCPackedMatchesCNaiveRagged(t *testing.T) {
 				alpha := complex64(complex(1.1, -0.3))
 				beta := complex64(complex(0.2, 0.7))
 				CNaive(alpha, a, b, beta, want, m, n, k)
-				CPacked(alpha, a, b, beta, got, m, n, k)
+				CPacked(new(workspace.Arena), alpha, a, b, beta, got, m, n, k)
 				for i := range want {
 					dr := math.Abs(float64(real(want[i]) - real(got[i])))
 					di := math.Abs(float64(imag(want[i]) - imag(got[i])))
@@ -206,7 +208,7 @@ func TestCParallelMatchesCNaiveLarge(t *testing.T) {
 	want := make([]complex64, m*n)
 	got := make([]complex64, m*n)
 	CNaive(1, a, b, 0, want, m, n, k)
-	CParallel(1, a, b, 0, got, m, n, k)
+	CParallel(new(workspace.Arena), 1, a, b, 0, got, m, n, k)
 	for i := range want {
 		dr := math.Abs(float64(real(want[i]) - real(got[i])))
 		di := math.Abs(float64(imag(want[i]) - imag(got[i])))

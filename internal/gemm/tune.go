@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"gpucnn/internal/workspace"
 )
 
 // Runtime autotuning of the cache-blocking parameters. The packed
@@ -273,17 +275,18 @@ func probeClass(m, n, k int) blockParams {
 	if len(candidates) < 2 {
 		return best
 	}
-	a := probeBuf(mp * kp)
-	b := probeBuf(kp * np)
-	c := probeBuf(mp * np)
-	defer putProbeBufs()
+	// Zeroed operands keep the probe off subnormal slow paths and make
+	// candidate timings comparable; both arenas are dropped on return.
+	var bufs, scratch workspace.Arena
+	a, b, c := bufs.Float32(mp*kp), bufs.Float32(kp*np), bufs.Float32(mp*np)
 	bestT := time.Duration(1<<63 - 1)
 	for _, kc := range candidates {
 		cand := withKC(baseParams, kc)
 		var min time.Duration
 		for rep := 0; rep < 2; rep++ {
+			scratch.Reset()
 			t0 := time.Now()
-			packedGEMMParams(1, 1, matA(a, kp), matB(b, np), c, mp, np, kp, cand)
+			packedGEMMParams(&scratch, 1, 1, matA(a, kp), matB(b, np), c, mp, np, kp, cand)
 			el := time.Since(t0)
 			if rep == 0 || el < min {
 				min = el
@@ -330,30 +333,4 @@ func kcCandidates(kc, kMax int) []int {
 		}
 	}
 	return out
-}
-
-// Probe scratch: zeroed once, reused across candidates. Zeros keep the
-// probe off subnormal slow paths and make candidate timings comparable.
-var (
-	probeScratchMu sync.Mutex
-	probeScratch   []float32
-	probeOff       int
-)
-
-func probeBuf(n int) []float32 {
-	probeScratchMu.Lock()
-	defer probeScratchMu.Unlock()
-	if probeOff+n > len(probeScratch) {
-		probeScratch = make([]float32, probeOff+n)
-	}
-	s := probeScratch[probeOff : probeOff+n : probeOff+n]
-	probeOff += n
-	return s
-}
-
-func putProbeBufs() {
-	probeScratchMu.Lock()
-	probeOff = 0
-	probeScratch = nil // one-shot per class: release, don't retain MBs
-	probeScratchMu.Unlock()
 }

@@ -1,6 +1,10 @@
 package gemm
 
-import "fmt"
+import (
+	"fmt"
+
+	"gpucnn/internal/workspace"
+)
 
 // Virtual operands: instead of reading a materialised row-major matrix,
 // the packing loops call back into the operand to generate each
@@ -48,34 +52,34 @@ func MicroPanelB() int { return nr }
 
 // BlockedVirtualA computes C = alpha*va*B + beta*C serially, where va
 // is a virtual m×k left operand whose panels are generated on demand.
-func BlockedVirtualA(alpha float32, va APacker, b []float32, beta float32, c []float32, m, n, k int) {
+func BlockedVirtualA(ws *workspace.Arena, alpha float32, va APacker, b []float32, beta float32, c []float32, m, n, k int) {
 	if len(b) < k*n || len(c) < m*n {
 		panic(fmt.Sprintf("gemm: virtual-A buffers too small for m=%d n=%d k=%d", m, n, k))
 	}
 	scaleRows(beta, c, 0, m, n)
-	packedGEMM(1, alpha, virtA(va), matB(b, n), c, m, n, k)
+	packedGEMM(ws, 1, alpha, virtA(va), matB(b, n), c, m, n, k)
 }
 
 // BlockedVirtualB computes C = alpha*A*vb + beta*C serially, where vb
 // is a virtual k×n right operand whose panels are generated on demand.
 // This is the fused im2col forward path: A is the filter matrix, vb the
 // lowered input that is never materialised.
-func BlockedVirtualB(alpha float32, a []float32, vb BPacker, beta float32, c []float32, m, n, k int) {
+func BlockedVirtualB(ws *workspace.Arena, alpha float32, a []float32, vb BPacker, beta float32, c []float32, m, n, k int) {
 	if len(a) < m*k || len(c) < m*n {
 		panic(fmt.Sprintf("gemm: virtual-B buffers too small for m=%d n=%d k=%d", m, n, k))
 	}
 	scaleRows(beta, c, 0, m, n)
-	packedGEMM(1, alpha, matA(a, k), virtB(vb), c, m, n, k)
+	packedGEMM(ws, 1, alpha, matA(a, k), virtB(vb), c, m, n, k)
 }
 
 // ParallelVirtualB is BlockedVirtualB with the macro-loops fanned out
 // over the par worker pool; the virtual packer must be safe for
 // concurrent PackPanelB calls on disjoint panels.
-func ParallelVirtualB(alpha float32, a []float32, vb BPacker, beta float32, c []float32, m, n, k int) {
+func ParallelVirtualB(ws *workspace.Arena, alpha float32, a []float32, vb BPacker, beta float32, c []float32, m, n, k int) {
 	if len(a) < m*k || len(c) < m*n {
 		panic(fmt.Sprintf("gemm: virtual-B buffers too small for m=%d n=%d k=%d", m, n, k))
 	}
 	workers := gemmWorkers(m, n, k)
 	scaleRows(beta, c, 0, m, n)
-	packedGEMM(workers, alpha, matA(a, k), virtB(vb), c, m, n, k)
+	packedGEMM(ws, workers, alpha, matA(a, k), virtB(vb), c, m, n, k)
 }

@@ -3,6 +3,8 @@ package gemm
 import (
 	"math/rand"
 	"testing"
+
+	"gpucnn/internal/workspace"
 )
 
 // materializedB wraps a row-major k×n matrix as a BPacker, generating
@@ -37,8 +39,8 @@ func TestBlockedVirtualBMatchesBlocked(t *testing.T) {
 				b := randSlice(rng, k*n)
 				want := randSlice(rng, m*n)
 				got := append([]float32(nil), want...)
-				Packed(1.2, a, b, 0.3, want, m, n, k)
-				BlockedVirtualB(1.2, a, materializedB(b, n), 0.3, got, m, n, k)
+				Packed(new(workspace.Arena), 1.2, a, b, 0.3, want, m, n, k)
+				BlockedVirtualB(new(workspace.Arena), 1.2, a, materializedB(b, n), 0.3, got, m, n, k)
 				if d := maxAbsDiff(want, got); d > tol(k) {
 					t.Fatalf("virtual-B mismatch m=%d n=%d k=%d: max diff %g", m, n, k, d)
 				}
@@ -56,8 +58,8 @@ func TestBlockedVirtualAMatchesBlocked(t *testing.T) {
 			b := randSlice(rng, k*n)
 			want := randSlice(rng, m*n)
 			got := append([]float32(nil), want...)
-			Packed(0.7, a, b, 1, want, m, n, k)
-			BlockedVirtualA(0.7, materializedA(a, k), b, 1, got, m, n, k)
+			Packed(new(workspace.Arena), 0.7, a, b, 1, want, m, n, k)
+			BlockedVirtualA(new(workspace.Arena), 0.7, materializedA(a, k), b, 1, got, m, n, k)
 			if d := maxAbsDiff(want, got); d > tol(k) {
 				t.Fatalf("virtual-A mismatch m=%d n=%d k=%d: max diff %g", m, n, k, d)
 			}
@@ -75,8 +77,8 @@ func TestParallelVirtualBMatchesPacked(t *testing.T) {
 	b := randSlice(rng, k*n)
 	want := make([]float32, m*n)
 	got := make([]float32, m*n)
-	Packed(1, a, b, 0, want, m, n, k)
-	ParallelVirtualB(1, a, materializedB(b, n), 0, got, m, n, k)
+	Packed(new(workspace.Arena), 1, a, b, 0, want, m, n, k)
+	ParallelVirtualB(new(workspace.Arena), 1, a, materializedB(b, n), 0, got, m, n, k)
 	if d := maxAbsDiff(want, got); d > tol(k) {
 		t.Fatalf("parallel virtual-B mismatch: max diff %g", d)
 	}
@@ -92,10 +94,10 @@ func TestVirtualForcedParallelPartitioning(t *testing.T) {
 	a := randSlice(rng, m*k)
 	b := randSlice(rng, k*n)
 	want := make([]float32, m*n)
-	Packed(1, a, b, 0, want, m, n, k)
+	Packed(new(workspace.Arena), 1, a, b, 0, want, m, n, k)
 	for _, workers := range []int{2, 3, 4, 7, 8, 16} {
 		got := make([]float32, m*n)
-		packedGEMM(workers, 1, matA(a, k), virtB(materializedB(b, n)), got, m, n, k)
+		packedGEMM(new(workspace.Arena), workers, 1, matA(a, k), virtB(materializedB(b, n)), got, m, n, k)
 		if d := maxAbsDiff(want, got); d > tol(k) {
 			t.Fatalf("workers=%d: mismatch %g", workers, d)
 		}

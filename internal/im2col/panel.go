@@ -2,7 +2,8 @@ package im2col
 
 import (
 	"fmt"
-	"sync"
+
+	"gpucnn/internal/par"
 )
 
 // PanelPacker generates packed GEMM micro-panels of the lowered column
@@ -30,11 +31,11 @@ type PanelPacker struct {
 	khkw  int // KH·KW, cached for the row→(c,kh,kw) unflattening
 }
 
-var packerPool = sync.Pool{New: func() any { return new(PanelPacker) }}
+var packerPool = par.NewJobPool[PanelPacker]()
 
 // GetPacker returns a pooled PanelPacker; Reset/ResetTransposed must be
 // called before use.
-func GetPacker() *PanelPacker { return packerPool.Get().(*PanelPacker) }
+func GetPacker() *PanelPacker { return packerPool.Get() }
 
 // PutPacker releases the image reference and returns the packer to the
 // pool.

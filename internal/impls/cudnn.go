@@ -6,6 +6,7 @@ import (
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
 // cudnnEngine models cuDNN v3 as evaluated in the paper (inside Caffe):
@@ -63,10 +64,16 @@ type cudnnPlan struct {
 	dev  *gpusim.Device
 	cfg  conv.Config
 	bufs *bufSet
+	ws   workspace.Arena // host scratch of the plan's passes
 }
 
 func (p *cudnnPlan) Config() conv.Config { return p.cfg }
-func (p *cudnnPlan) Release()            { p.bufs.release() }
+
+// Release frees the plan's device memory and drops its host arena.
+func (p *cudnnPlan) Release() {
+	p.bufs.release()
+	p.ws = workspace.Arena{}
+}
 
 // computeSpec is the batched implicit-GEMM kernel: the whole pass is
 // one launch over all images (unlike Caffe's per-image loop), computing
@@ -144,7 +151,7 @@ func (p *cudnnPlan) Forward(x, w, y *tensor.Tensor) error {
 		return err
 	}
 	if x != nil {
-		conv.UnrollForward(p.cfg, x, w, y)
+		conv.UnrollForward(&p.ws, p.cfg, x, w, y)
 	}
 	return nil
 }
@@ -159,7 +166,7 @@ func (p *cudnnPlan) BackwardData(dy, w, dx *tensor.Tensor) error {
 		return err
 	}
 	if dy != nil {
-		conv.UnrollBackwardData(p.cfg, dy, w, dx)
+		conv.UnrollBackwardData(&p.ws, p.cfg, dy, w, dx)
 	}
 	return nil
 }
@@ -174,7 +181,7 @@ func (p *cudnnPlan) BackwardFilter(x, dy, dw *tensor.Tensor) error {
 		return err
 	}
 	if x != nil {
-		conv.UnrollBackwardFilter(p.cfg, x, dy, dw)
+		conv.UnrollBackwardFilter(&p.ws, p.cfg, x, dy, dw)
 	}
 	return nil
 }

@@ -9,12 +9,13 @@
 // correct result and the simulated runtime, memory and nvprof metrics
 // the paper reports.
 //
-// The engines' numerics inherit the zero-allocation discipline of
-// internal/conv: every strategy function carves its scratch (im2col
-// column matrices, FFT grids, Winograd transform banks, GEMM packing
-// panels) from internal/workspace arenas and dispatches pooled jobs
-// through internal/par, so steady-state Forward/BackwardData/
-// BackwardFilter passes do not touch the Go heap.
+// Every plan that computes on the host (unroll, cuDNN, the FFT engines
+// and Winograd) holds one workspace.Arena for as long as it lives — the
+// host side of cuDNN's caller-provided workspace. Each pass resets it
+// and the strategy functions of internal/conv carve all their scratch
+// (FFT grids, Winograd transform banks, GEMM packing panels) from it,
+// so once a pass has run, repeating it does not touch the Go heap. The
+// direct-convolution engines need no scratch and hold none.
 package impls
 
 import (
@@ -48,6 +49,12 @@ type Engine interface {
 // arguments of the passes may all be nil, in which case the pass is
 // simulated (kernels launched, clock advanced, metrics recorded) but no
 // arithmetic is performed — that is how the large benchmark sweeps run.
+//
+// A plan runs one pass at a time: its passes share the plan's device
+// clock and its host arena, so callers must not run two passes of one
+// plan concurrently. nn runs a network's layers in sequence and
+// multigpu.PlanCache.Exec serialises the plans of each device, so both
+// keep to this; separate plans run concurrently without restriction.
 type Plan interface {
 	Config() conv.Config
 	// Forward computes y = x ⋆ w.

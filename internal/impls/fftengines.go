@@ -5,6 +5,7 @@ import (
 	"gpucnn/internal/fft"
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
 // fftParams distinguishes fbfft from Theano-fft: fbfft is hand-written
@@ -145,8 +146,9 @@ type fftPlan struct {
 	dev    *gpusim.Device
 	cfg    conv.Config
 	bufs   *bufSet
-	n      int // per-axis transform size
-	tiles  int // total overlap-add tiles (1 when untiled)
+	ws     workspace.Arena // host scratch of the plan's passes
+	n      int             // per-axis transform size
+	tiles  int             // total overlap-add tiles (1 when untiled)
 
 	// Spectra-residency flags for transform reuse within an iteration.
 	xTransformed  bool
@@ -154,7 +156,12 @@ type fftPlan struct {
 }
 
 func (p *fftPlan) Config() conv.Config { return p.cfg }
-func (p *fftPlan) Release()            { p.bufs.release() }
+
+// Release frees the plan's device memory and drops its host arena.
+func (p *fftPlan) Release() {
+	p.bufs.release()
+	p.ws = workspace.Arena{}
+}
 
 // fftSpec is one batched transform launch over `grids` 2-D grids.
 func (p *fftPlan) fftSpec(name string, grids int) gpusim.KernelSpec {
@@ -311,7 +318,7 @@ func (p *fftPlan) Forward(x, w, y *tensor.Tensor) error {
 	}
 	p.xTransformed = true
 	if x != nil {
-		conv.FFTForward(cfg, x, w, y)
+		conv.FFTForward(&p.ws, cfg, x, w, y)
 	}
 	return nil
 }
@@ -326,7 +333,7 @@ func (p *fftPlan) BackwardData(dy, w, dx *tensor.Tensor) error {
 	}
 	p.dyTransformed = true
 	if dy != nil {
-		conv.FFTBackwardData(cfg, dy, w, dx)
+		conv.FFTBackwardData(&p.ws, cfg, dy, w, dx)
 	}
 	return nil
 }
@@ -344,7 +351,7 @@ func (p *fftPlan) BackwardFilter(x, dy, dw *tensor.Tensor) error {
 	}
 	p.xTransformed, p.dyTransformed = false, false
 	if x != nil {
-		conv.FFTBackwardFilter(cfg, x, dy, dw)
+		conv.FFTBackwardFilter(&p.ws, cfg, x, dy, dw)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
 // unrollParams captures everything that distinguishes the three
@@ -89,10 +90,16 @@ type unrollPlan struct {
 	dev    *gpusim.Device
 	cfg    conv.Config
 	bufs   *bufSet
+	ws     workspace.Arena // host scratch of the plan's passes
 }
 
 func (p *unrollPlan) Config() conv.Config { return p.cfg }
-func (p *unrollPlan) Release()            { p.bufs.release() }
+
+// Release frees the plan's device memory and drops its host arena.
+func (p *unrollPlan) Release() {
+	p.bufs.release()
+	p.ws = workspace.Arena{}
+}
 
 // gemmDims returns the per-image GEMM dimensions of the forward pass:
 // (f × o²) = (f × ck²) · (ck² × o²).
@@ -196,7 +203,7 @@ func (p *unrollPlan) Forward(x, w, y *tensor.Tensor) error {
 		return err
 	}
 	if x != nil {
-		conv.UnrollForward(p.cfg, x, w, y)
+		conv.UnrollForward(&p.ws, p.cfg, x, w, y)
 	}
 	return nil
 }
@@ -214,7 +221,7 @@ func (p *unrollPlan) BackwardData(dy, w, dx *tensor.Tensor) error {
 		}
 	}
 	if dy != nil {
-		conv.UnrollBackwardData(p.cfg, dy, w, dx)
+		conv.UnrollBackwardData(&p.ws, p.cfg, dy, w, dx)
 	}
 	return nil
 }
@@ -232,7 +239,7 @@ func (p *unrollPlan) BackwardFilter(x, dy, dw *tensor.Tensor) error {
 		}
 	}
 	if x != nil {
-		conv.UnrollBackwardFilter(p.cfg, x, dy, dw)
+		conv.UnrollBackwardFilter(&p.ws, p.cfg, x, dy, dw)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
 // winogradEngine is an *extension* beyond the paper's seven
@@ -62,10 +63,16 @@ type winogradPlan struct {
 	dev  *gpusim.Device
 	cfg  conv.Config
 	bufs *bufSet
+	ws   workspace.Arena // host scratch of the plan's passes
 }
 
 func (p *winogradPlan) Config() conv.Config { return p.cfg }
-func (p *winogradPlan) Release()            { p.bufs.release() }
+
+// Release frees the plan's device memory and drops its host arena.
+func (p *winogradPlan) Release() {
+	p.bufs.release()
+	p.ws = workspace.Arena{}
+}
 
 func (p *winogradPlan) spec(name string) gpusim.KernelSpec {
 	cfg := p.cfg
@@ -101,7 +108,7 @@ func (p *winogradPlan) Forward(x, w, y *tensor.Tensor) error {
 		return err
 	}
 	if x != nil {
-		conv.WinogradForward(p.cfg, x, w, y)
+		conv.WinogradForward(&p.ws, p.cfg, x, w, y)
 	}
 	return nil
 }
@@ -114,7 +121,7 @@ func (p *winogradPlan) BackwardData(dy, w, dx *tensor.Tensor) error {
 	if dy != nil {
 		// Backward-data is itself a 3×3 stride-1 correlation, so the
 		// Winograd transform applies to it directly.
-		conv.WinogradBackwardData(p.cfg, dy, w, dx)
+		conv.WinogradBackwardData(&p.ws, p.cfg, dy, w, dx)
 	}
 	return nil
 }
@@ -125,7 +132,7 @@ func (p *winogradPlan) BackwardFilter(x, dy, dw *tensor.Tensor) error {
 		return err
 	}
 	if x != nil {
-		conv.UnrollBackwardFilter(p.cfg, x, dy, dw)
+		conv.UnrollBackwardFilter(&p.ws, p.cfg, x, dy, dw)
 	}
 	return nil
 }

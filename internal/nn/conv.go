@@ -9,6 +9,7 @@ import (
 	"gpucnn/internal/impls"
 	"gpucnn/internal/par"
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
 // Conv is a convolutional layer backed by one of the seven engines.
@@ -30,6 +31,7 @@ type Conv struct {
 	planCfg conv.Config
 	planDev *gpusim.Device
 	lastX   *Value
+	ws      workspace.Arena // scratch of the plan-less (no device) passes
 }
 
 // NewConv builds a convolutional layer using the given engine (nil
@@ -115,12 +117,13 @@ func (l *Conv) ensurePlan(ctx *Context, cfg conv.Config) impls.Plan {
 	return p
 }
 
-// Release frees the layer's device plan.
+// Release frees the layer's device plan and drops its host arena.
 func (l *Conv) Release() {
 	if l.plan != nil {
 		l.plan.Release()
 		l.plan = nil
 	}
+	l.ws = workspace.Arena{}
 }
 
 // Forward runs the engine (real or simulate-only) plus the bias add.
@@ -139,7 +142,7 @@ func (l *Conv) Forward(ctx *Context, x *Value) *Value {
 					panic(err)
 				}
 			} else {
-				conv.UnrollForward(cfg, x.Data, l.weight.W, out.Data)
+				conv.UnrollForward(&l.ws, cfg, x.Data, l.weight.W, out.Data)
 			}
 			l.addBias(out.Data)
 		} else if plan != nil {
@@ -192,8 +195,8 @@ func (l *Conv) Backward(ctx *Context, dy *Value) *Value {
 					panic(err)
 				}
 			} else {
-				conv.UnrollBackwardData(cfg, dy.Data, l.weight.W, out.Data)
-				conv.UnrollBackwardFilter(cfg, l.lastX.Data, dy.Data, dw)
+				conv.UnrollBackwardData(&l.ws, cfg, dy.Data, l.weight.W, out.Data)
+				conv.UnrollBackwardFilter(&l.ws, cfg, l.lastX.Data, dy.Data, dw)
 			}
 			l.weight.Grad.AddScaled(dw, 1)
 		} else if plan != nil {

@@ -6,6 +6,7 @@ import (
 
 	"gpucnn/internal/gemm"
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
 // FC is a fully-connected (inner-product) layer. Input of any rank is
@@ -19,6 +20,7 @@ type FC struct {
 	lastX  *Value
 	inDim  int
 	inited bool
+	ws     workspace.Arena // GEMM packing scratch, reset per GEMM
 }
 
 // NewFC builds a fully-connected layer with the given output width.
@@ -82,7 +84,8 @@ func (l *FC) Forward(ctx *Context, x *Value) *Value {
 			out.Data = tensor.New(batch, l.Out)
 			flat := x.Data.Reshape(batch, in)
 			// y (batch×out) = x (batch×in) · Wᵀ (in×out)
-			gemm.ParallelNT(1, flat.Data, l.weight.W.Data, 0, out.Data.Data, batch, l.Out, in)
+			l.ws.Reset()
+			gemm.ParallelNT(&l.ws, 1, flat.Data, l.weight.W.Data, 0, out.Data.Data, batch, l.Out, in)
 			for bi := 0; bi < batch; bi++ {
 				row := out.Data.Data[bi*l.Out:]
 				for j := 0; j < l.Out; j++ {
@@ -112,10 +115,12 @@ func (l *FC) Backward(ctx *Context, dy *Value) *Value {
 			}
 			// dW (out×in) += dyᵀ (out×batch) · x (batch×in)
 			flat := l.lastX.Data.Reshape(batch, in)
-			gemm.TN(1, dy.Data.Data, flat.Data, 1, l.weight.Grad.Data, l.Out, in, batch)
+			l.ws.Reset()
+			gemm.TN(&l.ws, 1, dy.Data.Data, flat.Data, 1, l.weight.Grad.Data, l.Out, in, batch)
 			// dx (batch×in) = dy (batch×out) · W (out×in)
 			out.Data = tensor.New(out.Shape...)
-			gemm.Parallel(1, dy.Data.Data, l.weight.W.Data, 0, out.Data.Reshape(batch, in).Data, batch, in, l.Out)
+			l.ws.Reset()
+			gemm.ParallelIn(&l.ws, 1, dy.Data.Data, l.weight.W.Data, 0, out.Data.Reshape(batch, in).Data, batch, in, l.Out)
 		}
 		ctx.launch(fcGemmSpec(in, batch, l.Out)) // dx
 		ctx.launch(fcGemmSpec(l.Out, in, batch)) // dW

@@ -4,7 +4,7 @@ import (
 	"gpucnn/internal/workspace"
 )
 
-// AttachWorkspace surfaces the workspace arena pool on the plane: a
+// AttachWorkspace surfaces the workspace arena counters on the plane: a
 // "workspace" dashboard section with the raw counters, plus registry
 // gauges for the carve hit rate and high-water mark so /debug/dash
 // charts them with their windowed peaks. The gauges are sampled lazily at
@@ -25,8 +25,6 @@ func AttachWorkspace(p *Plane) {
 		hwGauge.Set(float64(s.HighWaterBytes))
 		hitGauge.Set(hitRate)
 		return map[string]any{
-			"gets":            s.Gets,
-			"puts":            s.Puts,
 			"carves":          s.Carves,
 			"slab_grows":      s.SlabGrows,
 			"carve_hits":      s.Hits(),

@@ -12,22 +12,21 @@ func TestAttachWorkspaceSectionAndGauges(t *testing.T) {
 	AttachWorkspace(p)
 
 	// Generate some arena traffic so the counters are non-trivial.
-	ws := workspace.Get()
+	var ws workspace.Arena
 	_ = ws.Float32Uninit(2048)
-	workspace.Put(ws)
 
 	snap := p.Dash()
 	sec, ok := snap.Sections["workspace"]
 	if !ok {
 		t.Fatalf("dashboard sections missing workspace: %+v", snap.Sections)
 	}
-	for _, key := range []string{"gets", "puts", "carves", "slab_grows", "carve_hit_rate", "highwater_bytes"} {
+	for _, key := range []string{"carves", "slab_grows", "carve_hit_rate", "highwater_bytes"} {
 		if _, ok := sec[key]; !ok {
 			t.Errorf("workspace section missing %q: %+v", key, sec)
 		}
 	}
-	if sec["gets"].(int64) <= 0 {
-		t.Errorf("gets = %v, want > 0", sec["gets"])
+	if sec["carves"].(int64) <= 0 {
+		t.Errorf("carves = %v, want > 0", sec["carves"])
 	}
 	if hw := sec["highwater_bytes"].(int64); hw < 2048*4 {
 		t.Errorf("highwater_bytes = %d, want >= %d", hw, 2048*4)

@@ -1,7 +1,9 @@
 // Package par provides the work-distribution helpers shared by the
 // compute kernels: bounded parallel for-loops over an index range,
 // backed by a persistent worker pool so hot paths pay neither goroutine
-// spawns nor (when dispatching a pooled Runner) any heap allocation.
+// spawns nor (when dispatching a pooled Runner) any heap allocation;
+// Span, which runs one worker per scratch slot; and JobPool, the typed
+// pool the kernels keep their job structs in.
 // It also owns Go, the supervised goroutine spawn that library code
 // must use instead of a naked go statement (enforced by the rawgo
 // analyzer in internal/analysis).
@@ -93,7 +95,7 @@ type task struct {
 	wg   sync.WaitGroup
 }
 
-var taskPool = sync.Pool{New: func() any { return new(task) }}
+var taskPool = NewJobPool[task]()
 
 var (
 	poolOnce sync.Once
@@ -172,7 +174,7 @@ func forEach(n, workers int, r Runner) {
 		return
 	}
 	poolOnce.Do(startWorkers)
-	t := taskPool.Get().(*task)
+	t := taskPool.Get()
 	t.r, t.n = r, int64(n)
 	t.next.Store(-1)
 	helpers := workers - 1
@@ -197,6 +199,52 @@ func forEach(n, workers int, r Runner) {
 	t.wg.Wait()
 	t.r = nil
 	taskPool.Put(t)
+}
+
+// JobPool is a typed sync.Pool for the job structs hot paths dispatch:
+// Get/Put of a *T avoids both the interface-conversion allocation of
+// storing the struct by value and the per-call make of a fresh job.
+type JobPool[T any] struct{ p sync.Pool }
+
+// NewJobPool returns an empty pool whose Get makes a new T when empty.
+func NewJobPool[T any]() *JobPool[T] {
+	return &JobPool[T]{p: sync.Pool{New: func() any { return new(T) }}}
+}
+
+func (jp *JobPool[T]) Get() *T  { return jp.p.Get().(*T) }
+func (jp *JobPool[T]) Put(t *T) { jp.p.Put(t) }
+
+// Span hands n work items out to one worker per slot. Each worker owns
+// the scratch of its slot — a share the pass carved from its arena
+// before dispatch, or a child arena — so no worker takes scratch of its
+// own. Workers claim items one at a time, so a slow worker does not
+// hold up a fixed share of the pass. Embed a Span in a pooled job whose
+// Run(slot) loops over Claim, and dispatch it with ForEachSlot.
+type Span struct {
+	n, slots int
+	next     atomic.Int64
+}
+
+// Reset readies the span for n items over min(GOMAXPROCS, n) slots (at
+// least one), read at call time.
+func (s *Span) Reset(n int) {
+	s.n, s.slots = n, max(min(runtime.GOMAXPROCS(0), n), 1)
+	s.next.Store(0)
+}
+
+// Slots returns the slot count Reset chose.
+func (s *Span) Slots() int { return s.slots }
+
+// Claim returns the next unclaimed item, or false once all are taken.
+func (s *Span) Claim() (int, bool) {
+	i := int(s.next.Add(1)) - 1
+	return i, i < s.n
+}
+
+// ForEachSlot runs r.Run(slot) once for every slot of s, each on its
+// own worker; r claims the span's items from s.
+func ForEachSlot(s *Span, r Runner) {
+	forEach(s.slots, s.slots, r)
 }
 
 // Chunks splits [0, n) into roughly equal [lo, hi) chunks and runs

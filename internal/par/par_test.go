@@ -154,3 +154,43 @@ func TestChunksCoverExactlyOnce(t *testing.T) {
 		}
 	}
 }
+
+// slotRunner counts the claims of each item and the entries of each
+// slot.
+type slotRunner struct {
+	Span
+	claims  []int32
+	entered []int32
+}
+
+func (r *slotRunner) Run(slot int) {
+	atomic.AddInt32(&r.entered[slot], 1)
+	for i, ok := r.Claim(); ok; i, ok = r.Claim() {
+		atomic.AddInt32(&r.claims[i], 1)
+	}
+}
+
+// TestSpanRunsEachSlotOnceAndEachItemOnce: ForEachSlot enters every slot
+// exactly once, so slot-indexed scratch is never shared, and every item
+// is claimed by exactly one slot.
+func TestSpanRunsEachSlotOnceAndEachItemOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 100} {
+		r := &slotRunner{claims: make([]int32, n)}
+		r.Reset(n)
+		if want := max(min(runtime.GOMAXPROCS(0), n), 1); r.Slots() != want {
+			t.Fatalf("n=%d: %d slots, want %d", n, r.Slots(), want)
+		}
+		r.entered = make([]int32, r.Slots())
+		ForEachSlot(&r.Span, r)
+		for s, e := range r.entered {
+			if e != 1 {
+				t.Fatalf("n=%d: slot %d entered %d times", n, s, e)
+			}
+		}
+		for i, c := range r.claims {
+			if c != 1 {
+				t.Fatalf("n=%d: item %d claimed %d times", n, i, c)
+			}
+		}
+	}
+}

@@ -61,14 +61,21 @@ func (s *Server) collect(first *request) []*request {
 
 // dispatch assigns the batch to the device with the fewest outstanding
 // images (queued plus running — a direct proxy for remaining service
-// time on identical devices) and enqueues it there. A full device
+// time on identical devices) and enqueues it there. The scan starts one
+// device later on each dispatch and ties go to the first device
+// scanned, so a device that keeps the minimum load is picked within N
+// dispatches instead of losing every tie to device 0. A full device
 // queue blocks the batcher, which in turn fills the admission queue
 // and surfaces as ErrOverloaded — backpressure instead of backlog.
+// Only the batcher goroutine dispatches, so s.scan needs no lock.
 func (s *Server) dispatch(reqs []*request) {
 	s.qDepth.Set(float64(len(s.queue)))
-	d := 0
-	min := s.load[0].Load()
-	for i := 1; i < len(s.load); i++ {
+	n := len(s.load)
+	s.scan = (s.scan + 1) % n
+	d := s.scan
+	min := s.load[d].Load()
+	for k := 1; k < n; k++ {
+		i := (s.scan + k) % n
 		if l := s.load[i].Load(); l < min {
 			min, d = l, i
 		}

@@ -244,6 +244,7 @@ type Server struct {
 	queue chan *request
 	devq  []chan *batch
 	load  []atomic.Int64 // outstanding images per device
+	scan  int            // first device dispatch's scan visits
 	wg    sync.WaitGroup
 
 	root   *telemetry.Span

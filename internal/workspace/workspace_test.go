@@ -1,13 +1,9 @@
 package workspace
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestCarvesAreDisjoint(t *testing.T) {
-	a := Get()
-	defer Put(a)
+	var a Arena
 	x := a.Float32(100)
 	y := a.Float32(100)
 	for i := range x {
@@ -31,15 +27,13 @@ func TestCarvesAreDisjoint(t *testing.T) {
 }
 
 func TestFloat32IsZeroed(t *testing.T) {
-	a := Get()
+	var a Arena
 	s := a.Float32Uninit(64)
 	for i := range s {
 		s[i] = 42
 	}
-	Put(a)
-	b := Get()
-	defer Put(b)
-	z := b.Float32(64)
+	a.Reset()
+	z := a.Float32(64)
 	for i, v := range z {
 		if v != 0 {
 			t.Fatalf("Float32 carve not zeroed at %d: %v", i, v)
@@ -48,8 +42,7 @@ func TestFloat32IsZeroed(t *testing.T) {
 }
 
 func TestCarveCapacityIsClipped(t *testing.T) {
-	a := Get()
-	defer Put(a)
+	var a Arena
 	s := a.Float32(10)
 	if cap(s) != 10 {
 		t.Fatalf("carve capacity %d exceeds requested length 10: append could clobber the next carve", cap(s))
@@ -57,8 +50,7 @@ func TestCarveCapacityIsClipped(t *testing.T) {
 }
 
 func TestGrowKeepsOldCarvesValid(t *testing.T) {
-	a := Get()
-	defer Put(a)
+	var a Arena
 	first := a.Float32(8)
 	for i := range first {
 		first[i] = float32(i)
@@ -99,45 +91,58 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime instruments allocations")
 	}
-	// Warm the pool and the slab capacity.
-	for i := 0; i < 3; i++ {
-		a := Get()
-		a.Float32(4096)
-		a.Complex64(2048)
-		Put(a)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		a := Get()
+	var a Arena
+	cycle := func() {
+		a.Reset()
 		a.Float32Uninit(4096)
 		a.Complex64Uninit(2048)
-		Put(a)
-	})
-	if allocs != 0 {
+		for _, c := range a.Children(2) {
+			c.Reset()
+			c.Float32Uninit(512)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Fatalf("steady-state arena cycle allocates %v times", allocs)
 	}
 }
 
-func TestConcurrentGetPut(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				a := Get()
-				s := a.Float32(128)
-				for j := range s {
-					s[j] = float32(seed)
-				}
-				for _, v := range s {
-					if v != float32(seed) {
-						t.Errorf("arena shared across goroutines: got %v want %d", v, seed)
-						break
-					}
-				}
-				Put(a)
-			}
-		}(g)
+// TestChildrenAreKept: a parent hands back the same children, grown
+// slabs included, on every pass, and adds new ones only past the count
+// it already has.
+func TestChildrenAreKept(t *testing.T) {
+	var a Arena
+	kids := a.Children(2)
+	kids[0].Float32(4096)
+	slab := &kids[0].f32[0]
+	again := a.Children(3)
+	if again[0] != kids[0] || again[1] != kids[1] {
+		t.Fatal("Children replaced an existing child")
 	}
-	wg.Wait()
+	again[0].Reset()
+	again[0].Float32(4096)
+	if &again[0].f32[0] != slab {
+		t.Fatal("child slab regrew after the parent handed it back")
+	}
+	if len(a.Children(1)) != 1 {
+		t.Fatal("Children(1) returned the wrong count")
+	}
+}
+
+// TestLevelWarmsIdleChildren: a child that claimed no work in a pass
+// gets the busiest sibling's slabs, so it can run the same work next
+// pass without growing.
+func TestLevelWarmsIdleChildren(t *testing.T) {
+	var a Arena
+	kids := a.Children(2)
+	kids[0].Float32(3000)
+	kids[0].Complex64(500)
+	a.Level()
+	ResetStats()
+	kids[1].Reset()
+	kids[1].Float32(3000)
+	kids[1].Complex64(500)
+	if g := ReadStats().SlabGrows; g != 0 {
+		t.Fatalf("idle child grew %d slabs after Level", g)
+	}
 }
