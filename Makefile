@@ -4,7 +4,7 @@ tier1: lint
 	go build ./...
 	go test ./...
 	go test -race ./internal/gemm ./internal/conv ./internal/par ./internal/workspace ./internal/impls ./internal/serve ./internal/obs ./internal/telemetry ./internal/planner ./internal/analysis/...
-	go test -count=3 -cpu 1,2,4 ./internal/conv ./internal/gemm ./internal/workspace ./internal/impls ./internal/telemetry ./internal/obs ./internal/serve ./internal/planner ./cmd/paper
+	go test -count=3 -cpu 1,2,4 ./internal/par ./internal/conv ./internal/gemm ./internal/workspace ./internal/impls ./internal/telemetry ./internal/obs ./internal/serve ./internal/planner ./cmd/paper
 
 # Static analysis: the stock vet suite plus this repo's analyzers
 # (spanend, errcmp, ctxbg, rawgo, obsstop, lockheld, hotalloc,
@@ -22,6 +22,17 @@ lint:
 .PHONY: lint-json
 lint-json:
 	go run ./cmd/lint -json ./...
+
+# Every snapshot at once: kernels, planner and serving, each written by
+# its own target below. Snapshots record the host's nproc and
+# GOMAXPROCS; compare absolute numbers only between equal stamps.
+.PHONY: bench
+bench: bench-kernels bench-planner serve-bench
+
+# Re-run all three and diff each against its committed snapshot
+# (`make -k bench-compare` reports all three when one regresses).
+.PHONY: bench-compare
+bench-compare: bench-kernels-compare bench-planner-compare serve-bench-compare
 
 # Kernel microbenchmarks: 5 repetitions of the GEMM and convolution
 # benches, summarised into BENCH_kernels.json (ns/op medians plus any
@@ -72,3 +83,10 @@ bench-planner-compare:
 serve-bench:
 	go test ./internal/serve -run '^$$' -bench 'BenchmarkServe|BenchmarkSubmitReject|BenchmarkFleet' -count=5 -timeout 30m | tee bench_serve.txt
 	go run ./cmd/benchjson -in bench_serve.txt -note "serving-path benchmark snapshot (medians over -count runs)" -out BENCH_serve.json
+
+# Re-run the serving benchmarks and diff against the committed
+# snapshot; exits non-zero past the -regress threshold.
+.PHONY: serve-bench-compare
+serve-bench-compare:
+	go test ./internal/serve -run '^$$' -bench 'BenchmarkServe|BenchmarkSubmitReject|BenchmarkFleet' -count=5 -timeout 30m | tee bench_serve_new.txt
+	go run ./cmd/benchjson -in bench_serve_new.txt -compare BENCH_serve.json -regress 1.15

@@ -47,13 +47,24 @@ type Summary struct {
 	AllocsPct *float64           `json:"allocs_per_op,omitempty"`
 }
 
-// Snapshot is the output document.
+// Snapshot is the output document. NProc and GOMAXPROCS stamp the host
+// the snapshot was taken on: absolute numbers only compare between
+// snapshots with the same stamp.
 type Snapshot struct {
 	Note       string    `json:"note"`
 	GoOS       string    `json:"goos,omitempty"`
 	GoArch     string    `json:"goarch,omitempty"`
 	CPU        string    `json:"cpu,omitempty"`
+	NProc      int       `json:"nproc,omitempty"`
+	GOMAXPROCS int       `json:"gomaxprocs,omitempty"`
 	Benchmarks []Summary `json:"benchmarks"`
+}
+
+// newSnapshot starts a snapshot stamped with this host's CPU count and
+// GOMAXPROCS, which the `go test -bench` run feeding it shares when both
+// run in one environment, as the Makefile's bench targets do.
+func newSnapshot(note string) Snapshot {
+	return Snapshot{Note: note, NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 }
 
 func median(xs []float64) float64 {
@@ -244,7 +255,7 @@ func main() {
 		src = f
 	}
 
-	snap := Snapshot{Note: *note}
+	snap := newSnapshot(*note)
 	byName := map[string][]result{}
 	var order []string
 	sc := bufio.NewScanner(src)

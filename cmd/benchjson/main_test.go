@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -156,5 +159,21 @@ func TestNormalizeMergesCountRepeats(t *testing.T) {
 	}
 	if len(merged["BenchmarkA"]) != 3 {
 		t.Fatalf("runs = %d, want 3", len(merged["BenchmarkA"]))
+	}
+}
+
+func TestSnapshotStampsHost(t *testing.T) {
+	s := newSnapshot("n")
+	if s.Note != "n" || s.NProc != runtime.NumCPU() || s.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Fatalf("snapshot stamp = %+v, want nproc %d and GOMAXPROCS %d", s, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+	enc, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"nproc":`, `"gomaxprocs":`} {
+		if !strings.Contains(string(enc), key) {
+			t.Errorf("snapshot JSON %s lacks %s", enc, key)
+		}
 	}
 }

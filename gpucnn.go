@@ -46,7 +46,8 @@ const (
 	FFT       = conv.FFT
 )
 
-// Engine is one of the seven convolution implementations.
+// Engine is a convolution implementation: one of the nine built-in
+// engines (the paper's seven plus two extensions) or one layered on them.
 type Engine = impls.Engine
 
 // Plan is an engine instantiated on a device for one configuration.

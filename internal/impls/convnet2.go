@@ -4,96 +4,88 @@ import (
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
-// convnet2Engine models cuda-convnet2: direct convolution in CHWN
-// layout with aggressive register blocking. Its kernels use 116
+// directHost computes every pass by direct convolution, which needs no
+// scratch; Theano-legacy shares it.
+var directHost = hostStrategy{
+	func(_ *workspace.Arena, cfg conv.Config, x, w, y *tensor.Tensor) {
+		conv.DirectForward(cfg, x, w, y)
+	},
+	func(_ *workspace.Arena, cfg conv.Config, dy, w, dx *tensor.Tensor) {
+		conv.DirectBackwardData(cfg, dy, w, dx)
+	},
+	func(_ *workspace.Arena, cfg conv.Config, x, dy, dw *tensor.Tensor) {
+		conv.DirectBackwardFilter(cfg, x, dy, dw)
+	},
+}
+
+// NewCudaConvnet2 returns the cuda-convnet2 engine: direct convolution
+// in CHWN layout with aggressive register blocking. Its kernels use 116
 // registers per thread and 16 KB of shared memory per block (Table II),
 // which caps theoretical occupancy at ~17 resident warps per SM — the
 // paper measures 14–22% achieved occupancy — and the kernels compensate
 // with high instruction-level parallelism. The batch dimension is the
 // innermost vector axis, so throughput peaks when the mini-batch is a
 // multiple of the 128-image register tile and degrades off-multiple.
-type convnet2Engine struct{}
+//
+// Direct convolution needs no unrolling workspace, and cuda-convnet2
+// computes both gradients in place (the output gradient overwrites the
+// activations, the input gradient the inputs) — the paper's most
+// memory-frugal implementation. The cuda-convnet2.torch wrapper stages
+// inputs synchronously through pinned memory (1–15% of runtime in
+// Figure 7).
+func NewCudaConvnet2() Engine {
+	return &engine{
+		name: "cuda-convnet2", strategy: conv.Direct, limits: convnet2Limits, host: directHost,
+		inPlaceGrads: true, reuseInputGrad: true,
+		transfer: transferPolicy{pinned: true, async: false},
+		model: func(cfg conv.Config) launchModel {
+			return &kernelModel{
+				spec:  convnet2Spec(cfg),
+				names: [3]string{"filterActs_YxX_color", "img_acts_color", "conv_weight_acts_c_preload"},
+			}
+		},
+	}
+}
 
-// NewCudaConvnet2 returns the cuda-convnet2 engine.
-func NewCudaConvnet2() Engine { return &convnet2Engine{} }
-
-func (e *convnet2Engine) Name() string            { return "cuda-convnet2" }
-func (e *convnet2Engine) Strategy() conv.Strategy { return conv.Direct }
-
-// Supports enforces the paper's reported shape limitations: square
-// inputs and kernels (our Config is always square), mini-batch a
+// convnet2Limits enforces the paper's reported shape limitations:
+// square inputs and kernels (our Config is always square), mini-batch a
 // multiple of 32, and filter count a multiple of 16.
-func (e *convnet2Engine) Supports(cfg conv.Config) error {
+func convnet2Limits(name string, cfg conv.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if cfg.Batch%32 != 0 {
-		return errUnsupported(e.Name(), cfg, "mini-batch size must be a multiple of 32")
+		return errUnsupported(name, cfg, "mini-batch size must be a multiple of 32")
 	}
 	if cfg.Filters%16 != 0 {
-		return errUnsupported(e.Name(), cfg, "filter number must be a multiple of 16")
+		return errUnsupported(name, cfg, "filter number must be a multiple of 16")
 	}
 	return nil
 }
 
-func (e *convnet2Engine) Plan(dev *gpusim.Device, cfg conv.Config) (Plan, error) {
-	return e.plan(dev, cfg, false)
-}
-
-// PlanShared plans with framework-owned activations.
-func (e *convnet2Engine) PlanShared(dev *gpusim.Device, cfg conv.Config) (Plan, error) {
-	return e.plan(dev, cfg, true)
-}
-
-func (e *convnet2Engine) plan(dev *gpusim.Device, cfg conv.Config, shared bool) (Plan, error) {
-	cfg = cfg.WithDefaults()
-	if err := e.Supports(cfg); err != nil {
-		return nil, err
-	}
-	bs := &bufSet{dev: dev}
-	// Direct convolution needs no unrolling workspace, and
-	// cuda-convnet2 computes both gradients in place (the output
-	// gradient overwrites the activations, the input gradient the
-	// inputs) — the paper's most memory-frugal implementation.
-	if err := bs.allocTrainingSet(cfg, true, true, shared); err != nil {
-		bs.release()
-		return nil, err
-	}
-	return &convnet2Plan{dev: dev, cfg: cfg, bufs: bs}, nil
-}
-
-type convnet2Plan struct {
-	dev  *gpusim.Device
-	cfg  conv.Config
-	bufs *bufSet
-}
-
-func (p *convnet2Plan) Config() conv.Config { return p.cfg }
-func (p *convnet2Plan) Release()            { p.bufs.release() }
-
-// batchEff returns the efficiency of the 128-wide register tile for
-// this mini-batch: full at multiples of 128, degraded on the narrower
-// fallback paths.
-func (p *convnet2Plan) batchEff() float64 {
+// convnet2BatchEff returns the efficiency of the 128-wide register tile
+// for this mini-batch: full at multiples of 128, degraded on the
+// narrower fallback paths.
+func convnet2BatchEff(batch int) float64 {
 	switch {
-	case p.cfg.Batch%128 == 0:
+	case batch%128 == 0:
 		return 0.74
-	case p.cfg.Batch%64 == 0:
+	case batch%64 == 0:
 		return 0.60
 	default: // multiples of 32
 		return 0.42
 	}
 }
 
-func (p *convnet2Plan) kernelSpec(name string) gpusim.KernelSpec {
-	cfg := p.cfg
+// convnet2Spec is the profile every cuda-convnet2 pass kernel shares.
+func convnet2Spec(cfg conv.Config) gpusim.KernelSpec {
 	flops := cfg.ForwardFLOPs() // each pass moves the same madd volume
 	tensorBytes := float64(cfg.InputBytes() + cfg.OutputBytes() + cfg.FilterBytes())
 	o := cfg.Out()
 	return gpusim.KernelSpec{
-		Name:           name,
 		Grid:           gpusim.Dim3{X: (cfg.Filters / 16) * o * ((cfg.Batch + 127) / 128)},
 		Block:          gpusim.Dim3{X: 256},
 		RegsPerThread:  116,       // Table II
@@ -111,58 +103,7 @@ func (p *convnet2Plan) kernelSpec(name string) gpusim.KernelSpec {
 		BankConflictRate: 0.15,
 		ActiveThreadFrac: 0.98,
 		ILP:              6, // register blocking compensates the 25% occupancy cap
-		EfficiencyScale:  p.batchEff(),
+		EfficiencyScale:  convnet2BatchEff(cfg.Batch),
 		OccupancyDerate:  0.75, // paper: 14-22% achieved vs 25% theoretical
 	}
-}
-
-func (p *convnet2Plan) Forward(x, w, y *tensor.Tensor) error {
-	defer beginPhase(p.dev, "forward")()
-	if _, err := p.dev.Launch(p.kernelSpec("filterActs_YxX_color")); err != nil {
-		return err
-	}
-	if x != nil {
-		conv.DirectForward(p.cfg, x, w, y)
-	}
-	return nil
-}
-
-func (p *convnet2Plan) BackwardData(dy, w, dx *tensor.Tensor) error {
-	defer beginPhase(p.dev, "backward_data")()
-	if _, err := p.dev.Launch(p.kernelSpec("img_acts_color")); err != nil {
-		return err
-	}
-	if dy != nil {
-		conv.DirectBackwardData(p.cfg, dy, w, dx)
-	}
-	return nil
-}
-
-func (p *convnet2Plan) BackwardFilter(x, dy, dw *tensor.Tensor) error {
-	defer beginPhase(p.dev, "backward_filter")()
-	if _, err := p.dev.Launch(p.kernelSpec("conv_weight_acts_c_preload")); err != nil {
-		return err
-	}
-	if x != nil {
-		conv.DirectBackwardFilter(p.cfg, x, dy, dw)
-	}
-	return nil
-}
-
-func (p *convnet2Plan) Inference() error {
-	transferPolicy{pinned: true, async: false}.doTransfer(p.dev, p.cfg)
-	return p.Forward(nil, nil, nil)
-}
-
-func (p *convnet2Plan) Iteration() error {
-	// The cuda-convnet2.torch wrapper stages inputs synchronously
-	// through pinned memory (1–15% of runtime in Figure 7).
-	transferPolicy{pinned: true, async: false}.doTransfer(p.dev, p.cfg)
-	if err := p.Forward(nil, nil, nil); err != nil {
-		return err
-	}
-	if err := p.BackwardData(nil, nil, nil); err != nil {
-		return err
-	}
-	return p.BackwardFilter(nil, nil, nil)
 }

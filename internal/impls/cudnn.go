@@ -5,80 +5,62 @@ import (
 
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
-	"gpucnn/internal/tensor"
-	"gpucnn/internal/workspace"
 )
 
-// cudnnEngine models cuDNN v3 as evaluated in the paper (inside Caffe):
-// an unrolling-strategy implementation whose tiled matrix multiply is
-// fused with the unrolling and runs almost entirely out of shared
-// memory ("the unrolling operations and matrix-matrix multiplications
-// are optimized by using shared memory and tiled matrix multiplication").
+// NewCuDNN returns the cuDNN v3 engine as evaluated in the paper
+// (inside Caffe): an unrolling-strategy implementation whose tiled
+// matrix multiply is fused with the unrolling and runs almost entirely
+// out of shared memory ("the unrolling operations and matrix-matrix
+// multiplications are optimized by using shared memory and tiled
+// matrix multiplication").
 // Its compute kernels therefore report 0% global-load efficiency in the
 // profile (all operands staged through shared memory), while small
 // precompute kernels carry the tensor traffic at poor coalescing — both
 // effects the paper observes in Figure 6.
-type cudnnEngine struct{}
-
-// NewCuDNN returns the cuDNN v3 engine.
-func NewCuDNN() Engine { return &cudnnEngine{} }
-
-func (e *cudnnEngine) Name() string            { return "cuDNN" }
-func (e *cudnnEngine) Strategy() conv.Strategy { return conv.Unrolling }
-
-// Supports: cuDNN accepts any shape.
-func (e *cudnnEngine) Supports(cfg conv.Config) error { return cfg.Validate() }
-
-func (e *cudnnEngine) Plan(dev *gpusim.Device, cfg conv.Config) (Plan, error) {
-	return e.plan(dev, cfg, false)
-}
-
-// PlanShared plans with framework-owned activations.
-func (e *cudnnEngine) PlanShared(dev *gpusim.Device, cfg conv.Config) (Plan, error) {
-	return e.plan(dev, cfg, true)
-}
-
-func (e *cudnnEngine) plan(dev *gpusim.Device, cfg conv.Config, shared bool) (Plan, error) {
-	cfg = cfg.WithDefaults()
-	if err := e.Supports(cfg); err != nil {
-		return nil, err
+//
+// cuDNN was profiled inside Caffe, inheriting its pinned prefetch
+// thread: transfers are hidden (≈0% in Figure 7). It accepts any shape.
+func NewCuDNN() Engine {
+	return &engine{
+		name: "cuDNN", strategy: conv.Unrolling, host: unrollHost,
+		transfer: transferPolicy{pinned: true, async: true},
+		model:    func(cfg conv.Config) launchModel { return &cudnnModel{cfg} },
 	}
-	bs := &bufSet{dev: dev}
-	if err := bs.allocTrainingSet(cfg, false, false, shared); err != nil {
-		bs.release()
-		return nil, err
-	}
-	// cuDNN keeps no explicit column buffer but requests an algorithm
-	// workspace slightly larger than one (it trades memory for speed —
-	// the paper notes it "consumes more memory than other
-	// unrolling-based implementations to achieve a better performance").
-	workspace := geomColBytes(cfg) + 24<<20
-	if err := bs.alloc(workspace, "cudnn-workspace"); err != nil {
-		bs.release()
-		return nil, err
-	}
-	return &cudnnPlan{dev: dev, cfg: cfg, bufs: bs}, nil
 }
 
-type cudnnPlan struct {
-	dev  *gpusim.Device
-	cfg  conv.Config
-	bufs *bufSet
-	ws   workspace.Arena // host scratch of the plan's passes
+type cudnnModel struct{ cfg conv.Config }
+
+// workspace: cuDNN keeps no explicit column buffer but requests an
+// algorithm workspace slightly larger than one (it trades memory for
+// speed — the paper notes it "consumes more memory than other
+// unrolling-based implementations to achieve a better performance").
+func (p *cudnnModel) workspace() (string, int64) {
+	return "cudnn-workspace", geomColBytes(p.cfg) + 24<<20
 }
 
-func (p *cudnnPlan) Config() conv.Config { return p.cfg }
-
-// Release frees the plan's device memory and drops its host arena.
-func (p *cudnnPlan) Release() {
-	p.bufs.release()
-	p.ws = workspace.Arena{}
+// launch runs each pass as one staging kernel and one compute kernel.
+func (p *cudnnModel) launch(dev *gpusim.Device, ps pass) error {
+	m, n, k := gemmDims(p.cfg)
+	var compute gpusim.KernelSpec
+	switch ps {
+	case forward:
+		compute = p.computeSpec("cudnn_gemm", m, n, k)
+	case backwardData:
+		compute = p.computeSpec("cudnn_gemm", k, n, m)
+	default:
+		compute = p.computeSpec("wgrad_alg0_engine", m, k, n)
+	}
+	if _, err := dev.Launch(p.stageSpec(p.passBytes())); err != nil {
+		return err
+	}
+	_, err := dev.Launch(compute)
+	return err
 }
 
 // computeSpec is the batched implicit-GEMM kernel: the whole pass is
 // one launch over all images (unlike Caffe's per-image loop), computing
 // from shared memory with broadcast-friendly tiles.
-func (p *cudnnPlan) computeSpec(name string, m, n, k int) gpusim.KernelSpec {
+func (p *cudnnModel) computeSpec(name string, m, n, k int) gpusim.KernelSpec {
 	rowUtil := float64(m) / 96
 	if rowUtil > 1 {
 		rowUtil = 1
@@ -114,7 +96,7 @@ func (p *cudnnPlan) computeSpec(name string, m, n, k int) gpusim.KernelSpec {
 
 // stageSpec is the per-pass staging/precompute kernel that moves the
 // pass's tensors through global memory with mediocre coalescing.
-func (p *cudnnPlan) stageSpec(bytes float64) gpusim.KernelSpec {
+func (p *cudnnModel) stageSpec(bytes float64) gpusim.KernelSpec {
 	return gpusim.KernelSpec{
 		Name:             "cudnn_precompute_stage",
 		Grid:             gpusim.Dim3{X: int(bytes/4/256) + 1},
@@ -132,74 +114,6 @@ func (p *cudnnPlan) stageSpec(bytes float64) gpusim.KernelSpec {
 	}
 }
 
-func (p *cudnnPlan) passBytes() float64 {
+func (p *cudnnModel) passBytes() float64 {
 	return float64(p.cfg.InputBytes() + p.cfg.OutputBytes() + p.cfg.FilterBytes())
-}
-
-func (p *cudnnPlan) gemmDims() (m, n, k int) {
-	o := p.cfg.Out()
-	return p.cfg.Filters, o * o, p.cfg.Channels * p.cfg.Kernel * p.cfg.Kernel
-}
-
-func (p *cudnnPlan) Forward(x, w, y *tensor.Tensor) error {
-	defer beginPhase(p.dev, "forward")()
-	m, n, k := p.gemmDims()
-	if _, err := p.dev.Launch(p.stageSpec(p.passBytes())); err != nil {
-		return err
-	}
-	if _, err := p.dev.Launch(p.computeSpec("cudnn_gemm", m, n, k)); err != nil {
-		return err
-	}
-	if x != nil {
-		conv.UnrollForward(&p.ws, p.cfg, x, w, y)
-	}
-	return nil
-}
-
-func (p *cudnnPlan) BackwardData(dy, w, dx *tensor.Tensor) error {
-	defer beginPhase(p.dev, "backward_data")()
-	m, n, k := p.gemmDims()
-	if _, err := p.dev.Launch(p.stageSpec(p.passBytes())); err != nil {
-		return err
-	}
-	if _, err := p.dev.Launch(p.computeSpec("cudnn_gemm", k, n, m)); err != nil {
-		return err
-	}
-	if dy != nil {
-		conv.UnrollBackwardData(&p.ws, p.cfg, dy, w, dx)
-	}
-	return nil
-}
-
-func (p *cudnnPlan) BackwardFilter(x, dy, dw *tensor.Tensor) error {
-	defer beginPhase(p.dev, "backward_filter")()
-	m, n, k := p.gemmDims()
-	if _, err := p.dev.Launch(p.stageSpec(p.passBytes())); err != nil {
-		return err
-	}
-	if _, err := p.dev.Launch(p.computeSpec("wgrad_alg0_engine", m, k, n)); err != nil {
-		return err
-	}
-	if x != nil {
-		conv.UnrollBackwardFilter(&p.ws, p.cfg, x, dy, dw)
-	}
-	return nil
-}
-
-func (p *cudnnPlan) Inference() error {
-	transferPolicy{pinned: true, async: true}.doTransfer(p.dev, p.cfg)
-	return p.Forward(nil, nil, nil)
-}
-
-func (p *cudnnPlan) Iteration() error {
-	// cuDNN was profiled inside Caffe, inheriting its pinned prefetch
-	// thread: transfers are hidden (≈0% in Figure 7).
-	transferPolicy{pinned: true, async: true}.doTransfer(p.dev, p.cfg)
-	if err := p.Forward(nil, nil, nil); err != nil {
-		return err
-	}
-	if err := p.BackwardData(nil, nil, nil); err != nil {
-		return err
-	}
-	return p.BackwardFilter(nil, nil, nil)
 }

@@ -1,21 +1,23 @@
-// Package impls contains the seven convolution implementations the
-// paper compares: Caffe, cuDNN(v3), Torch-cunn, Theano-CorrMM,
-// Theano-fft, cuda-convnet2, and fbfft. Each engine couples a real
-// (CPU-executed, goroutine-parallel) convolution from internal/conv
-// with a GPU cost model: the kernel sequence it would launch, each
-// kernel's resource usage (Table II), access-pattern behaviour, shape
-// limitations, device-memory workspace policy, and host↔device
-// transfer policy. Running a plan therefore yields both a numerically
-// correct result and the simulated runtime, memory and nvprof metrics
-// the paper reports.
+// Package impls contains the convolution engines: the seven
+// implementations the paper compares (Caffe, cuDNN(v3), Torch-cunn,
+// Theano-CorrMM, Theano-fft, cuda-convnet2 and fbfft) and two
+// extensions (cuDNN-Winograd and Theano-legacy). Each of the nine
+// built-in engines is a description over one plan implementation: the
+// properties the paper tells the implementations apart by — shape
+// limits, gradient-buffer and device-workspace policy, host↔device
+// transfer policy, the real (CPU-executed, goroutine-parallel)
+// convolution from internal/conv it computes with, and a GPU cost
+// model giving the kernel sequence it would launch with each kernel's
+// resource usage (Table II) and access-pattern behaviour. Running a
+// plan therefore yields both a numerically correct result and the
+// simulated runtime, memory and nvprof metrics the paper reports.
 //
-// Every plan that computes on the host (unroll, cuDNN, the FFT engines
-// and Winograd) holds one workspace.Arena for as long as it lives — the
+// Every plan holds one workspace.Arena for as long as it lives — the
 // host side of cuDNN's caller-provided workspace. Each pass resets it
 // and the strategy functions of internal/conv carve all their scratch
 // (FFT grids, Winograd transform banks, GEMM packing panels) from it,
 // so once a pass has run, repeating it does not touch the Go heap. The
-// direct-convolution engines need no scratch and hold none.
+// direct-convolution engines need no scratch and never touch theirs.
 package impls
 
 import (
@@ -24,9 +26,12 @@ import (
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/tensor"
+	"gpucnn/internal/workspace"
 )
 
-// Engine is one of the seven convolution implementations.
+// Engine is a convolution implementation: one of the nine built-in
+// engines (the paper's seven plus two extensions) or one layered on
+// top of them, such as the planner's Autotuned.
 type Engine interface {
 	// Name returns the implementation name as used in the paper.
 	Name() string
@@ -73,6 +78,168 @@ type Plan interface {
 	Inference() error
 	// Release frees the plan's device memory.
 	Release()
+}
+
+// engine is every built-in Engine: the description of one
+// implementation, run by plan.
+type engine struct {
+	name     string
+	strategy conv.Strategy
+
+	// limits checks the configuration, cfg.Validate included, against
+	// the engine's shape limitations; nil accepts any valid shape.
+	limits func(name string, cfg conv.Config) error
+
+	// Gradient-buffer policy, see bufSet.allocTrainingSet.
+	inPlaceGrads, reuseInputGrad bool
+
+	transfer transferPolicy
+	host     hostStrategy
+
+	// model builds the engine's kernel-launch model for one planned
+	// configuration.
+	model func(cfg conv.Config) launchModel
+}
+
+func (e *engine) Name() string            { return e.name }
+func (e *engine) Strategy() conv.Strategy { return e.strategy }
+
+func (e *engine) Supports(cfg conv.Config) error {
+	if e.limits != nil {
+		return e.limits(e.name, cfg)
+	}
+	return cfg.Validate()
+}
+
+func (e *engine) Plan(dev *gpusim.Device, cfg conv.Config) (Plan, error) {
+	return e.newPlan(dev, cfg, false)
+}
+
+// PlanShared plans with framework-owned activations.
+func (e *engine) PlanShared(dev *gpusim.Device, cfg conv.Config) (Plan, error) {
+	return e.newPlan(dev, cfg, true)
+}
+
+// newPlan reserves the training set under the engine's gradient-buffer
+// policy, then the model's device workspace.
+func (e *engine) newPlan(dev *gpusim.Device, cfg conv.Config, shared bool) (Plan, error) {
+	cfg = cfg.WithDefaults()
+	if err := e.Supports(cfg); err != nil {
+		return nil, err
+	}
+	p := &plan{engine: e, model: e.model(cfg), dev: dev, cfg: cfg, bufs: bufSet{dev: dev}}
+	err := p.bufs.allocTrainingSet(cfg, e.inPlaceGrads, e.reuseInputGrad, shared)
+	if tag, bytes := p.model.workspace(); err == nil && bytes > 0 {
+		err = p.bufs.alloc(bytes, tag)
+	}
+	if err != nil {
+		p.bufs.release()
+		return nil, err
+	}
+	return p, nil
+}
+
+// pass names one of a plan's three convolution passes.
+type pass int
+
+const (
+	forward pass = iota
+	backwardData
+	backwardFilter
+)
+
+// phaseNames are the telemetry phase spans of the passes.
+var phaseNames = [...]string{"forward", "backward_data", "backward_filter"}
+
+// launchModel is an engine's GPU cost model for one planned
+// configuration — the paper's content: the kernels each pass launches
+// (Figure 4) with their resource usage (Table II), and the device
+// workspace the engine reserves (Figure 5). A model that carries state
+// from pass to pass (fbfft's spectra reuse) keeps it itself, one model
+// per plan.
+type launchModel interface {
+	// workspace names the device scratch reserved next to the training
+	// set; zero bytes reserves none.
+	workspace() (tag string, bytes int64)
+	// launch issues the kernels of one pass on the device.
+	launch(dev *gpusim.Device, ps pass) error
+}
+
+// hostStrategy is the real arithmetic of each pass, indexed by pass,
+// taking its tensors in the order of the matching Plan method.
+type hostStrategy [3]func(ws *workspace.Arena, cfg conv.Config, a, b, c *tensor.Tensor)
+
+// kernelModel is the launch model of the engines that run each pass as
+// a single kernel (the direct engines and Winograd): the three kernels
+// share one resource and traffic profile and differ only by name.
+type kernelModel struct {
+	spec  gpusim.KernelSpec
+	names [3]string // per pass
+	tag   string    // device workspace, if any
+	bytes int64
+}
+
+func (m *kernelModel) workspace() (string, int64) { return m.tag, m.bytes }
+
+func (m *kernelModel) launch(dev *gpusim.Device, ps pass) error {
+	spec := m.spec
+	spec.Name = m.names[ps]
+	_, err := dev.Launch(spec)
+	return err
+}
+
+// plan is every built-in Plan. Each pass opens its phase span, launches
+// the model's kernels and then, unless the tensors are nil, runs the
+// host strategy on the plan's arena.
+type plan struct {
+	engine *engine
+	model  launchModel
+	dev    *gpusim.Device
+	cfg    conv.Config
+	bufs   bufSet
+	ws     workspace.Arena // host scratch of the plan's passes
+}
+
+func (p *plan) Config() conv.Config { return p.cfg }
+
+// Release frees the plan's device memory and drops its host arena.
+func (p *plan) Release() {
+	p.bufs.release()
+	p.ws = workspace.Arena{}
+}
+
+func (p *plan) Forward(x, w, y *tensor.Tensor) error { return p.run(forward, x, w, y) }
+
+func (p *plan) BackwardData(dy, w, dx *tensor.Tensor) error { return p.run(backwardData, dy, w, dx) }
+
+func (p *plan) BackwardFilter(x, dy, dw *tensor.Tensor) error {
+	return p.run(backwardFilter, x, dy, dw)
+}
+
+func (p *plan) run(ps pass, a, b, c *tensor.Tensor) error {
+	defer beginPhase(p.dev, phaseNames[ps])()
+	if err := p.model.launch(p.dev, ps); err != nil {
+		return err
+	}
+	if a != nil {
+		p.engine.host[ps](&p.ws, p.cfg, a, b, c)
+	}
+	return nil
+}
+
+func (p *plan) Inference() error {
+	p.engine.transfer.doTransfer(p.dev, p.cfg)
+	return p.run(forward, nil, nil, nil)
+}
+
+func (p *plan) Iteration() error {
+	p.engine.transfer.doTransfer(p.dev, p.cfg)
+	for ps := forward; ps <= backwardFilter; ps++ {
+		if err := p.run(ps, nil, nil, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // bufSet tracks device buffers for bulk release.

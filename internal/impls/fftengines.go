@@ -4,8 +4,6 @@ import (
 	"gpucnn/internal/conv"
 	"gpucnn/internal/fft"
 	"gpucnn/internal/gpusim"
-	"gpucnn/internal/tensor"
-	"gpucnn/internal/workspace"
 )
 
 // fftParams distinguishes fbfft from Theano-fft: fbfft is hand-written
@@ -16,8 +14,6 @@ import (
 // uses just 2 registers/thread — high occupancy, terrible per-thread
 // throughput), and stages data synchronously through pageable memory.
 type fftParams struct {
-	name string
-
 	hermitian bool // store n·(n/2+1) bins instead of n²
 	tiled     bool // overlap-add tiling for large inputs (fbfft)
 
@@ -44,31 +40,32 @@ type fftParams struct {
 	reuseTransforms bool
 
 	doubleBuffer bool // fbfft keeps a second copy of all grids for transpose
-
-	transfer transferPolicy
 }
 
-type fftEngine struct{ p fftParams }
+// fftHost computes every pass by FFT convolution.
+var fftHost = hostStrategy{conv.FFTForward, conv.FFTBackwardData, conv.FFTBackwardFilter}
 
-func (e *fftEngine) Name() string            { return e.p.name }
-func (e *fftEngine) Strategy() conv.Strategy { return conv.FFT }
-
-// Supports enforces the FFT strategy's shape limitation: stride must be
-// 1 ("FFT-based convolutions are applicable to any configuration shapes
-// except that their stride must be 1").
-func (e *fftEngine) Supports(cfg conv.Config) error {
+// strideOne enforces the FFT strategy's shape limitation: stride must
+// be 1 ("FFT-based convolutions are applicable to any configuration
+// shapes except that their stride must be 1").
+func strideOne(name string, cfg conv.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if cfg.Stride != 1 {
-		return errUnsupported(e.Name(), cfg, "FFT-based convolution only supports stride 1")
+		return errUnsupported(name, cfg, "FFT-based convolution only supports stride 1")
 	}
 	return nil
 }
 
+// fftEngine builds an FFT-strategy engine over the given kernels.
+func fftEngine(name string, p fftParams, tp transferPolicy) Engine {
+	return &engine{name: name, strategy: conv.FFT, limits: strideOne, transfer: tp, host: fftHost, model: p.model}
+}
+
 // gridBins returns the number of frequency bins per 2-D grid.
-func (e *fftEngine) gridBins(n int) int {
-	if e.p.hermitian {
+func (p *fftParams) gridBins(n int) int {
+	if p.hermitian {
 		return n * (n/2 + 1)
 	}
 	return n * n
@@ -80,21 +77,21 @@ func (e *fftEngine) gridBins(n int) int {
 // tiles and picks the tile size that minimises total frequency bins —
 // the behaviour that keeps its runtime competitive on inputs past 128
 // while still producing the step-function memory profile of Figure 5.
-func (e *fftEngine) tiling(cfg conv.Config) (n, tilesPerAxis int) {
+func (p *fftParams) tiling(cfg conv.Config) (n, tilesPerAxis int) {
 	ip := cfg.Input + 2*cfg.Pad
 	full := fft.NextPow2(ip)
-	if !e.p.tiled {
+	if !p.tiled {
 		return full, 1
 	}
 	o := ip - cfg.Kernel + 1 // stride 1 output extent
-	bestN, bestTiles, bestBins := full, 1, e.gridBins(full)
+	bestN, bestTiles, bestBins := full, 1, p.gridBins(full)
 	for cand := fft.NextPow2(cfg.Kernel + 1); cand < full; cand *= 2 {
 		step := cand - cfg.Kernel + 1
 		if step <= 0 {
 			continue
 		}
 		t := (o + step - 1) / step
-		bins := t * t * e.gridBins(cand)
+		bins := t * t * p.gridBins(cand)
 		if bins < bestBins {
 			bestN, bestTiles, bestBins = cand, t, bins
 		}
@@ -102,73 +99,44 @@ func (e *fftEngine) tiling(cfg conv.Config) (n, tilesPerAxis int) {
 	return bestN, bestTiles
 }
 
-func (e *fftEngine) Plan(dev *gpusim.Device, cfg conv.Config) (Plan, error) {
-	return e.plan(dev, cfg, false)
-}
+// fftModel is the launch model of one planned FFT convolution. Its
+// tiling is fixed at plan time; the spectra-residency flags carry
+// transform reuse from pass to pass within an iteration.
+type fftModel struct {
+	fftParams
+	cfg   conv.Config
+	n     int // per-axis transform size
+	tiles int // total overlap-add tiles (1 when untiled)
 
-// PlanShared plans with framework-owned activations.
-func (e *fftEngine) PlanShared(dev *gpusim.Device, cfg conv.Config) (Plan, error) {
-	return e.plan(dev, cfg, true)
-}
-
-func (e *fftEngine) plan(dev *gpusim.Device, cfg conv.Config, shared bool) (Plan, error) {
-	cfg = cfg.WithDefaults()
-	if err := e.Supports(cfg); err != nil {
-		return nil, err
-	}
-	bs := &bufSet{dev: dev}
-	if err := bs.allocTrainingSet(cfg, false, false, shared); err != nil {
-		bs.release()
-		return nil, err
-	}
-	// Frequency-domain workspace: transformed inputs, filters and
-	// outputs, all padded to the power-of-two plan size. This padding
-	// is the step-function memory blow-up of Figure 5.
-	n, tiles := e.tiling(cfg)
-	t2 := int64(tiles * tiles)
-	bins := int64(e.gridBins(n))
-	grids := int64(cfg.Batch*cfg.Channels)*t2 +
-		int64(cfg.Filters*cfg.Channels) +
-		int64(cfg.Batch*cfg.Filters)*t2
-	freqBytes := grids * bins * 8
-	if e.p.doubleBuffer {
-		freqBytes *= 2
-	}
-	if err := bs.alloc(freqBytes, "fft-workspace"); err != nil {
-		bs.release()
-		return nil, err
-	}
-	return &fftPlan{engine: e, dev: dev, cfg: cfg, bufs: bs, n: n, tiles: tiles * tiles}, nil
-}
-
-type fftPlan struct {
-	engine *fftEngine
-	dev    *gpusim.Device
-	cfg    conv.Config
-	bufs   *bufSet
-	ws     workspace.Arena // host scratch of the plan's passes
-	n      int             // per-axis transform size
-	tiles  int             // total overlap-add tiles (1 when untiled)
-
-	// Spectra-residency flags for transform reuse within an iteration.
 	xTransformed  bool
 	dyTransformed bool
 }
 
-func (p *fftPlan) Config() conv.Config { return p.cfg }
+func (p *fftParams) model(cfg conv.Config) launchModel {
+	n, tiles := p.tiling(cfg)
+	return &fftModel{fftParams: *p, cfg: cfg, n: n, tiles: tiles * tiles}
+}
 
-// Release frees the plan's device memory and drops its host arena.
-func (p *fftPlan) Release() {
-	p.bufs.release()
-	p.ws = workspace.Arena{}
+// workspace is the frequency-domain workspace: transformed inputs,
+// filters and outputs, all padded to the power-of-two plan size. This
+// padding is the step-function memory blow-up of Figure 5.
+func (p *fftModel) workspace() (string, int64) {
+	cfg, t2 := p.cfg, int64(p.tiles)
+	grids := int64(cfg.Batch*cfg.Channels)*t2 +
+		int64(cfg.Filters*cfg.Channels) +
+		int64(cfg.Batch*cfg.Filters)*t2
+	freqBytes := grids * int64(p.gridBins(p.n)) * 8
+	if p.doubleBuffer {
+		freqBytes *= 2
+	}
+	return "fft-workspace", freqBytes
 }
 
 // fftSpec is one batched transform launch over `grids` 2-D grids.
-func (p *fftPlan) fftSpec(name string, grids int) gpusim.KernelSpec {
-	e := p.engine.p
-	bins := float64(p.engine.gridBins(p.n))
+func (p *fftModel) fftSpec(name string, grids int) gpusim.KernelSpec {
+	bins := float64(p.gridBins(p.n))
 	flops := fft.FLOPs2D(p.n) * float64(grids)
-	if e.hermitian {
+	if p.hermitian {
 		flops /= 2
 	}
 	bytes := float64(grids) * bins * 8
@@ -176,29 +144,28 @@ func (p *fftPlan) fftSpec(name string, grids int) gpusim.KernelSpec {
 		Name:             name,
 		Grid:             gpusim.Dim3{X: grids},
 		Block:            gpusim.Dim3{X: 256},
-		RegsPerThread:    e.fftRegs,
-		SharedPerBlock:   e.fftSmem,
+		RegsPerThread:    p.fftRegs,
+		SharedPerBlock:   p.fftSmem,
 		FLOPs:            flops,
 		GlobalLoadBytes:  bytes,
 		GlobalStoreBytes: bytes,
-		LoadTransPerReq:  e.fftTrans,
-		StoreTransPerReq: e.fftTrans,
-		L2HitFrac:        e.fftL2,
+		LoadTransPerReq:  p.fftTrans,
+		StoreTransPerReq: p.fftTrans,
+		L2HitFrac:        p.fftL2,
 		UsesShared:       true,
-		SharedBroadcast:  e.fftBroadcast,
-		BankConflictRate: e.fftConflictRate,
-		ActiveThreadFrac: e.fftWEE,
-		ILP:              e.fftILP,
-		EfficiencyScale:  e.fftEff,
-		OccupancyDerate:  e.occDerate,
+		SharedBroadcast:  p.fftBroadcast,
+		BankConflictRate: p.fftConflictRate,
+		ActiveThreadFrac: p.fftWEE,
+		ILP:              p.fftILP,
+		EfficiencyScale:  p.fftEff,
+		OccupancyDerate:  p.occDerate,
 	}
 }
 
 // transposeSpec converts grids between BDHW and HWBD layouts around the
 // frequency-domain CGEMM (fbfft's Transpose kernel).
-func (p *fftPlan) transposeSpec(grids int) gpusim.KernelSpec {
-	e := p.engine.p
-	bytes := float64(grids) * float64(p.engine.gridBins(p.n)) * 8
+func (p *fftModel) transposeSpec(grids int) gpusim.KernelSpec {
+	bytes := float64(grids) * float64(p.gridBins(p.n)) * 8
 	return gpusim.KernelSpec{
 		Name:             "transpose",
 		Grid:             gpusim.Dim3{X: grids},
@@ -208,24 +175,23 @@ func (p *fftPlan) transposeSpec(grids int) gpusim.KernelSpec {
 		FLOPs:            0,
 		GlobalLoadBytes:  bytes,
 		GlobalStoreBytes: bytes,
-		LoadTransPerReq:  e.transposeTrans,
-		StoreTransPerReq: e.transposeTrans,
-		L2HitFrac:        e.transposeL2,
+		LoadTransPerReq:  p.transposeTrans,
+		StoreTransPerReq: p.transposeTrans,
+		L2HitFrac:        p.transposeL2,
 		UsesShared:       true,
 		SharedBroadcast:  1,
-		BankConflictRate: e.fftConflictRate * 0.6,
+		BankConflictRate: p.fftConflictRate * 0.6,
 		ActiveThreadFrac: 0.99,
 		ILP:              2,
 		EfficiencyScale:  0.9,
-		OccupancyDerate:  e.occDerate,
+		OccupancyDerate:  p.occDerate,
 	}
 }
 
 // cgemmSpec is the batched per-frequency-bin complex GEMM: one m×n×k
 // complex product per bin.
-func (p *fftPlan) cgemmSpec(m, n, k int) gpusim.KernelSpec {
-	e := p.engine.p
-	bins := p.engine.gridBins(p.n) * p.tiles
+func (p *fftModel) cgemmSpec(m, n, k int) gpusim.KernelSpec {
+	bins := p.gridBins(p.n) * p.tiles
 	flops := 8 * float64(m) * float64(n) * float64(k) * float64(bins)
 	// Operand traffic: each bin reads its m×k and k×n panels once.
 	bytes := float64(bins) * 8 * (float64(m*k) + float64(k*n) + float64(m*n))
@@ -233,7 +199,7 @@ func (p *fftPlan) cgemmSpec(m, n, k int) gpusim.KernelSpec {
 	if kUtil > 1 {
 		kUtil = 1
 	}
-	eff := e.cgemmEff * (0.55 + 0.45*kUtil)
+	eff := p.cgemmEff * (0.55 + 0.45*kUtil)
 	return gpusim.KernelSpec{
 		Name:             "cgemm_batched",
 		Grid:             gpusim.Dim3{X: bins},
@@ -256,8 +222,8 @@ func (p *fftPlan) cgemmSpec(m, n, k int) gpusim.KernelSpec {
 }
 
 // padSpec is Theano-fft's device-side zero-pad / data-preparation pass.
-func (p *fftPlan) padSpec(grids int) gpusim.KernelSpec {
-	bytes := float64(grids) * float64(p.engine.gridBins(p.n)) * 8
+func (p *fftModel) padSpec(grids int) gpusim.KernelSpec {
+	bytes := float64(grids) * float64(p.gridBins(p.n)) * 8
 	return gpusim.KernelSpec{
 		Name:             "pad_and_copy",
 		Grid:             gpusim.Dim3{X: grids},
@@ -271,105 +237,72 @@ func (p *fftPlan) padSpec(grids int) gpusim.KernelSpec {
 		ActiveThreadFrac: 0.9,
 		ILP:              1,
 		EfficiencyScale:  0.7,
-		OccupancyDerate:  p.engine.p.occDerate,
+		OccupancyDerate:  p.occDerate,
 	}
 }
 
-// pass simulates one frequency-domain pass: forward transforms of the
-// two operand grid sets, layout transposes, the batched CGEMM, and the
-// inverse transform of the result grids. When inTransformed is set the
-// operands are already resident in the frequency domain from an earlier
-// pass of the same iteration (fbfft reuses the spectra of x and dy for
-// the weight-gradient pass), so the input-side transforms are skipped.
-func (p *fftPlan) pass(inGrids1, inGrids2, outGrids, m, n, k int, inTransformed bool) error {
-	e := p.engine.p
+// frequencyPass simulates one frequency-domain pass: forward
+// transforms of the two operand grid sets, layout transposes, the
+// batched CGEMM, and the inverse transform of the result grids. When
+// inTransformed is set the operands are already resident in the
+// frequency domain from an earlier pass of the same iteration (fbfft
+// reuses the spectra of x and dy for the weight-gradient pass), so the
+// input-side transforms are skipped.
+func (p *fftModel) frequencyPass(dev *gpusim.Device, inGrids1, inGrids2, outGrids, m, n, k int, inTransformed bool) error {
 	if !inTransformed {
-		if e.padKernel {
-			if _, err := p.dev.Launch(p.padSpec(inGrids1 + inGrids2)); err != nil {
+		if p.padKernel {
+			if _, err := dev.Launch(p.padSpec(inGrids1 + inGrids2)); err != nil {
 				return err
 			}
 		}
-		if _, err := p.dev.Launch(p.fftSpec("decimateInFrequency", inGrids1+inGrids2)); err != nil {
+		if _, err := dev.Launch(p.fftSpec("decimateInFrequency", inGrids1+inGrids2)); err != nil {
 			return err
 		}
-		if _, err := p.dev.Launch(p.transposeSpec(inGrids1 + inGrids2)); err != nil {
+		if _, err := dev.Launch(p.transposeSpec(inGrids1 + inGrids2)); err != nil {
 			return err
 		}
 	}
-	if _, err := p.dev.Launch(p.cgemmSpec(m, n, k)); err != nil {
+	if _, err := dev.Launch(p.cgemmSpec(m, n, k)); err != nil {
 		return err
 	}
-	if _, err := p.dev.Launch(p.transposeSpec(outGrids)); err != nil {
+	if _, err := dev.Launch(p.transposeSpec(outGrids)); err != nil {
 		return err
 	}
-	_, err := p.dev.Launch(p.fftSpec("decimateInFrequencyInverse", outGrids))
+	_, err := dev.Launch(p.fftSpec("decimateInFrequencyInverse", outGrids))
 	return err
 }
 
-func (p *fftPlan) Forward(x, w, y *tensor.Tensor) error {
-	defer beginPhase(p.dev, "forward")()
-	cfg := p.cfg
-	// y_f = Σ_c X_c · conj(W_fc): per bin an (f×c)·(c×b) product.
-	// Activation and output grids multiply with the overlap-add tile
-	// count; filter grids are transformed once and reused per tile.
-	if err := p.pass(cfg.Batch*cfg.Channels*p.tiles, cfg.Filters*cfg.Channels,
-		cfg.Batch*cfg.Filters*p.tiles, cfg.Filters, cfg.Batch, cfg.Channels, false); err != nil {
-		return err
-	}
-	p.xTransformed = true
-	if x != nil {
-		conv.FFTForward(&p.ws, cfg, x, w, y)
-	}
-	return nil
-}
-
-func (p *fftPlan) BackwardData(dy, w, dx *tensor.Tensor) error {
-	defer beginPhase(p.dev, "backward_data")()
-	cfg := p.cfg
-	// dx_c = Σ_f DY_f · W_fc: per bin a (c×f)·(f×b) product.
-	if err := p.pass(cfg.Batch*cfg.Filters*p.tiles, cfg.Filters*cfg.Channels,
-		cfg.Batch*cfg.Channels*p.tiles, cfg.Channels, cfg.Batch, cfg.Filters, false); err != nil {
-		return err
-	}
-	p.dyTransformed = true
-	if dy != nil {
-		conv.FFTBackwardData(&p.ws, cfg, dy, w, dx)
-	}
-	return nil
-}
-
-func (p *fftPlan) BackwardFilter(x, dy, dw *tensor.Tensor) error {
-	defer beginPhase(p.dev, "backward_filter")()
-	cfg := p.cfg
-	// dw_fc = Σ_b X_bc · conj(DY_bf): per bin an (f×b)·(b×c) product
-	// with the batch as the reduction depth; the filter-gradient grids
-	// accumulate across tiles.
-	reuse := p.engine.p.reuseTransforms && p.xTransformed && p.dyTransformed
-	if err := p.pass(cfg.Batch*cfg.Channels*p.tiles, cfg.Batch*cfg.Filters*p.tiles,
-		cfg.Filters*cfg.Channels, cfg.Filters, cfg.Channels, cfg.Batch, reuse); err != nil {
-		return err
-	}
-	p.xTransformed, p.dyTransformed = false, false
-	if x != nil {
-		conv.FFTBackwardFilter(&p.ws, cfg, x, dy, dw)
+func (p *fftModel) launch(dev *gpusim.Device, ps pass) error {
+	cfg, t := p.cfg, p.tiles
+	switch ps {
+	case forward:
+		// y_f = Σ_c X_c · conj(W_fc): per bin an (f×c)·(c×b) product.
+		// Activation and output grids multiply with the overlap-add tile
+		// count; filter grids are transformed once and reused per tile.
+		if err := p.frequencyPass(dev, cfg.Batch*cfg.Channels*t, cfg.Filters*cfg.Channels,
+			cfg.Batch*cfg.Filters*t, cfg.Filters, cfg.Batch, cfg.Channels, false); err != nil {
+			return err
+		}
+		p.xTransformed = true
+	case backwardData:
+		// dx_c = Σ_f DY_f · W_fc: per bin a (c×f)·(f×b) product.
+		if err := p.frequencyPass(dev, cfg.Batch*cfg.Filters*t, cfg.Filters*cfg.Channels,
+			cfg.Batch*cfg.Channels*t, cfg.Channels, cfg.Batch, cfg.Filters, false); err != nil {
+			return err
+		}
+		p.dyTransformed = true
+	default:
+		// dw_fc = Σ_b X_bc · conj(DY_bf): per bin an (f×b)·(b×c) product
+		// with the batch as the reduction depth; the filter-gradient
+		// grids accumulate across tiles.
+		reuse := p.reuseTransforms && p.xTransformed && p.dyTransformed
+		if err := p.frequencyPass(dev, cfg.Batch*cfg.Channels*t, cfg.Batch*cfg.Filters*t,
+			cfg.Filters*cfg.Channels, cfg.Filters, cfg.Channels, cfg.Batch, reuse); err != nil {
+			return err
+		}
+		p.xTransformed, p.dyTransformed = false, false
 	}
 	return nil
-}
-
-func (p *fftPlan) Inference() error {
-	p.engine.p.transfer.doTransfer(p.dev, p.cfg)
-	return p.Forward(nil, nil, nil)
-}
-
-func (p *fftPlan) Iteration() error {
-	p.engine.p.transfer.doTransfer(p.dev, p.cfg)
-	if err := p.Forward(nil, nil, nil); err != nil {
-		return err
-	}
-	if err := p.BackwardData(nil, nil, nil); err != nil {
-		return err
-	}
-	return p.BackwardFilter(nil, nil, nil)
 }
 
 // FbfftOptions toggles fbfft's two key design choices for ablation
@@ -384,26 +317,7 @@ type FbfftOptions struct {
 // disabled — the ablation knobs behind the design-choice benchmarks in
 // DESIGN.md. The returned engine's name records the ablation.
 func NewFbfftVariant(opts FbfftOptions) Engine {
-	e := NewFbfft().(*fftEngine)
-	if opts.DisableTiling {
-		e.p.tiled = false
-		e.p.name += "/no-tiling"
-	}
-	if opts.DisableTransformReuse {
-		e.p.reuseTransforms = false
-		e.p.name += "/no-reuse"
-	}
-	return e
-}
-
-// NewFbfft returns the fbfft engine: Facebook's hand-tuned FFT
-// convolution (decimation in frequency, Hermitian-symmetric grids,
-// BDHW↔HWBD transposes around a batched CGEMM). The paper's overall
-// fastest implementation for large kernels, at the cost of the highest
-// memory consumption.
-func NewFbfft() Engine {
-	return &fftEngine{p: fftParams{
-		name:      "fbfft",
+	name, p := "fbfft", fftParams{
 		hermitian: true,
 		tiled:     true,
 		fftRegs:   106, fftSmem: 10 * 1024, // Table II
@@ -415,9 +329,24 @@ func NewFbfft() Engine {
 		transposeTrans:  1.5, transposeL2: 0.55,
 		padKernel:    false,
 		doubleBuffer: true,
-		transfer:     transferPolicy{pinned: true, async: true}, // ≈0% in Fig. 7
-	}}
+	}
+	if opts.DisableTiling {
+		p.tiled = false
+		name += "/no-tiling"
+	}
+	if opts.DisableTransformReuse {
+		p.reuseTransforms = false
+		name += "/no-reuse"
+	}
+	return fftEngine(name, p, transferPolicy{pinned: true, async: true}) // ≈0% in Fig. 7
 }
+
+// NewFbfft returns the fbfft engine: Facebook's hand-tuned FFT
+// convolution (decimation in frequency, Hermitian-symmetric grids,
+// BDHW↔HWBD transposes around a batched CGEMM). The paper's overall
+// fastest implementation for large kernels, at the cost of the highest
+// memory consumption.
+func NewFbfft() Engine { return NewFbfftVariant(FbfftOptions{}) }
 
 // NewTheanoFFT returns the Theano-fft engine: the same strategy as
 // fbfft implemented through Theano's generic graph — full complex
@@ -427,8 +356,7 @@ func NewFbfft() Engine {
 // and synchronous pageable host staging. The paper's slowest
 // implementation throughout.
 func NewTheanoFFT() Engine {
-	return &fftEngine{p: fftParams{
-		name:      "Theano-fft",
+	return fftEngine("Theano-fft", fftParams{
 		hermitian: false,
 		fftRegs:   2, fftSmem: 4608, // Table II: 2 regs, 4.5 KB
 		fftEff: 0.28, fftConflictRate: 10.0, fftBroadcast: 1.0,
@@ -438,6 +366,5 @@ func NewTheanoFFT() Engine {
 		transposeTrans: 4.0, transposeL2: 0.35,
 		padKernel:    true,
 		doubleBuffer: false,
-		transfer:     transferPolicy{pinned: false, async: false, factor: 2},
-	}}
+	}, transferPolicy{pinned: false, async: false, factor: 2})
 }

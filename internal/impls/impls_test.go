@@ -50,6 +50,30 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("tensorflow"); err == nil || !strings.Contains(err.Error(), "unknown") {
 		t.Fatalf("unknown engine should error, got %v", err)
 	}
+
+	// The error lists every name ByName resolves, registered
+	// extensions included.
+	extMu.Lock()
+	saved := extCtor
+	extMu.Unlock()
+	t.Cleanup(func() {
+		extMu.Lock()
+		extCtor = saved
+		extMu.Unlock()
+	})
+	RegisterExtension(func() Engine { return NewFbfftVariant(FbfftOptions{DisableTiling: true}) })
+	_, err = ByName("tensorflow")
+	for _, e := range append(All(), Extensions()...) {
+		if _, lookupErr := ByName(e.Name()); lookupErr != nil {
+			t.Errorf("ByName(%q): %v", e.Name(), lookupErr)
+		}
+		if !strings.Contains(err.Error(), e.Name()) {
+			t.Errorf("unknown-engine error %q does not list %q", err, e.Name())
+		}
+	}
+	if !strings.Contains(err.Error(), "fbfft/no-tiling") {
+		t.Errorf("unknown-engine error %q does not list the registered extension", err)
+	}
 }
 
 // TestEnginesAgreeNumerically: every engine must compute the same

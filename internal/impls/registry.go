@@ -65,13 +65,17 @@ func Extensions() []Engine {
 }
 
 // ByName looks an engine up case-insensitively by its paper name
-// (extensions included).
+// (extensions included). The error for an unknown name lists every
+// name it resolves.
 func ByName(name string) (Engine, error) {
-	for _, e := range append(All(), Extensions()...) {
+	all := append(All(), Extensions()...)
+	names := make([]string, len(all))
+	for i, e := range all {
 		if strings.EqualFold(e.Name(), name) {
 			return e, nil
 		}
+		names[i] = e.Name()
 	}
 	return nil, fmt.Errorf("impls: unknown implementation %q (have %s)",
-		name, strings.Join(Names(), ", "))
+		name, strings.Join(names, ", "))
 }

@@ -3,70 +3,41 @@ package impls
 import (
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
-	"gpucnn/internal/tensor"
 )
 
-// theanoLegacyEngine models Theano-legacy, the direct-convolution
-// implementation the paper's Section II.B names as the other
-// representative of the direct strategy (next to cuda-convnet2) but
-// does not include in the seven-way evaluation — so it lives in
-// Extensions(). It is the naive GPU port of the nested convolution
-// loops: one thread per output element, no register blocking, heavy
-// uncoalesced global traffic — the baseline every optimised
-// implementation is implicitly compared against.
-type theanoLegacyEngine struct{}
-
-// NewTheanoLegacy returns the Theano-legacy direct-convolution engine.
-func NewTheanoLegacy() Engine { return &theanoLegacyEngine{} }
-
-func (e *theanoLegacyEngine) Name() string            { return "Theano-legacy" }
-func (e *theanoLegacyEngine) Strategy() conv.Strategy { return conv.Direct }
-
-// Supports: the naive loops accept any shape.
-func (e *theanoLegacyEngine) Supports(cfg conv.Config) error { return cfg.Validate() }
-
-func (e *theanoLegacyEngine) Plan(dev *gpusim.Device, cfg conv.Config) (Plan, error) {
-	return e.plan(dev, cfg, false)
-}
-
-// PlanShared plans with framework-owned activations.
-func (e *theanoLegacyEngine) PlanShared(dev *gpusim.Device, cfg conv.Config) (Plan, error) {
-	return e.plan(dev, cfg, true)
-}
-
-func (e *theanoLegacyEngine) plan(dev *gpusim.Device, cfg conv.Config, shared bool) (Plan, error) {
-	cfg = cfg.WithDefaults()
-	if err := e.Supports(cfg); err != nil {
-		return nil, err
+// NewTheanoLegacy returns the Theano-legacy engine: the
+// direct-convolution implementation the paper's Section II.B names as
+// the other representative of the direct strategy (next to
+// cuda-convnet2) but does not include in the seven-way evaluation — so
+// it lives in Extensions(). It is the naive GPU port of the nested
+// convolution loops: one thread per output element, no register
+// blocking, heavy uncoalesced global traffic — the baseline every
+// optimised implementation is implicitly compared against. The naive
+// loops accept any shape and need no workspace, and unlike
+// cuda-convnet2 keep full gradient buffers. Theano stages batches
+// synchronously through pageable memory.
+func NewTheanoLegacy() Engine {
+	return &engine{
+		name: "Theano-legacy", strategy: conv.Direct, host: directHost,
+		transfer: transferPolicy{pinned: false, async: false},
+		model: func(cfg conv.Config) launchModel {
+			return &kernelModel{
+				spec:  theanoLegacySpec(cfg),
+				names: [3]string{"conv_patch_stack", "conv_grad_input", "conv_grad_weight"},
+			}
+		},
 	}
-	bs := &bufSet{dev: dev}
-	// Direct convolution: no workspace at all, like cuda-convnet2 but
-	// without the in-place gradient tricks.
-	if err := bs.allocTrainingSet(cfg, false, false, shared); err != nil {
-		bs.release()
-		return nil, err
-	}
-	return &theanoLegacyPlan{dev: dev, cfg: cfg, bufs: bs}, nil
 }
 
-type theanoLegacyPlan struct {
-	dev  *gpusim.Device
-	cfg  conv.Config
-	bufs *bufSet
-}
-
-func (p *theanoLegacyPlan) Config() conv.Config { return p.cfg }
-func (p *theanoLegacyPlan) Release()            { p.bufs.release() }
-
-func (p *theanoLegacyPlan) spec(name string) gpusim.KernelSpec {
-	cfg := p.cfg
+// theanoLegacySpec is the profile every Theano-legacy pass kernel
+// shares.
+func theanoLegacySpec(cfg conv.Config) gpusim.KernelSpec {
 	o := cfg.Out()
 	// One thread per output pixel; every thread re-reads its receptive
 	// field from global memory — the naive pattern with k²·c reloads.
 	flops := cfg.ForwardFLOPs()
 	reload := float64(cfg.Batch*cfg.Filters*o*o) * float64(cfg.Channels*cfg.Kernel*cfg.Kernel) * 4
 	return gpusim.KernelSpec{
-		Name:             name,
 		Grid:             gpusim.Dim3{X: (cfg.Batch*cfg.Filters*o*o + 255) / 256},
 		Block:            gpusim.Dim3{X: 256},
 		RegsPerThread:    40,
@@ -80,54 +51,4 @@ func (p *theanoLegacyPlan) spec(name string) gpusim.KernelSpec {
 		ILP:              1,
 		EfficiencyScale:  0.5,
 	}
-}
-
-func (p *theanoLegacyPlan) Forward(x, w, y *tensor.Tensor) error {
-	defer beginPhase(p.dev, "forward")()
-	if _, err := p.dev.Launch(p.spec("conv_patch_stack")); err != nil {
-		return err
-	}
-	if x != nil {
-		conv.DirectForward(p.cfg, x, w, y)
-	}
-	return nil
-}
-
-func (p *theanoLegacyPlan) BackwardData(dy, w, dx *tensor.Tensor) error {
-	defer beginPhase(p.dev, "backward_data")()
-	if _, err := p.dev.Launch(p.spec("conv_grad_input")); err != nil {
-		return err
-	}
-	if dy != nil {
-		conv.DirectBackwardData(p.cfg, dy, w, dx)
-	}
-	return nil
-}
-
-func (p *theanoLegacyPlan) BackwardFilter(x, dy, dw *tensor.Tensor) error {
-	defer beginPhase(p.dev, "backward_filter")()
-	if _, err := p.dev.Launch(p.spec("conv_grad_weight")); err != nil {
-		return err
-	}
-	if x != nil {
-		conv.DirectBackwardFilter(p.cfg, x, dy, dw)
-	}
-	return nil
-}
-
-func (p *theanoLegacyPlan) Inference() error {
-	transferPolicy{pinned: false, async: false}.doTransfer(p.dev, p.cfg)
-	return p.Forward(nil, nil, nil)
-}
-
-func (p *theanoLegacyPlan) Iteration() error {
-	// Theano stages batches synchronously through pageable memory.
-	transferPolicy{pinned: false, async: false}.doTransfer(p.dev, p.cfg)
-	if err := p.Forward(nil, nil, nil); err != nil {
-		return err
-	}
-	if err := p.BackwardData(nil, nil, nil); err != nil {
-		return err
-	}
-	return p.BackwardFilter(nil, nil, nil)
 }

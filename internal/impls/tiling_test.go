@@ -6,9 +6,15 @@ import (
 	"gpucnn/internal/conv"
 )
 
+// fftModelOf returns the launch model an FFT engine builds for cfg,
+// which fixes the transform size and the overlap-add tile count.
+func fftModelOf(e Engine, cfg conv.Config) *fftModel {
+	return e.(*engine).model(cfg).(*fftModel)
+}
+
 // Direct unit tests of fbfft's transform-size / tile-count selection.
 func TestFbfftTilingChoices(t *testing.T) {
-	e := NewFbfft().(*fftEngine)
+	e := NewFbfft()
 	cases := []struct {
 		input, kernel int
 		wantN, wantT  int
@@ -21,24 +27,24 @@ func TestFbfftTilingChoices(t *testing.T) {
 	}
 	for _, c := range cases {
 		cfg := conv.Config{Batch: 64, Input: c.input, Channels: 3, Filters: 64, Kernel: c.kernel, Stride: 1}
-		n, tiles := e.tiling(cfg)
-		if n != c.wantN || tiles != c.wantT {
-			t.Errorf("i=%d k=%d: tiling = (%d, %d), want (%d, %d)",
-				c.input, c.kernel, n, tiles, c.wantN, c.wantT)
+		m := fftModelOf(e, cfg)
+		if m.n != c.wantN || m.tiles != c.wantT*c.wantT {
+			t.Errorf("i=%d k=%d: tiling = (%d, %d tiles), want (%d, %d×%d tiles)",
+				c.input, c.kernel, m.n, m.tiles, c.wantN, c.wantT, c.wantT)
 		}
 	}
 }
 
 func TestTheanoFFTNeverTiles(t *testing.T) {
-	e := NewTheanoFFT().(*fftEngine)
+	e := NewTheanoFFT()
 	for _, i := range []int{64, 144, 200, 256} {
 		cfg := conv.Config{Batch: 64, Input: i, Channels: 3, Filters: 64, Kernel: 11, Stride: 1}
-		n, tiles := e.tiling(cfg)
-		if tiles != 1 {
-			t.Errorf("Theano-fft should never tile, got %d tiles at i=%d", tiles, i)
+		m := fftModelOf(e, cfg)
+		if m.tiles != 1 {
+			t.Errorf("Theano-fft should never tile, got %d tiles at i=%d", m.tiles, i)
 		}
-		if n < i {
-			t.Errorf("transform %d smaller than input %d", n, i)
+		if m.n < i {
+			t.Errorf("transform %d smaller than input %d", m.n, i)
 		}
 	}
 }

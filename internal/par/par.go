@@ -88,51 +88,94 @@ func (f funcRunner) Run(i int) { f(i) }
 // task is one ForEach invocation in flight: workers atomically claim
 // indices until the range is exhausted. Tasks are pooled and the worker
 // goroutines are persistent, so steady-state dispatch allocates nothing.
+//
+// Completion counts items, not helpers: the submitter waits until every
+// index has run, whoever ran it. Helpers are not queued per task;
+// workers take tasks off the active list, and the submitter takes its
+// task off the list once every index is claimed. A helper that is not
+// needed by then is never started, so nothing a worker has yet to pick
+// up can hold a Wait, at any pool size or nesting depth. A worker that
+// takes a task just as its last index is claimed finds nothing to run
+// and leaves the completion count alone; refs keeps such a late helper
+// from ever seeing the task recycled.
 type task struct {
-	r    Runner
-	n    int64
-	next atomic.Int64
-	wg   sync.WaitGroup
+	r     Runner
+	n     int64
+	next  atomic.Int64
+	items sync.WaitGroup // one count per index not yet run
+	refs  atomic.Int32   // the submitter plus every worker that took the task
+
+	// Guarded by poolMu.
+	want int   // helpers still wanted; the task is on the active list while > 0
+	link *task // next task on the active list
 }
 
 var taskPool = NewJobPool[task]()
 
 var (
 	poolOnce sync.Once
-	workCh   chan *task
+	poolMu   sync.Mutex
+	poolCond = sync.NewCond(&poolMu)
+	active   *task // tasks wanting helpers, newest first; guarded by poolMu
 )
 
 // startWorkers spins up the persistent pool: GOMAXPROCS goroutines (at
-// first use) that block on the task channel for the process lifetime.
+// first use) that wait for tasks for the process lifetime.
 func startWorkers() {
-	w := runtime.GOMAXPROCS(0)
-	workCh = make(chan *task, 8*w)
-	for i := 0; i < w; i++ {
+	for i := runtime.GOMAXPROCS(0); i > 0; i-- {
 		// A panicking kernel Runner must fail fast: recovering here
-		// would leave the task's WaitGroup undone and convert the crash
+		// would leave the task's items undone and convert the crash
 		// into a silent ForEach deadlock.
 		//lint:ignore rawgo pool workers deliberately fail fast on kernel panics
-		go func() {
-			for t := range workCh {
-				t.run()
-			}
-		}()
+		go work()
+	}
+}
+
+// work is a pool worker: it helps the newest task that still wants
+// helpers, then looks for the next.
+func work() {
+	for {
+		poolMu.Lock()
+		for active == nil {
+			poolCond.Wait()
+		}
+		t := active
+		t.want--
+		if t.want == 0 {
+			active = t.link
+		}
+		t.refs.Add(1)
+		poolMu.Unlock()
+		t.run()
+		t.release()
 	}
 }
 
 // run claims and executes indices until the task is exhausted, then
-// signals completion. Called by pool workers and by the submitter (which
-// always participates, so a ForEach issued from inside a worker makes
-// progress even when every pool worker is busy — no nesting deadlock).
+// marks the items it ran done. Called by pool workers and by the
+// submitter, which always participates, so a ForEach issued from inside
+// a worker makes progress even when every pool worker is busy.
 func (t *task) run() {
+	ran := 0
 	for {
 		i := t.next.Add(1)
 		if i >= t.n {
 			break
 		}
 		t.r.Run(int(i))
+		ran++
 	}
-	t.wg.Done()
+	if ran > 0 {
+		t.items.Add(-ran)
+	}
+}
+
+// release drops one hold on the task; the last returns it to the pool.
+func (t *task) release() {
+	if t.refs.Add(-1) == 0 {
+		t.r = nil
+		taskPool.Put(t)
+	}
 }
 
 // ForEach runs f(i) for every i in [0, n), distributing indices over at
@@ -177,28 +220,29 @@ func forEach(n, workers int, r Runner) {
 	t := taskPool.Get()
 	t.r, t.n = r, int64(n)
 	t.next.Store(-1)
-	helpers := workers - 1
-	t.wg.Add(helpers + 1)
-	sent := 0
-	for sent < helpers {
-		ok := false
-		select {
-		case workCh <- t:
-			ok = true
-		default:
-		}
-		if !ok {
-			break // queue full: the submitter absorbs the remaining shares
-		}
-		sent++
-	}
-	for i := sent; i < helpers; i++ {
-		t.wg.Done()
+	t.items.Add(n)
+	t.refs.Store(1)
+	poolMu.Lock()
+	t.want, t.link, active = workers-1, active, t
+	poolMu.Unlock()
+	for i := 1; i < workers; i++ {
+		poolCond.Signal()
 	}
 	t.run()
-	t.wg.Wait()
-	t.r = nil
-	taskPool.Put(t)
+	// Every index is claimed: no helper is wanted any more.
+	poolMu.Lock()
+	if t.want > 0 {
+		for p := &active; *p != nil; p = &(*p).link {
+			if *p == t {
+				*p = t.link
+				break
+			}
+		}
+		t.want = 0
+	}
+	poolMu.Unlock()
+	t.items.Wait()
+	t.release()
 }
 
 // JobPool is a typed sync.Pool for the job structs hot paths dispatch:

@@ -96,6 +96,37 @@ func TestNestedForEachDoesNotDeadlock(t *testing.T) {
 	}
 }
 
+// TestConcurrentNestedForEachRunsEachIndexOnce drives many short
+// nested loops from several goroutines at once, so pooled tasks are
+// recycled while other loops are in flight: every index must run
+// exactly once and every call must return.
+func TestConcurrentNestedForEachRunsEachIndexOnce(t *testing.T) {
+	const callers, rounds, outer, inner = 4, 50, 4, 16
+	hits := make([]int32, callers*rounds*outer*inner)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ForEachN(callers, callers, func(c int) {
+			for r := 0; r < rounds; r++ {
+				base := (c*rounds + r) * outer * inner
+				ForEach(outer, func(o int) {
+					ForEach(inner, func(i int) { atomic.AddInt32(&hits[base+o*inner+i], 1) })
+				})
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("concurrent nested ForEach deadlocked")
+	}
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("index %d ran %d times", i, h)
+		}
+	}
+}
+
 type countRunner struct{ hits []int32 }
 
 func (r *countRunner) Run(i int) { atomic.AddInt32(&r.hits[i], 1) }

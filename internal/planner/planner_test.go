@@ -209,6 +209,9 @@ func TestAutotunedInRegistry(t *testing.T) {
 	if !found {
 		t.Error("Autotuned missing from impls.Extensions()")
 	}
+	if _, err := impls.ByName("nope"); err == nil || !strings.Contains(err.Error(), "Autotuned") {
+		t.Errorf("unknown-engine error %v does not list Autotuned", err)
+	}
 }
 
 // TestAutotunedDelegatesAndReportsStrategy: planning through the
