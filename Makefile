@@ -34,18 +34,28 @@ bench: bench-kernels bench-planner serve-bench
 .PHONY: bench-compare
 bench-compare: bench-kernels-compare bench-planner-compare serve-bench-compare
 
+# The kernel benchmark suite, written to the file named by its one
+# argument: the GEMM benches at the host's GOMAXPROCS, the parallel
+# GEMM again at one and two procs (rows BenchmarkGEMM/parallel/N and
+# BenchmarkGEMM/parallel/N-2), then the convolution benches — forward
+# on the Table I layers and per pass for the fft, unroll and winograd
+# engines.
+kernel_bench = \
+	go test ./internal/gemm -run '^$$' -bench 'BenchmarkGEMM' -skip 'BenchmarkGEMM/parallel' -count=5 -timeout 60m | tee $(1) && \
+	go test ./internal/gemm -run '^$$' -bench 'BenchmarkGEMM/parallel' -cpu 1,2 -count=5 -timeout 60m | tee -a $(1) && \
+	go test ./internal/conv -run '^$$' -bench 'BenchmarkConvForward|BenchmarkConvFFT|BenchmarkConvUnroll|BenchmarkConvWinograd' -count=5 -timeout 60m | tee -a $(1)
+
 # Kernel microbenchmarks: 5 repetitions of the GEMM and convolution
 # benches, summarised into BENCH_kernels.json (ns/op medians plus any
 # GFLOPS metrics). Compare runs with benchstat if available.
 .PHONY: bench-kernels
 bench-kernels:
-	go test ./internal/gemm -run '^$$' -bench 'BenchmarkBlockedGEMM|BenchmarkGEMM|BenchmarkCGEMM' -count=5 -timeout 60m | tee bench_kernels.txt
-	go test ./internal/conv -run '^$$' -bench 'BenchmarkConvForward|BenchmarkConvFFT' -count=5 -timeout 60m | tee -a bench_kernels.txt
+	$(call kernel_bench,bench_kernels.txt)
 	go run ./cmd/benchjson -in bench_kernels.txt -out BENCH_kernels.json
 
 .PHONY: bench-kernels-quick
 bench-kernels-quick:
-	go test ./internal/gemm -run '^$$' -bench 'BenchmarkBlockedGEMM' -count=3 -timeout 30m
+	go test ./internal/gemm -run '^$$' -bench 'BenchmarkGEMM/packed' -count=3 -timeout 30m
 
 # Re-run the kernel benchmarks and diff the medians against the
 # committed BENCH_kernels.json. Exits non-zero if any benchmark's
@@ -54,8 +64,7 @@ bench-kernels-quick:
 # snapshot itself with `make bench-kernels`.
 .PHONY: bench-kernels-compare
 bench-kernels-compare:
-	go test ./internal/gemm -run '^$$' -bench 'BenchmarkBlockedGEMM|BenchmarkGEMM|BenchmarkCGEMM' -count=5 -timeout 60m | tee bench_kernels_new.txt
-	go test ./internal/conv -run '^$$' -bench 'BenchmarkConvForward|BenchmarkConvFFT' -count=5 -timeout 60m | tee -a bench_kernels_new.txt
+	$(call kernel_bench,bench_kernels_new.txt)
 	go run ./cmd/benchjson -in bench_kernels_new.txt -compare BENCH_kernels.json -regress 1.15
 
 # Planner decision-quality snapshot: decision latency (cold + cached)

@@ -142,7 +142,10 @@ func trailingInt(name string) (string, int) {
 // its siblings. The suffix is stripped when it equals this process's
 // GOMAXPROCS, or when every line carries the same suffix across at
 // least two distinct benchmark names (the signature of a shared
-// GOMAXPROCS, possibly from another machine).
+// GOMAXPROCS, possibly from another machine). A suffix is always kept
+// when its stripped name is also present bare: under `-cpu 1,2` the
+// bare name is the one-proc run and the suffixed one the two-proc run,
+// and merging them would mix two proc counts into one median.
 func normalizeNames(order []string, byName map[string][]result, gomaxprocs int) ([]string, map[string][]result) {
 	shared, allShare := -1, len(order) > 1
 	for _, name := range order {
@@ -158,7 +161,7 @@ func normalizeNames(order []string, byName map[string][]result, gomaxprocs int) 
 	for _, name := range order {
 		base, n := trailingInt(name)
 		stripped := name
-		if n >= 0 && (n == gomaxprocs || allShare) {
+		if _, bare := byName[base]; n >= 0 && !bare && (n == gomaxprocs || allShare) {
 			stripped = base
 		}
 		if _, seen := newByName[stripped]; !seen {

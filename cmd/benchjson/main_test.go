@@ -136,6 +136,14 @@ func TestNormalizeNames(t *testing.T) {
 			gomaxprocs: 1,
 			want:       []string{"BenchmarkA-256", "BenchmarkB"},
 		},
+		{
+			// `-cpu 1,2` at GOMAXPROCS=2: the bare name is the one-proc
+			// run, the -2 name the two-proc run; each keeps its own row.
+			name:       "cpu list runs kept apart",
+			in:         []string{"BenchmarkGEMM/parallel/256", "BenchmarkGEMM/parallel/256-2", "BenchmarkGEMM/packed/256-2"},
+			gomaxprocs: 2,
+			want:       []string{"BenchmarkGEMM/parallel/256", "BenchmarkGEMM/parallel/256-2", "BenchmarkGEMM/packed/256"},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -55,27 +55,38 @@ func BenchmarkConvForward(b *testing.B) {
 	})
 }
 
+// namedConv is one benchmarked layer shape.
+type namedConv struct {
+	name string
+	cfg  Config
+}
+
 // cifarNetConvs are CIFARNet's three 5×5 conv layers at the batch-16
 // training shape the cifarnet_train_fbfft benchmark workload runs;
 // their FFT plan sizes are 64, 32 and 16.
-var cifarNetConvs = []struct {
-	name string
-	cfg  Config
-}{
+var cifarNetConvs = []namedConv{
 	{"conv1", Config{Batch: 16, Input: 32, Channels: 3, Filters: 32, Kernel: 5, Stride: 1, Pad: 2}},
 	{"conv2", Config{Batch: 16, Input: 16, Channels: 32, Filters: 32, Kernel: 5, Stride: 1, Pad: 2}},
 	{"conv3", Config{Batch: 16, Input: 8, Channels: 32, Filters: 64, Kernel: 5, Stride: 1, Pad: 2}},
 }
 
-// BenchmarkConvFFT measures each FFT-convolution pass on the CIFARNet
-// layers; GFLOPS is the direct-convolution FLOP count per second, so
-// the three passes of one layer are comparable with each other and
-// with the other engines.
-func BenchmarkConvFFT(b *testing.B) {
-	passes := []struct {
-		name string
-		run  func(ws *workspace.Arena, cfg Config, x, w, y, dx, dw, dy *tensor.Tensor)
-	}{
+// alexNetConvs are AlexNet's 3×3 conv3–conv5 layers at batch 1, the
+// inference shape the alexnet_infer_autotuned benchmark workload runs;
+// all three are Winograd-eligible.
+var alexNetConvs = []namedConv{
+	{"alexnet_conv3", Config{Batch: 1, Input: 13, Channels: 256, Filters: 384, Kernel: 3, Stride: 1, Pad: 1}},
+	{"alexnet_conv4", Config{Batch: 1, Input: 13, Channels: 384, Filters: 384, Kernel: 3, Stride: 1, Pad: 1}},
+	{"alexnet_conv5", Config{Batch: 1, Input: 13, Channels: 384, Filters: 256, Kernel: 3, Stride: 1, Pad: 1}},
+}
+
+// convPass is one pass of one engine in the per-pass benchmarks.
+type convPass struct {
+	name string
+	run  func(ws *workspace.Arena, cfg Config, x, w, y, dx, dw, dy *tensor.Tensor)
+}
+
+var (
+	fftPasses = []convPass{
 		{"fwd", func(ws *workspace.Arena, cfg Config, x, w, y, _, _, _ *tensor.Tensor) { FFTForward(ws, cfg, x, w, y) }},
 		{"bwd_data", func(ws *workspace.Arena, cfg Config, _, w, _, dx, _, dy *tensor.Tensor) {
 			FFTBackwardData(ws, cfg, dy, w, dx)
@@ -84,17 +95,59 @@ func BenchmarkConvFFT(b *testing.B) {
 			FFTBackwardFilter(ws, cfg, x, dy, dw)
 		}},
 	}
+	unrollPasses = []convPass{
+		{"fwd", func(ws *workspace.Arena, cfg Config, x, w, y, _, _, _ *tensor.Tensor) {
+			UnrollForward(ws, cfg, x, w, y)
+		}},
+		{"bwd_data", func(ws *workspace.Arena, cfg Config, _, w, _, dx, _, dy *tensor.Tensor) {
+			UnrollBackwardData(ws, cfg, dy, w, dx)
+		}},
+		{"bwd_filter", func(ws *workspace.Arena, cfg Config, x, _, _, _, dw, dy *tensor.Tensor) {
+			UnrollBackwardFilter(ws, cfg, x, dy, dw)
+		}},
+	}
+	// Winograd has no backward-filter pass of its own.
+	winogradPasses = []convPass{
+		{"fwd", func(ws *workspace.Arena, cfg Config, x, w, y, _, _, _ *tensor.Tensor) {
+			WinogradForward(ws, cfg, x, w, y)
+		}},
+		{"bwd_data", func(ws *workspace.Arena, cfg Config, _, w, _, dx, _, dy *tensor.Tensor) {
+			WinogradBackwardData(ws, cfg, dy, w, dx)
+		}},
+	}
+)
+
+// benchPasses runs every pass over every layer as a pass/layer
+// sub-benchmark; GFLOPS is the direct-convolution FLOP count per
+// second, so the passes of one layer are comparable with each other
+// and with the other engines.
+func benchPasses(b *testing.B, passes []convPass, layers ...[]namedConv) {
 	for _, pass := range passes {
-		for _, tc := range cifarNetConvs {
-			x, w, y, dx, dw, dy := allocTensors(tc.cfg)
-			b.Run(pass.name+"/"+tc.name, func(b *testing.B) {
-				b.ReportAllocs()
-				var ws workspace.Arena
-				for i := 0; i < b.N; i++ {
-					pass.run(&ws, tc.cfg, x, w, y, dx, dw, dy)
-				}
-				b.ReportMetric(tc.cfg.ForwardFLOPs()*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-			})
+		for _, set := range layers {
+			for _, tc := range set {
+				x, w, y, dx, dw, dy := allocTensors(tc.cfg)
+				b.Run(pass.name+"/"+tc.name, func(b *testing.B) {
+					b.ReportAllocs()
+					var ws workspace.Arena
+					for i := 0; i < b.N; i++ {
+						pass.run(&ws, tc.cfg, x, w, y, dx, dw, dy)
+					}
+					b.ReportMetric(tc.cfg.ForwardFLOPs()*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+				})
+			}
 		}
 	}
 }
+
+// BenchmarkConvFFT measures each FFT-convolution pass on the CIFARNet
+// layers.
+func BenchmarkConvFFT(b *testing.B) { benchPasses(b, fftPasses, cifarNetConvs) }
+
+// BenchmarkConvUnroll measures each unrolling pass — fused-im2col
+// forward, TN backward-data, virtual-B backward-filter — on the
+// CIFARNet training layers and the AlexNet inference layers.
+func BenchmarkConvUnroll(b *testing.B) { benchPasses(b, unrollPasses, cifarNetConvs, alexNetConvs) }
+
+// BenchmarkConvWinograd measures the Winograd passes on the AlexNet
+// inference layers.
+func BenchmarkConvWinograd(b *testing.B) { benchPasses(b, winogradPasses, alexNetConvs) }

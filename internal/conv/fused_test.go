@@ -21,7 +21,7 @@ func materializedForward(cfg Config, x, w, y *tensor.Tensor) {
 	col := make([]float32, rows*cols)
 	for n := 0; n < cfg.Batch; n++ {
 		im2col.Im2col(g, x.Data[n*imgLen:(n+1)*imgLen], col)
-		gemm.Packed(new(workspace.Arena), 1, w.Data, col, 0, y.Data[n*outLen:(n+1)*outLen], cfg.Filters, cols, rows)
+		gemm.Blocked(new(workspace.Arena), 1, w.Data, col, 0, y.Data[n*outLen:(n+1)*outLen], cfg.Filters, cols, rows)
 	}
 }
 

@@ -38,7 +38,7 @@ func FuzzPackedGEMM(f *testing.F) {
 			want[i], got[i] = v, v
 		}
 		Naive(1.5, a, b, 0.25, want, m, n, k)
-		Packed(new(workspace.Arena), 1.5, a, b, 0.25, got, m, n, k)
+		Blocked(new(workspace.Arena), 1.5, a, b, 0.25, got, m, n, k)
 		limit := 1e-4 * math.Sqrt(float64(k)+1)
 		for i := range want {
 			if d := math.Abs(float64(want[i] - got[i])); d > limit {

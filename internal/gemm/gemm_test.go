@@ -227,54 +227,6 @@ func TestFLOPs(t *testing.T) {
 	if FLOPs(2, 3, 4) != 48 {
 		t.Fatalf("FLOPs = %v, want 48", FLOPs(2, 3, 4))
 	}
-	if CFLOPs(2, 3, 4) != 192 {
-		t.Fatalf("CFLOPs = %v, want 192", CFLOPs(2, 3, 4))
-	}
-}
-
-func cmaxDiff(a, b []complex64) float64 {
-	var m float64
-	for i := range a {
-		d := a[i] - b[i]
-		v := math.Hypot(float64(real(d)), float64(imag(d)))
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func randCMat(r *tensor.RNG, rows, cols int) []complex64 {
-	m := make([]complex64, rows*cols)
-	for i := range m {
-		m[i] = complex(2*r.Float32()-1, 2*r.Float32()-1)
-	}
-	return m
-}
-
-func TestCNaiveKnown(t *testing.T) {
-	// (1+i)*(1-i) = 2
-	a := []complex64{complex(1, 1)}
-	b := []complex64{complex(1, -1)}
-	c := make([]complex64, 1)
-	CNaive(1, a, b, 0, c, 1, 1, 1)
-	if c[0] != 2 {
-		t.Fatalf("got %v, want 2", c[0])
-	}
-}
-
-func TestCParallelMatchesCNaive(t *testing.T) {
-	m, n, k := 90, 70, 40
-	r := tensor.NewRNG(8)
-	a := randCMat(r, m, k)
-	b := randCMat(r, k, n)
-	c1 := make([]complex64, m*n)
-	c2 := make([]complex64, m*n)
-	CNaive(1, a, b, 0, c1, m, n, k)
-	CParallel(new(workspace.Arena), 1, a, b, 0, c2, m, n, k)
-	if d := cmaxDiff(c1, c2); d > 1e-3 {
-		t.Fatalf("CParallel differs by %g", d)
-	}
 }
 
 func TestCMulAccPointwiseConj(t *testing.T) {
@@ -320,30 +272,6 @@ func TestAssociativity(t *testing.T) {
 		abc2 := make([]float32, m*l)
 		Blocked(new(workspace.Arena), 1, a, bc, 0, abc2, m, l, k)
 		return maxDiff(abc1, abc2) < 1e-3
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCGEMMLinearity: complex GEMM is linear in its left operand.
-func TestCGEMMLinearity(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := tensor.NewRNG(seed)
-		m, n, k := 1+r.Intn(8), 1+r.Intn(8), 1+r.Intn(8)
-		a1 := randCMat(r, m, k)
-		a2 := randCMat(r, m, k)
-		b := randCMat(r, k, n)
-		sum := make([]complex64, m*k)
-		for i := range sum {
-			sum[i] = a1[i] + a2[i]
-		}
-		c1 := make([]complex64, m*n)
-		CNaive(1, sum, b, 0, c1, m, n, k)
-		c2 := make([]complex64, m*n)
-		CNaive(1, a1, b, 0, c2, m, n, k)
-		CNaive(1, a2, b, 1, c2, m, n, k)
-		return cmaxDiff(c1, c2) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -37,17 +37,16 @@ const (
 
 func roundUp(x, m int) int { return (x + m - 1) / m * m }
 
-// aSrc describes the left operand: a materialised row-major matrix
-// (optionally read as its transpose) or a virtual operand whose panels
-// are generated by an APacker.
+// aSrc describes the left operand: a materialised row-major matrix,
+// optionally read as its transpose.
 type aSrc struct {
 	data  []float32
 	lda   int
 	trans bool
-	v     APacker
 }
 
-// bSrc describes the right operand, symmetrically.
+// bSrc describes the right operand: a materialised matrix like aSrc, or
+// a virtual operand whose panels are generated by a BPacker.
 type bSrc struct {
 	data  []float32
 	ldb   int
@@ -59,7 +58,6 @@ func matA(data []float32, lda int) aSrc  { return aSrc{data: data, lda: lda} }
 func matAT(data []float32, lda int) aSrc { return aSrc{data: data, lda: lda, trans: true} }
 func matB(data []float32, ldb int) bSrc  { return bSrc{data: data, ldb: ldb} }
 func matBT(data []float32, ldb int) bSrc { return bSrc{data: data, ldb: ldb, trans: true} }
-func virtA(v APacker) aSrc               { return aSrc{v: v} }
 func virtB(v BPacker) bSrc               { return bSrc{v: v} }
 
 // packA copies the mv×kc block of op(A) at (i0, p0) into a row-major
@@ -83,20 +81,6 @@ func packA(dst, a []float32, lda, i0, mv, p0, kc int, transA bool) {
 		}
 	}
 	clear(dst[mv*kc : mr*kc])
-}
-
-// packPanelA fills one A micro-panel from either source. Virtual
-// packers only write the valid mv×kc region; the tail rows are cleared
-// here so the micro-kernel can always run full-height panels.
-//
-//hot:noalloc
-func packPanelA(dst []float32, s aSrc, i0, mv, p0, kc int) {
-	if s.v != nil {
-		s.v.PackPanelA(dst, i0, mv, p0, kc)
-		clear(dst[mv*kc : mr*kc])
-		return
-	}
-	packA(dst, s.data, s.lda, i0, mv, p0, kc, s.trans)
 }
 
 // packB copies the kc×nv block of op(B) at (p0, j0) into a p-major
@@ -260,7 +244,7 @@ func packABlock(dst []float32, s aSrc, ic, mBlk, pc, kc int) {
 		if mv > mr {
 			mv = mr
 		}
-		packPanelA(dst[pi*mr*kc:], s, i0, mv, pc, kc)
+		packA(dst[pi*mr*kc:], s.data, s.lda, i0, mv, pc, kc, s.trans)
 	}
 }
 
@@ -398,8 +382,8 @@ var macroJobPool = par.NewJobPool[macroJob]()
 // packedGEMM computes C += alpha·op(A)·op(B) over beta-prescaled C with
 // autotuned blocking, carving its packing buffers from ws. Operand
 // sources may be materialised (with per-operand transpose, which is how
-// NT/TN reuse the same micro-kernel) or virtual (panel-generating
-// packers — the fused im2col path).
+// NT/TN reuse the same micro-kernel); the right operand may also be
+// virtual (a panel-generating packer — the fused im2col path).
 func packedGEMM(ws *workspace.Arena, workers int, alpha float32, aOp aSrc, bOp bSrc, c []float32, m, n, k int) {
 	packedGEMMParams(ws, workers, alpha, aOp, bOp, c, m, n, k, tuneFor(m, n, k))
 }

@@ -37,6 +37,18 @@ func tol(k int) float64 {
 	return 1e-4 * math.Sqrt(float64(k)+1)
 }
 
+// transpose returns the cols×rows transpose of a row-major rows×cols
+// matrix, so the NT/TN operands can be checked against Naive.
+func transpose(src []float32, rows, cols int) []float32 {
+	dst := make([]float32, rows*cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			dst[j*rows+i] = src[i*cols+j]
+		}
+	}
+	return dst
+}
+
 func TestPackedMatchesNaiveRagged(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, m := range raggedSizes {
@@ -47,9 +59,9 @@ func TestPackedMatchesNaiveRagged(t *testing.T) {
 				want := randSlice(rng, m*n)
 				got := append([]float32(nil), want...)
 				Naive(1.3, a, b, 0.4, want, m, n, k)
-				Packed(new(workspace.Arena), 1.3, a, b, 0.4, got, m, n, k)
+				Blocked(new(workspace.Arena), 1.3, a, b, 0.4, got, m, n, k)
 				if d := maxAbsDiff(want, got); d > tol(k) {
-					t.Fatalf("Packed mismatch m=%d n=%d k=%d: max diff %g", m, n, k, d)
+					t.Fatalf("Blocked mismatch m=%d n=%d k=%d: max diff %g", m, n, k, d)
 				}
 			}
 		}
@@ -87,7 +99,7 @@ func TestPackedNTMatchesOracleRagged(t *testing.T) {
 			b := randSlice(rng, n*k)
 			want := make([]float32, m*n)
 			got := make([]float32, m*n)
-			ntLegacy(1, a, b, 0, want, m, n, k)
+			Naive(1, a, transpose(b, n, k), 0, want, m, n, k)
 			scaleRows(0, got, 0, m, n)
 			packedGEMM(new(workspace.Arena), 1, 1, matA(a, k), matBT(b, k), got, m, n, k)
 			if d := maxAbsDiff(want, got); d > tol(k) {
@@ -106,7 +118,7 @@ func TestPackedTNMatchesOracleRagged(t *testing.T) {
 			b := randSlice(rng, k*n)
 			want := make([]float32, m*n)
 			got := make([]float32, m*n)
-			tnLegacy(1, a, b, 0, want, m, n, k)
+			Naive(1, transpose(a, k, m), b, 0, want, m, n, k)
 			scaleRows(0, got, 0, m, n)
 			packedGEMM(new(workspace.Arena), 1, 1, matAT(a, m), matB(b, n), got, m, n, k)
 			if d := maxAbsDiff(want, got); d > tol(k) {
@@ -116,104 +128,50 @@ func TestPackedTNMatchesOracleRagged(t *testing.T) {
 	}
 }
 
-// TestLargeEntryPointsUsePackedKernel pushes the public entry points
-// over the packed-routing threshold so the packed path (not the legacy
-// fallback) is what's verified against the oracle.
+// TestLargeEntryPointsUsePackedKernel checks every public SGEMM entry
+// point against the oracle at a multi-tile shape, and at the degenerate
+// shapes with a zero extent: there C must come back as exactly β·C, and
+// nothing past the m×n result may be touched.
 func TestLargeEntryPointsUsePackedKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const m, n, k = 70, 65, 40 // m*n*k = 182000 > packedThreshold()
-	if !routesToPacked(m, n, k) {
-		t.Fatalf("test shape %dx%dx%d no longer routes to the packed kernel (threshold %d)",
-			m, n, k, packedThreshold())
-	}
-	a := randSlice(rng, m*k)
-	b := randSlice(rng, k*n)
-	bT := make([]float32, n*k) // b transposed: n×k
-	for p := 0; p < k; p++ {
-		for j := 0; j < n; j++ {
-			bT[j*k+p] = b[p*n+j]
-		}
-	}
-	aT := make([]float32, k*m) // a transposed: k×m
-	for i := 0; i < m; i++ {
-		for p := 0; p < k; p++ {
-			aT[p*m+i] = a[i*k+p]
-		}
-	}
-	want := make([]float32, m*n)
-	Naive(2, a, b, 0, want, m, n, k)
-
-	for _, tc := range []struct {
-		name string
-		run  func(c []float32)
-	}{
-		{"Blocked", func(c []float32) { Blocked(new(workspace.Arena), 2, a, b, 0, c, m, n, k) }},
-		{"Parallel", func(c []float32) { Parallel(2, a, b, 0, c, m, n, k) }},
-		{"NT", func(c []float32) { NT(new(workspace.Arena), 2, a, bT, 0, c, m, n, k) }},
-		{"TN", func(c []float32) { TN(new(workspace.Arena), 2, aT, b, 0, c, m, n, k) }},
-		{"ParallelNT", func(c []float32) { ParallelNT(new(workspace.Arena), 2, a, bT, 0, c, m, n, k) }},
-	} {
-		got := make([]float32, m*n)
-		tc.run(got)
-		if d := maxAbsDiff(want, got); d > tol(k) {
-			t.Fatalf("%s mismatch at m=%d n=%d k=%d: max diff %g", tc.name, m, n, k, d)
-		}
-	}
-}
-
-func TestCPackedMatchesCNaiveRagged(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	sizes := []int{1, 2, 3, 4, 5, 7, 8, 9, 17, 33}
-	randC := func(n int) []complex64 {
-		s := make([]complex64, n)
-		for i := range s {
-			s[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-		}
-		return s
-	}
-	for _, m := range sizes {
-		for _, n := range sizes {
-			for _, k := range []int{1, 4, 5, 9, 33} {
-				a := randC(m * k)
-				b := randC(k * n)
-				want := randC(m * n)
-				got := append([]complex64(nil), want...)
-				alpha := complex64(complex(1.1, -0.3))
-				beta := complex64(complex(0.2, 0.7))
-				CNaive(alpha, a, b, beta, want, m, n, k)
-				CPacked(new(workspace.Arena), alpha, a, b, beta, got, m, n, k)
-				for i := range want {
-					dr := math.Abs(float64(real(want[i]) - real(got[i])))
-					di := math.Abs(float64(imag(want[i]) - imag(got[i])))
-					if dr > tol(k)*2 || di > tol(k)*2 {
-						t.Fatalf("CPacked mismatch m=%d n=%d k=%d at %d: want %v got %v", m, n, k, i, want[i], got[i])
-					}
-				}
+	const alpha, beta, guard = 2, 0.5, 4
+	for _, s := range [][3]int{{70, 65, 40}, {70, 65, 0}, {0, 65, 40}, {70, 0, 40}} {
+		m, n, k := s[0], s[1], s[2]
+		a := randSlice(rng, m*k)
+		b := randSlice(rng, k*n)
+		aT, bT := transpose(a, m, k), transpose(b, k, n)
+		c0 := randSlice(rng, m*n+guard)
+		want := append([]float32(nil), c0...)
+		if m*n*k == 0 {
+			for i := range want[:m*n] {
+				want[i] *= beta
 			}
+		} else {
+			Naive(alpha, a, b, beta, want, m, n, k)
 		}
-	}
-}
 
-func TestCParallelMatchesCNaiveLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const m, n, k = 48, 33, 40
-	a := make([]complex64, m*k)
-	b := make([]complex64, k*n)
-	for i := range a {
-		a[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-	}
-	for i := range b {
-		b[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-	}
-	want := make([]complex64, m*n)
-	got := make([]complex64, m*n)
-	CNaive(1, a, b, 0, want, m, n, k)
-	CParallel(new(workspace.Arena), 1, a, b, 0, got, m, n, k)
-	for i := range want {
-		dr := math.Abs(float64(real(want[i]) - real(got[i])))
-		di := math.Abs(float64(imag(want[i]) - imag(got[i])))
-		if dr > tol(k)*2 || di > tol(k)*2 {
-			t.Fatalf("CParallel mismatch at %d: want %v got %v", i, want[i], got[i])
+		for _, tc := range []struct {
+			name string
+			run  func(c []float32)
+		}{
+			{"Blocked", func(c []float32) { Blocked(new(workspace.Arena), alpha, a, b, beta, c, m, n, k) }},
+			{"Parallel", func(c []float32) { Parallel(alpha, a, b, beta, c, m, n, k) }},
+			{"NT", func(c []float32) { NT(new(workspace.Arena), alpha, a, bT, beta, c, m, n, k) }},
+			{"TN", func(c []float32) { TN(new(workspace.Arena), alpha, aT, b, beta, c, m, n, k) }},
+			{"ParallelNT", func(c []float32) { ParallelNT(new(workspace.Arena), alpha, a, bT, beta, c, m, n, k) }},
+		} {
+			got := append([]float32(nil), c0...)
+			tc.run(got)
+			limit := tol(k)
+			if m*n*k == 0 {
+				limit = 0
+			}
+			if d := maxAbsDiff(want[:m*n], got[:m*n]); d > limit {
+				t.Fatalf("%s mismatch at m=%d n=%d k=%d: max diff %g", tc.name, m, n, k, d)
+			}
+			if d := maxAbsDiff(want[m*n:], got[m*n:]); d != 0 {
+				t.Fatalf("%s at m=%d n=%d k=%d wrote past the m×n result", tc.name, m, n, k)
+			}
 		}
 	}
 }

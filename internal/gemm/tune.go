@@ -139,7 +139,6 @@ func detectCaches() cacheSizes {
 var (
 	tuneOnce     sync.Once
 	baseParams   blockParams
-	smallCutoff  int
 	detectedInfo cacheSizes
 )
 
@@ -148,18 +147,6 @@ func tuneInit() {
 	tuneOnce.Do(func() {
 		detectedInfo = detectCaches()
 		baseParams = analyticParams(detectedInfo)
-		// Small-problem cutoff (legacy-kernel crossover), derived from
-		// the tuned blocking instead of a hard-coded constant: one
-		// kc-deep panel pass costs ~kc·(mr+nr) elements of packing
-		// traffic, so a problem needs a multiple of that many
-		// multiply-adds before packing amortises. The SIMD micro-kernel
-		// amortises far sooner than the scalar one because the packed
-		// side gets faster while the legacy kernel does not.
-		scale := 8
-		if useFMA {
-			scale = 2
-		}
-		smallCutoff = scale * baseParams.kc * (mr + nr)
 	})
 }
 
@@ -170,21 +157,6 @@ func Blocking() (mc, kc, nc, l1d, l2, l3 int) {
 	tuneInit()
 	return baseParams.mc, baseParams.kc, baseParams.nc,
 		detectedInfo.l1d, detectedInfo.l2, detectedInfo.l3
-}
-
-// packedThreshold returns the m·n·k extent below which the legacy
-// kernels win (packing cannot amortise). Derived from the autotuned
-// blocking; see tuneInit.
-func packedThreshold() int {
-	tuneInit()
-	return smallCutoff
-}
-
-// routesToPacked reports whether an m×n×k problem goes through the
-// packed kernel (as opposed to the legacy fallback). Split out so the
-// crossover is pinned by a regression test.
-func routesToPacked(m, n, k int) bool {
-	return m*n*k >= packedThreshold()
 }
 
 // --- measured-probe refinement ---

@@ -58,35 +58,6 @@ func TestAnalyticParamsQuantisedAndBounded(t *testing.T) {
 	}
 }
 
-// TestThresholdCrossover pins the legacy-kernel crossover to the
-// derived formula: problems below scale·kc·(mr+nr) take the legacy
-// kernels, problems at or above it take the packed path. This replaces
-// the old hard-coded 1<<15 constant — the regression this guards is the
-// threshold silently decoupling from the tuned blocking.
-func TestThresholdCrossover(t *testing.T) {
-	_, kc, _, _, _, _ := Blocking()
-	scale := 8
-	if useFMA {
-		scale = 2
-	}
-	want := scale * kc * (mr + nr)
-	if got := packedThreshold(); got != want {
-		t.Fatalf("packedThreshold() = %d, want scale(%d)·kc(%d)·(mr+nr) = %d", got, scale, kc, want)
-	}
-	th := packedThreshold()
-	if routesToPacked(1, 1, th-1) {
-		t.Errorf("volume %d (below threshold) routes to packed", th-1)
-	}
-	if !routesToPacked(1, 1, th) {
-		t.Errorf("volume %d (at threshold) routes to legacy", th)
-	}
-	// The complex crossover tracks the real one at a quarter (a complex
-	// MAC is four real ones).
-	if got := cpackedThreshold(); got != th/4 {
-		t.Errorf("cpackedThreshold() = %d, want %d", got, th/4)
-	}
-}
-
 func TestShapeClassBuckets(t *testing.T) {
 	if shapeClass(256, 256, 256) != shapeClass(129, 200, 255) {
 		t.Error("shapes in the same log2 buckets got different classes")

@@ -21,15 +21,6 @@ func materializedB(b []float32, n int) PackBFunc {
 	}
 }
 
-// materializedA wraps a row-major m×k matrix as an APacker.
-func materializedA(a []float32, k int) PackAFunc {
-	return func(dst []float32, i0, mv, p0, kc int) {
-		for r := 0; r < mv; r++ {
-			copy(dst[r*kc:r*kc+kc], a[(i0+r)*k+p0:(i0+r)*k+p0+kc])
-		}
-	}
-}
-
 func TestBlockedVirtualBMatchesBlocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, m := range []int{1, 7, 8, 17, 70} {
@@ -39,29 +30,11 @@ func TestBlockedVirtualBMatchesBlocked(t *testing.T) {
 				b := randSlice(rng, k*n)
 				want := randSlice(rng, m*n)
 				got := append([]float32(nil), want...)
-				Packed(new(workspace.Arena), 1.2, a, b, 0.3, want, m, n, k)
+				Blocked(new(workspace.Arena), 1.2, a, b, 0.3, want, m, n, k)
 				BlockedVirtualB(new(workspace.Arena), 1.2, a, materializedB(b, n), 0.3, got, m, n, k)
 				if d := maxAbsDiff(want, got); d > tol(k) {
 					t.Fatalf("virtual-B mismatch m=%d n=%d k=%d: max diff %g", m, n, k, d)
 				}
-			}
-		}
-	}
-}
-
-func TestBlockedVirtualAMatchesBlocked(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for _, m := range []int{1, 7, 9, 64, 70} {
-		for _, k := range []int{1, 8, 127} {
-			n := 33
-			a := randSlice(rng, m*k)
-			b := randSlice(rng, k*n)
-			want := randSlice(rng, m*n)
-			got := append([]float32(nil), want...)
-			Packed(new(workspace.Arena), 0.7, a, b, 1, want, m, n, k)
-			BlockedVirtualA(new(workspace.Arena), 0.7, materializedA(a, k), b, 1, got, m, n, k)
-			if d := maxAbsDiff(want, got); d > tol(k) {
-				t.Fatalf("virtual-A mismatch m=%d n=%d k=%d: max diff %g", m, n, k, d)
 			}
 		}
 	}
@@ -77,7 +50,7 @@ func TestParallelVirtualBMatchesPacked(t *testing.T) {
 	b := randSlice(rng, k*n)
 	want := make([]float32, m*n)
 	got := make([]float32, m*n)
-	Packed(new(workspace.Arena), 1, a, b, 0, want, m, n, k)
+	Blocked(new(workspace.Arena), 1, a, b, 0, want, m, n, k)
 	ParallelVirtualB(new(workspace.Arena), 1, a, materializedB(b, n), 0, got, m, n, k)
 	if d := maxAbsDiff(want, got); d > tol(k) {
 		t.Fatalf("parallel virtual-B mismatch: max diff %g", d)
@@ -94,7 +67,7 @@ func TestVirtualForcedParallelPartitioning(t *testing.T) {
 	a := randSlice(rng, m*k)
 	b := randSlice(rng, k*n)
 	want := make([]float32, m*n)
-	Packed(new(workspace.Arena), 1, a, b, 0, want, m, n, k)
+	Blocked(new(workspace.Arena), 1, a, b, 0, want, m, n, k)
 	for _, workers := range []int{2, 3, 4, 7, 8, 16} {
 		got := make([]float32, m*n)
 		packedGEMM(new(workspace.Arena), workers, 1, matA(a, k), virtB(materializedB(b, n)), got, m, n, k)
