@@ -84,6 +84,25 @@ bench-planner-compare:
 	go test ./internal/planner -run '^$$' -bench 'BenchmarkPlanner' -count=5 -timeout 30m | tee bench_planner_new.txt
 	go run ./cmd/benchjson -in bench_planner_new.txt -compare BENCH_planner.json -regress 1.15
 
+# Where the linker put the end-to-end benchmark's reference kernel.
+# Builds the benchmark binary from this tree with benchmark/run.sh's
+# offline environment and prints main.hostRef.func1's address and its
+# offset mod 64. The benchmark divides host timings by that kernel's
+# speed, so a change that only moves code can shift every adjusted
+# metric; compare this line between two trees before reading a
+# difference in their adjusted metrics as a real one.
+bench_env = GOCACHE=$(CURDIR)/.bench_build/gocache GOTMPDIR=$(CURDIR)/.bench_build/tmp \
+	GOPATH=$(CURDIR)/.bench_build/gopath GOMODCACHE=$(CURDIR)/.bench_build/gopath/pkg/mod \
+	XDG_CONFIG_HOME=$(CURDIR)/.bench_build/config GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=readonly
+
+.PHONY: bench-layout
+bench-layout:
+	mkdir -p .bench_build/tmp
+	$(bench_env) go -C benchmark build -o $(CURDIR)/.bench_build/perfbench .
+	@addr=$$($(bench_env) go tool nm .bench_build/perfbench | awk '$$3 == "main.hostRef.func1" { print $$1 }'); \
+	test -n "$$addr" || { echo "main.hostRef.func1 not found" >&2; exit 1; }; \
+	echo "main.hostRef.func1 0x$$addr, $$((0x$$addr % 64)) mod 64"
+
 # Serving-path microbenchmarks: the dynamic batcher vs the batch=1
 # baseline (wall cost of the serving machinery plus the simulated
 # per-image GPU cost as sim_us_per_img), and the admission-control

@@ -1,6 +1,7 @@
 package gpucnn
 
 import (
+	"context"
 	"testing"
 
 	"gpucnn/internal/bench"
@@ -22,7 +23,7 @@ import (
 // model's convolution share.
 func BenchmarkFigure2ModelBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		breakdowns := bench.Figure2()
+		breakdowns := bench.Figure2Ctx(context.Background(), bench.Options{})
 		if i == 0 {
 			for _, mb := range breakdowns {
 				b.ReportMetric(mb.ConvShare*100, mb.Model+"_conv_%")
@@ -33,7 +34,7 @@ func BenchmarkFigure2ModelBreakdown(b *testing.B) {
 
 func benchSweep(b *testing.B, sweep string) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Figure3(sweep)
+		rows := bench.Figure3Ctx(context.Background(), sweep, gpusim.TeslaK40c(), bench.Options{})
 		if i == 0 {
 			// Report the base-row fbfft and cuDNN times as the
 			// figure's headline series points.
@@ -83,7 +84,7 @@ func BenchmarkFigure4HotspotKernels(b *testing.B) {
 // reports the extreme peak-memory values.
 func BenchmarkFigure5MemoryUsage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Figure3("batch")
+		rows := bench.Figure3Ctx(context.Background(), "batch", gpusim.TeslaK40c(), bench.Options{})
 		if i == 0 {
 			last := rows[len(rows)-1]
 			if c, ok := last.CellFor("fbfft"); ok && c.Ok() {
@@ -100,7 +101,7 @@ func BenchmarkFigure5MemoryUsage(b *testing.B) {
 // occupancy extremes the paper highlights.
 func BenchmarkFigure6GPUMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Figure6()
+		rows := bench.Figure6Ctx(context.Background(), bench.Options{})
 		if i == 0 {
 			for _, r := range rows {
 				if r.Config != "Conv1" || !r.Cell.Ok() {
@@ -119,7 +120,7 @@ func BenchmarkFigure6GPUMetrics(b *testing.B) {
 // Theano-CorrMM's Conv2 spike.
 func BenchmarkFigure7TransferOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Figure7()
+		rows := bench.Figure7Ctx(context.Background(), bench.Options{})
 		if i == 0 {
 			for _, r := range rows {
 				if r.Impl == "Theano-CorrMM" && r.Config == "Conv2" && r.Ok {
@@ -133,7 +134,7 @@ func BenchmarkFigure7TransferOverhead(b *testing.B) {
 // BenchmarkTableIIResourceUsage regenerates Table II.
 func BenchmarkTableIIResourceUsage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.TableII()
+		rows := bench.TableIICtx(context.Background(), bench.Options{})
 		if i == 0 && len(rows) != 7 {
 			b.Fatalf("Table II has %d rows", len(rows))
 		}

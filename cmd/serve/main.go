@@ -1,34 +1,36 @@
-// Command serve runs the inference-serving layer over the simulated
-// cluster and renders a throughput-vs-latency table across batching
-// policies: the batch=1 baseline against dynamic batching at several
-// max-wait settings. The per-image amortisation the paper measures in
+// Command serve runs the inference-serving fleet over the simulated
+// cluster under an open-loop trace and renders a throughput-vs-latency
+// table across batching policies: the batch=1 baseline against dynamic
+// batching at several max-wait settings. Each policy serves as a
+// one-replica fleet replaying the same steady trace (-base-rps for
+// -trace-dur). The per-image amortisation the paper measures in
 // Figure 3a reappears here as a serving result — larger formed batches
 // buy simulated throughput at a bounded queueing-latency cost.
 //
 // With -dash the process also serves the live observability plane:
 // rolling-window latency/queue metrics, SLO burn-rate states and
 // profile attributions at /debug/dash (text) and /debug/dash.json,
-// plus the current policy's /metrics. Point cmd/obswatch at it, or
+// plus the current run's /metrics. Point cmd/obswatch at it, or
 // curl it mid-run. -linger keeps the dashboard up after the table so
 // the final minute of history stays inspectable.
 //
-// With -fleet the command instead sweeps a sharded serving fleet:
-// for each initial replica count in -shards it builds a pool of
-// replicas (each a full server over a private cluster shard), routes
-// an open-loop trace-driven workload (-trace ramp|diurnal|burst|steady)
-// through the front door (-route hash|least-loaded), lets the
-// SLO-burn-driven autoscaler grow and shrink the pool, and renders the
-// throughput-vs-p99 frontier with the replica range each row visited
-// plus the autoscaler's decision log.
+// With -fleet the command instead sweeps fleet sizes: for each initial
+// replica count in -shards it builds a pool of replicas (each a full
+// server over a private cluster of -devices GPUs), routes an open-loop
+// trace (-trace ramp|diurnal|burst|steady) through the front door
+// (-route hash|least-loaded), lets the SLO-burn-driven autoscaler grow
+// and shrink the pool, and renders the throughput-vs-p99 frontier with
+// the replica range each row visited plus the autoscaler's decision
+// log.
 //
 // Usage:
 //
-//	serve [-devices 4] [-engine cuDNN] [-clients 64] [-requests 2000]
-//	      [-maxbatch 32] [-waits 500us,2ms,8ms] [-timescale 1]
+//	serve [-devices 2] [-engine cuDNN] [-maxbatch 32] [-waits 500us,2ms,8ms]
+//	      [-base-rps 2000] [-trace-dur 4s] [-trace-seed 1] [-timescale 1]
 //	      [-input 32] [-filters 32] [-kernel 5] [-metrics out.json]
 //	      [-dash :8080] [-linger] [-profiles dir]
 //	      [-slo-p99 10ms] [-slo-target 0.99] [-slo-shedmax 0.05]
-//	serve -fleet [-shards 1,2,4] [-shard-devices 2] [-route hash]
+//	serve -fleet [-shards 1,2,4] [-devices 2] [-route hash]
 //	      [-trace ramp] [-base-rps 2000] [-peak-rps 60000]
 //	      [-trace-dur 4s] [-trace-seed 1] [-as-max 0] [-as-interval 250ms]
 package main
@@ -51,7 +53,6 @@ import (
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/impls"
-	"gpucnn/internal/multigpu"
 	"gpucnn/internal/obs"
 	"gpucnn/internal/par"
 	"gpucnn/internal/planner"
@@ -60,10 +61,8 @@ import (
 )
 
 func main() {
-	devices := flag.Int("devices", 4, "simulated GPUs in the cluster")
+	devices := flag.Int("devices", 2, "simulated GPUs per replica")
 	engine := flag.String("engine", "cuDNN", "convolution engine, e.g. cuDNN or Autotuned (must support arbitrary batch sizes)")
-	clients := flag.Int("clients", 64, "closed-loop load-generator clients")
-	requests := flag.Int("requests", 2000, "requests to complete per policy")
 	maxBatch := flag.Int("maxbatch", 32, "dynamic batcher flush size")
 	waits := flag.String("waits", "500us,2ms,8ms", "comma-separated max-wait settings for the dynamic policies")
 	queueCap := flag.Int("queue", 0, "admission queue bound (0 = 4×maxbatch)")
@@ -81,15 +80,14 @@ func main() {
 	sloP99 := flag.Duration("slo-p99", 10*time.Millisecond, "SLO objective: e2e p99 latency threshold")
 	sloTarget := flag.Float64("slo-target", 0.99, "SLO objective: fraction of requests that must land under -slo-p99")
 	sloShed := flag.Float64("slo-shedmax", 0.05, "SLO objective: maximum tolerated shed (rejection) rate")
-	fleetMode := flag.Bool("fleet", false, "sweep a sharded serving fleet under a trace-driven open loop instead of the policy table")
+	fleetMode := flag.Bool("fleet", false, "sweep fleet sizes under the -trace curve instead of the policy table")
 	shards := flag.String("shards", "1,2,4", "with -fleet: comma-separated initial replica counts, one frontier row each")
-	shardDevices := flag.Int("shard-devices", 2, "with -fleet: simulated GPUs per replica shard")
 	route := flag.String("route", "hash", "with -fleet: front-door routing (hash or least-loaded)")
-	traceShape := flag.String("trace", "ramp", "with -fleet: arrival curve (steady, ramp, diurnal or burst)")
-	baseRPS := flag.Float64("base-rps", 2000, "with -fleet: trace base arrival rate")
+	traceShape := flag.String("trace", "ramp", "with -fleet: arrival curve (steady, ramp, diurnal or burst); the policy table always replays a steady trace")
+	baseRPS := flag.Float64("base-rps", 2000, "trace base arrival rate (the policy table's steady rate)")
 	peakRPS := flag.Float64("peak-rps", 60000, "with -fleet: trace peak arrival rate")
-	traceDur := flag.Duration("trace-dur", 4*time.Second, "with -fleet: trace duration per row")
-	traceSeed := flag.Int64("trace-seed", 1, "with -fleet: trace RNG seed (same seed, same trace)")
+	traceDur := flag.Duration("trace-dur", 4*time.Second, "trace duration per row")
+	traceSeed := flag.Int64("trace-seed", 1, "trace RNG seed (same seed, same trace)")
 	asMax := flag.Int("as-max", 0, "with -fleet: autoscaler max replicas per row (0 = 2× the row's initial count)")
 	asInterval := flag.Duration("as-interval", 250*time.Millisecond, "with -fleet: autoscaler tick interval")
 	flag.Parse()
@@ -123,11 +121,6 @@ func main() {
 		live.Store(p)
 		return p
 	}
-	slo := serve.SLOConfig{
-		E2EThreshold: sloP99.Seconds(),
-		E2ETarget:    *sloTarget,
-		ShedMax:      *sloShed,
-	}
 
 	if *dashAddr != "" {
 		if *profDir != "" {
@@ -147,91 +140,45 @@ func main() {
 		fmt.Printf("dashboard: http://%s/debug/dash\n", *dashAddr)
 	}
 
-	if *fleetMode {
-		runFleetSweep(ctx, fleetSweep{
-			newPlane: newPlane,
-			engine:   eng, model: model, slo: slo,
-			shards: *shards, shardDevices: *shardDevices,
-			routeName: *route, traceName: *traceShape,
-			baseRPS: *baseRPS, peakRPS: *peakRPS,
-			dur: *traceDur, seed: *traceSeed,
-			maxBatch: *maxBatch, maxWait: 2 * time.Millisecond, queueCap: *queueCap,
-			timeScale: *timeScale, asMax: *asMax, asInterval: *asInterval,
-		})
-		if *dashAddr != "" && *linger && ctx.Err() == nil {
-			fmt.Printf("\ndashboard still live at http://%s/debug/dash — ctrl-C to exit\n", *dashAddr)
-			<-ctx.Done()
-		}
-		return
+	server := serve.Options{
+		Engine: eng, Model: model,
+		MaxBatch: *maxBatch, MaxWait: 2 * time.Millisecond, QueueCap: *queueCap,
+		TimeScale: *timeScale,
+		SLO: serve.SLOConfig{
+			E2EThreshold: sloP99.Seconds(),
+			E2ETarget:    *sloTarget,
+			ShedMax:      *sloShed,
+		},
 	}
-
-	type policy struct {
-		name     string
-		maxBatch int
-		maxWait  time.Duration
+	trace := serve.TraceOptions{
+		Shape: serve.ShapeSteady, BaseRPS: *baseRPS, PeakRPS: *peakRPS,
+		Duration: *traceDur, Seed: *traceSeed, HeavyTailP: 0.05,
 	}
-	policies := []policy{{"batch=1", 1, time.Millisecond}}
-	for _, w := range strings.Split(*waits, ",") {
-		d, err := time.ParseDuration(strings.TrimSpace(w))
-		if err != nil {
-			log.Fatalf("serve: bad -waits entry %q: %v", w, err)
-		}
-		policies = append(policies, policy{"dynamic", *maxBatch, d})
-	}
-
-	spec := gpusim.TeslaK40c()
-	fmt.Printf("Inference serving — dynamic batching over the simulated cluster\n")
 	perImage := model.WithDefaults()
 	perImage.Batch = 1
-	fmt.Printf("model %v · engine %s · %d× %s · %d closed-loop clients · %d requests per policy\n\n",
-		perImage, eng.Name(), *devices, spec.Name, *clients, *requests)
-	fmt.Printf("%-9s %-9s %-11s %-10s %-11s %-10s %-10s %-10s %-9s %s\n",
-		"policy", "max-wait", "mean-batch", "req/s", "sim img/s", "p50", "p99", "queue-p99", "shed", "slo")
+	header := fmt.Sprintf("model %v · engine %s · %d× %s per replica", perImage, eng.Name(), *devices, gpusim.TeslaK40c().Name)
 
-	snapshots := map[string]telemetry.MetricsSnapshot{}
-	for _, p := range policies {
-		plane := newPlane()
-		s, err := serve.New(multigpu.New(*devices, spec), serve.Options{
-			Engine:    eng,
-			Model:     model,
-			MaxBatch:  p.maxBatch,
-			MaxWait:   p.maxWait,
-			QueueCap:  *queueCap,
-			TimeScale: *timeScale,
-			Obs:       plane,
-			SLO:       slo,
-		})
+	var snapshots map[string]telemetry.MetricsSnapshot
+	if *fleetMode {
+		shape, err := serve.TraceShapeByName(*traceShape)
 		if err != nil {
 			log.Fatalf("serve: %v", err)
 		}
-		rep := serve.RunLoad(ctx, s, serve.LoadOptions{Clients: *clients, Requests: *requests})
-		stats := s.Stats()
-		sloState := worstState(s.Monitor())
-		s.Close()
-		wait := p.maxWait.String()
-		if p.maxBatch == 1 {
-			wait = "—"
+		trace.Shape = shape
+		routePolicy, err := serve.RoutePolicyByName(*route)
+		if err != nil {
+			log.Fatalf("serve: %v", err)
 		}
-		fmt.Printf("%-9s %-9s %-11.1f %-10.0f %-11.0f %-10v %-10v %-10v %-9s %s\n",
-			p.name, wait, rep.MeanBatch, rep.ThroughputRPS, rep.SimImagesPerSec,
-			rep.P50.Round(time.Microsecond), rep.P99.Round(time.Microsecond),
-			rep.QueueP99.Round(time.Microsecond),
-			shedColumn(stats), sloState)
-		key := p.name
-		if p.maxBatch > 1 {
-			key = fmt.Sprintf("dynamic-%s", p.maxWait)
-		}
-		snapshots[key] = plane.Registry().Snapshot()
-		if ctx.Err() != nil {
-			break
-		}
+		runFleetSweep(ctx, fleetSweep{
+			newPlane: newPlane, header: header, server: server, trace: trace,
+			devices: *devices, shards: parseShards(*shards), route: routePolicy,
+			asMax: *asMax, asInterval: *asInterval,
+		})
+	} else {
+		snapshots = runPolicyTable(ctx, newPlane, header, server, trace, *devices, parsePolicies(*maxBatch, *waits))
 	}
 
-	fmt.Printf("\nsim img/s = served images per simulated GPU-busy second (batch amortisation, Figure 3a);\n")
-	fmt.Printf("req/s and percentiles are wall-clock under the closed loop (timescale %g);\n", *timeScale)
-	fmt.Printf("shed = rejected/offered under the bounded admission queue; slo = worst burn-rate state at close.\n")
-
-	if *metrics != "" {
+	if *metrics != "" && snapshots != nil {
 		enc, err := json.MarshalIndent(snapshots, "", "  ")
 		if err != nil {
 			log.Fatalf("serve: %v", err)
@@ -248,46 +195,120 @@ func main() {
 	}
 }
 
-// shedColumn renders the shed rate over everything the policy was
-// offered (admitted plus rejected).
-func shedColumn(st serve.Stats) string {
-	offered := st.Submitted + st.Rejected
-	if offered == 0 {
-		return "—"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(st.Rejected)/float64(offered))
+// policy is one row of the batching-policy table.
+type policy struct {
+	name     string
+	maxBatch int
+	maxWait  time.Duration
 }
 
-// worstState reports the monitor's worst objective state at the end of
-// a policy run.
-func worstState(m *obs.Monitor) string {
-	if m == nil {
+// parsePolicies returns the batch=1 baseline followed by one dynamic
+// policy per -waits entry.
+func parsePolicies(maxBatch int, waits string) []policy {
+	policies := []policy{{"batch=1", 1, time.Millisecond}}
+	for _, w := range strings.Split(waits, ",") {
+		d, err := time.ParseDuration(strings.TrimSpace(w))
+		if err != nil {
+			log.Fatalf("serve: bad -waits entry %q: %v", w, err)
+		}
+		policies = append(policies, policy{"dynamic", maxBatch, d})
+	}
+	return policies
+}
+
+// parseShards parses the -shards list of initial replica counts.
+func parseShards(list string) []int {
+	var counts []int
+	for _, s := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || n <= 0 {
+			log.Fatalf("serve: bad -shards entry %q", s)
+		}
+		counts = append(counts, n)
+	}
+	return counts
+}
+
+// replay builds a fleet, replays the trace through it and closes it,
+// returning the report, the autoscaler's decisions and the worst
+// burn-rate state the fleet's monitor reached.
+func replay(ctx context.Context, opts serve.FleetOptions, trace serve.TraceOptions) (serve.TraceReport, []serve.ScaleEvent, string) {
+	f, err := serve.NewFleet(opts)
+	if err != nil {
+		log.Fatalf("serve: fleet: %v", err)
+	}
+	rep := serve.RunTrace(ctx, f, trace)
+	events := f.Autoscaler().Events()
+	slo := "—"
+	if m := f.Monitor(); m != nil {
+		slo = m.Worst().String()
+	}
+	f.Close()
+	return rep, events, slo
+}
+
+// runPolicyTable serves the same steady trace once per batching policy,
+// each through a one-replica fleet, and returns each run's registry
+// snapshot keyed by policy.
+func runPolicyTable(ctx context.Context, newPlane func() *obs.Plane, header string,
+	server serve.Options, trace serve.TraceOptions, devices int, policies []policy) map[string]telemetry.MetricsSnapshot {
+	fmt.Printf("Inference serving — dynamic batching on a one-replica fleet\n")
+	fmt.Printf("%s · open-loop steady trace at %.0f RPS for %v (seed %d)\n\n",
+		header, trace.BaseRPS, trace.Duration, trace.Seed)
+	fmt.Printf("%-9s %-9s %-11s %-10s %-11s %-10s %-10s %-10s %-9s %s\n",
+		"policy", "max-wait", "mean-batch", "req/s", "sim img/s", "p50", "p99", "queue-p99", "shed", "slo")
+
+	snapshots := map[string]telemetry.MetricsSnapshot{}
+	for _, p := range policies {
+		plane := newPlane()
+		opts := server
+		opts.MaxBatch, opts.MaxWait, opts.Obs = p.maxBatch, p.maxWait, plane
+		rep, _, slo := replay(ctx, serve.FleetOptions{
+			Replicas: 1, ShardDevices: devices, Server: opts,
+			Autoscale: serve.AutoscaleConfig{Min: 1, Max: 1},
+		}, trace)
+		wait, key := p.maxWait.String(), fmt.Sprintf("dynamic-%s", p.maxWait)
+		if p.maxBatch == 1 {
+			wait, key = "—", p.name
+		}
+		fmt.Printf("%-9s %-9s %-11.1f %-10.0f %-11.0f %-10v %-10v %-10v %-9s %s\n",
+			p.name, wait, rep.MeanBatch, rep.ThroughputRPS, rep.SimImagesPerSec,
+			rep.P50.Round(time.Microsecond), rep.P99.Round(time.Microsecond),
+			rep.QueueP99.Round(time.Microsecond), shedColumn(rep), slo)
+		snapshots[key] = plane.Registry().Snapshot()
+		if ctx.Err() != nil {
+			break
+		}
+	}
+
+	fmt.Printf("\nsim img/s = served images per simulated GPU-busy second (batch amortisation, Figure 3a);\n")
+	fmt.Printf("req/s and percentiles are wall-clock under the open loop (timescale %g);\n", server.TimeScale)
+	fmt.Printf("shed = server rejections plus open-loop client drops over offered arrivals;\n")
+	fmt.Printf("slo = worst burn-rate state at close.\n")
+	return snapshots
+}
+
+// shedColumn renders the shed rate over the arrivals the replay
+// offered.
+func shedColumn(rep serve.TraceReport) string {
+	if rep.Offered == 0 {
 		return "—"
 	}
-	return m.Worst().String()
+	return fmt.Sprintf("%.1f%%", 100*float64(rep.Shed)/float64(rep.Offered))
 }
 
 // fleetSweep carries the -fleet mode's resolved configuration.
 type fleetSweep struct {
 	newPlane func() *obs.Plane
-	engine   impls.Engine
-	model    conv.Config
-	slo      serve.SLOConfig
+	header   string
+	server   serve.Options
+	trace    serve.TraceOptions
 
-	shards       string
-	shardDevices int
-	routeName    string
-	traceName    string
-
-	baseRPS, peakRPS float64
-	dur              time.Duration
-	seed             int64
-
-	maxBatch, queueCap int
-	maxWait            time.Duration
-	timeScale          float64
-	asMax              int
-	asInterval         time.Duration
+	devices    int
+	shards     []int
+	route      serve.RoutePolicy
+	asMax      int
+	asInterval time.Duration
 }
 
 // runFleetSweep renders the throughput-vs-p99 frontier: one row per
@@ -295,32 +316,10 @@ type fleetSweep struct {
 // its own fleet while the autoscaler reacts to the fleet monitor's
 // burn states.
 func runFleetSweep(ctx context.Context, cfg fleetSweep) {
-	routePolicy, err := serve.RoutePolicyByName(cfg.routeName)
-	if err != nil {
-		log.Fatalf("serve: %v", err)
-	}
-	shape, err := serve.TraceShapeByName(cfg.traceName)
-	if err != nil {
-		log.Fatalf("serve: %v", err)
-	}
-	var counts []int
-	for _, s := range strings.Split(cfg.shards, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n <= 0 {
-			log.Fatalf("serve: bad -shards entry %q", s)
-		}
-		counts = append(counts, n)
-	}
-
-	trace := serve.TraceOptions{
-		Shape: shape, BaseRPS: cfg.baseRPS, PeakRPS: cfg.peakRPS,
-		Duration: cfg.dur, Seed: cfg.seed, HeavyTailP: 0.05,
-	}
-	perImage := cfg.model.WithDefaults()
-	perImage.Batch = 1
-	fmt.Printf("Sharded serving fleet — SLO-aware autoscaling under an open-loop %s trace\n", shape)
-	fmt.Printf("model %v · engine %s · %d GPUs per shard · route %s · %.0f→%.0f RPS over %v (seed %d)\n\n",
-		perImage, cfg.engine.Name(), cfg.shardDevices, routePolicy, cfg.baseRPS, cfg.peakRPS, cfg.dur, cfg.seed)
+	tr := cfg.trace
+	fmt.Printf("Sharded serving fleet — SLO-aware autoscaling under an open-loop %s trace\n", tr.Shape)
+	fmt.Printf("%s · route %s · %.0f→%.0f RPS over %v (seed %d)\n\n",
+		cfg.header, cfg.route, tr.BaseRPS, tr.PeakRPS, tr.Duration, tr.Seed)
 	fmt.Printf("%-7s %-10s %-10s %-10s %-10s %-10s %-9s %-6s %s\n",
 		"shards", "replicas", "offer/s", "served/s", "p50", "p99", "shed", "slo", "scale events")
 
@@ -329,42 +328,25 @@ func runFleetSweep(ctx context.Context, cfg fleetSweep) {
 		events []serve.ScaleEvent
 	}
 	var logs []rowLog
-	for _, n := range counts {
+	for _, n := range cfg.shards {
 		maxReplicas := cfg.asMax
 		if maxReplicas <= 0 {
 			maxReplicas = 2 * n
 		}
-		opts := serve.FleetOptions{
-			Replicas: n, ShardDevices: cfg.shardDevices,
-			Server: serve.Options{
-				Engine: cfg.engine, Model: cfg.model,
-				MaxBatch: cfg.maxBatch, MaxWait: cfg.maxWait, QueueCap: cfg.queueCap,
-				TimeScale: cfg.timeScale, Obs: cfg.newPlane(), SLO: cfg.slo,
-			},
-			Route: routePolicy,
+		server := cfg.server
+		server.Obs = cfg.newPlane()
+		rep, events, slo := replay(ctx, serve.FleetOptions{
+			Replicas: n, ShardDevices: cfg.devices, Server: server, Route: cfg.route,
 			Autoscale: serve.AutoscaleConfig{
 				Min: n, Max: maxReplicas, Interval: cfg.asInterval,
 				ScaleOutAfter: 2, ScaleInAfter: 6, Cooldown: 2,
 			},
-		}
-		f, err := serve.NewFleet(opts)
-		if err != nil {
-			log.Fatalf("serve: fleet[%d]: %v", n, err)
-		}
-		rep := serve.RunTrace(ctx, f, trace)
-		events := f.Autoscaler().Events()
-		slo := worstState(f.Monitor())
-		f.Close()
-
-		shed := "—"
-		if rep.Offered > 0 {
-			shed = fmt.Sprintf("%.1f%%", 100*float64(rep.Shed)/float64(rep.Offered))
-		}
+		}, tr)
 		fmt.Printf("%-7d %-10s %-10.0f %-10.0f %-10v %-10v %-9s %-6s %d\n",
 			n, fmt.Sprintf("%d→%d", rep.ReplicaMin, rep.ReplicaMax),
 			rep.OfferedRPS, rep.ThroughputRPS,
 			rep.P50.Round(time.Microsecond), rep.P99.Round(time.Microsecond),
-			shed, slo, len(events))
+			shedColumn(rep), slo, len(events))
 		logs = append(logs, rowLog{n, events})
 		if ctx.Err() != nil {
 			break

@@ -7,8 +7,8 @@
 // registry) flow end to end; a Background() call in the middle of that
 // chain silently severs both. Package main and _test.go files are
 // exempt — they are where fresh root contexts legitimately start — as
-// are context-free compatibility wrappers like bench.Figure2, which
-// have no context parameter in scope.
+// are context-free entry points like bench.MeasureOn, which have no
+// context parameter in scope.
 package ctxbg
 
 import (

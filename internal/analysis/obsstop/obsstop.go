@@ -10,7 +10,7 @@
 // 200 ms CPU profiles — which does not just waste cycles but perturbs
 // the very latency distributions the SLOs are judging. Stop is also
 // what flushes a monitor out of its plane's dashboard; see
-// serve.Server.Close for the house pattern.
+// serve.Fleet.Close for the house pattern.
 package obsstop
 
 import (

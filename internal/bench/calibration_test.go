@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"gpucnn/internal/conv"
+	"gpucnn/internal/gpusim"
 	"gpucnn/internal/impls"
 	"gpucnn/internal/workload"
 )
@@ -22,10 +24,15 @@ func measure(t *testing.T, name string, cfg conv.Config) Cell {
 	return Measure(e, cfg)
 }
 
+// figure3 runs one named Figure 3 sweep on the paper's K40c.
+func figure3(sweep string) []Row {
+	return Figure3Ctx(context.Background(), sweep, gpusim.TeslaK40c(), Options{})
+}
+
 // --- Figure 3a/3b: fbfft fastest across batch and input sweeps -------
 
 func TestFig3aFbfftFastestAcrossBatchSweep(t *testing.T) {
-	rows := Figure3("batch")
+	rows := figure3("batch")
 	for _, row := range rows {
 		fb, ok := row.CellFor("fbfft")
 		if !ok || !fb.Ok() {
@@ -52,7 +59,7 @@ func TestFig3bFbfftFastestAcrossInputSweepSamples(t *testing.T) {
 	// At input sizes just below a power-of-two boundary the padding
 	// waste lets cuDNN tie fbfft (documented deviation); everywhere in
 	// the sampled sweep fbfft must win or stay within 10%.
-	rows := Figure3("input")
+	rows := figure3("input")
 	wins := 0
 	for _, row := range rows {
 		fb, _ := row.CellFor("fbfft")
@@ -75,7 +82,7 @@ func TestFig3bFbfftFastestAcrossInputSweepSamples(t *testing.T) {
 
 func TestFig3TheanoFFTSlowestEverywhere(t *testing.T) {
 	for _, sweep := range []string{"batch", "kernel"} {
-		for _, row := range Figure3(sweep) {
+		for _, row := range figure3(sweep) {
 			tf, ok := row.CellFor("Theano-fft")
 			if !ok || !tf.Ok() {
 				continue
@@ -199,7 +206,7 @@ func TestFig3dFbfftRuntimeFlatInKernelSize(t *testing.T) {
 // --- Figure 3e: stride ----------------------------------------------
 
 func TestFig3eStride(t *testing.T) {
-	rows := Figure3("stride")
+	rows := figure3("stride")
 	for _, row := range rows {
 		fb, _ := row.CellFor("fbfft")
 		tf, _ := row.CellFor("Theano-fft")
@@ -305,7 +312,7 @@ func TestFig4FFTKernelFamilies(t *testing.T) {
 // --- Figure 5: memory -----------------------------------------------
 
 func TestFig5MemoryOrderingAcrossBatchSweep(t *testing.T) {
-	for _, row := range Figure3("batch") {
+	for _, row := range figure3("batch") {
 		get := func(name string) int64 {
 			c, _ := row.CellFor(name)
 			if !c.Ok() {
@@ -326,7 +333,7 @@ func TestFig5MemoryOrderingAcrossBatchSweep(t *testing.T) {
 
 func TestFig5FbfftHighestEverywhere(t *testing.T) {
 	for _, sweep := range []string{"batch", "filter"} {
-		for _, row := range Figure3(sweep) {
+		for _, row := range figure3(sweep) {
 			fb, _ := row.CellFor("fbfft")
 			if !fb.Ok() {
 				continue
@@ -442,7 +449,7 @@ func TestFig6HigherOccupancyNotFaster(t *testing.T) {
 // --- Figure 7: transfers --------------------------------------------
 
 func TestFig7TransferGroups(t *testing.T) {
-	rows := Figure7()
+	rows := Figure7Ctx(context.Background(), Options{})
 	for _, r := range rows {
 		if !r.Ok {
 			continue
@@ -483,7 +490,7 @@ func TestTableIIMatchesPaper(t *testing.T) {
 		"fbfft":         {106, 10.0},
 		"Theano-fft":    {2, 4.5},
 	}
-	rows := TableII()
+	rows := TableIICtx(context.Background(), Options{})
 	if len(rows) != 7 {
 		t.Fatalf("Table II has %d rows, want 7", len(rows))
 	}
@@ -534,7 +541,7 @@ func TestFig2ConvolutionDominates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model profiling in short mode")
 	}
-	for _, mb := range Figure2() {
+	for _, mb := range Figure2Ctx(context.Background(), Options{}) {
 		if mb.ConvShare < 0.80 || mb.ConvShare > 0.98 {
 			t.Errorf("%s conv share %.1f%%, paper band 86-94%% (accepting [80, 98])",
 				mb.Model, mb.ConvShare*100)
@@ -550,7 +557,7 @@ func TestFig2ConvolutionDominates(t *testing.T) {
 // just Conv1 — occupancy is resource-bound (shape-independent), WEE is
 // code-structure-bound.
 func TestFig6BandsAcrossAllConfigs(t *testing.T) {
-	for _, r := range Figure6() {
+	for _, r := range Figure6Ctx(context.Background(), Options{}) {
 		if !r.Cell.Ok() {
 			t.Errorf("%s/%s failed to run", r.Config, r.Impl)
 			continue

@@ -26,20 +26,15 @@ type ModelBreakdown struct {
 	Params    int
 }
 
-// Figure2 profiles the paper's four real-life models for one training
-// iteration each (the paper averaged 10; the simulation is
+// Figure2Ctx profiles the paper's four real-life models for one
+// training iteration each (the paper averaged 10; the simulation is
 // deterministic, so one suffices) and returns the per-layer-kind
 // runtime breakdowns. The models run on the Caffe engine, the
-// framework the paper profiled the full models in.
-func Figure2() []ModelBreakdown {
-	return Figure2Ctx(context.Background(), Options{})
-}
-
-// Figure2Ctx is Figure2 with the four models profiled concurrently on
-// the executor's worker pool. Each model gets its own engine, device
-// and simulation context, so the breakdowns match the serial run
-// exactly; a model whose simulation panics or is cancelled is dropped
-// from the result instead of aborting the figure.
+// framework the paper profiled the full models in. They are profiled
+// concurrently on the executor's worker pool, each with its own
+// engine, device and simulation context, so the breakdowns match a
+// serial run exactly; a model whose simulation panics or is cancelled
+// is dropped from the result instead of aborting the figure.
 func Figure2Ctx(ctx context.Context, opt Options) []ModelBreakdown {
 	batches := map[string]int{"AlexNet": 128, "GoogLeNet": 128, "OverFeat": 128, "VGG": 64}
 	order := []string{"GoogLeNet", "VGG", "OverFeat", "AlexNet"}
@@ -75,15 +70,10 @@ func Figure2Ctx(ctx context.Context, opt Options) []ModelBreakdown {
 	return out
 }
 
-// Figure3 runs the runtime comparison for one named sweep ("batch",
-// "input", "filter", "kernel" or "stride") on the paper's K40c.
-func Figure3(sweep string) []Row {
-	return Figure3Ctx(context.Background(), sweep, gpusim.TeslaK40c(), Options{})
-}
-
-// Figure3Ctx is Figure3 on an arbitrary device specification, with a
-// context, worker pool and per-cell timeout: the sweep grid runs
-// through the parallel executor. Its cells carry both the runtime
+// Figure3Ctx runs the runtime comparison for one named sweep
+// ("batch", "input", "filter", "kernel" or "stride") on the given
+// device specification, with a context, worker pool and per-cell
+// timeout: the sweep grid runs through the parallel executor. Its cells carry both the runtime
 // (Figure 3) and the peak memory (Figure 5) of each measurement, as
 // the paper measured both in the same runs.
 func Figure3Ctx(ctx context.Context, sweep string, spec gpusim.DeviceSpec, opt Options) []Row {
@@ -166,14 +156,10 @@ func tableIGrid(ctx context.Context, opt Options) ([]workload.NamedConfig, []Cel
 	return configs, RunCells(ctx, tasks, opt)
 }
 
-// Figure6 profiles every implementation over the five Table I
-// configurations, reporting runtime plus the five nvprof metrics,
-// weighted over the top kernels as in the paper.
-func Figure6() []MetricsRow {
-	return Figure6Ctx(context.Background(), Options{})
-}
-
-// Figure6Ctx is Figure6 through the parallel executor.
+// Figure6Ctx profiles every implementation over the five Table I
+// configurations through the parallel executor, reporting runtime plus
+// the five nvprof metrics, weighted over the top kernels as in the
+// paper.
 func Figure6Ctx(ctx context.Context, opt Options) []MetricsRow {
 	configs, cells := tableIGrid(ctx, opt)
 	per := len(cells) / len(configs)
@@ -195,13 +181,8 @@ type TransferRow struct {
 	Ok     bool
 }
 
-// Figure7 measures the CPU↔GPU transfer overhead share over the five
-// Table I configurations.
-func Figure7() []TransferRow {
-	return Figure7Ctx(context.Background(), Options{})
-}
-
-// Figure7Ctx is Figure7 through the parallel executor.
+// Figure7Ctx measures the CPU↔GPU transfer overhead share over the
+// five Table I configurations through the parallel executor.
 func Figure7Ctx(ctx context.Context, opt Options) []TransferRow {
 	configs, cells := tableIGrid(ctx, opt)
 	per := len(cells) / len(configs)
@@ -221,14 +202,10 @@ type TableIIRow struct {
 	SmemPerBlockB int
 }
 
-// TableII reports the register and shared-memory footprint of each
-// implementation's dominant kernel, reproducing the paper's Table II.
-func TableII() []TableIIRow {
-	return TableIICtx(context.Background(), Options{})
-}
-
-// TableIICtx is TableII with the per-implementation profiling runs
-// fanned out over the executor's worker pool (each on its own device).
+// TableIICtx reports the register and shared-memory footprint of each
+// implementation's dominant kernel, reproducing the paper's Table II,
+// with the per-implementation profiling runs fanned out over the
+// executor's worker pool (each on its own device).
 func TableIICtx(ctx context.Context, opt Options) []TableIIRow {
 	engines := impls.All()
 	rows := make([]*TableIIRow, len(engines))

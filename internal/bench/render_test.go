@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -248,7 +249,7 @@ func TestShapeMatrixMatchesPaperSummary(t *testing.T) {
 }
 
 func TestScorecardAllClaimsPass(t *testing.T) {
-	claims := Scorecard()
+	claims := ScorecardCtx(context.Background(), Options{})
 	if len(claims) < 18 {
 		t.Fatalf("scorecard has %d claims, want a comprehensive set", len(claims))
 	}

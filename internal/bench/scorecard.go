@@ -22,17 +22,12 @@ type Claim struct {
 	Pass     bool
 }
 
-// Scorecard measures every tracked claim. It is deterministic and
-// reasonably fast (a few hundred milliseconds of simulation).
-func Scorecard() []Claim {
-	return ScorecardCtx(context.Background(), Options{})
-}
-
-// ScorecardCtx is Scorecard with every underlying measurement fanned
-// out over the parallel executor: the full cell grid the claims need
-// is enumerated up front, measured concurrently, and the claims are
-// then graded from the (deterministic, index-ordered) results — so the
-// verdicts are identical to the serial run's.
+// ScorecardCtx measures every tracked claim. It is deterministic and
+// reasonably fast (a few hundred milliseconds of simulation): the full
+// cell grid the claims need is enumerated up front, measured
+// concurrently on the parallel executor, and the claims are then
+// graded from the (deterministic, index-ordered) results — so the
+// verdicts are identical to a serial run's.
 func ScorecardCtx(ctx context.Context, opt Options) []Claim {
 	base := workload.Base()
 	conv1 := workload.TableI()[0].Cfg

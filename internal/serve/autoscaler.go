@@ -32,9 +32,6 @@ type AutoscaleConfig struct {
 	// ColdPerReplica is the admitted-requests-per-tick-per-replica rate
 	// at or below which a tick counts cold. Default 1.
 	ColdPerReplica float64
-	// Disable skips the tick loop even under the wall clock (manual
-	// Tick still works).
-	Disable bool
 }
 
 func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
@@ -113,7 +110,7 @@ func newAutoscaler(f *Fleet, cfg AutoscaleConfig) *Autoscaler {
 	if interval == 0 && telemetry.IsWall(f.plane.Clock()) {
 		interval = time.Second
 	}
-	if interval > 0 && !cfg.Disable {
+	if interval > 0 {
 		par.Go("serve.autoscaler", func() { a.loop(interval) })
 	} else {
 		close(a.done)
@@ -161,9 +158,9 @@ func (a *Autoscaler) Tick() *ScaleEvent {
 
 	// Decide under the lock, but never hold it across the scale
 	// operations: scaleIn drains the victim replica (WaitGroup.Wait
-	// behind Server.Close), and holding a.mu through that drain would
-	// stall Events, the dashboard section and stop() for its whole
-	// duration — the lockheld analyzer's canonical finding.
+	// behind the replica's Close), and holding a.mu through that drain
+	// would stall Events, the dashboard section and stop() for its
+	// whole duration — the lockheld analyzer's canonical finding.
 	a.mu.Lock()
 	a.lastSubmitted = map[int]int64{}
 	for id, st := range stats.PerReplica {

@@ -21,7 +21,7 @@ type batch struct {
 // passes, and hands the formed batch to the least-loaded device. When
 // the admission queue closes it drains every remaining request into
 // final batches before shutting the device queues.
-func (s *Server) batchLoop() {
+func (s *server) batchLoop() {
 	defer s.wg.Done()
 	defer func() {
 		for _, q := range s.devq {
@@ -38,7 +38,7 @@ func (s *Server) batchLoop() {
 }
 
 // collect forms one batch starting from an already-received request.
-func (s *Server) collect(first *request) []*request {
+func (s *server) collect(first *request) []*request {
 	reqs := []*request{first}
 	if s.opts.MaxBatch == 1 {
 		return reqs
@@ -68,7 +68,7 @@ func (s *Server) collect(first *request) []*request {
 // queue blocks the batcher, which in turn fills the admission queue
 // and surfaces as ErrOverloaded — backpressure instead of backlog.
 // Only the batcher goroutine dispatches, so s.scan needs no lock.
-func (s *Server) dispatch(reqs []*request) {
+func (s *server) dispatch(reqs []*request) {
 	s.qDepth.Set(float64(len(s.queue)))
 	n := len(s.load)
 	s.scan = (s.scan + 1) % n
@@ -85,7 +85,7 @@ func (s *Server) dispatch(reqs []*request) {
 }
 
 // deviceLoop serves one device's batch queue.
-func (s *Server) deviceLoop(i int) {
+func (s *server) deviceLoop(i int) {
 	defer s.wg.Done()
 	for b := range s.devq[i] {
 		s.runBatch(i, b)
@@ -96,8 +96,8 @@ func (s *Server) deviceLoop(i int) {
 // runBatch executes one formed batch on device i: transfer + forward
 // through the cached plan, simulated duration measured as the device
 // clock delta, then (TimeScale permitting) the wall occupancy sleep
-// that makes closed-loop load realistic.
-func (s *Server) runBatch(i int, b *batch) {
+// that gives the replica the capacity of hardware of that speed.
+func (s *server) runBatch(i int, b *batch) {
 	start := time.Now()
 	cfg := s.opts.Model
 	cfg.Batch = len(b.reqs)

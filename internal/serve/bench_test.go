@@ -29,20 +29,19 @@ func BenchmarkServe(b *testing.B) {
 	}
 	for _, p := range policies {
 		b.Run(p.name, func(b *testing.B) {
-			s, err := New(multigpu.New(2, gpusim.TeslaK40c()), Options{
+			s, err := newServer(multigpu.New(2, gpusim.TeslaK40c()), Options{
 				Model:     testModel(),
 				MaxBatch:  p.maxBatch,
 				MaxWait:   p.maxWait,
 				QueueCap:  4096,
 				TimeScale: -1, // no wall occupancy: measure the machinery
 				Obs:       testPlane(),
-				SLO:       SLOConfig{Disable: true},
-			})
+			}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer s.Close()
-			s.Start()
+			s.start()
 			var mu sync.Mutex
 			var simShare time.Duration
 			// Closed-loop concurrency must exceed the batch size for
@@ -52,7 +51,7 @@ func BenchmarkServe(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					res, err := s.Submit(context.Background())
+					res, err := s.submit(context.Background(), PriorityInteractive)
 					if err != nil {
 						b.Error(err)
 						return
@@ -73,25 +72,24 @@ func BenchmarkServe(b *testing.B) {
 // BenchmarkSubmitReject measures the admission-control fast path: a
 // full queue must shed load cheaply, not block the caller.
 func BenchmarkSubmitReject(b *testing.B) {
-	s, err := New(multigpu.New(1, gpusim.TeslaK40c()), Options{
+	s, err := newServer(multigpu.New(1, gpusim.TeslaK40c()), Options{
 		Model:    testModel(),
 		QueueCap: 1,
 		Obs:      testPlane(),
-		SLO:      SLOConfig{Disable: true},
-	})
+	}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
 	// Never started: one async submit occupies the single queue slot
 	// forever, so every further submit takes the rejection path.
-	go s.Submit(context.Background())
+	go s.submit(context.Background(), PriorityInteractive)
 	for len(s.queue) < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Submit(context.Background()); !errors.Is(err, ErrOverloaded) {
+		if _, err := s.submit(context.Background(), PriorityInteractive); !errors.Is(err, ErrOverloaded) {
 			b.Fatalf("want ErrOverloaded, got %v", err)
 		}
 	}

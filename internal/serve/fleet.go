@@ -1,10 +1,9 @@
-// Fleet scales the single-server batcher to a simulated multi-node
-// serving fleet: a pool of replicas, each a full Server (bounded
-// admission, dynamic batcher, least-loaded device dispatch) over a
-// private multigpu.Cluster shard, behind a front door that routes by
-// consistent hash or least load. Priority classes shed low-value
-// traffic first under pressure, and an autoscaler grows and shrinks
-// the pool off the plane's SLO burn-rate monitor.
+// Fleet is the serving front door: a pool of replicas, each a full
+// server (bounded admission, dynamic batcher, least-loaded device
+// dispatch) over a private multigpu.Cluster shard, behind a router
+// that picks by consistent hash or least load. Priority classes shed
+// low-value traffic first under pressure, and an autoscaler grows and
+// shrinks the pool off the plane's SLO burn-rate monitor.
 
 package serve
 
@@ -33,11 +32,10 @@ type FleetOptions struct {
 	ShardDevices int
 	// Spec is the simulated device model. Default gpusim.TeslaK40c().
 	Spec gpusim.DeviceSpec
-	// Server configures every replica's server. Its SLO drives the one
-	// fleet-level monitor (fleet-e2e-p99, fleet-shed-rate), registered
-	// when Obs is set; replicas run none of their own. Every replica
-	// writes the plane's registry under its own replica label, and the
-	// objectives read each serve_* family across all of them.
+	// Server configures every replica. Its SLO drives the fleet's
+	// monitor (e2e-p99, shed-rate), registered when Obs is set. Every
+	// replica writes the plane's registry under its own replica label,
+	// and the objectives read each serve_* family across all of them.
 	Server Options
 	// Route picks the front-door policy. Default RouteLeastLoaded.
 	Route RoutePolicy
@@ -73,9 +71,8 @@ func (o FleetOptions) withDefaults() FleetOptions {
 
 // replica is one fleet member: a server over its private shard.
 type replica struct {
-	id      int
-	srv     *Server
-	cluster *multigpu.Cluster
+	id  int
+	srv *server
 }
 
 // Fleet is a pool of serving replicas behind one routed front door.
@@ -101,7 +98,7 @@ type FleetStats struct {
 }
 
 // NewFleet builds and starts the initial replica pool, registers the
-// fleet-level SLO monitor on the plane (when Server.Obs is set), and
+// SLO monitor on the plane (when Server.Obs is set), and
 // launches the autoscaler loop (when its interval applies — see
 // AutoscaleConfig).
 func NewFleet(opts FleetOptions) (*Fleet, error) {
@@ -112,15 +109,15 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 		replicas: map[int]*replica{},
 		ring:     newHashRing(opts.HashVnodes),
 	}
-	if slo := opts.Server.SLO.withDefaults(); f.plane != nil && !slo.Disable {
+	if slo := opts.Server.SLO.withDefaults(); f.plane != nil {
 		f.monitor = obs.NewMonitor(obs.MonitorConfig{
 			Clock: f.plane.Clock(), Fast: slo.Fast, Slow: slo.Slow, Interval: slo.Interval,
-		}, servingObjectives(f.plane.Registry(), "fleet-", slo)...)
+		}, servingObjectives(f.plane.Registry(), slo)...)
 		f.plane.Watch(f.monitor)
 	}
 	f.mu.Lock()
 	for i := 0; i < opts.Replicas; i++ {
-		if _, err := f.addReplicaLocked(); err != nil {
+		if err := f.addReplicaLocked(); err != nil {
 			f.mu.Unlock()
 			f.Close()
 			return nil, err
@@ -132,31 +129,22 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 	return f, nil
 }
 
-// replicaOptions derives one replica's server options: the per-replica
-// SLO monitor is disabled — the fleet runs exactly one.
-func (f *Fleet) replicaOptions() Options {
-	o := f.opts.Server
-	o.SLO.Disable = true
-	return o
-}
-
 // addReplicaLocked builds, starts and enrolls one replica. Caller
 // holds f.mu.
-func (f *Fleet) addReplicaLocked() (*replica, error) {
+func (f *Fleet) addReplicaLocked() error {
 	id := f.nextID
 	f.nextID++
 	cl := multigpu.New(f.opts.ShardDevices, f.opts.Spec)
-	srv, err := newServer(cl, f.replicaOptions(), telemetry.Labels{"replica": strconv.Itoa(id)})
+	srv, err := newServer(cl, f.opts.Server, telemetry.Labels{"replica": strconv.Itoa(id)})
 	if err != nil {
-		return nil, fmt.Errorf("serve: fleet replica %d: %w", id, err)
+		return fmt.Errorf("serve: fleet replica %d: %w", id, err)
 	}
-	srv.Start()
-	r := &replica{id: id, srv: srv, cluster: cl}
-	f.replicas[id] = r
+	srv.start()
+	f.replicas[id] = &replica{id: id, srv: srv}
 	f.order = append(f.order, id)
 	sort.Ints(f.order)
 	f.ring.rebuild(f.order)
-	return r, nil
+	return nil
 }
 
 // scaleOut adds one replica and returns the new size (or the current
@@ -170,7 +158,7 @@ func (f *Fleet) scaleOut() (int, error) {
 	if len(f.order) >= f.opts.Autoscale.Max {
 		return len(f.order), fmt.Errorf("serve: fleet at max replicas %d", f.opts.Autoscale.Max)
 	}
-	if _, err := f.addReplicaLocked(); err != nil {
+	if err := f.addReplicaLocked(); err != nil {
 		return len(f.order), err
 	}
 	return len(f.order), nil
@@ -240,7 +228,7 @@ func (f *Fleet) Submit(ctx context.Context, key string, pr Priority) (Result, er
 		if r == nil {
 			return Result{}, ErrOverloaded
 		}
-		res, err := r.srv.SubmitPriority(ctx, pr)
+		res, err := r.srv.submit(ctx, pr)
 		if errors.Is(err, ErrClosed) && attempt == 0 {
 			continue // raced a scale-in; the membership has moved on
 		}
@@ -262,8 +250,7 @@ func (f *Fleet) ReplicaIDs() []int {
 	return append([]int(nil), f.order...)
 }
 
-// Monitor returns the fleet-level SLO monitor (nil without a plane or
-// with SLO.Disable).
+// Monitor returns the fleet's SLO monitor (nil without a plane).
 func (f *Fleet) Monitor() *obs.Monitor { return f.monitor }
 
 // Autoscaler returns the fleet's autoscaler.

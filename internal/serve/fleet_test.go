@@ -174,7 +174,7 @@ func TestFleetAutoscaleOnBurnAndIdle(t *testing.T) {
 	if sizes[0] != 1 {
 		t.Fatalf("scaled out on the first burn tick — hysteresis broken: %v", sizes)
 	}
-	if got := f.Monitor().State("fleet-shed-rate"); got != obs.PAGE {
+	if got := f.Monitor().State("shed-rate"); got != obs.PAGE {
 		t.Fatalf("shed objective = %v, want PAGE", got)
 	}
 
@@ -296,7 +296,7 @@ func BenchmarkFleet(b *testing.B) {
 				Replicas: 2, ShardDevices: 2,
 				Server: Options{
 					Model: testModel(), MaxBatch: 32, MaxWait: 500 * time.Microsecond,
-					QueueCap: 4096, TimeScale: -1, Obs: testPlane(), SLO: SLOConfig{Disable: true},
+					QueueCap: 4096, TimeScale: -1, Obs: testPlane(), SLO: SLOConfig{Interval: -1},
 				},
 				Route:     route,
 				Autoscale: AutoscaleConfig{Min: 2, Max: 2, Interval: -1},

@@ -25,7 +25,7 @@ func (brokenPlan) Forward(x, w, y *tensor.Tensor) error {
 }
 func (brokenPlan) BackwardData(dy, w, dx *tensor.Tensor) error   { return errors.New("unused") }
 func (brokenPlan) BackwardFilter(x, dy, dw *tensor.Tensor) error { return errors.New("unused") }
-func (brokenPlan) Iteration() error                       { return errors.New("unused") }
+func (brokenPlan) Iteration() error                              { return errors.New("unused") }
 func (p brokenPlan) Inference() error {
 	if p.panic {
 		panic("engine exploded mid-batch")
@@ -37,8 +37,8 @@ func (brokenPlan) Release() {}
 // brokenEngine serves any shape but every batch it runs fails.
 type brokenEngine struct{ panics bool }
 
-func (brokenEngine) Name() string                  { return "broken" }
-func (brokenEngine) Strategy() conv.Strategy       { return conv.Direct }
+func (brokenEngine) Name() string                   { return "broken" }
+func (brokenEngine) Strategy() conv.Strategy        { return conv.Direct }
 func (brokenEngine) Supports(cfg conv.Config) error { return nil }
 func (e brokenEngine) Plan(dev *gpusim.Device, cfg conv.Config) (impls.Plan, error) {
 	return brokenPlan{cfg: cfg, panic: e.panics}, nil
@@ -58,9 +58,9 @@ func TestSpanHygieneOnEngineFailure(t *testing.T) {
 		MaxBatch: 4, MaxWait: time.Millisecond,
 		Tracer: tr,
 	})
-	s.Start()
+	s.start()
 	for i := 0; i < 16; i++ {
-		if _, err := s.Submit(context.Background()); err == nil {
+		if _, err := s.submit(context.Background(), PriorityInteractive); err == nil {
 			t.Fatal("broken engine served a request without error")
 		}
 	}

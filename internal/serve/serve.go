@@ -1,9 +1,12 @@
 // Package serve is the inference-serving layer over the simulated
-// cluster: single-image requests are coalesced by a dynamic batcher
-// (flush on max-batch-size or max-wait deadline, whichever comes
-// first), formed batches are dispatched to the least-loaded device of a
-// multigpu.Cluster, and admission is controlled by a bounded queue that
-// rejects with ErrOverloaded instead of building unbounded backlog.
+// cluster. Its one front door is Fleet: a pool of replicas behind a
+// router, each replica coalescing single-image requests in a dynamic
+// batcher (flush on max-batch-size or max-wait deadline, whichever
+// comes first), dispatching formed batches to the least-loaded device
+// of its private multigpu.Cluster, and controlling admission with a
+// bounded queue that rejects with ErrOverloaded instead of building
+// unbounded backlog. RunTrace is its one load driver: it replays an
+// open-loop arrival trace against a fleet and reports what it served.
 //
 // The economics being exploited are the paper's own: Figure 3a shows
 // per-image cost falling steeply with batch size (fixed kernel-launch
@@ -21,7 +24,7 @@
 // batch-size, queue-wait and end-to-end latency histograms, and
 // per-device busy-time counters — each written once, read whole-run by
 // the exporters and Stats and over rolling windows by the dashboard and
-// the SLO monitors.
+// the fleet's SLO monitor.
 package serve
 
 import (
@@ -41,11 +44,12 @@ import (
 	"gpucnn/internal/telemetry"
 )
 
-// ErrOverloaded is returned by Submit when the admission queue is full:
-// the caller should shed load or retry after backoff.
+// ErrOverloaded is returned by Fleet.Submit when the chosen replica's
+// admission queue is full: the caller should shed load or retry after
+// backoff.
 var ErrOverloaded = errors.New("serve: server overloaded, request rejected")
 
-// ErrClosed is returned by Submit after Close.
+// ErrClosed is returned by Fleet.Submit after Close.
 var ErrClosed = errors.New("serve: server closed")
 
 // Priority is a request's admission class. Under queue pressure the
@@ -60,7 +64,7 @@ const (
 	// PriorityStandard is ordinary traffic.
 	PriorityStandard
 	// PriorityInteractive is user-facing traffic: sheds only when the
-	// queue is full. Submit uses this class.
+	// queue is full.
 	PriorityInteractive
 )
 
@@ -87,8 +91,8 @@ func (p Priority) index() int {
 	return int(p)
 }
 
-// Options configures a Server. Zero values take the documented
-// defaults.
+// Options configures every replica of a fleet. Zero values take the
+// documented defaults.
 type Options struct {
 	// Engine runs the model's convolution. Default: impls.NewCuDNN()
 	// (the only paper engine without shape limits, so partial batches
@@ -111,27 +115,25 @@ type Options struct {
 	DeviceQueue int
 	// TimeScale converts simulated batch duration into wall occupancy:
 	// after running a batch the device worker sleeps sim×TimeScale, so
-	// closed-loop load and queueing behave as they would on hardware of
-	// that speed. Negative disables the sleep (pure simulation).
-	// Default 1.
+	// a replica's capacity, and the queueing an offered load meets,
+	// are those of hardware of that speed. Negative disables the sleep
+	// (pure simulation). Default 1.
 	TimeScale float64
-	// Tracer, when set, receives one root span per server with a child
+	// Tracer, when set, receives one root span per replica with a child
 	// span per batch and grandchild per request.
 	Tracer *telemetry.Tracer
 	// Obs carries the registry the serve_* and per-device gpusim_*
 	// metrics land in; nil writes them to telemetry.Default(). A
-	// non-nil plane also gets a "batcher" dashboard section and — unless
-	// SLO.Disable — a burn-rate monitor over the serving objectives.
+	// non-nil plane also gets a "batcher" dashboard section and the
+	// fleet's burn-rate monitor over the serving objectives.
 	Obs *obs.Plane
-	// SLO tunes the objectives registered on Obs.
+	// SLO tunes the objectives the fleet's monitor watches on Obs.
 	SLO SLOConfig
 }
 
-// SLOConfig declares the serving objectives the obs monitor watches.
-// Zero values take the documented defaults.
+// SLOConfig declares the serving objectives the fleet's monitor
+// watches. Zero values take the documented defaults.
 type SLOConfig struct {
-	// Disable skips monitor creation even when Obs is set.
-	Disable bool
 	// E2EThreshold is the end-to-end latency bound in seconds; requests
 	// slower than this burn the latency budget. Default 10ms. The bound
 	// is inserted into the latency histograms' buckets, so the bad
@@ -218,7 +220,7 @@ type request struct {
 	done chan reqDone
 }
 
-// Stats is a point-in-time read of the server's counters, mainly for
+// Stats is a point-in-time read of a replica's counters, mainly for
 // tests and the autoscaler; the registry carries the full metric
 // surface.
 type Stats struct {
@@ -230,9 +232,10 @@ type Stats struct {
 	Images    []int64 // per device
 }
 
-// Server accepts single-image inference requests and serves them in
-// dynamically formed batches across a cluster's devices.
-type Server struct {
+// server is one fleet replica: it accepts single-image inference
+// requests and serves them in dynamically formed batches across a
+// cluster's devices.
+type server struct {
 	opts    Options
 	cluster *multigpu.Cluster
 	plans   *multigpu.PlanCache
@@ -251,9 +254,8 @@ type Server struct {
 	nbatch atomic.Uint64
 
 	// One instrument per quantity: Stats, the exporters, the dashboard
-	// and the SLO monitors all read these.
+	// and the fleet's SLO monitor all read these.
 	plane    *obs.Plane
-	monitor  *obs.Monitor
 	requests *telemetry.Counter    // admitted
 	rejected [3]*telemetry.Counter // shed, per Priority class
 	failed   *telemetry.Counter
@@ -276,14 +278,10 @@ type deviceMetrics struct {
 	batches *telemetry.Counter
 }
 
-// New builds a server over the cluster. Call Start before Submit.
-func New(cluster *multigpu.Cluster, opts Options) (*Server, error) {
-	return newServer(cluster, opts, nil)
-}
-
-// newServer is New with extra constant labels on every series (a fleet
-// tells its replicas apart with a replica label).
-func newServer(cluster *multigpu.Cluster, opts Options, extra telemetry.Labels) (*Server, error) {
+// newServer builds a replica over the cluster, with extra constant
+// labels on every series (a fleet tells its replicas apart with a
+// replica label). Call start before submit.
+func newServer(cluster *multigpu.Cluster, opts Options, extra telemetry.Labels) (*server, error) {
 	opts = opts.withDefaults()
 	if err := opts.Model.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: bad model: %w", err)
@@ -298,7 +296,7 @@ func newServer(cluster *multigpu.Cluster, opts Options, extra telemetry.Labels) 
 		}
 	}
 	n := cluster.Size()
-	s := &Server{
+	s := &server{
 		opts:    opts,
 		cluster: cluster,
 		plans:   multigpu.NewPlanCache(cluster, opts.Engine),
@@ -347,7 +345,7 @@ func newServer(cluster *multigpu.Cluster, opts Options, extra telemetry.Labels) 
 			SetAttr("engine", opts.Engine.Name()).
 			SetAttr("devices", fmt.Sprint(n))
 	}
-	s.wireObs()
+	s.plane.Section("batcher", s.dashSection)
 	return s, nil
 }
 
@@ -367,54 +365,37 @@ func serveLatencyBuckets(threshold float64) []float64 {
 }
 
 // servingObjectives are the e2e-latency and shed-rate objectives over
-// every series the registry's servers write.
-func servingObjectives(reg *telemetry.Registry, prefix string, slo SLOConfig) []obs.Objective {
+// every series the registry's replicas write.
+func servingObjectives(reg *telemetry.Registry, slo SLOConfig) []obs.Objective {
 	return []obs.Objective{
 		obs.LatencyObjective{
-			ObjName: prefix + "e2e-p99", Reg: reg, Family: "serve_e2e_latency_seconds",
+			ObjName: "e2e-p99", Reg: reg, Family: "serve_e2e_latency_seconds",
 			Threshold: slo.E2EThreshold, Target: slo.E2ETarget,
 		},
 		obs.RateObjective{
-			ObjName: prefix + "shed-rate", Reg: reg,
+			ObjName: "shed-rate", Reg: reg,
 			Bad: "serve_rejected_total", Good: "serve_requests_total",
 			MaxRate: slo.ShedMax,
 		},
 	}
 }
 
-// wireObs registers the batcher dashboard section and the SLO monitor
-// on Options.Obs; without a plane there is neither.
-func (s *Server) wireObs() {
-	p := s.plane
-	if p == nil {
-		return
+// dashSection feeds the plane's "batcher" dashboard section.
+func (s *server) dashSection() map[string]any {
+	sec := map[string]any{
+		"queue_len":    len(s.queue),
+		"queue_cap":    cap(s.queue),
+		"max_batch":    s.opts.MaxBatch,
+		"max_wait":     s.opts.MaxWait.String(),
+		"device_queue": s.opts.DeviceQueue,
+		"engine":       s.opts.Engine.Name(),
 	}
-	p.Section("batcher", func() map[string]any {
-		sec := map[string]any{
-			"queue_len":    len(s.queue),
-			"queue_cap":    cap(s.queue),
-			"max_batch":    s.opts.MaxBatch,
-			"max_wait":     s.opts.MaxWait.String(),
-			"device_queue": s.opts.DeviceQueue,
-			"engine":       s.opts.Engine.Name(),
-		}
-		for i := range s.devq {
-			sec[fmt.Sprintf("dev%d_queued_batches", i)] = len(s.devq[i])
-			sec[fmt.Sprintf("dev%d_outstanding_images", i)] = s.load[i].Load()
-		}
-		return sec
-	})
-	if slo := s.opts.SLO.withDefaults(); !slo.Disable {
-		s.monitor = obs.NewMonitor(obs.MonitorConfig{
-			Clock: p.Clock(), Fast: slo.Fast, Slow: slo.Slow, Interval: slo.Interval,
-		}, servingObjectives(p.Registry(), "", slo)...)
-		p.Watch(s.monitor)
+	for i := range s.devq {
+		sec[fmt.Sprintf("dev%d_queued_batches", i)] = len(s.devq[i])
+		sec[fmt.Sprintf("dev%d_outstanding_images", i)] = s.load[i].Load()
 	}
+	return sec
 }
-
-// Monitor returns the SLO monitor, or nil when Options.Obs was unset
-// or SLO.Disable was set.
-func (s *Server) Monitor() *obs.Monitor { return s.monitor }
 
 // batchBuckets covers 1..max in powers of two.
 func batchBuckets(max int) []float64 {
@@ -425,18 +406,13 @@ func batchBuckets(max int) []float64 {
 	return append(out, float64(max))
 }
 
-// Options returns the resolved (defaulted) options.
-func (s *Server) Options() Options { return s.opts }
-
-// Cluster returns the cluster the server dispatches over.
-func (s *Server) Cluster() *multigpu.Cluster { return s.cluster }
-
-// Start launches the batcher and one worker per device. It is a no-op
+// start launches the batcher and one worker per device. It is a no-op
 // when called twice or after Close. The started/closed transition is
-// serialized under s.mu: a Start racing a Close can never spawn a
+// serialized under s.mu: a start racing a Close can never spawn a
 // batchLoop that drains the queue alongside Close's manual drain (or
-// Add to the WaitGroup while Close is already Waiting on it).
-func (s *Server) Start() {
+// Add to the WaitGroup while Close is already Waiting on it). Tests
+// hold it back to fill the admission queue deterministically.
+func (s *server) start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.started || s.closed {
@@ -450,19 +426,14 @@ func (s *Server) Start() {
 	}
 }
 
-// Submit admits one single-image request at interactive priority and
-// blocks until it is served, the server rejects it, or ctx is
-// cancelled. Cancellation abandons the wait but not the work: an
-// admitted request still occupies its batch slot.
-func (s *Server) Submit(ctx context.Context) (Result, error) {
-	return s.SubmitPriority(ctx, PriorityInteractive)
-}
-
-// SubmitPriority is Submit with an explicit priority class: lower
-// classes are admitted only while the queue is below their depth
-// limit, so under ErrOverloaded pressure batch traffic sheds first,
-// then standard, and interactive keeps the full queue capacity.
-func (s *Server) SubmitPriority(ctx context.Context, pr Priority) (Result, error) {
+// submit admits one single-image request of class pr and blocks until
+// it is served, the server rejects it, or ctx is cancelled.
+// Cancellation abandons the wait but not the work: an admitted request
+// still occupies its batch slot. Lower classes are admitted only while
+// the queue is below their depth limit, so under ErrOverloaded
+// pressure batch traffic sheds first, then standard, and interactive
+// keeps the full queue capacity.
+func (s *server) submit(ctx context.Context, pr Priority) (Result, error) {
 	r := &request{enq: time.Now(), done: make(chan reqDone, 1)}
 	s.mu.RLock()
 	if s.closed {
@@ -496,7 +467,7 @@ func (s *Server) SubmitPriority(ctx context.Context, pr Priority) (Result, error
 // admitted: batch traffic may fill half the queue, standard 7/8 of it,
 // interactive all of it — the reserved headroom is what the higher
 // classes ride out a burst on.
-func (s *Server) admitLimit(pr Priority) int {
+func (s *server) admitLimit(pr Priority) int {
 	c := cap(s.queue)
 	switch {
 	case pr <= PriorityBatch:
@@ -509,20 +480,20 @@ func (s *Server) admitLimit(pr Priority) int {
 }
 
 // QueueDepth returns the instantaneous admission-queue length.
-func (s *Server) QueueDepth() int { return len(s.queue) }
+func (s *server) QueueDepth() int { return len(s.queue) }
 
 // Load returns the server's instantaneous load proxy: queued requests
 // plus images outstanding on devices — the quantity a least-loaded
 // front-door router compares.
-func (s *Server) Load() int64 { return int64(len(s.queue)) + sumLoads(s.load) }
+func (s *server) Load() int64 { return int64(len(s.queue)) + sumLoads(s.load) }
 
 // Close stops admission, drains every already-admitted request, waits
 // for the workers, and releases the cached device plans. Safe to call
-// twice, and safe against a concurrent Start: started is read under
-// the same critical section that publishes closed, so either the Start
+// twice, and safe against a concurrent start: started is read under
+// the same critical section that publishes closed, so either the start
 // happened first (its batchLoop drains the closed queue) or it is a
 // no-op and Close's manual drain is the only consumer.
-func (s *Server) Close() {
+func (s *server) Close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -542,14 +513,12 @@ func (s *Server) Close() {
 	s.wg.Wait()
 	s.plans.Release()
 	s.root.End()
-	s.monitor.Stop()
-	s.plane.Unwatch(s.monitor)
 }
 
-// Stats reads the server's counters. Servers writing one registry
-// under the same labels share series, and so share Stats; a fleet's
+// Stats reads the replica's counters. Servers writing one registry
+// under the same labels share series, and so share Stats; the fleet's
 // replica label keeps its replicas apart.
-func (s *Server) Stats() Stats {
+func (s *server) Stats() Stats {
 	st := Stats{
 		Submitted: int64(s.requests.Value()),
 		Completed: int64(s.images.Value()),

@@ -25,9 +25,10 @@ func testModel() conv.Config {
 // start from zero.
 func testPlane() *obs.Plane { return obs.NewPlane(telemetry.NewRegistry()) }
 
-// newTestServer builds a server over its own plane (unless opts brings
-// one) with manual SLO evaluation.
-func newTestServer(t *testing.T, devices int, opts Options) *Server {
+// newTestServer builds one unstarted replica over its own plane
+// (unless opts brings one), outside any fleet: the tests of the batcher
+// and of admission control drive it directly.
+func newTestServer(t *testing.T, devices int, opts Options) *server {
 	t.Helper()
 	if (opts.Model == conv.Config{}) {
 		opts.Model = testModel()
@@ -35,10 +36,7 @@ func newTestServer(t *testing.T, devices int, opts Options) *Server {
 	if opts.Obs == nil {
 		opts.Obs = testPlane()
 	}
-	if opts.SLO.Interval == 0 {
-		opts.SLO.Interval = -1
-	}
-	s, err := New(multigpu.New(devices, gpusim.TeslaK40c()), opts)
+	s, err := newServer(multigpu.New(devices, gpusim.TeslaK40c()), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +48,14 @@ func newTestServer(t *testing.T, devices int, opts Options) *Server {
 // flush the moment it fills.
 func TestBatchFormsOnMaxBatch(t *testing.T) {
 	s := newTestServer(t, 1, Options{MaxBatch: 4, MaxWait: 10 * time.Second})
-	s.Start()
+	s.start()
 	var wg sync.WaitGroup
 	results := make([]Result, 4)
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := s.Submit(context.Background())
+			r, err := s.submit(context.Background(), PriorityInteractive)
 			if err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
@@ -84,9 +82,9 @@ func TestBatchFormsOnMaxBatch(t *testing.T) {
 func TestBatchFlushesOnDeadline(t *testing.T) {
 	const wait = 30 * time.Millisecond
 	s := newTestServer(t, 1, Options{MaxBatch: 64, MaxWait: wait})
-	s.Start()
+	s.start()
 	start := time.Now()
-	r, err := s.Submit(context.Background())
+	r, err := s.submit(context.Background(), PriorityInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +112,7 @@ func TestAdmissionControl(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := s.Submit(ctx)
+			_, err := s.submit(ctx, PriorityInteractive)
 			errs <- err
 		}()
 	}
@@ -126,10 +124,10 @@ func TestAdmissionControl(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.Submit(ctx); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.submit(ctx, PriorityInteractive); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("9th request on a full queue: err=%v, want ErrOverloaded", err)
 	}
-	s.Start()
+	s.start()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -146,25 +144,28 @@ func TestAdmissionControl(t *testing.T) {
 // requests rather than abandoning them.
 func TestSubmitAfterClose(t *testing.T) {
 	s := newTestServer(t, 1, Options{MaxBatch: 4, MaxWait: time.Millisecond})
-	s.Start()
-	if _, err := s.Submit(context.Background()); err != nil {
+	s.start()
+	if _, err := s.submit(context.Background(), PriorityInteractive); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if _, err := s.Submit(context.Background()); !errors.Is(err, ErrClosed) {
+	if _, err := s.submit(context.Background(), PriorityInteractive); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 }
 
-// TestLeastLoadedSpread: under sustained concurrent load every device
-// of the cluster must end up serving batches.
+// TestLeastLoadedSpread: under sustained open-loop load every device
+// of a replica's cluster must end up serving batches.
 func TestLeastLoadedSpread(t *testing.T) {
-	s := newTestServer(t, 4, Options{MaxBatch: 4, MaxWait: 500 * time.Microsecond})
-	rep := RunLoad(context.Background(), s, LoadOptions{Clients: 32, Requests: 256})
-	if rep.Completed != 256 {
-		t.Fatalf("completed %d of 256", rep.Completed)
+	f := newTestFleet(t, FleetOptions{
+		ShardDevices: 4,
+		Server:       Options{MaxBatch: 4, MaxWait: 500 * time.Microsecond, QueueCap: 1024},
+	})
+	rep := RunTrace(context.Background(), f, TraceOptions{BaseRPS: 2000, Duration: 150 * time.Millisecond})
+	if rep.Completed == 0 || rep.Completed != rep.Offered {
+		t.Fatalf("completed %d of %d offered", rep.Completed, rep.Offered)
 	}
-	st := s.Stats()
+	st := f.Stats().PerReplica[0]
 	for i, b := range st.Batches {
 		if b == 0 {
 			t.Errorf("device %d served no batches: %+v", i, st)
@@ -173,13 +174,13 @@ func TestLeastLoadedSpread(t *testing.T) {
 }
 
 // TestUnsupportedEngineRejectedUpFront: an engine with shape limits
-// that would fail a deadline flush (batch 1) must be rejected by New.
+// that would fail a deadline flush (batch 1) must be rejected by
+// NewFleet.
 func TestUnsupportedEngineRejectedUpFront(t *testing.T) {
-	c := multigpu.New(1, gpusim.TeslaK40c())
-	_, err := New(c, Options{
+	_, err := NewFleet(FleetOptions{Server: Options{
 		Engine: shapeLimitedEngine{},
 		Model:  testModel(),
-	})
+	}})
 	if err == nil {
 		t.Fatal("engine that cannot serve batch=1 must be rejected")
 	}
@@ -191,15 +192,19 @@ func TestTelemetry(t *testing.T) {
 	tr := telemetry.NewTracer()
 	plane := testPlane()
 	reg := plane.Registry()
-	s := newTestServer(t, 2, Options{
-		MaxBatch: 4, MaxWait: time.Millisecond,
-		Tracer: tr, Obs: plane,
+	f := newTestFleet(t, FleetOptions{
+		ShardDevices: 2,
+		Server: Options{
+			MaxBatch: 4, MaxWait: time.Millisecond, QueueCap: 1024,
+			Tracer: tr, Obs: plane,
+		},
 	})
-	rep := RunLoad(context.Background(), s, LoadOptions{Clients: 8, Requests: 64})
-	if rep.Completed != 64 {
-		t.Fatalf("completed %d of 64", rep.Completed)
+	cluster := f.replicas[0].srv.cluster
+	rep := RunTrace(context.Background(), f, TraceOptions{BaseRPS: 2000, Duration: 50 * time.Millisecond})
+	if rep.Completed == 0 || rep.Completed != rep.Offered {
+		t.Fatalf("completed %d of %d offered", rep.Completed, rep.Offered)
 	}
-	s.Close()
+	f.Close()
 
 	roots := tr.Roots()
 	if len(roots) != 1 || roots[0].Name() != "serve" {
@@ -220,8 +225,8 @@ func TestTelemetry(t *testing.T) {
 			}
 		}
 	}
-	if reqSpans != 64 {
-		t.Errorf("want 64 request spans across batches, got %d", reqSpans)
+	if reqSpans != rep.Completed {
+		t.Errorf("want %d request spans across batches, got %d", rep.Completed, reqSpans)
 	}
 	roots[0].Walk(func(_ int, sp *telemetry.Span) {
 		if !sp.Ended() {
@@ -229,22 +234,23 @@ func TestTelemetry(t *testing.T) {
 		}
 	})
 
-	for i, dev := range s.Cluster().Devices {
+	for i, dev := range cluster.Devices {
 		if dev.Sink() != nil {
 			t.Errorf("device %d sink still attached after close", i)
 		}
 	}
 
-	if v := reg.Counter("serve_images_total", telemetry.Labels{"engine": "cuDNN"}).Value(); v != 64 {
-		t.Errorf("serve_images_total = %v, want 64", v)
+	labels := telemetry.Labels{"engine": "cuDNN", "replica": "0"}
+	if v := reg.Counter("serve_images_total", labels).Value(); v != float64(rep.Completed) {
+		t.Errorf("serve_images_total = %v, want %d", v, rep.Completed)
 	}
-	if h := reg.Histogram("serve_e2e_latency_seconds", telemetry.Labels{"engine": "cuDNN", "clock": "host"}, nil); h.Count() != 64 {
-		t.Errorf("e2e histogram count = %d, want 64", h.Count())
+	if h := reg.Histogram("serve_e2e_latency_seconds", labels.With("clock", "host"), nil); h.Count() != uint64(rep.Completed) {
+		t.Errorf("e2e histogram count = %d, want %d", h.Count(), rep.Completed)
 	}
 	busy := 0.0
-	for i := 0; i < 2; i++ {
+	for _, d := range []string{"0", "1"} {
 		busy += reg.Counter("serve_device_busy_seconds_total",
-			telemetry.Labels{"engine": "cuDNN", "device": []string{"0", "1"}[i], "clock": "sim"}).Value()
+			labels.With("device", d).With("clock", "sim")).Value()
 	}
 	if busy <= 0 {
 		t.Error("no simulated busy time accumulated")
@@ -252,19 +258,24 @@ func TestTelemetry(t *testing.T) {
 }
 
 // TestDynamicBatchingBeatsBatchOne is the acceptance check: on the
-// same cluster and model, dynamic batching must deliver a multiple of
-// the batch=1 baseline's simulated throughput while its p99 queue wait
-// stays bounded by the max-wait knob (plus generous scheduler slack).
+// same one-replica fleet shape, model and trace, dynamic batching must
+// deliver a multiple of the batch=1 baseline's simulated throughput
+// while its p99 queue wait stays bounded by the max-wait knob (plus
+// generous scheduler slack).
 func TestDynamicBatchingBeatsBatchOne(t *testing.T) {
-	run := func(maxBatch int, maxWait time.Duration) Report {
-		s := newTestServer(t, 2, Options{MaxBatch: maxBatch, MaxWait: maxWait})
-		defer s.Close()
-		return RunLoad(context.Background(), s, LoadOptions{Clients: 64, Requests: 512})
+	run := func(maxBatch int, maxWait time.Duration) TraceReport {
+		f := newTestFleet(t, FleetOptions{
+			ShardDevices: 2,
+			Server:       Options{MaxBatch: maxBatch, MaxWait: maxWait, QueueCap: 4096},
+		})
+		defer f.Close()
+		return RunTrace(context.Background(), f, TraceOptions{BaseRPS: 10000, Duration: 200 * time.Millisecond})
 	}
 	base := run(1, time.Millisecond)
 	dyn := run(32, 2*time.Millisecond)
-	if base.Completed != 512 || dyn.Completed != 512 {
-		t.Fatalf("incomplete runs: base %d, dyn %d", base.Completed, dyn.Completed)
+	if base.Completed == 0 || base.Completed != base.Offered || dyn.Completed != dyn.Offered {
+		t.Fatalf("incomplete runs: base %d of %d, dyn %d of %d",
+			base.Completed, base.Offered, dyn.Completed, dyn.Offered)
 	}
 	if dyn.MeanBatch < 2 {
 		t.Fatalf("dynamic batcher never batched: mean batch %.1f", dyn.MeanBatch)
@@ -280,13 +291,13 @@ func TestDynamicBatchingBeatsBatchOne(t *testing.T) {
 	}
 }
 
-// TestStartAfterCloseIsNoop: once Close has run, Start must not spawn
+// TestStartAfterCloseIsNoop: once Close has run, start must not spawn
 // workers over the closed queue.
 func TestStartAfterCloseIsNoop(t *testing.T) {
 	s := newTestServer(t, 1, Options{MaxBatch: 4, MaxWait: time.Millisecond})
 	s.Close()
-	s.Start()
-	if _, err := s.Submit(context.Background()); !errors.Is(err, ErrClosed) {
+	s.start()
+	if _, err := s.submit(context.Background(), PriorityInteractive); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close+start: %v, want ErrClosed", err)
 	}
 	done := make(chan struct{})
@@ -294,23 +305,23 @@ func TestStartAfterCloseIsNoop(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("second Close hung: Start-after-Close spawned workers")
+		t.Fatal("second Close hung: start-after-Close spawned workers")
 	}
 }
 
-// TestStartCloseRaceStress is the regression test for the Close/Start
+// TestStartCloseRaceStress is the regression test for the Close/start
 // race: Close used to read started *after* closing the queue, so a
-// Start slipping in between could spawn a batchLoop draining the queue
+// start slipping in between could spawn a batchLoop draining the queue
 // alongside Close's manual drain (and Add to the WaitGroup Close was
 // already Waiting on). Run under -race in the tier-1 gate; every
 // interleaving must resolve every request exactly once and shut down
 // cleanly.
 func TestStartCloseRaceStress(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
-		s, err := New(multigpu.New(1, gpusim.TeslaK40c()), Options{
+		s, err := newServer(multigpu.New(1, gpusim.TeslaK40c()), Options{
 			Model: testModel(), MaxBatch: 4, MaxWait: 200 * time.Microsecond,
-			QueueCap: 8, TimeScale: -1, Obs: testPlane(), SLO: SLOConfig{Disable: true},
-		})
+			QueueCap: 8, TimeScale: -1, Obs: testPlane(),
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,11 +333,11 @@ func TestStartCloseRaceStress(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-gate
-				_, _ = s.Submit(ctx) // served, ErrClosed or ErrOverloaded — all fine
+				_, _ = s.submit(ctx, PriorityInteractive) // served, ErrClosed or ErrOverloaded — all fine
 			}()
 		}
 		wg.Add(2)
-		go func() { defer wg.Done(); <-gate; s.Start() }()
+		go func() { defer wg.Done(); <-gate; s.start() }()
 		go func() { defer wg.Done(); <-gate; s.Close() }()
 		close(gate)
 		done := make(chan struct{})
@@ -334,7 +345,7 @@ func TestStartCloseRaceStress(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(20 * time.Second):
-			t.Fatalf("iter %d: Start/Close race deadlocked the server", iter)
+			t.Fatalf("iter %d: start/Close race deadlocked the server", iter)
 		}
 		cancel()
 		s.Close()
@@ -352,22 +363,22 @@ func TestPrioritySheddingOrder(t *testing.T) {
 	fill := func(n int, pr Priority) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if _, err := s.SubmitPriority(cancelled, pr); !errors.Is(err, context.Canceled) {
+			if _, err := s.submit(cancelled, pr); !errors.Is(err, context.Canceled) {
 				t.Fatalf("fill at depth %d class %v: %v", len(s.queue), pr, err)
 			}
 		}
 	}
 
 	fill(8, PriorityInteractive) // depth 8 = cap/2: batch limit reached
-	if _, err := s.SubmitPriority(cancelled, PriorityBatch); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.submit(cancelled, PriorityBatch); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("batch at half-full queue: %v, want ErrOverloaded", err)
 	}
 	fill(6, PriorityStandard) // depth 14 = cap−cap/8: standard limit
-	if _, err := s.SubmitPriority(cancelled, PriorityStandard); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.submit(cancelled, PriorityStandard); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("standard at 7/8-full queue: %v, want ErrOverloaded", err)
 	}
 	fill(2, PriorityInteractive) // depth 16: full
-	if _, err := s.SubmitPriority(cancelled, PriorityInteractive); !errors.Is(err, ErrOverloaded) {
+	if _, err := s.submit(cancelled, PriorityInteractive); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("interactive at full queue: %v, want ErrOverloaded", err)
 	}
 
@@ -377,7 +388,7 @@ func TestPrioritySheddingOrder(t *testing.T) {
 			t.Errorf("serve_rejected_total%v = %v, want 1", labels, got)
 		}
 	}
-	s.Start() // drain the queued requests before Cleanup closes
+	s.start() // drain the queued requests before Cleanup closes
 }
 
 // shapeLimitedEngine rejects batch sizes below 32 (the cuda-convnet2

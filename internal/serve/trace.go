@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -182,17 +183,32 @@ func BuildTrace(opts TraceOptions) []Arrival {
 }
 
 // TraceReport summarises one open-loop trace replay against a fleet.
+// Every issued arrival lands in exactly one of Completed, Shed and
+// Failed, so they always sum to Offered.
 type TraceReport struct {
 	Offered   int // arrivals issued
 	Completed int
 	Shed      int // ErrOverloaded (server) plus client-side drops
-	Failed    int
-	Wall      time.Duration
+	// Failed counts arrivals that got neither a result nor a shed: a
+	// failed batch, or a request still in flight when ctx was
+	// cancelled.
+	Failed int
+	Wall   time.Duration
 
 	OfferedRPS    float64
 	ThroughputRPS float64
+	// SimImagesPerSec is completed images per simulated GPU-busy
+	// second — the batch-amortisation number (Figure 3a as a serving
+	// result).
+	SimImagesPerSec float64
+	// MeanBatch is the mean images per batch that served a completed
+	// request.
+	MeanBatch float64
 
+	// End-to-end wall latency percentiles (admission → completion).
 	P50, P95, P99, Max time.Duration
+	// Queue-wait percentiles (admission → execution start).
+	QueueP50, QueueP99 time.Duration
 
 	// ShedByClass counts server-side sheds per priority class,
 	// indexed by Priority — the shedding-order evidence.
@@ -213,18 +229,22 @@ const maxTraceInflight = 8192
 // each arrival fires at its scheduled offset whether or not earlier
 // requests have completed — the open-loop model whose offered load is
 // set by the trace, not by the server's speed. Returns when every
-// issued request has resolved.
+// issued request has resolved; after ctx is cancelled no further
+// arrival is issued.
 func RunTrace(ctx context.Context, f *Fleet, opts TraceOptions) TraceReport {
 	opts = opts.withDefaults()
 	arrivals := BuildTrace(opts)
 
 	var (
-		mu    sync.Mutex
-		e2es  []time.Duration
-		rep   TraceReport
-		wg    sync.WaitGroup
-		infl  = make(chan struct{}, maxTraceInflight)
-		start = time.Now()
+		mu      sync.Mutex
+		e2es    []time.Duration
+		queues  []time.Duration
+		batches float64 // Σ 1/BatchSize: each batch's requests sum to 1
+		simBusy float64 // Σ BatchSim/BatchSize, seconds: each batch's sim time once
+		rep     TraceReport
+		wg      sync.WaitGroup
+		infl    = make(chan struct{}, maxTraceInflight)
+		start   = time.Now()
 	)
 	rep.ReplicaMin, rep.ReplicaMax = f.Size(), f.Size()
 
@@ -277,7 +297,9 @@ func RunTrace(ctx context.Context, f *Fleet, opts TraceOptions) TraceReport {
 			case err == nil:
 				rep.Completed++
 				e2es = append(e2es, res.E2E)
-			case ctx.Err() != nil:
+				queues = append(queues, res.QueueWait)
+				batches += 1 / float64(res.BatchSize)
+				simBusy += res.BatchSim.Seconds() / float64(res.BatchSize)
 			case errors.Is(err, ErrOverloaded):
 				rep.Shed++
 				rep.ShedByClass[a.Pri.index()]++
@@ -295,9 +317,35 @@ func RunTrace(ctx context.Context, f *Fleet, opts TraceOptions) TraceReport {
 		rep.OfferedRPS = float64(rep.Offered) / rep.Wall.Seconds()
 		rep.ThroughputRPS = float64(rep.Completed) / rep.Wall.Seconds()
 	}
+	if simBusy > 0 {
+		rep.SimImagesPerSec = float64(rep.Completed) / simBusy
+	}
+	if batches > 0 {
+		rep.MeanBatch = float64(rep.Completed) / batches
+	}
 	rep.P50 = percentile(e2es, 0.50)
 	rep.P95 = percentile(e2es, 0.95)
 	rep.P99 = percentile(e2es, 0.99)
 	rep.Max = percentile(e2es, 1)
+	rep.QueueP50 = percentile(queues, 0.50)
+	rep.QueueP99 = percentile(queues, 0.99)
 	return rep
+}
+
+// percentile returns the q-quantile (0 < q ≤ 1) by nearest-rank over a
+// copy of the sample: the ⌈n·q⌉-th smallest value.
+func percentile(xs []time.Duration, q float64) time.Duration {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]time.Duration(nil), xs...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	i := int(math.Ceil(float64(len(s))*q)) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(s) {
+		i = len(s) - 1
+	}
+	return s[i]
 }

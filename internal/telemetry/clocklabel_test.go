@@ -28,15 +28,21 @@ func TestEveryDurationSeriesNamesItsClock(t *testing.T) {
 	ctx := telemetry.WithRegistry(context.Background(), reg)
 	cfg := conv.Config{Batch: 4, Input: 16, Channels: 3, Filters: 8, Kernel: 3, Stride: 1, Pad: 1}
 
-	s, err := serve.New(multigpu.New(2, gpusim.TeslaK40c()), serve.Options{
-		Model: cfg, MaxBatch: 4, MaxWait: time.Millisecond, TimeScale: -1,
-		Obs: obs.NewPlane(reg), SLO: serve.SLOConfig{Interval: -1},
+	f, err := serve.NewFleet(serve.FleetOptions{
+		ShardDevices: 2,
+		Server: serve.Options{
+			Model: cfg, MaxBatch: 4, MaxWait: time.Millisecond, TimeScale: -1,
+			Obs: obs.NewPlane(reg), SLO: serve.SLOConfig{Interval: -1},
+		},
+		Autoscale: serve.AutoscaleConfig{Min: 1, Max: 1, Interval: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serve.RunLoad(ctx, s, serve.LoadOptions{Clients: 4, Requests: 16})
-	s.Close()
+	if rep := serve.RunTrace(ctx, f, serve.TraceOptions{BaseRPS: 1000, Duration: 20 * time.Millisecond}); rep.Completed == 0 {
+		t.Fatalf("serving path served nothing: %+v", rep)
+	}
+	f.Close()
 
 	bench.SweepCtx(ctx, []conv.Config{cfg}, func(c conv.Config) int { return c.Batch },
 		gpusim.TeslaK40c(), bench.Options{Workers: 2})
