@@ -1,8 +1,12 @@
-# Tier-1 gate: everything a PR must keep green.
+# Tier-1 gate: everything a PR must keep green. The two validate runs
+# check every engine against direct convolution on all three passes; the
+# second (3x3, pad 1) is the shape cuDNN-Winograd supports.
 .PHONY: tier1
 tier1: lint
 	go build ./...
 	go test ./...
+	go run ./cmd/validate
+	go run ./cmd/validate -k 3 -pad 1
 	go test -race ./internal/gemm ./internal/conv ./internal/par ./internal/workspace ./internal/impls ./internal/serve ./internal/obs ./internal/telemetry ./internal/planner ./internal/analysis/...
 	go test -count=3 -cpu 1,2,4 ./internal/par ./internal/conv ./internal/gemm ./internal/workspace ./internal/impls ./internal/telemetry ./internal/obs ./internal/serve ./internal/planner ./cmd/paper
 

@@ -61,30 +61,37 @@ func main() {
 		dev := gpusim.New(gpusim.TeslaK40c())
 		plan, err := e.Plan(dev, cfg)
 		if err != nil {
-			fmt.Printf("%-16s %44s\n", e.Name(), err)
+			fmt.Printf("%-16s plan failed: %v  <-- FAIL\n", e.Name(), err)
+			failures++
 			continue
 		}
 		y := tensor.New(cfg.OutputShape()...)
 		dx := tensor.New(cfg.InputShape()...)
 		dw := tensor.New(cfg.FilterShape()...)
-		if err := plan.Forward(x, w, y); err != nil {
-			fmt.Printf("%-16s forward failed: %v\n", e.Name(), err)
-			plan.Release()
+		err = plan.Forward(x, w, y)
+		if err == nil {
+			err = plan.BackwardData(dy, w, dx)
+		}
+		if err == nil {
+			err = plan.BackwardFilter(x, dy, dw)
+		}
+		plan.Release()
+		if err != nil {
+			fmt.Printf("%-16s failed: %v  <-- FAIL\n", e.Name(), err)
+			failures++
 			continue
 		}
-		plan.BackwardData(dy, w, dx)
-		plan.BackwardFilter(x, dy, dw)
-		plan.Release()
 		ef, ed, ew := tensor.RelDiff(refY, y), tensor.RelDiff(refDx, dx), tensor.RelDiff(refDw, dw)
 		marker := ""
-		if ef > 1e-3 || ed > 1e-3 || ew > 1e-3 {
+		// Written so a NaN deviation fails too.
+		if !(ef <= 1e-3 && ed <= 1e-3 && ew <= 1e-3) {
 			marker = "  <-- FAIL"
 			failures++
 		}
 		fmt.Printf("%-16s %14.2e %14.2e %14.2e%s\n", e.Name(), ef, ed, ew, marker)
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "\n%d implementation(s) deviate beyond 1e-3\n", failures)
+		fmt.Fprintf(os.Stderr, "\n%d implementation(s) failed or deviate beyond 1e-3\n", failures)
 		os.Exit(1)
 	}
 	fmt.Println("\nall implementations agree with the direct reference")

@@ -5,12 +5,11 @@
 // struct, passed on, or captured by a closure — typically a defer).
 //
 // Both types own background goroutines when running on the wall clock:
-// a leaked monitor keeps evaluating its objectives (and firing
-// OnTransition callbacks) forever, and a leaked profiler keeps taking
-// 200 ms CPU profiles — which does not just waste cycles but perturbs
-// the very latency distributions the SLOs are judging. Stop is also
-// what flushes a monitor out of its plane's dashboard; see
-// serve.Fleet.Close for the house pattern.
+// a leaked monitor keeps evaluating its objectives forever, and a
+// leaked profiler keeps taking 200 ms CPU profiles — which does not
+// just waste cycles but perturbs the very latency distributions the
+// SLOs are judging. Stop is also what flushes a monitor out of its
+// plane's dashboard; see serve.Fleet.Close for the house pattern.
 package obsstop
 
 import (

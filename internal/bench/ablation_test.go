@@ -201,47 +201,3 @@ func BenchmarkAblationCrossArchitecture(b *testing.B) {
 		})
 	}
 }
-
-// TestWhatIfStreamOverlap uses the multi-stream scheduler to quantify
-// the headroom a two-stream fbfft forward pass would have: the input
-// and filter transforms are independent, so overlapping them shortens
-// the pass toward its critical path — an optimisation opportunity of
-// exactly the kind the paper's conclusion invites.
-func TestWhatIfStreamOverlap(t *testing.T) {
-	dev := gpusim.New(gpusim.TeslaK40c())
-	k := func(name string, flops, bytes float64) gpusim.KernelSpec {
-		return gpusim.KernelSpec{
-			Name: name, Grid: gpusim.Dim3{X: 4096}, Block: gpusim.Dim3{X: 256},
-			RegsPerThread: 106, SharedPerBlock: 10 << 10,
-			FLOPs: flops, GlobalLoadBytes: bytes, GlobalStoreBytes: bytes,
-			UsesShared: true, ILP: 3, EfficiencyScale: 0.8,
-		}
-	}
-	tasks := []gpusim.Task{
-		{Kernel: k("fft_inputs", 2e9, 3e8)},                    // 0
-		{Kernel: k("fft_filters", 5e8, 5e7)},                   // 1 (independent of 0)
-		{Kernel: k("cgemm", 3e9, 2e8), Deps: []int{0, 1}},      // 2
-		{Kernel: k("transpose_out", 1e7, 3e8), Deps: []int{2}}, // 3
-		{Kernel: k("ifft_outputs", 2e9, 3e8), Deps: []int{3}},  // 4
-	}
-	serial, err := dev.Schedule(tasks, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	overlapped, err := dev.Schedule(tasks, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if overlapped.Makespan >= serial.Makespan {
-		t.Fatalf("2 streams should shorten the pass: %v vs %v", overlapped.Makespan, serial.Makespan)
-	}
-	if overlapped.Makespan < overlapped.CriticalPath {
-		t.Fatal("makespan below the critical path is impossible")
-	}
-	saving := 1 - overlapped.Makespan.Seconds()/serial.Makespan.Seconds()
-	// The filter transform is the only overlappable work: modest but
-	// real headroom.
-	if saving <= 0 || saving > 0.4 {
-		t.Fatalf("overlap saving %.1f%% outside the plausible band", saving*100)
-	}
-}

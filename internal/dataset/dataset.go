@@ -1,10 +1,9 @@
 // Package dataset provides the training-data substrate for the
 // examples: a deterministic synthetic digit dataset with the geometry
 // of MNIST (the dataset LeNet-5 — the paper's Figure 1 network — was
-// built for), a batch iterator, and a reader/writer for the IDX file
-// format so real MNIST files can be used when available. Runtime
-// results in this repository depend only on tensor shapes, so the
-// synthetic generator preserves everything the experiments need.
+// built for) and a batch iterator. Runtime results in this repository
+// depend only on tensor shapes, so the synthetic generator preserves
+// everything the experiments need.
 package dataset
 
 import (

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"testing"
 
 	"gpucnn/internal/tensor"
@@ -93,51 +92,6 @@ func TestSplitPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	Synthetic(10, 8, 0, 1).Split(10)
-}
-
-func TestIDXRoundTrip(t *testing.T) {
-	d := Synthetic(25, 12, 0, 9)
-	var imgBuf, lblBuf bytes.Buffer
-	if err := WriteIDXImages(&imgBuf, d); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteIDXLabels(&lblBuf, d); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadIDX(&imgBuf, &lblBuf, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 25 {
-		t.Fatalf("round-trip len %d", back.Len())
-	}
-	for i, l := range back.Labels {
-		if l != d.Labels[i] {
-			t.Fatalf("label %d: %d vs %d", i, l, d.Labels[i])
-		}
-	}
-	// Pixels survive within the uint8 quantisation step.
-	if diff := tensor.MaxAbsDiff(d.Images, back.Images); diff > 1.0/255+1e-6 {
-		t.Fatalf("round-trip pixel error %g", diff)
-	}
-}
-
-func TestReadIDXRejectsBadMagic(t *testing.T) {
-	bad := bytes.NewReader([]byte{0, 0, 9, 9, 0, 0, 0, 0})
-	if _, err := ReadIDX(bad, bytes.NewReader(nil), 10); err == nil {
-		t.Fatal("bad magic should error")
-	}
-}
-
-func TestReadIDXRejectsLabelMismatch(t *testing.T) {
-	d := Synthetic(5, 8, 0, 1)
-	var imgBuf, lblBuf bytes.Buffer
-	WriteIDXImages(&imgBuf, d)
-	short := Synthetic(3, 8, 0, 1)
-	WriteIDXLabels(&lblBuf, short)
-	if _, err := ReadIDX(&imgBuf, &lblBuf, 10); err == nil {
-		t.Fatal("label-count mismatch should error")
-	}
 }
 
 func TestSyntheticColor(t *testing.T) {

@@ -87,34 +87,6 @@ func VGG19(eng impls.Engine) *Model {
 	return &Model{Net: net, InputSize: 224, InputChans: 3, Classes: 1000}
 }
 
-// VGG16 builds VGGNet configuration D (13 convolutional + 3
-// fully-connected layers, 138.36 M parameters) — the smaller sibling of
-// the paper's VGG-19, included for ablations.
-func VGG16(eng impls.Engine) *Model {
-	net := nn.NewNet("VGG-16")
-	add := func(ls ...nn.Layer) {
-		for _, l := range ls {
-			net.Add(l)
-		}
-	}
-	block := func(prefix string, filters, convs int) {
-		for i := 1; i <= convs; i++ {
-			add(convRelu(prefix+string(rune('0'+i)), eng, filters, 3, 1, 1)...)
-		}
-		add(nn.NewMaxPool(prefix+"pool", 2, 2, 0))
-	}
-	block("conv1_", 64, 2)
-	block("conv2_", 128, 2)
-	block("conv3_", 256, 3)
-	block("conv4_", 512, 3)
-	block("conv5_", 512, 3)
-	add(nn.NewFC("fc6", 4096), nn.NewReLU("fc6.relu"), nn.NewDropout("drop6", 0.5))
-	add(nn.NewFC("fc7", 4096), nn.NewReLU("fc7.relu"), nn.NewDropout("drop7", 0.5))
-	add(nn.NewFC("fc8", 1000))
-	add(nn.NewSoftmaxLoss("loss"))
-	return &Model{Net: net, InputSize: 224, InputChans: 3, Classes: 1000}
-}
-
 // inception builds one GoogLeNet inception module.
 func inception(name string, eng impls.Engine, c1, r3, c3, r5, c5, pp int) *nn.Branch {
 	return nn.NewBranch(name,

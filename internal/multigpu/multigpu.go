@@ -44,22 +44,6 @@ func New(n int, spec gpusim.DeviceSpec) *Cluster {
 	return c
 }
 
-// NewShards builds n independent clusters ("shards") of devicesPer
-// devices each — the serving-fleet topology: every replica owns a
-// private shard, so one replica's device queues can never convoy
-// another's and a shard can be added or drained without touching its
-// peers.
-func NewShards(n, devicesPer int, spec gpusim.DeviceSpec) []*Cluster {
-	if n <= 0 {
-		panic(fmt.Sprintf("multigpu: shard count %d", n))
-	}
-	out := make([]*Cluster, n)
-	for i := range out {
-		out[i] = New(devicesPer, spec)
-	}
-	return out
-}
-
 // Size returns the device count.
 func (c *Cluster) Size() int { return len(c.Devices) }
 

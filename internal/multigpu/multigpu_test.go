@@ -130,34 +130,3 @@ func TestResultAccounting(t *testing.T) {
 		t.Fatalf("comm fraction %v out of range", r.CommFraction)
 	}
 }
-
-// TestNewShards: the fleet constructor hands back n fully independent
-// clusters — private device arrays, shared spec.
-func TestNewShards(t *testing.T) {
-	shards := NewShards(3, 2, gpusim.TeslaK40c())
-	if len(shards) != 3 {
-		t.Fatalf("got %d shards, want 3", len(shards))
-	}
-	seen := map[*gpusim.Device]bool{}
-	for i, c := range shards {
-		if c.Size() != 2 {
-			t.Fatalf("shard %d has %d devices, want 2", i, c.Size())
-		}
-		for _, d := range c.Devices {
-			if seen[d] {
-				t.Fatalf("shard %d shares a device with another shard", i)
-			}
-			seen[d] = true
-		}
-		cfg := workload.Base()
-		if _, err := c.Iteration(impls.NewFbfft(), cfg); err != nil {
-			t.Fatalf("shard %d cannot run: %v", i, err)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewShards(0, ...) did not panic")
-		}
-	}()
-	NewShards(0, 2, gpusim.TeslaK40c())
-}

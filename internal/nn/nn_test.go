@@ -523,7 +523,6 @@ func TestFCFlattensRank4(t *testing.T) {
 func TestNetWithEveryLayerTypeTrains(t *testing.T) {
 	net := NewNet("kitchen-sink",
 		NewConv("c1", nil, 6, 3, 1, 1),
-		NewBatchNorm("bn1", 0, 0),
 		NewReLU("r1"),
 		NewLRN("n1", 3, 0, 0, 0),
 		NewBranch("b1",

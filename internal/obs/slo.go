@@ -158,24 +158,19 @@ type ObjectiveStatus struct {
 }
 
 // MonitorConfig tunes a Monitor. Zero values mean: the wall clock,
-// FastWindow/SlowWindow burn windows, WarnBurn 2, PageBurn 10,
-// and a 1 s evaluation ticker under the wall clock (manual Eval
-// otherwise). Interval < 0 forces manual evaluation.
+// FastWindow/SlowWindow burn windows, and a 1 s evaluation ticker
+// under the wall clock (manual Eval otherwise). Interval < 0 forces
+// manual evaluation.
 type MonitorConfig struct {
 	Clock    telemetry.Clock
 	Fast     time.Duration
 	Slow     time.Duration
-	WarnBurn float64
-	PageBurn float64
 	Interval time.Duration
-	// OnTransition, when set, runs synchronously inside Eval for each
-	// state change — keep it fast (log line, channel send).
-	OnTransition func(Transition)
 }
 
-// Default burn-rate thresholds, the classic multi-window pairing: 2×
-// burn in both windows warns (budget gone in half the period), 10×
-// pages (budget gone in a tenth of it).
+// Burn-rate thresholds, the classic multi-window pairing: 2× burn in
+// both windows warns (budget gone in half the period), 10× pages
+// (budget gone in a tenth of it).
 const (
 	WarnBurn = 2.0
 	PageBurn = 10.0
@@ -220,12 +215,6 @@ func NewMonitor(cfg MonitorConfig, objs ...Objective) *Monitor {
 	}
 	if cfg.Slow <= 0 {
 		cfg.Slow = SlowWindow
-	}
-	if cfg.WarnBurn <= 0 {
-		cfg.WarnBurn = WarnBurn
-	}
-	if cfg.PageBurn <= 0 {
-		cfg.PageBurn = PageBurn
 	}
 	if cfg.Interval == 0 && telemetry.IsWall(cfg.Clock) {
 		cfg.Interval = time.Second
@@ -279,14 +268,13 @@ func (m *Monitor) Eval() []Transition {
 		burnF, burnS := bf/budget, bs/budget
 		next := OK
 		switch {
-		case burnF >= m.cfg.PageBurn && burnS >= m.cfg.PageBurn:
+		case burnF >= PageBurn && burnS >= PageBurn:
 			next = PAGE
-		case burnF >= m.cfg.WarnBurn && burnS >= m.cfg.WarnBurn:
+		case burnF >= WarnBurn && burnS >= WarnBurn:
 			next = WARN
 		}
 		m.mu.Lock()
 		prev := m.states[o.Name()]
-		var tr *Transition
 		if next != prev {
 			m.states[o.Name()] = next
 			t := Transition{
@@ -300,15 +288,9 @@ func (m *Monitor) Eval() []Transition {
 			if len(m.transitions) > maxTransitions {
 				m.transitions = m.transitions[len(m.transitions)-maxTransitions:]
 			}
-			tr = &t
+			fired = append(fired, t)
 		}
 		m.mu.Unlock()
-		if tr != nil {
-			fired = append(fired, *tr)
-			if m.cfg.OnTransition != nil {
-				m.cfg.OnTransition(*tr)
-			}
-		}
 	}
 	return fired
 }

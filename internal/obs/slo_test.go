@@ -208,16 +208,14 @@ func TestSLONoTrafficIsOK(t *testing.T) {
 	}
 }
 
-// TestMonitorCallbacksAndStatus covers OnTransition delivery and the
+// TestMonitorCallbacksAndStatus covers the transition log and the
 // dashboard Status view.
 func TestMonitorCallbacksAndStatus(t *testing.T) {
 	fc := telemetry.NewFakeClock(t0)
 	r := testRegistry(fc, time.Minute, time.Second)
 	lat := r.Histogram("e2e_seconds", nil, []float64{0.001, 0.008})
-	var seen []Transition
 	m := NewMonitor(MonitorConfig{
 		Clock: fc, Fast: 5 * time.Second, Slow: time.Minute,
-		OnTransition: func(tr Transition) { seen = append(seen, tr) },
 	}, LatencyObjective{ObjName: "lat", Reg: r, Family: "e2e_seconds", Threshold: 0.008, Target: 0.99})
 	defer m.Stop()
 
@@ -228,8 +226,8 @@ func TestMonitorCallbacksAndStatus(t *testing.T) {
 		fc.Advance(time.Second)
 		m.Eval()
 	}
-	if len(seen) == 0 || seen[len(seen)-1].To != PAGE {
-		t.Fatalf("OnTransition saw %+v, want a PAGE", seen)
+	if seen := m.Transitions(); len(seen) == 0 || seen[len(seen)-1].To != PAGE {
+		t.Fatalf("Transitions = %+v, want a PAGE last", seen)
 	}
 	st := m.Status()
 	if len(st) != 1 || st[0].State != "PAGE" || st[0].BurnSlow < PageBurn {

@@ -245,18 +245,39 @@ func forEach(n, workers int, r Runner) {
 	t.release()
 }
 
-// JobPool is a typed sync.Pool for the job structs hot paths dispatch:
-// Get/Put of a *T avoids both the interface-conversion allocation of
-// storing the struct by value and the per-call make of a fresh job.
-type JobPool[T any] struct{ p sync.Pool }
-
-// NewJobPool returns an empty pool whose Get makes a new T when empty.
-func NewJobPool[T any]() *JobPool[T] {
-	return &JobPool[T]{p: sync.Pool{New: func() any { return new(T) }}}
+// JobPool is a typed free list for the job structs hot paths dispatch:
+// Get/Put of a *T avoids the per-call make of a fresh job. It is not a
+// sync.Pool because a sync.Pool drops its contents at every GC and
+// re-allocates its per-P array after one, so a GC landing inside a pass
+// would cost that pass allocations. Once the list has held as many jobs
+// as were ever out at once, Get and Put never allocate.
+type JobPool[T any] struct {
+	mu   sync.Mutex
+	free []*T
 }
 
-func (jp *JobPool[T]) Get() *T  { return jp.p.Get().(*T) }
-func (jp *JobPool[T]) Put(t *T) { jp.p.Put(t) }
+// NewJobPool returns an empty pool whose Get makes a new T when empty.
+func NewJobPool[T any]() *JobPool[T] { return new(JobPool[T]) }
+
+// Get returns a pooled job, or a new zero T when none is free.
+func (jp *JobPool[T]) Get() *T {
+	jp.mu.Lock()
+	defer jp.mu.Unlock()
+	n := len(jp.free)
+	if n == 0 {
+		return new(T)
+	}
+	t := jp.free[n-1]
+	jp.free = jp.free[:n-1]
+	return t
+}
+
+// Put returns t to the pool.
+func (jp *JobPool[T]) Put(t *T) {
+	jp.mu.Lock()
+	jp.free = append(jp.free, t)
+	jp.mu.Unlock()
+}
 
 // Span hands n work items out to one worker per slot. Each worker owns
 // the scratch of its slot — a share the pass carved from its arena

@@ -29,9 +29,6 @@ type AutoscaleConfig struct {
 	// autoscaler holds still, letting the new membership's effect reach
 	// the burn windows before judging again (hysteresis). Default 3.
 	Cooldown int
-	// ColdPerReplica is the admitted-requests-per-tick-per-replica rate
-	// at or below which a tick counts cold. Default 1.
-	ColdPerReplica float64
 }
 
 func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
@@ -52,9 +49,6 @@ func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 3
-	}
-	if c.ColdPerReplica <= 0 {
-		c.ColdPerReplica = 1
 	}
 	return c
 }
@@ -97,6 +91,10 @@ type Autoscaler struct {
 
 // maxScaleEvents bounds the kept event log.
 const maxScaleEvents = 256
+
+// coldPerReplica is the admitted-requests-per-tick-per-replica rate at
+// or below which a tick counts cold.
+const coldPerReplica = 1
 
 func newAutoscaler(f *Fleet, cfg AutoscaleConfig) *Autoscaler {
 	a := &Autoscaler{
@@ -176,7 +174,7 @@ func (a *Autoscaler) Tick() *ScaleEvent {
 		if size > 0 {
 			perReplica /= float64(size)
 		}
-		if worst == obs.OK && perReplica <= a.cfg.ColdPerReplica {
+		if worst == obs.OK && perReplica <= coldPerReplica {
 			a.cold++
 		} else {
 			a.cold = 0

@@ -39,9 +39,6 @@ type FleetOptions struct {
 	Server Options
 	// Route picks the front-door policy. Default RouteLeastLoaded.
 	Route RoutePolicy
-	// HashVnodes is the consistent-hash virtual-node count per replica.
-	// Default 64.
-	HashVnodes int
 	// Autoscale bounds and paces the autoscaler.
 	Autoscale AutoscaleConfig
 }
@@ -62,9 +59,6 @@ func (o FleetOptions) withDefaults() FleetOptions {
 	}
 	if o.Spec.Name == "" {
 		o.Spec = gpusim.TeslaK40c()
-	}
-	if o.HashVnodes <= 0 {
-		o.HashVnodes = defaultVnodes
 	}
 	return o
 }
@@ -107,7 +101,7 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 		opts:     opts,
 		plane:    opts.Server.Obs,
 		replicas: map[int]*replica{},
-		ring:     newHashRing(opts.HashVnodes),
+		ring:     new(hashRing),
 	}
 	if slo := opts.Server.SLO.withDefaults(); f.plane != nil {
 		f.monitor = obs.NewMonitor(obs.MonitorConfig{

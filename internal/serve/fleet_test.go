@@ -52,7 +52,7 @@ func newTestFleet(t *testing.T, opts FleetOptions) *Fleet {
 // TestHashRingStability: removing a replica must remap only the keys
 // that lived on it; every surviving replica's keys stay put.
 func TestHashRingStability(t *testing.T) {
-	r := newHashRing(64)
+	r := new(hashRing)
 	r.rebuild([]int{0, 1, 2})
 	before := map[string]int{}
 	perID := map[int]int{}
@@ -148,7 +148,7 @@ func TestFleetAutoscaleOnBurnAndIdle(t *testing.T) {
 		Server: Options{Obs: plane},
 		Autoscale: AutoscaleConfig{
 			Min: 1, Max: 3, Interval: -1,
-			ScaleOutAfter: 2, ScaleInAfter: 3, Cooldown: 1, ColdPerReplica: 1,
+			ScaleOutAfter: 2, ScaleInAfter: 3, Cooldown: 1,
 		},
 	})
 	if f.Size() != 1 {

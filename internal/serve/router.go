@@ -42,30 +42,22 @@ func RoutePolicyByName(s string) (RoutePolicy, error) {
 	return 0, fmt.Errorf("serve: unknown route policy %q (want least-loaded or hash)", s)
 }
 
-// defaultVnodes is the virtual-node count per replica: enough that the
-// ring's arcs even out (load spread within a few percent) while a
-// rebuild stays trivially cheap at fleet sizes.
-const defaultVnodes = 64
+// vnodes is the virtual-node count per replica: enough that the ring's
+// arcs even out (load spread within a few percent) while a rebuild
+// stays trivially cheap at fleet sizes.
+const vnodes = 64
 
 // hashRing is a consistent-hash ring over replica ids. Placement is a
 // pure function of (id, vnode), so rebuilding from any membership set
 // reproduces the surviving replicas' points exactly — the property the
 // stability test pins down.
 type hashRing struct {
-	vnodes int
 	points []ringPoint // sorted by hash
 }
 
 type ringPoint struct {
 	hash uint64
 	id   int
-}
-
-func newHashRing(vnodes int) *hashRing {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
-	return &hashRing{vnodes: vnodes}
 }
 
 func hash64(s string) uint64 {
@@ -87,7 +79,7 @@ func hash64(s string) uint64 {
 func (r *hashRing) rebuild(ids []int) {
 	r.points = r.points[:0]
 	for _, id := range ids {
-		for v := 0; v < r.vnodes; v++ {
+		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash: hash64(fmt.Sprintf("replica-%d/vnode-%d", id, v)),
 				id:   id,

@@ -91,6 +91,9 @@ func (p Priority) index() int {
 	return int(p)
 }
 
+// deviceQueue bounds each device's in-flight batch queue.
+const deviceQueue = 2
+
 // Options configures every replica of a fleet. Zero values take the
 // documented defaults.
 type Options struct {
@@ -111,8 +114,6 @@ type Options struct {
 	// QueueCap bounds the admission queue; a full queue rejects with
 	// ErrOverloaded. Default 4×MaxBatch.
 	QueueCap int
-	// DeviceQueue bounds the per-device in-flight batch queue. Default 2.
-	DeviceQueue int
 	// TimeScale converts simulated batch duration into wall occupancy:
 	// after running a batch the device worker sleeps sim×TimeScale, so
 	// a replica's capacity, and the queueing an offered load meets,
@@ -180,9 +181,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 4 * o.MaxBatch
-	}
-	if o.DeviceQueue <= 0 {
-		o.DeviceQueue = 2
 	}
 	if o.TimeScale < 0 {
 		o.TimeScale = 0
@@ -306,7 +304,7 @@ func newServer(cluster *multigpu.Cluster, opts Options, extra telemetry.Labels) 
 		plane:   opts.Obs,
 	}
 	for i := range s.devq {
-		s.devq[i] = make(chan *batch, opts.DeviceQueue)
+		s.devq[i] = make(chan *batch, deviceQueue)
 	}
 	reg := opts.Obs.Registry()
 	labels := extra.With("engine", opts.Engine.Name())
@@ -387,7 +385,7 @@ func (s *server) dashSection() map[string]any {
 		"queue_cap":    cap(s.queue),
 		"max_batch":    s.opts.MaxBatch,
 		"max_wait":     s.opts.MaxWait.String(),
-		"device_queue": s.opts.DeviceQueue,
+		"device_queue": deviceQueue,
 		"engine":       s.opts.Engine.Name(),
 	}
 	for i := range s.devq {

@@ -70,14 +70,6 @@ type TraceOptions struct {
 	// a Pareto tail instead of the exponential body — the bursty,
 	// heavy-tailed mix real front doors see. Default 0 (pure Poisson).
 	HeavyTailP float64
-	// TailAlpha is the Pareto shape (smaller = heavier). Default 1.5.
-	TailAlpha float64
-	// Keys is the distinct routing-key population. Default 64.
-	Keys int
-	// InteractiveFrac and StandardFrac split the priority mix; the
-	// remainder is batch. Defaults 0.5 and 0.3 (both-zero selects the
-	// defaults).
-	InteractiveFrac, StandardFrac float64
 }
 
 func (o TraceOptions) withDefaults() TraceOptions {
@@ -92,15 +84,6 @@ func (o TraceOptions) withDefaults() TraceOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.TailAlpha <= 1 {
-		o.TailAlpha = 1.5
-	}
-	if o.Keys <= 0 {
-		o.Keys = 64
-	}
-	if o.InteractiveFrac <= 0 && o.StandardFrac <= 0 {
-		o.InteractiveFrac, o.StandardFrac = 0.5, 0.3
 	}
 	return o
 }
@@ -132,6 +115,18 @@ type Arrival struct {
 // maxTraceArrivals bounds a generated trace (runaway-rate backstop).
 const maxTraceArrivals = 1 << 20
 
+// The arrival mix of every trace.
+const (
+	// tailAlpha is the Pareto shape of the heavy-tailed gaps (smaller =
+	// heavier).
+	tailAlpha = 1.5
+	// traceKeys is the distinct routing-key population.
+	traceKeys = 64
+	// interactiveFrac and standardFrac split the priority mix; the
+	// remainder is batch.
+	interactiveFrac, standardFrac = 0.5, 0.3
+)
+
 // BuildTrace generates the open-loop arrival schedule: a
 // non-homogeneous Poisson process following the shape's rate curve,
 // optionally mixed with Pareto-tailed gaps, each arrival carrying a
@@ -154,8 +149,8 @@ func BuildTrace(opts TraceOptions) []Arrival {
 		if opts.HeavyTailP > 0 && rng.Float64() < opts.HeavyTailP {
 			// Pareto with the same mean as the exponential body:
 			// xm = mean·(α−1)/α, gap = xm·(1−u)^(−1/α).
-			xm := mean * (opts.TailAlpha - 1) / opts.TailAlpha
-			gap = xm * math.Pow(1-u, -1/opts.TailAlpha)
+			xm := mean * (tailAlpha - 1) / tailAlpha
+			gap = xm * math.Pow(1-u, -1/tailAlpha)
 		} else {
 			gap = -math.Log(1-u) * mean
 		}
@@ -168,14 +163,14 @@ func BuildTrace(opts TraceOptions) []Arrival {
 		}
 		pri := PriorityBatch
 		switch p := rng.Float64(); {
-		case p < opts.InteractiveFrac:
+		case p < interactiveFrac:
 			pri = PriorityInteractive
-		case p < opts.InteractiveFrac+opts.StandardFrac:
+		case p < interactiveFrac+standardFrac:
 			pri = PriorityStandard
 		}
 		out = append(out, Arrival{
 			At:  t,
-			Key: fmt.Sprintf("user-%03d", rng.Intn(opts.Keys)),
+			Key: fmt.Sprintf("user-%03d", rng.Intn(traceKeys)),
 			Pri: pri,
 		})
 	}

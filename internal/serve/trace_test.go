@@ -83,12 +83,11 @@ func TestBuildTraceShapes(t *testing.T) {
 	}
 }
 
-// TestBuildTracePriorityMix: the class split tracks the configured
-// fractions and every class appears.
+// TestBuildTracePriorityMix: the class split tracks the 0.5/0.3/0.2
+// interactive/standard/batch mix and every class appears.
 func TestBuildTracePriorityMix(t *testing.T) {
 	tr := BuildTrace(TraceOptions{
 		BaseRPS: 2000, Duration: 2 * time.Second, Seed: 11,
-		InteractiveFrac: 0.5, StandardFrac: 0.3,
 	})
 	var byClass [3]int
 	for _, a := range tr {

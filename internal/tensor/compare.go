@@ -6,7 +6,8 @@ import (
 )
 
 // MaxAbsDiff returns the maximum element-wise absolute difference between
-// two tensors of identical shape.
+// two tensors of identical shape. A NaN difference (a NaN on either side,
+// or infinities of the same sign) returns +Inf, so no tolerance accepts it.
 func MaxAbsDiff(a, b *Tensor) float64 {
 	if !a.Shape().Equal(b.Shape()) {
 		panic(fmt.Sprintf("tensor: MaxAbsDiff shape mismatch %v vs %v", a.Shape(), b.Shape()))
@@ -14,6 +15,9 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 	var m float64
 	for i := range a.Data {
 		d := math.Abs(float64(a.Data[i]) - float64(b.Data[i]))
+		if math.IsNaN(d) {
+			return math.Inf(1)
+		}
 		if d > m {
 			m = d
 		}
@@ -25,16 +29,17 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 // larger tensor's absolute maximum. It is the comparison used to
 // cross-validate convolution engines against each other: float32
 // accumulation order differs between strategies, so exact equality is
-// not expected.
+// not expected. An infinite MaxAbsDiff stays +Inf.
 func RelDiff(a, b *Tensor) float64 {
+	d := MaxAbsDiff(a, b)
 	scale := float64(a.AbsMax())
 	if s := float64(b.AbsMax()); s > scale {
 		scale = s
 	}
-	if scale == 0 {
-		return MaxAbsDiff(a, b)
+	if scale == 0 || math.IsInf(d, 1) {
+		return d
 	}
-	return MaxAbsDiff(a, b) / scale
+	return d / scale
 }
 
 // AllClose reports whether every pair of elements differs by at most tol

@@ -1,7 +1,6 @@
-// Package tensor provides dense float32 tensors in NCHW layout plus the
-// complex-valued buffers and layout transforms needed by the convolution
-// strategies. It is the shared data substrate for every convolution
-// implementation in this repository.
+// Package tensor provides dense float32 tensors in NCHW layout. It is
+// the shared data substrate for every convolution implementation in
+// this repository.
 package tensor
 
 import (
