@@ -7,8 +7,8 @@ tier1: lint
 	go test ./...
 	go run ./cmd/validate
 	go run ./cmd/validate -k 3 -pad 1
-	go test -race ./internal/gemm ./internal/conv ./internal/par ./internal/workspace ./internal/impls ./internal/serve ./internal/obs ./internal/telemetry ./internal/planner ./internal/analysis/...
-	go test -count=3 -cpu 1,2,4 ./internal/par ./internal/conv ./internal/gemm ./internal/workspace ./internal/impls ./internal/telemetry ./internal/obs ./internal/serve ./internal/planner ./cmd/paper
+	go test -race ./internal/gemm ./internal/conv ./internal/par ./internal/workspace ./internal/impls ./internal/nn ./internal/serve ./internal/obs ./internal/telemetry ./internal/planner ./internal/analysis/...
+	go test -count=3 -cpu 1,2,4 ./internal/par ./internal/conv ./internal/gemm ./internal/workspace ./internal/impls ./internal/nn ./internal/telemetry ./internal/obs ./internal/serve ./internal/planner ./cmd/paper
 
 # Static analysis: the stock vet suite plus this repo's analyzers
 # (spanend, errcmp, ctxbg, rawgo, obsstop, lockheld, hotalloc,

@@ -43,19 +43,28 @@ func allocTensors(cfg Config) (x, w, y, dx, dw, dy *tensor.Tensor) {
 }
 
 // assertZeroAlloc warms f until the arena capacities converge, then
-// requires a steady-state pass to stay off the heap entirely.
-func assertZeroAlloc(t *testing.T, name string, f func()) {
+// requires a steady-state pass to stay off the heap entirely: the least
+// of tries testing.AllocsPerRun readings must be 0. A reading counts
+// every malloc in the process, so one made outside the pass can land in
+// it; an allocation of the pass itself lands in every reading.
+func assertZeroAlloc(t *testing.T, name string, tries int, f func()) {
 	t.Helper()
 	f()
 	f()
-	if allocs := testing.AllocsPerRun(1, f); allocs != 0 {
-		t.Errorf("%s: %v allocs per steady-state run, want 0", name, allocs)
+	least := testing.AllocsPerRun(1, f)
+	for i := 1; i < tries; i++ {
+		least = min(least, testing.AllocsPerRun(1, f))
+	}
+	if least != 0 {
+		t.Errorf("%s: %v allocs per steady-state run, want 0", name, least)
 	}
 }
 
 // TestUnrollZeroAllocTableI is the acceptance gate: Conv1–Conv5
 // forward and backward through the unrolling engine must perform zero
-// steady-state heap allocations.
+// steady-state heap allocations. Its passes run for long enough that a
+// malloc elsewhere in the process can land in one reading, so it takes
+// the least of three.
 func TestUnrollZeroAllocTableI(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime instruments allocations")
@@ -66,13 +75,13 @@ func TestUnrollZeroAllocTableI(t *testing.T) {
 	for _, tc := range tableIConfigs {
 		x, w, y, dx, dw, dy := allocTensors(tc.cfg)
 		var ws workspace.Arena
-		assertZeroAlloc(t, tc.name+"/forward", func() {
+		assertZeroAlloc(t, tc.name+"/forward", 3, func() {
 			UnrollForward(&ws, tc.cfg, x, w, y)
 		})
-		assertZeroAlloc(t, tc.name+"/backward-data", func() {
+		assertZeroAlloc(t, tc.name+"/backward-data", 3, func() {
 			UnrollBackwardData(&ws, tc.cfg, dy, w, dx)
 		})
-		assertZeroAlloc(t, tc.name+"/backward-filter", func() {
+		assertZeroAlloc(t, tc.name+"/backward-filter", 3, func() {
 			UnrollBackwardFilter(&ws, tc.cfg, x, dy, dw)
 		})
 	}
@@ -87,12 +96,12 @@ func TestOtherEnginesZeroAlloc(t *testing.T) {
 	cfg := Config{Batch: 2, Input: 12, Channels: 4, Filters: 6, Kernel: 3, Stride: 1, Pad: 1}
 	x, w, y, dx, dw, dy := allocTensors(cfg)
 	var ws workspace.Arena
-	assertZeroAlloc(t, "direct/forward", func() { DirectForward(cfg, x, w, y) })
-	assertZeroAlloc(t, "direct/backward-data", func() { DirectBackwardData(cfg, dy, w, dx) })
-	assertZeroAlloc(t, "direct/backward-filter", func() { DirectBackwardFilter(cfg, x, dy, dw) })
-	assertZeroAlloc(t, "fft/forward", func() { FFTForward(&ws, cfg, x, w, y) })
-	assertZeroAlloc(t, "fft/backward-data", func() { FFTBackwardData(&ws, cfg, dy, w, dx) })
-	assertZeroAlloc(t, "fft/backward-filter", func() { FFTBackwardFilter(&ws, cfg, x, dy, dw) })
-	assertZeroAlloc(t, "winograd/forward", func() { WinogradForward(&ws, cfg, x, w, y) })
-	assertZeroAlloc(t, "winograd/backward-data", func() { WinogradBackwardData(&ws, cfg, dy, w, dx) })
+	assertZeroAlloc(t, "direct/forward", 1, func() { DirectForward(cfg, x, w, y) })
+	assertZeroAlloc(t, "direct/backward-data", 1, func() { DirectBackwardData(cfg, dy, w, dx) })
+	assertZeroAlloc(t, "direct/backward-filter", 1, func() { DirectBackwardFilter(cfg, x, dy, dw) })
+	assertZeroAlloc(t, "fft/forward", 1, func() { FFTForward(&ws, cfg, x, w, y) })
+	assertZeroAlloc(t, "fft/backward-data", 1, func() { FFTBackwardData(&ws, cfg, dy, w, dx) })
+	assertZeroAlloc(t, "fft/backward-filter", 1, func() { FFTBackwardFilter(&ws, cfg, x, dy, dw) })
+	assertZeroAlloc(t, "winograd/forward", 1, func() { WinogradForward(&ws, cfg, x, w, y) })
+	assertZeroAlloc(t, "winograd/backward-data", 1, func() { WinogradBackwardData(&ws, cfg, dy, w, dx) })
 }

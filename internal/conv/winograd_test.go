@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -142,5 +143,49 @@ func TestWinogradBackwardDataMatchesDirect(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWinogradGEMMLayoutMatchesDirect checks both passes of the
+// transform/GEMM/inverse pipeline against the direct reference on the
+// shapes its layout has edge cases for: odd outputs (ragged tiles that
+// the inverse clips), batches whose tile columns straddle the transform
+// chunks, pad 0 and 1, channel and filter counts off the GEMM's 8-wide
+// tiles and the 16-wide transform chunks, and AlexNet conv3–5. The
+// outputs start as NaN, so an element the pass fails to write shows.
+func TestWinogradGEMMLayoutMatchesDirect(t *testing.T) {
+	cases := []namedConv{
+		{"odd_out/pad0", Config{Batch: 1, Input: 9, Channels: 5, Filters: 7, Kernel: 3, Stride: 1}},
+		{"odd_out/pad1", Config{Batch: 1, Input: 7, Channels: 3, Filters: 11, Kernel: 3, Stride: 1, Pad: 1}},
+		{"batch3/odd_out", Config{Batch: 3, Input: 11, Channels: 20, Filters: 33, Kernel: 3, Stride: 1}},
+		{"batch2/pad1", Config{Batch: 2, Input: 10, Channels: 17, Filters: 9, Kernel: 3, Stride: 1, Pad: 1}},
+		{"batch5/tiny", Config{Batch: 5, Input: 3, Channels: 1, Filters: 1, Kernel: 3, Stride: 1}},
+	}
+	if !testing.Short() {
+		cases = append(cases, alexNetConvs...)
+	}
+	nan := float32(math.NaN())
+	var ws workspace.Arena
+	for _, tc := range cases {
+		cfg := tc.cfg
+		x, w := randTensors(cfg, uint64(cfg.Input*cfg.Channels+cfg.Filters))
+		want := tensor.New(cfg.OutputShape()...)
+		DirectForward(cfg, x, w, want)
+		got := tensor.New(cfg.OutputShape()...)
+		got.Fill(nan)
+		WinogradForward(&ws, cfg, x, w, got)
+		if d := tensor.RelDiff(want, got); !(d <= 1e-4) {
+			t.Errorf("%s %v forward: differs from direct by %g", tc.name, cfg, d)
+		}
+
+		dy := want
+		wantDx := tensor.New(cfg.InputShape()...)
+		DirectBackwardData(cfg, dy, w, wantDx)
+		gotDx := tensor.New(cfg.InputShape()...)
+		gotDx.Fill(nan)
+		WinogradBackwardData(&ws, cfg, dy, w, gotDx)
+		if d := tensor.RelDiff(wantDx, gotDx); !(d <= 1e-4) {
+			t.Errorf("%s %v backward-data: differs from direct by %g", tc.name, cfg, d)
+		}
 	}
 }

@@ -179,8 +179,9 @@ func touchPanel(p []float32) {
 // valid region into the C tile at ct (leading dimension ldc). Each
 // row's nr partial sums live in registers for the whole reduction — C
 // is touched exactly once per (row, panel) — and both panels stream
-// with unit stride out of L1. Portable fallback for ragged tiles and
-// non-FMA hosts.
+// with unit stride out of L1. Portable fallback for hosts without
+// AVX2/FMA; on FMA hosts every tile, ragged or full, runs the assembly
+// kernel.
 //
 //hot:noalloc
 func microKernelGo(kc int, ap, bp, ct []float32, ldc int, alpha float32, mv, nv int) {
@@ -220,16 +221,32 @@ func microKernelGo(kc int, ap, bp, ct []float32, ldc int, alpha float32, mv, nv 
 	}
 }
 
-// microKernel dispatches one micro-tile: the AVX2/FMA assembly kernel
-// for full 8×8 tiles on capable hosts, the scalar Go kernel otherwise.
+// microKernel dispatches one micro-tile. On capable hosts the AVX2/FMA
+// assembly kernel runs every tile: a full 8×8 tile straight into C, a
+// ragged one (mv < mr or nv < nr) into a zeroed stack tile whose mv×nv
+// valid part is then added into C. Both packed panels are zero-padded
+// to mr×kc and kc×nr, so the padding rows and columns only ever reach
+// the discarded part of the stack tile. Other hosts run the scalar Go
+// kernel.
 //
 //hot:noalloc
 func microKernel(kc int, ap, bp, ct []float32, ldc int, alpha float32, mv, nv int) {
-	if useFMA && mv == mr && nv == nr {
+	if !useFMA {
+		microKernelGo(kc, ap, bp, ct, ldc, alpha, mv, nv)
+		return
+	}
+	if mv == mr && nv == nr {
 		microKernelFMA(kc, &ap[0], &bp[0], &ct[0], ldc, alpha)
 		return
 	}
-	microKernelGo(kc, ap, bp, ct, ldc, alpha, mv, nv)
+	var tile [mr * nr]float32
+	microKernelFMA(kc, &ap[0], &bp[0], &tile[0], nr, alpha)
+	for r := 0; r < mv; r++ {
+		crow := ct[r*ldc : r*ldc+nv]
+		for c, v := range tile[r*nr : r*nr+nv] {
+			crow[c] += v
+		}
+	}
 }
 
 // packABlock packs the mBlk×kc block of op(A) at (ic, pc) as

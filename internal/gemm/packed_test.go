@@ -68,6 +68,31 @@ func TestPackedMatchesNaiveRagged(t *testing.T) {
 	}
 }
 
+// TestMicroKernelEveryRaggedTile sweeps every valid extent (mv, nv) of
+// a micro-tile. Each product is (mr+mv)×(nr+nv), so one call covers a
+// full tile, a ragged bottom edge, a ragged right edge and a ragged
+// corner, with C's leading dimension wider than the ragged part; on FMA
+// hosts the ragged tiles run the assembly kernel through a stack tile.
+func TestMicroKernelEveryRaggedTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, k := range []int{1, 3, 17, 256} {
+		for mv := 1; mv <= mr; mv++ {
+			for nv := 1; nv <= nr; nv++ {
+				m, n := mr+mv, nr+nv
+				a := randSlice(rng, m*k)
+				b := randSlice(rng, k*n)
+				want := randSlice(rng, m*n)
+				got := append([]float32(nil), want...)
+				Naive(1.5, a, b, 0.5, want, m, n, k)
+				Blocked(new(workspace.Arena), 1.5, a, b, 0.5, got, m, n, k)
+				if d := maxAbsDiff(want, got); d > tol(k) {
+					t.Fatalf("mv=%d nv=%d k=%d: max diff %g", mv, nv, k, d)
+				}
+			}
+		}
+	}
+}
+
 func TestPackedParallelMatchesNaiveRagged(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	// Force the parallel dispatch path regardless of GOMAXPROCS so the

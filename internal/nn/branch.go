@@ -15,7 +15,8 @@ type Branch struct {
 	name    string
 	Paths   [][]Layer
 	lastX   *Value
-	splitsC []int // per-path channel widths of the last forward
+	out     *tensor.Tensor // held concatenated forward output
+	splitsC []int          // per-path channel widths of the last forward
 }
 
 // NewBranch builds a branch layer over the given paths.
@@ -56,7 +57,7 @@ func (l *Branch) OutShape(in tensor.Shape) tensor.Shape {
 func (l *Branch) Forward(ctx *Context, x *Value) *Value {
 	l.lastX = x
 	outs := make([]*Value, len(l.Paths))
-	l.splitsC = make([]int, len(l.Paths))
+	l.splitsC = holdSlice(&l.splitsC, len(l.Paths))
 	for pi, path := range l.Paths {
 		v := x
 		for _, layer := range path {
@@ -69,7 +70,7 @@ func (l *Branch) Forward(ctx *Context, x *Value) *Value {
 	out := &Value{Shape: shape}
 	ctx.timed(KindConcat, func() {
 		if x.Real() {
-			out.Data = tensor.New(shape...)
+			out.Data = hold(&l.out, shape)
 			n, hw := shape[0], shape[2]*shape[3]
 			totalC := shape[1]
 			par.ForEach(n, func(bi int) {

@@ -31,6 +31,7 @@ type Conv struct {
 	planCfg conv.Config
 	planDev *gpusim.Device
 	lastX   *Value
+	out     *tensor.Tensor  // held forward output
 	ws      workspace.Arena // scratch of the plan-less (no device) passes
 }
 
@@ -136,7 +137,7 @@ func (l *Conv) Forward(ctx *Context, x *Value) *Value {
 		plan := l.ensurePlan(ctx, cfg)
 		if x.Real() {
 			l.initWeights()
-			out.Data = tensor.New(out.Shape...)
+			out.Data = hold(&l.out, out.Shape)
 			if plan != nil {
 				if err := plan.Forward(x.Data, l.weight.W, out.Data); err != nil {
 					panic(err)

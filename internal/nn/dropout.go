@@ -9,7 +9,9 @@ type Dropout struct {
 	name string
 	P    float32
 
-	mask []float32
+	out    *tensor.Tensor // held forward output
+	mask   []float32      // held mask of the last training Forward
+	masked bool           // whether the last Forward applied mask
 }
 
 // NewDropout builds a dropout layer with drop probability p.
@@ -29,17 +31,18 @@ func (l *Dropout) Forward(ctx *Context, x *Value) *Value {
 	out := &Value{Shape: x.Shape.Clone()}
 	ctx.timed(KindDropout, func() {
 		if x.Real() {
-			out.Data = tensor.New(out.Shape...)
-			if !ctx.Train || l.P <= 0 {
+			out.Data = hold(&l.out, out.Shape)
+			l.masked = ctx.Train && l.P > 0
+			if !l.masked {
 				copy(out.Data.Data, x.Data.Data)
-				l.mask = nil
 			} else {
 				keep := 1 - l.P
 				scale := 1 / keep
-				l.mask = make([]float32, x.Elems())
-				for i := range l.mask {
+				mask := holdSlice(&l.mask, x.Elems())
+				for i := range mask {
+					mask[i] = 0
 					if ctx.RNG.Float32() < keep {
-						l.mask[i] = scale
+						mask[i] = scale
 					}
 				}
 				for i, v := range x.Data.Data {
@@ -58,7 +61,7 @@ func (l *Dropout) Backward(ctx *Context, dy *Value) *Value {
 	ctx.timed(KindDropout, func() {
 		if dy.Real() {
 			out.Data = tensor.New(out.Shape...)
-			if l.mask == nil {
+			if !l.masked {
 				copy(out.Data.Data, dy.Data.Data)
 			} else {
 				for i, v := range dy.Data.Data {

@@ -18,6 +18,7 @@ type FC struct {
 	weight *Param // (Out, In)
 	bias   *Param // (Out)
 	lastX  *Value
+	out    *tensor.Tensor // held forward output
 	inDim  int
 	inited bool
 	ws     workspace.Arena // GEMM packing scratch, reset per GEMM
@@ -81,7 +82,7 @@ func (l *FC) Forward(ctx *Context, x *Value) *Value {
 	ctx.timed(KindFC, func() {
 		if x.Real() {
 			l.initWeights()
-			out.Data = tensor.New(batch, l.Out)
+			out.Data = hold(&l.out, out.Shape)
 			flat := x.Data.Reshape(batch, in)
 			// y (batch×out) = x (batch×in) · Wᵀ (in×out)
 			l.ws.Reset()

@@ -193,7 +193,10 @@ type Layer interface {
 	// compatibility (panics on impossible shapes, like the engines do).
 	OutShape(in tensor.Shape) tensor.Shape
 	// Forward consumes x and produces the layer output. Layers cache
-	// what they need for Backward.
+	// what they need for Backward. The output's data is a tensor the
+	// layer holds and overwrites on its next Forward (reallocating only
+	// when the shape changes), so the returned Value is valid until
+	// that layer's next Forward; copy it to keep it longer.
 	Forward(ctx *Context, x *Value) *Value
 	// Backward consumes the output gradient and returns the input
 	// gradient, accumulating parameter gradients internally.
@@ -253,6 +256,27 @@ func fcGemmSpec(m, n, k int) gpusim.KernelSpec {
 		ILP:              3,
 		EfficiencyScale:  eff,
 	}
+}
+
+// hold returns *t when it already has shape s, and otherwise stores a
+// fresh tensor of shape s in *t and returns that. Layers keep their
+// forward outputs this way: at a steady shape every Forward writes into
+// the same tensor, so a pass allocates no activations.
+func hold(t **tensor.Tensor, s tensor.Shape) *tensor.Tensor {
+	if *t == nil || !(*t).Shape().Equal(s) {
+		*t = tensor.New(s...)
+	}
+	return *t
+}
+
+// holdSlice is hold for flat forward-only scratch: it returns (*buf)[:n],
+// growing *buf first when it is too short.
+func holdSlice[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 func checkRank4(v *Value, who string) (n, c, h, w int) {

@@ -17,7 +17,8 @@ type LRN struct {
 	K     float64
 
 	lastX *Value
-	scale []float32 // cached (k + α/n Σ x²) per element
+	out   *tensor.Tensor // held forward output
+	scale []float32      // held (k + α/n Σ x²) per element of the last Forward
 }
 
 // NewLRN builds an LRN layer with AlexNet's default parameters when
@@ -51,8 +52,8 @@ func (l *LRN) Forward(ctx *Context, x *Value) *Value {
 	out := &Value{Shape: x.Shape.Clone()}
 	ctx.timed(KindLRN, func() {
 		if x.Real() {
-			out.Data = tensor.New(out.Shape...)
-			l.scale = make([]float32, x.Elems())
+			out.Data = hold(&l.out, out.Shape)
+			scale := holdSlice(&l.scale, x.Elems())
 			hw := h * w
 			half := l.N / 2
 			par.ForEach(n, func(bi int) {
@@ -73,7 +74,7 @@ func (l *LRN) Forward(ctx *Context, x *Value) *Value {
 						}
 						s := l.K + l.Alpha/float64(l.N)*energy
 						idx := base + ci*hw + pos
-						l.scale[idx] = float32(s)
+						scale[idx] = float32(s)
 						out.Data.Data[idx] = x.Data.Data[idx] / float32(math.Pow(s, l.Beta))
 					}
 				}

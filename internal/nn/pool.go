@@ -26,7 +26,8 @@ type Pool struct {
 	Pad    int
 
 	lastX  *Value
-	argmax []int32 // flat input index per output element (max mode)
+	out    *tensor.Tensor // held forward output
+	argmax []int32        // held flat input index per output element (max mode)
 }
 
 // NewMaxPool builds a max-pooling layer.
@@ -89,12 +90,12 @@ func (l *Pool) Forward(ctx *Context, x *Value) *Value {
 	out := &Value{Shape: tensor.Shape{n, c, oh, ow}}
 	ctx.timed(KindPool, func() {
 		if x.Real() {
-			out.Data = tensor.New(out.Shape...)
-			l.argmax = make([]int32, out.Elems())
+			out.Data = hold(&l.out, out.Shape)
+			argmax := holdSlice(&l.argmax, out.Elems())
 			par.ForEach(n*c, func(j int) {
 				src := x.Data.Data[j*h*w:]
 				dst := out.Data.Data[j*oh*ow:]
-				arg := l.argmax[j*oh*ow:]
+				arg := argmax[j*oh*ow:]
 				for oy := 0; oy < oh; oy++ {
 					for ox := 0; ox < ow; ox++ {
 						var acc float32

@@ -5,10 +5,11 @@ import (
 	"gpucnn/internal/tensor"
 )
 
-// ReLU is the rectified-linear activation, computed in place on a copy.
+// ReLU is the rectified-linear activation.
 type ReLU struct {
 	name  string
 	lastX *Value
+	out   *tensor.Tensor // held forward output
 }
 
 // NewReLU builds a ReLU layer.
@@ -29,13 +30,15 @@ func (l *ReLU) Forward(ctx *Context, x *Value) *Value {
 	out := &Value{Shape: x.Shape.Clone()}
 	ctx.timed(KindReLU, func() {
 		if x.Real() {
-			out.Data = tensor.New(out.Shape...)
+			out.Data = hold(&l.out, out.Shape)
 			par.Chunks(x.Data.Len(), 0, func(lo, hi int) {
 				src, dst := x.Data.Data, out.Data.Data
 				for i := lo; i < hi; i++ {
-					if v := src[i]; v > 0 {
-						dst[i] = v
+					v := src[i]
+					if !(v > 0) {
+						v = 0 // the held output keeps the last pass's values
 					}
+					dst[i] = v
 				}
 			})
 		}

@@ -14,7 +14,8 @@ import (
 type SoftmaxLoss struct {
 	name string
 
-	probs  *tensor.Tensor
+	out    *tensor.Tensor // held forward output
+	probs  *tensor.Tensor // out after a real Forward, nil before
 	labels []int
 }
 
@@ -41,7 +42,7 @@ func (l *SoftmaxLoss) Forward(ctx *Context, x *Value) *Value {
 	ctx.timed(KindLoss, func() {
 		if x.Real() {
 			batch, classes := x.Shape[0], x.Shape[1]
-			out.Data = tensor.New(batch, classes)
+			out.Data = hold(&l.out, out.Shape)
 			for bi := 0; bi < batch; bi++ {
 				row := x.Data.Data[bi*classes : (bi+1)*classes]
 				dst := out.Data.Data[bi*classes : (bi+1)*classes]

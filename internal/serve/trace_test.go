@@ -215,7 +215,19 @@ func TestRunTraceReconcilesOnCancel(t *testing.T) {
 	f := newTestFleet(t, FleetOptions{Server: Options{MaxBatch: 4, QueueCap: 64, TimeScale: 200}})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	time.AfterFunc(100*time.Millisecond, cancel)
+	// The cancel timer starts once the first request is admitted, not
+	// before the trace is built: a slow start must not let the cancel
+	// land before anything is in flight.
+	go func() {
+		for f.Stats().Total.Submitted == 0 {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		time.AfterFunc(100*time.Millisecond, cancel)
+	}()
 	start := time.Now()
 	rep := RunTrace(ctx, f, TraceOptions{BaseRPS: 2000, Duration: 10 * time.Second})
 	if el := time.Since(start); el > 5*time.Second {
