@@ -1,9 +1,9 @@
 // Package errcmp defines an Analyzer that forbids comparing sentinel
 // errors with == or != (or switch cases): wrapped errors — and this
-// repo wraps aggressively with %w (serve wraps engine errors, multigpu
-// wraps shard errors) — never compare equal to their sentinel, so an
-// identity comparison against serve.ErrOverloaded or serve.ErrClosed
-// is a latent bug that errors.Is does not have.
+// repo wraps aggressively with %w (serve wraps engine errors, the
+// planner wraps candidate errors) — never compare equal to their
+// sentinel, so an identity comparison against serve.ErrOverloaded or
+// serve.ErrClosed is a latent bug that errors.Is does not have.
 //
 // A sentinel is a package-level error variable whose name matches the
 // Err/errX convention. Comparisons against nil are fine and ignored.

@@ -1,26 +1,25 @@
 // Package lockheld defines an Analyzer that forbids blocking
 // operations while a sync.Mutex or sync.RWMutex is held, and enforces
-// a consistent acquisition order over lock arrays (the multigpu
-// per-device `locks []sync.Mutex` pattern).
+// a consistent acquisition order over lock arrays (a per-item
+// `locks []sync.Mutex` pattern).
 //
 // Blocking operations are: channel send and receive, select without a
 // default clause, ranging over a channel, sync.WaitGroup.Wait,
-// multigpu's Cluster.ExecOn (it queues behind another dispatcher's
-// exclusive device section), time.Sleep, and file/network I/O (os,
-// net, net/http, os/exec). A function containing one of these — or
+// time.Sleep, and file/network I/O (os, net, net/http, os/exec). A
+// function containing one of these — or
 // calling, however deep, a function that does — is marked with a
 // "may block" fact that is exported across package boundaries via the
 // go/analysis facts mechanism, so `mu.Lock(); s.Close()` is caught
 // even when the WaitGroup.Wait hides three packages away.
 //
-// Why it matters here: every serve/multigpu/planner cache serialises
-// its state behind a mutex that the request hot path also takes. A
+// Why it matters here: the serve fleet and the planner cache serialise
+// their state behind mutexes that the request hot path also takes
+// (serve's per-device plans need none: each device has one worker). A
 // blocking operation inside such a critical section converts an
 // isolated stall (one slow device, one draining replica) into a
 // pile-up of every goroutine that touches the lock. Lock-ordering
-// violations on the per-device lock array are rarer but worse: two
-// dispatchers acquiring locks[i]/locks[j] in opposite orders deadlock
-// the whole cluster.
+// violations on a lock array are rarer but worse: two goroutines
+// acquiring locks[i]/locks[j] in opposite orders deadlock each other.
 //
 // The lock-held state comes from the paircheck lockflow layer: a
 // forward may-analysis over the ctrlflow CFG, so a lock released on
@@ -54,11 +53,10 @@ import (
 
 const doc = `check that no blocking operation runs while a mutex is held
 
-Channel operations, WaitGroup.Wait, Cluster.ExecOn, time.Sleep and
-file/network I/O must not execute inside a sync.Mutex/RWMutex critical
-section; calls to functions that transitively block are tracked via
-facts. Locks taken from the same array must be acquired in increasing
-index order.`
+Channel operations, WaitGroup.Wait, time.Sleep and file/network I/O
+must not execute inside a sync.Mutex/RWMutex critical section; calls
+to functions that transitively block are tracked via facts. Locks
+taken from the same array must be acquired in increasing index order.`
 
 // Analyzer is the lockheld pass.
 var Analyzer = &analysis.Analyzer{
@@ -360,8 +358,6 @@ func intrinsicBlocking(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		switch {
 		case lintutil.IsNamed(recv, "sync", "WaitGroup") && name == "Wait":
 			return "sync.WaitGroup.Wait", true
-		case lintutil.IsNamed(recv, "multigpu", "Cluster") && name == "ExecOn":
-			return "Cluster.ExecOn", true
 		case lintutil.IsNamed(recv, "os", "File") &&
 			(name == "Read" || name == "ReadAt" || name == "Write" ||
 				name == "WriteAt" || name == "WriteString" || name == "Sync" || name == "Close"):

@@ -8,8 +8,6 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"multigpu"
 )
 
 type S struct {
@@ -147,13 +145,6 @@ func (s *S) CloseLocked() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.drain() // want `call to drain may block \(sync.WaitGroup.Wait\) while s.mu is held`
-}
-
-// Exec: Cluster.ExecOn queues behind the device's exclusive section.
-func Exec(c *multigpu.Cluster, mu *sync.Mutex) {
-	mu.Lock()
-	defer mu.Unlock()
-	c.ExecOn(0, func() {}) // want `Cluster.ExecOn may block while mu is held`
 }
 
 // IgnoredWait: suppressed with a reasoned directive.

@@ -7,8 +7,8 @@
 // Un-ended spans are not cosmetic here: exporters walk the span tree
 // and an open span under-reports its wall duration and keeps absorbing
 // foreign events through any recorder still attached to it, which is
-// exactly the measurement-corruption bug class PR 4 hand-fixed in
-// multigpu. This analyzer makes that fix mechanical.
+// exactly the measurement-corruption bug class serve's batch path
+// guards against by hand. This analyzer makes that check mechanical.
 package spanend
 
 import (

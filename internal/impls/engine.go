@@ -57,9 +57,9 @@ type Engine interface {
 //
 // A plan runs one pass at a time: its passes share the plan's device
 // clock and its host arena, so callers must not run two passes of one
-// plan concurrently. nn runs a network's layers in sequence and
-// multigpu.PlanCache.Exec serialises the plans of each device, so both
-// keep to this; separate plans run concurrently without restriction.
+// plan concurrently. nn runs a network's layers in sequence and serve
+// runs each device's plans on that device's one worker, so both keep
+// to this; separate plans run concurrently without restriction.
 type Plan interface {
 	Config() conv.Config
 	// Forward computes y = x ⋆ w.

@@ -25,7 +25,7 @@ func BenchmarkPlannerDecide(b *testing.B) {
 }
 
 // BenchmarkPlannerDecideCached measures the steady-state path every
-// serving replica's PlanCache hits: a decision served from the cache.
+// serving replica's device plans hit: a decision served from the cache.
 func BenchmarkPlannerDecideCached(b *testing.B) {
 	spec := gpusim.TeslaK40c()
 	cfg := workload.Base()

@@ -18,8 +18,8 @@ type cacheKey struct {
 // Cache stores decisions keyed by (device, objective, config). One
 // process-wide DefaultCache backs every planner unless Options.Cache
 // overrides it, so decisions made while planning one serving replica
-// are reused by every other replica's multigpu.PlanCache plan path —
-// the fleet scores each layer once, not once per replica.
+// are reused by the per-device plans of every other replica — the
+// fleet scores each layer once, not once per replica.
 type Cache struct {
 	mu     sync.Mutex
 	m      map[cacheKey]Decision

@@ -11,8 +11,8 @@
 // memory accountant. The top candidates can optionally be re-ranked by
 // a one-shot measured probe — one real (CPU-executed) forward pass —
 // and the winning decision is cached per (device, objective, config)
-// so repeated plans, including every replica of a serving fleet going
-// through multigpu.PlanCache, reuse it without re-scoring.
+// so repeated plans, including every device of every serving replica
+// building its per-device plans, reuse it without re-scoring.
 //
 // The result is exposed as the eighth registry engine, "Autotuned"
 // (see engine.go), validated against the paper's Figure 3 sweeps: per

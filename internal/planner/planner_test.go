@@ -294,8 +294,8 @@ func TestAutotunedSpanAttributes(t *testing.T) {
 	}
 }
 
-// TestPlanCachePathSharesDecisions: two multigpu.PlanCaches — two
-// serving replicas — backed by planners sharing one decision cache
+// TestPlanCachePathSharesDecisions: the per-device plans of two
+// serving replicas, backed by planners sharing one decision cache,
 // score each configuration exactly once.
 func TestPlanCachePathSharesDecisions(t *testing.T) {
 	shared := NewCache()

@@ -5,16 +5,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gpucnn/internal/gpusim"
+	"gpucnn/internal/conv"
 	"gpucnn/internal/impls"
+	"gpucnn/internal/telemetry"
 )
-
-// batch is a formed group of requests bound for one device.
-type batch struct {
-	reqs     []*request
-	device   int
-	formedAt time.Time
-}
 
 // batchLoop is the dynamic batcher: it blocks for the first request,
 // then accumulates until the batch is full or the max-wait deadline
@@ -81,15 +75,15 @@ func (s *server) dispatch(reqs []*request) {
 		}
 	}
 	s.load[d].Add(int64(len(reqs)))
-	s.devq[d] <- &batch{reqs: reqs, device: d, formedAt: time.Now()}
+	s.devq[d] <- reqs
 }
 
 // deviceLoop serves one device's batch queue.
 func (s *server) deviceLoop(i int) {
 	defer s.wg.Done()
-	for b := range s.devq[i] {
-		s.runBatch(i, b)
-		s.load[i].Add(-int64(len(b.reqs)))
+	for reqs := range s.devq[i] {
+		s.runBatch(i, reqs)
+		s.load[i].Add(-int64(len(reqs)))
 	}
 }
 
@@ -97,59 +91,46 @@ func (s *server) deviceLoop(i int) {
 // through the cached plan, simulated duration measured as the device
 // clock delta, then (TimeScale permitting) the wall occupancy sleep
 // that gives the replica the capacity of hardware of that speed.
-func (s *server) runBatch(i int, b *batch) {
+func (s *server) runBatch(i int, reqs []*request) {
 	start := time.Now()
 	cfg := s.opts.Model
-	cfg.Batch = len(b.reqs)
+	cfg.Batch = len(reqs)
 
 	nb := s.nbatch.Add(1)
 	bsp := s.root.Child(fmt.Sprintf("batch-%d", nb)).
 		SetProc(i).
 		SetAttr("device", fmt.Sprint(i)).
-		SetAttr("size", fmt.Sprint(len(b.reqs)))
+		SetAttr("size", fmt.Sprint(len(reqs)))
 	// Guard every exit — including a panicking engine — so a failed
 	// batch can never leak an open span into the trace (the PR 4 bug
 	// class); the explicit End below stays the precise close.
 	defer bsp.EndIfOpen()
 	if s.plane != nil {
-		s.plane.SetOp(fmt.Sprintf("serve/dev%d/batch-%d/size-%d", i, nb, len(b.reqs)))
+		s.plane.SetOp(fmt.Sprintf("serve/dev%d/batch-%d/size-%d", i, nb, len(reqs)))
 	}
 
-	var sim time.Duration
-	dm := s.dev[i]
-	err := s.plans.Exec(i, cfg, func(dev *gpusim.Device, p impls.Plan) error {
-		// The device is ours until Exec returns: point its recorder at
-		// this batch's span (nil when untraced — events are then only
-		// counted) for the duration.
-		dm.rec.Attach(bsp)
-		dev.SetSink(dm.rec)
-		defer dev.SetSink(nil)
-		e0 := dev.Elapsed()
-		err := p.Inference()
-		sim = dev.Elapsed() - e0
-		bsp.SetSim(e0, e0+sim)
-		return err
-	})
+	g := &s.gpus[i]
+	sim, err := g.infer(s.opts.Engine, cfg, bsp)
 	if err == nil && s.opts.TimeScale > 0 && sim > 0 {
 		time.Sleep(time.Duration(float64(sim) * s.opts.TimeScale))
 	}
 
 	s.inflight.Set(float64(sumLoads(s.load)))
 	s.batches.Inc()
-	s.hBatch.Observe(float64(len(b.reqs)))
-	dm.batches.Inc()
-	dm.busy.Add(sim.Seconds())
+	s.hBatch.Observe(float64(len(reqs)))
+	g.batches.Inc()
+	g.busy.Add(sim.Seconds())
 	// The batch succeeds or fails as a whole. Count before replying, so
 	// a caller that sees its result also sees it counted.
-	if n := float64(len(b.reqs)); err != nil {
+	if n := float64(len(reqs)); err != nil {
 		s.failed.Add(n)
 	} else {
 		s.images.Add(n)
-		dm.images.Add(n)
+		g.images.Add(n)
 	}
 
-	res := Result{BatchSize: len(b.reqs), Device: i, BatchSim: sim}
-	for _, r := range b.reqs {
+	res := Result{BatchSize: len(reqs), Device: i, BatchSim: sim}
+	for _, r := range reqs {
 		rr := res
 		rr.QueueWait = start.Sub(r.enq)
 		rr.E2E = time.Since(r.enq)
@@ -166,6 +147,31 @@ func (s *server) runBatch(i int, b *batch) {
 		r.done <- reqDone{res: rr}
 	}
 	bsp.End()
+}
+
+// infer runs one inference pass of a cfg-shaped batch on the device
+// and returns its simulated duration, the device clock delta. The plan
+// for cfg is built on first use; a Plan error (shape limit, device
+// OOM) is not cached. For the pass the device's recorder points at
+// span sp (nil when untraced: events are then only counted), and the
+// sink is detached on every exit, a panicking engine included.
+func (g *gpu) infer(e impls.Engine, cfg conv.Config, sp *telemetry.Span) (time.Duration, error) {
+	p, ok := g.plans[cfg]
+	if !ok {
+		var err error
+		if p, err = e.Plan(g.dev, cfg); err != nil {
+			return 0, err
+		}
+		g.plans[cfg] = p
+	}
+	g.rec.Attach(sp)
+	g.dev.SetSink(g.rec)
+	defer g.dev.SetSink(nil)
+	e0 := g.dev.Elapsed()
+	err := p.Inference()
+	sim := g.dev.Elapsed() - e0
+	sp.SetSim(e0, e0+sim)
+	return sim, err
 }
 
 func sumLoads(ls []atomic.Int64) int64 {

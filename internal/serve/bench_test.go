@@ -8,11 +8,10 @@ import (
 	"time"
 
 	"gpucnn/internal/gpusim"
-	"gpucnn/internal/multigpu"
 )
 
 // BenchmarkServe measures end-to-end serving cost per request across
-// batching policies on a 2-device cluster, with the wall-occupancy
+// batching policies on a 2-device replica, with the wall-occupancy
 // sleep disabled so the numbers isolate the serving machinery (queue,
 // batcher, dispatch, plan cache) rather than the modelled GPU speed.
 // The custom sim_us_per_img metric carries the simulated per-image GPU
@@ -29,7 +28,7 @@ func BenchmarkServe(b *testing.B) {
 	}
 	for _, p := range policies {
 		b.Run(p.name, func(b *testing.B) {
-			s, err := newServer(multigpu.New(2, gpusim.TeslaK40c()), Options{
+			s, err := newServer(2, gpusim.TeslaK40c(), Options{
 				Model:     testModel(),
 				MaxBatch:  p.maxBatch,
 				MaxWait:   p.maxWait,
@@ -72,7 +71,7 @@ func BenchmarkServe(b *testing.B) {
 // BenchmarkSubmitReject measures the admission-control fast path: a
 // full queue must shed load cheaply, not block the caller.
 func BenchmarkSubmitReject(b *testing.B) {
-	s, err := newServer(multigpu.New(1, gpusim.TeslaK40c()), Options{
+	s, err := newServer(1, gpusim.TeslaK40c(), Options{
 		Model:    testModel(),
 		QueueCap: 1,
 		Obs:      testPlane(),

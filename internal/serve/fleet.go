@@ -1,9 +1,9 @@
 // Fleet is the serving front door: a pool of replicas, each a full
 // server (bounded admission, dynamic batcher, least-loaded device
-// dispatch) over a private multigpu.Cluster shard, behind a router
-// that picks by consistent hash or least load. Priority classes shed
-// low-value traffic first under pressure, and an autoscaler grows and
-// shrinks the pool off the plane's SLO burn-rate monitor.
+// dispatch) over its own simulated devices, behind a router that picks
+// by consistent hash or least load. Priority classes shed low-value
+// traffic first under pressure, and an autoscaler grows and shrinks
+// the pool off the plane's SLO burn-rate monitor.
 
 package serve
 
@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"gpucnn/internal/gpusim"
-	"gpucnn/internal/multigpu"
 	"gpucnn/internal/obs"
 	"gpucnn/internal/telemetry"
 )
@@ -27,8 +26,8 @@ type FleetOptions struct {
 	// Replicas is the initial replica count. Default: Autoscale.Min
 	// (itself defaulted to 1).
 	Replicas int
-	// ShardDevices is the device count of each replica's private
-	// cluster shard. Default 2.
+	// ShardDevices is the number of simulated devices each replica
+	// owns. Default 2.
 	ShardDevices int
 	// Spec is the simulated device model. Default gpusim.TeslaK40c().
 	Spec gpusim.DeviceSpec
@@ -128,8 +127,7 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 func (f *Fleet) addReplicaLocked() error {
 	id := f.nextID
 	f.nextID++
-	cl := multigpu.New(f.opts.ShardDevices, f.opts.Spec)
-	srv, err := newServer(cl, f.opts.Server, telemetry.Labels{"replica": strconv.Itoa(id)})
+	srv, err := newServer(f.opts.ShardDevices, f.opts.Spec, f.opts.Server, telemetry.Labels{"replica": strconv.Itoa(id)})
 	if err != nil {
 		return fmt.Errorf("serve: fleet replica %d: %w", id, err)
 	}

@@ -100,7 +100,7 @@ func TestSpanHygieneOnEnginePanic(t *testing.T) {
 				t.Fatal("panicking engine did not propagate out of runBatch")
 			}
 		}()
-		s.runBatch(0, &batch{reqs: []*request{req}, device: 0, formedAt: time.Now()})
+		s.runBatch(0, []*request{req})
 	}()
 
 	roots := tr.Roots()
@@ -113,5 +113,80 @@ func TestSpanHygieneOnEnginePanic(t *testing.T) {
 	}
 	if !batches[0].Ended() {
 		t.Error("panic path leaked an open batch span: deferred EndIfOpen guard broken")
+	}
+	if s.gpus[0].dev.Sink() != nil {
+		t.Error("panic path left the batch's sink attached to the device")
+	}
+}
+
+// countingEngine wraps a real engine, counts Plan calls per (device,
+// batch size), and fails the first Plan of batch size failBatch the way
+// a shape limit or a device OOM would.
+type countingEngine struct {
+	impls.Engine
+	failBatch int
+	failed    bool
+	calls     map[planKey]int
+}
+
+type planKey struct {
+	dev   *gpusim.Device
+	batch int
+}
+
+func (e *countingEngine) Plan(dev *gpusim.Device, cfg conv.Config) (impls.Plan, error) {
+	e.calls[planKey{dev, cfg.Batch}]++
+	if cfg.Batch == e.failBatch && !e.failed {
+		e.failed = true
+		return nil, errors.New("device out of memory")
+	}
+	return e.Engine.Plan(dev, cfg)
+}
+
+// TestDevicePlansReuseAndRelease: each device of a replica builds one
+// plan per batch size and reuses it across batches, a failed Plan is
+// not cached, and Close returns every device's memory.
+func TestDevicePlansReuseAndRelease(t *testing.T) {
+	e := &countingEngine{Engine: impls.NewCuDNN(), failBatch: 3, calls: map[planKey]int{}}
+	s := newTestServer(t, 2, Options{Engine: e, MaxBatch: 4, TimeScale: -1})
+	run := func(dev, size int) error {
+		reqs := make([]*request, size)
+		for k := range reqs {
+			reqs[k] = &request{enq: time.Now(), done: make(chan reqDone, 1)}
+		}
+		s.runBatch(dev, reqs)
+		return (<-reqs[0].done).err
+	}
+	if err := run(0, 3); err == nil {
+		t.Fatal("a batch whose plan failed was served")
+	}
+	for round := 0; round < 3; round++ {
+		for dev := range s.gpus {
+			for _, size := range []int{2, 3} {
+				if err := run(dev, size); err != nil {
+					t.Fatalf("device %d, batch %d: %v", dev, size, err)
+				}
+			}
+		}
+	}
+	for dev, g := range s.gpus {
+		for _, size := range []int{2, 3} {
+			want := 1
+			if dev == 0 && size == 3 {
+				want = 2 // the failed Plan and the one that replaced it
+			}
+			if got := e.calls[planKey{g.dev, size}]; got != want {
+				t.Errorf("device %d, batch %d: %d Plan calls, want %d", dev, size, got, want)
+			}
+		}
+		if g.dev.Mem.Used() == 0 {
+			t.Errorf("device %d holds no plan memory before Close", dev)
+		}
+	}
+	s.Close()
+	for dev, g := range s.gpus {
+		if used := g.dev.Mem.Used(); used != 0 {
+			t.Errorf("device %d still holds %d bytes after Close", dev, used)
+		}
 	}
 }

@@ -1,9 +1,9 @@
-// Package serve is the inference-serving layer over the simulated
-// cluster. Its one front door is Fleet: a pool of replicas behind a
+// Package serve is the inference-serving layer over simulated GPUs.
+// Its one front door is Fleet: a pool of replicas behind a
 // router, each replica coalescing single-image requests in a dynamic
 // batcher (flush on max-batch-size or max-wait deadline, whichever
-// comes first), dispatching formed batches to the least-loaded device
-// of its private multigpu.Cluster, and controlling admission with a
+// comes first), dispatching formed batches to the least-loaded of its
+// own simulated devices, and controlling admission with a
 // bounded queue that rejects with ErrOverloaded instead of building
 // unbounded backlog. RunTrace is its one load driver: it replays an
 // open-loop arrival trace against a fleet and reports what it served.
@@ -37,8 +37,8 @@ import (
 	"time"
 
 	"gpucnn/internal/conv"
+	"gpucnn/internal/gpusim"
 	"gpucnn/internal/impls"
-	"gpucnn/internal/multigpu"
 	"gpucnn/internal/obs"
 	"gpucnn/internal/par"
 	"gpucnn/internal/telemetry"
@@ -193,7 +193,7 @@ func (o Options) withDefaults() Options {
 // Result describes one served request.
 type Result struct {
 	BatchSize int           // size of the batch the request rode in
-	Device    int           // cluster device that ran it
+	Device    int           // replica device that ran it
 	QueueWait time.Duration // admission → execution start (wall)
 	E2E       time.Duration // admission → completion (wall)
 	BatchSim  time.Duration // simulated GPU time of the whole batch
@@ -231,19 +231,18 @@ type Stats struct {
 }
 
 // server is one fleet replica: it accepts single-image inference
-// requests and serves them in dynamically formed batches across a
-// cluster's devices.
+// requests and serves them in dynamically formed batches across its
+// devices.
 type server struct {
-	opts    Options
-	cluster *multigpu.Cluster
-	plans   *multigpu.PlanCache
+	opts Options
+	gpus []gpu
 
 	mu      sync.RWMutex // guards closed, started, and the queue send
 	closed  bool
 	started bool
 
 	queue chan *request
-	devq  []chan *batch
+	devq  []chan []*request
 	load  []atomic.Int64 // outstanding images per device
 	scan  int            // first device dispatch's scan visits
 	wg    sync.WaitGroup
@@ -264,22 +263,28 @@ type server struct {
 	hBatch   *telemetry.Histogram
 	hQueue   *telemetry.Histogram
 	hE2E     *telemetry.Histogram
-	dev      []deviceMetrics
 }
 
-// deviceMetrics are one device's instruments, resolved once so the
-// batch path does no registry lookups.
-type deviceMetrics struct {
+// gpu is one simulated device of a replica, the plans cached on it
+// (one per batch size, reused across batches) and its instruments,
+// resolved once so the batch path does no registry lookups. Only the
+// device's worker, deviceLoop, runs batches on it, and Close releases
+// its plans after the workers exit, so the device is exclusive by
+// construction and needs no lock: a batch's Elapsed() delta and
+// attached sink are its own.
+type gpu struct {
+	dev     *gpusim.Device
+	plans   map[conv.Config]impls.Plan
 	rec     *telemetry.Recorder // gpusim_* event counters; attached to each batch span
 	busy    *telemetry.Counter  // simulated seconds
 	images  *telemetry.Counter
 	batches *telemetry.Counter
 }
 
-// newServer builds a replica over the cluster, with extra constant
-// labels on every series (a fleet tells its replicas apart with a
-// replica label). Call start before submit.
-func newServer(cluster *multigpu.Cluster, opts Options, extra telemetry.Labels) (*server, error) {
+// newServer builds a replica over n devices of the given spec, with
+// extra constant labels on every series (a fleet tells its replicas
+// apart with a replica label). Call start before submit.
+func newServer(n int, spec gpusim.DeviceSpec, opts Options, extra telemetry.Labels) (*server, error) {
 	opts = opts.withDefaults()
 	if err := opts.Model.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: bad model: %w", err)
@@ -293,18 +298,16 @@ func newServer(cluster *multigpu.Cluster, opts Options, extra telemetry.Labels) 
 			return nil, fmt.Errorf("serve: engine %s cannot run batch %d: %w", opts.Engine.Name(), b, err)
 		}
 	}
-	n := cluster.Size()
 	s := &server{
-		opts:    opts,
-		cluster: cluster,
-		plans:   multigpu.NewPlanCache(cluster, opts.Engine),
-		queue:   make(chan *request, opts.QueueCap),
-		devq:    make([]chan *batch, n),
-		load:    make([]atomic.Int64, n),
-		plane:   opts.Obs,
+		opts:  opts,
+		gpus:  make([]gpu, n),
+		queue: make(chan *request, opts.QueueCap),
+		devq:  make([]chan []*request, n),
+		load:  make([]atomic.Int64, n),
+		plane: opts.Obs,
 	}
 	for i := range s.devq {
-		s.devq[i] = make(chan *batch, deviceQueue)
+		s.devq[i] = make(chan []*request, deviceQueue)
 	}
 	reg := opts.Obs.Registry()
 	labels := extra.With("engine", opts.Engine.Name())
@@ -328,10 +331,11 @@ func newServer(cluster *multigpu.Cluster, opts Options, extra telemetry.Labels) 
 	for pr := PriorityBatch; pr <= PriorityInteractive; pr++ {
 		s.rejected[pr.index()] = reg.Counter("serve_rejected_total", labels.With("priority", pr.String()))
 	}
-	s.dev = make([]deviceMetrics, n)
-	for i := range s.dev {
+	for i := range s.gpus {
 		dl := labels.With("device", strconv.Itoa(i))
-		s.dev[i] = deviceMetrics{
+		s.gpus[i] = gpu{
+			dev:     gpusim.New(spec),
+			plans:   make(map[conv.Config]impls.Plan),
 			rec:     telemetry.NewRecorder().CountInto(reg, dl),
 			busy:    reg.Counter("serve_device_busy_seconds_total", dl.With("clock", "sim")),
 			images:  reg.Counter("serve_device_images_total", dl),
@@ -509,7 +513,11 @@ func (s *server) Close() {
 		}
 	}
 	s.wg.Wait()
-	s.plans.Release()
+	for _, g := range s.gpus {
+		for _, p := range g.plans {
+			p.Release()
+		}
+	}
 	s.root.End()
 }
 
@@ -525,9 +533,9 @@ func (s *server) Stats() Stats {
 	for _, c := range s.rejected {
 		st.Rejected += int64(c.Value())
 	}
-	for _, d := range s.dev {
-		st.Batches = append(st.Batches, int64(d.batches.Value()))
-		st.Images = append(st.Images, int64(d.images.Value()))
+	for _, g := range s.gpus {
+		st.Batches = append(st.Batches, int64(g.batches.Value()))
+		st.Images = append(st.Images, int64(g.images.Value()))
 	}
 	return st
 }

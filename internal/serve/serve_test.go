@@ -10,7 +10,6 @@ import (
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/impls"
-	"gpucnn/internal/multigpu"
 	"gpucnn/internal/obs"
 	"gpucnn/internal/telemetry"
 )
@@ -36,7 +35,7 @@ func newTestServer(t *testing.T, devices int, opts Options) *server {
 	if opts.Obs == nil {
 		opts.Obs = testPlane()
 	}
-	s, err := newServer(multigpu.New(devices, gpusim.TeslaK40c()), opts, nil)
+	s, err := newServer(devices, gpusim.TeslaK40c(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestSubmitAfterClose(t *testing.T) {
 }
 
 // TestLeastLoadedSpread: under sustained open-loop load every device
-// of a replica's cluster must end up serving batches.
+// of a replica must end up serving batches.
 func TestLeastLoadedSpread(t *testing.T) {
 	f := newTestFleet(t, FleetOptions{
 		ShardDevices: 4,
@@ -199,7 +198,7 @@ func TestTelemetry(t *testing.T) {
 			Tracer: tr, Obs: plane,
 		},
 	})
-	cluster := f.replicas[0].srv.cluster
+	srv := f.replicas[0].srv
 	rep := RunTrace(context.Background(), f, TraceOptions{BaseRPS: 2000, Duration: 50 * time.Millisecond})
 	if rep.Completed == 0 || rep.Completed != rep.Offered {
 		t.Fatalf("completed %d of %d offered", rep.Completed, rep.Offered)
@@ -234,8 +233,8 @@ func TestTelemetry(t *testing.T) {
 		}
 	})
 
-	for i, dev := range cluster.Devices {
-		if dev.Sink() != nil {
+	for i, g := range srv.gpus {
+		if g.dev.Sink() != nil {
 			t.Errorf("device %d sink still attached after close", i)
 		}
 	}
@@ -318,7 +317,7 @@ func TestStartAfterCloseIsNoop(t *testing.T) {
 // cleanly.
 func TestStartCloseRaceStress(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
-		s, err := newServer(multigpu.New(1, gpusim.TeslaK40c()), Options{
+		s, err := newServer(1, gpusim.TeslaK40c(), Options{
 			Model: testModel(), MaxBatch: 4, MaxWait: 200 * time.Microsecond,
 			QueueCap: 8, TimeScale: -1, Obs: testPlane(),
 		}, nil)

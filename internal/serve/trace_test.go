@@ -307,7 +307,7 @@ func (p flakyPlan) Inference() error {
 }
 
 // flakyEngine wraps a real engine so that the first N batches anywhere
-// on the cluster fail wholesale.
+// on the replica fail wholesale.
 type flakyEngine struct {
 	impls.Engine
 	failures *atomic.Int64

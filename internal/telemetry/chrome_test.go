@@ -108,7 +108,7 @@ func durOf(e map[string]any) *float64 {
 
 func TestWriteChromeMultiProcess(t *testing.T) {
 	tr := NewTracer()
-	root := tr.Root("multigpu")
+	root := tr.Root("serve")
 	for i := 0; i < 2; i++ {
 		r := root.Child("replica").SetProc(i)
 		r.AddEvent(Event{Name: "k", Cat: "kernel", Dur: time.Millisecond})

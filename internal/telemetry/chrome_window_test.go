@@ -120,7 +120,7 @@ func TestWriteChromeWindowDropsEmptyLanes(t *testing.T) {
 	tr := NewTracer()
 	// The root rides device 1's lane so lane 0 holds only the early
 	// replica — the lane the window should drop entirely.
-	root := tr.Root("multigpu").SetProc(1)
+	root := tr.Root("serve").SetProc(1)
 	early := root.Child("replica-early").SetProc(0)
 	early.AddEvent(Event{Name: "k0", Cat: "kernel", Start: 0, Dur: time.Millisecond})
 	early.SetSim(0, time.Millisecond).End()

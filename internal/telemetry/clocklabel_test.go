@@ -9,8 +9,6 @@ import (
 	"gpucnn/internal/bench"
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
-	"gpucnn/internal/impls"
-	"gpucnn/internal/multigpu"
 	"gpucnn/internal/nn"
 	"gpucnn/internal/obs"
 	"gpucnn/internal/serve"
@@ -19,10 +17,11 @@ import (
 )
 
 // TestEveryDurationSeriesNamesItsClock fills one registry through the
-// serving, sweep, multi-GPU, nn and device-collection paths and fails
-// on any duration series (a family with "_seconds" in its name) that
-// does not say which clock it was measured on: sim (the K40c cost
-// model) or host (wall time on this CPU).
+// serving, sweep, nn and device-collection paths and fails on any
+// duration series (a family with "_seconds" in its name) that does not
+// say which clock it was measured on: sim (the K40c cost model) or host
+// (wall time on this CPU). The serving fleet writes the per-device sim
+// series, serve_device_busy_seconds_total and gpusim_busy_seconds_total.
 func TestEveryDurationSeriesNamesItsClock(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ctx := telemetry.WithRegistry(context.Background(), reg)
@@ -46,10 +45,6 @@ func TestEveryDurationSeriesNamesItsClock(t *testing.T) {
 
 	bench.SweepCtx(ctx, []conv.Config{cfg}, func(c conv.Config) int { return c.Batch },
 		gpusim.TeslaK40c(), bench.Options{Workers: 2})
-
-	if _, err := multigpu.New(2, gpusim.TeslaK40c()).IterationCtx(ctx, impls.NewCuDNN(), cfg); err != nil {
-		t.Fatal(err)
-	}
 
 	for _, dev := range []*gpusim.Device{nil, gpusim.New(gpusim.TeslaK40c())} {
 		net := nn.NewNet("tiny", nn.NewConv("c1", nil, 4, 3, 1, 1), nn.NewReLU("r1"))
