@@ -43,14 +43,15 @@ bench-compare: bench-kernels-compare bench-planner-compare serve-bench-compare
 # GEMM again at one and two procs (rows BenchmarkGEMM/parallel/N and
 # BenchmarkGEMM/parallel/N-2), then the convolution benches — forward
 # on the Table I layers and per pass for the fft, unroll and winograd
-# engines.
+# engines — and the layer benches (AlexNet's LRN and FC layers).
 kernel_bench = \
 	go test ./internal/gemm -run '^$$' -bench 'BenchmarkGEMM' -skip 'BenchmarkGEMM/parallel' -count=5 -timeout 60m | tee $(1) && \
 	go test ./internal/gemm -run '^$$' -bench 'BenchmarkGEMM/parallel' -cpu 1,2 -count=5 -timeout 60m | tee -a $(1) && \
-	go test ./internal/conv -run '^$$' -bench 'BenchmarkConvForward|BenchmarkConvFFT|BenchmarkConvUnroll|BenchmarkConvWinograd' -count=5 -timeout 60m | tee -a $(1)
+	go test ./internal/conv -run '^$$' -bench 'BenchmarkConvForward|BenchmarkConvFFT|BenchmarkConvUnroll|BenchmarkConvWinograd' -count=5 -timeout 60m | tee -a $(1) && \
+	go test ./internal/nn -run '^$$' -bench 'BenchmarkLayer' -count=5 -timeout 60m | tee -a $(1)
 
-# Kernel microbenchmarks: 5 repetitions of the GEMM and convolution
-# benches, summarised into BENCH_kernels.json (ns/op medians plus any
+# Kernel microbenchmarks: 5 repetitions of the GEMM, convolution and
+# layer benches, summarised into BENCH_kernels.json (ns/op medians plus any
 # GFLOPS metrics). Compare runs with benchstat if available.
 .PHONY: bench-kernels
 bench-kernels:

@@ -9,7 +9,7 @@
 // an entry point takes scratch of its own.
 //
 // One kernel serves every entry point and every shape, zero extents
-// included:
+// included, except ParallelNT's skinny rule below:
 //
 //   - Naive: the textbook triple loop, used as the correctness oracle.
 //   - Blocked, NT, TN: BLIS-style serial kernel — both operands are
@@ -21,6 +21,13 @@
 //     macro-loops fanned out over the par worker pool — workers share
 //     one packed B block and pack their own A blocks, one arena slot
 //     each.
+//
+// ParallelNT has one rule over m on top: at m ≤ skinnyM (a
+// fully-connected layer's forward at batch 1 to 4) it packs nothing.
+// Each row of B is contiguous, so it is dotted against the m rows of A
+// in a plain Go eight-accumulator loop, with B's rows claimed over the
+// par pool. That reads the weights once at memory speed, where packing
+// them would copy every weight to multiply it by a handful of rows.
 //
 // The right operand may also be virtual (BlockedVirtualB and
 // ParallelVirtualB in virtual.go): a panel packer generates op(B)
@@ -102,13 +109,19 @@ func TN(ws *workspace.Arena, alpha float32, a []float32, b []float32, beta float
 	packedGEMM(ws, 1, alpha, matAT(a, m), matB(b, n), c, m, n, k)
 }
 
-// ParallelNT is NT with the packed macro-loops fanned out over the par
-// worker pool.
+// ParallelNT is NT with the work fanned out over the par worker pool.
+// A skinny product (m ≤ skinnyM, see skinny.go) streams B's rows
+// without packing them and takes nothing from ws; any other runs the
+// packed macro-loops.
 func ParallelNT(ws *workspace.Arena, alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic(fmt.Sprintf("gemm: NT buffer too small for m=%d n=%d k=%d", m, n, k))
 	}
 	workers := gemmWorkers(m, n, k)
+	if m <= skinnyM {
+		skinnyNT(workers, alpha, a, b, beta, c, m, n, k)
+		return
+	}
 	if workers <= 1 {
 		NT(ws, alpha, a, b, beta, c, m, n, k)
 		return

@@ -20,13 +20,16 @@ func randSlice(rng *rand.Rand, n int) []float32 {
 	return s
 }
 
+// maxAbsDiff is the largest |a[i] − b[i]|, or +Inf where either side
+// is NaN, so a NaN result never compares close.
 func maxAbsDiff(a, b []float32) float64 {
 	var m float64
 	for i := range a {
 		d := math.Abs(float64(a[i] - b[i]))
-		if d > m {
-			m = d
+		if math.IsNaN(d) {
+			return math.Inf(1)
 		}
+		m = max(m, d)
 	}
 	return m
 }
@@ -156,11 +159,12 @@ func TestPackedTNMatchesOracleRagged(t *testing.T) {
 // TestLargeEntryPointsUsePackedKernel checks every public SGEMM entry
 // point against the oracle at a multi-tile shape, and at the degenerate
 // shapes with a zero extent: there C must come back as exactly β·C, and
-// nothing past the m×n result may be touched.
+// nothing past the m×n result may be touched. The m = 1 cases run
+// ParallelNT's skinny path.
 func TestLargeEntryPointsUsePackedKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const alpha, beta, guard = 2, 0.5, 4
-	for _, s := range [][3]int{{70, 65, 40}, {70, 65, 0}, {0, 65, 40}, {70, 0, 40}} {
+	for _, s := range [][3]int{{70, 65, 40}, {70, 65, 0}, {0, 65, 40}, {70, 0, 40}, {1, 65, 0}, {1, 0, 40}} {
 		m, n, k := s[0], s[1], s[2]
 		a := randSlice(rng, m*k)
 		b := randSlice(rng, k*n)
@@ -196,6 +200,49 @@ func TestLargeEntryPointsUsePackedKernel(t *testing.T) {
 			}
 			if d := maxAbsDiff(want[m*n:], got[m*n:]); d != 0 {
 				t.Fatalf("%s at m=%d n=%d k=%d wrote past the m×n result", tc.name, m, n, k)
+			}
+		}
+	}
+}
+
+// TestSkinnyNTMatchesNaive checks ParallelNT's skinny path, and the
+// first m past it, against the oracle on B's transpose: every m up to
+// skinnyM+1, reductions shorter than, equal to and past the eight
+// partial sums, alpha ≠ 1 and each kind of beta. With beta = 0, C
+// starts as NaN, which must not survive. The n = 300, k = 4097 shape
+// is large enough to fan out over the par pool.
+func TestSkinnyNTMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const alpha = 1.5
+	nan := float32(math.NaN())
+	for m := 1; m <= skinnyM+1; m++ {
+		for _, k := range []int{1, 7, 9, 4097} {
+			n := 37
+			if k == 4097 {
+				n = 300
+			}
+			a := randSlice(rng, m*k)
+			bT := randSlice(rng, n*k)
+			b := transpose(bT, n, k)
+			for _, beta := range []float32{0, 0.5, 1} {
+				c0 := randSlice(rng, m*n)
+				if beta == 0 {
+					for i := range c0 {
+						c0[i] = nan
+					}
+				}
+				want := append([]float32(nil), c0...)
+				if beta == 0 {
+					clear(want)
+				}
+				Naive(alpha, a, b, beta, want, m, n, k)
+				got := append([]float32(nil), c0...)
+				ParallelNT(new(workspace.Arena), alpha, a, bT, beta, got, m, n, k)
+				for i := range got {
+					if d := math.Abs(float64(got[i] - want[i])); !(d <= tol(k)) {
+						t.Fatalf("m=%d n=%d k=%d beta=%g: C[%d] = %g, want %g", m, n, k, beta, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}

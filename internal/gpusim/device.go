@@ -150,16 +150,3 @@ func (d *Device) Launches() int64 {
 	defer d.mu.Unlock()
 	return d.launches
 }
-
-// ResetClock zeroes the simulated clock and profiler but keeps live
-// allocations (weights stay resident between iterations, as on a real
-// training run).
-func (d *Device) ResetClock() {
-	d.mu.Lock()
-	d.kernelTime = 0
-	d.transferTime = 0
-	d.hiddenTransfer = 0
-	d.launches = 0
-	d.mu.Unlock()
-	d.Prof.Reset()
-}

@@ -212,21 +212,6 @@ func TestElapsedCombinesKernelAndTransfer(t *testing.T) {
 	}
 }
 
-func TestResetClock(t *testing.T) {
-	d := New(TeslaK40c())
-	d.MustLaunch(testKernel("k", 1e9))
-	d.Copy(Transfer{Bytes: 1 << 20})
-	buf, _ := d.Mem.Alloc(1<<20, "weights")
-	d.ResetClock()
-	if d.Elapsed() != 0 || d.Launches() != 0 || d.Prof.TotalTime() != 0 {
-		t.Fatal("ResetClock must zero time and profile")
-	}
-	if d.Mem.Used() == 0 {
-		t.Fatal("ResetClock must keep live allocations")
-	}
-	buf.Free()
-}
-
 func TestDeterministicSimulation(t *testing.T) {
 	k := KernelSpec{Name: "k", Grid: Dim3{X: 777}, Block: Dim3{X: 192},
 		RegsPerThread: 40, SharedPerBlock: 4096, FLOPs: 3.14e9,

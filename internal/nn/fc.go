@@ -18,6 +18,7 @@ type FC struct {
 	weight *Param // (Out, In)
 	bias   *Param // (Out)
 	lastX  *Value
+	outV   Value          // held forward Value
 	out    *tensor.Tensor // held forward output
 	inDim  int
 	inited bool
@@ -72,21 +73,21 @@ func (l *FC) initWeights() {
 	l.weight.W.FillNormal(tensor.NewRNG(uint64(len(l.name))*0x9E3779B9+13), sigma)
 }
 
-// Forward computes y = x·Wᵀ + b.
+// Forward computes y = x·Wᵀ + b. The returned Value is held, like its
+// data: valid until the next Forward.
 func (l *FC) Forward(ctx *Context, x *Value) *Value {
 	batch := x.Shape[0]
 	in := l.inFeatures(x.Shape)
 	l.ensureParams(in)
 	l.lastX = x
-	out := &Value{Shape: tensor.Shape{batch, l.Out}}
+	out := holdValue(&l.outV, tensor.Shape{batch, l.Out})
 	ctx.timed(KindFC, func() {
 		if x.Real() {
 			l.initWeights()
 			out.Data = hold(&l.out, out.Shape)
-			flat := x.Data.Reshape(batch, in)
-			// y (batch×out) = x (batch×in) · Wᵀ (in×out)
+			// y (batch×out) = x (batch×in) · Wᵀ (in×out), x read flat.
 			l.ws.Reset()
-			gemm.ParallelNT(&l.ws, 1, flat.Data, l.weight.W.Data, 0, out.Data.Data, batch, l.Out, in)
+			gemm.ParallelNT(&l.ws, 1, x.Data.Data, l.weight.W.Data, 0, out.Data.Data, batch, l.Out, in)
 			for bi := 0; bi < batch; bi++ {
 				row := out.Data.Data[bi*l.Out:]
 				for j := 0; j < l.Out; j++ {

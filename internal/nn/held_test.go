@@ -123,3 +123,42 @@ func TestInferenceForwardAllocatesNoActivations(t *testing.T) {
 	}
 	t.Logf("steady-state forward allocates %d bytes against %d activation bytes", least, acts)
 }
+
+// TestBatchOneFCAndLRNAllocateNothing holds FC forward and LRN forward
+// and backward at batch 1 to zero steady-state allocations: the layers
+// return held Values over held data, and their kernels dispatch pooled
+// Runners. The FC shape is large enough for ParallelNT's skinny path
+// to fan out over the pool. The least of three readings is taken, as a
+// reading counts every malloc in the process.
+func TestBatchOneFCAndLRNAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime instruments allocations")
+	}
+	ctx := nn.NewContext(nil, true)
+	fc := nn.NewFC("fc", 1024)
+	fx := tensor.New(1, 2048)
+	fx.FillUniform(tensor.NewRNG(3), -1, 1)
+	lrn := nn.NewLRN("norm", 5, 0, 0, 0)
+	lx, ldy := tensor.New(1, 16, 13, 13), tensor.New(1, 16, 13, 13)
+	lx.FillUniform(tensor.NewRNG(4), -1, 1)
+	ldy.FillUniform(tensor.NewRNG(5), -1, 1)
+	fxv, lxv, ldyv := nn.NewValue(fx), nn.NewValue(lx), nn.NewValue(ldy)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"FC forward", func() { fc.Forward(ctx, fxv) }},
+		{"LRN forward", func() { lrn.Forward(ctx, lxv) }},
+		{"LRN backward", func() { lrn.Backward(ctx, ldyv) }},
+	} {
+		tc.run()
+		tc.run()
+		least := testing.AllocsPerRun(5, tc.run)
+		for i := 1; i < 3; i++ {
+			least = min(least, testing.AllocsPerRun(5, tc.run))
+		}
+		if least != 0 {
+			t.Errorf("%s: %v allocs per steady-state run, want 0", tc.name, least)
+		}
+	}
+}

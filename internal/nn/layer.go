@@ -269,6 +269,18 @@ func hold(t **tensor.Tensor, s tensor.Shape) *tensor.Tensor {
 	return *t
 }
 
+// holdValue re-points the held Value *v at shape s, cloning s only when
+// *v has another shape, and clears its data for the caller to set. FC
+// and LRN return held Values, so a steady pass through them allocates
+// nothing.
+func holdValue(v *Value, s tensor.Shape) *Value {
+	if !v.Shape.Equal(s) {
+		v.Shape = s.Clone()
+	}
+	v.Data = nil
+	return v
+}
+
 // holdSlice is hold for flat forward-only scratch: it returns (*buf)[:n],
 // growing *buf first when it is too short.
 func holdSlice[T any](buf *[]T, n int) []T {
@@ -279,9 +291,12 @@ func holdSlice[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-func checkRank4(v *Value, who string) (n, c, h, w int) {
+// checkRank4 returns v's NCHW dimensions, panicking with the layer's
+// kind and name when v is not rank 4. The message is built only on
+// failure, so the check allocates nothing.
+func checkRank4(v *Value, kind, name string) (n, c, h, w int) {
 	if len(v.Shape) != 4 {
-		panic(fmt.Sprintf("nn: %s requires a rank-4 NCHW input, got %v", who, v.Shape))
+		panic(fmt.Sprintf("nn: %s %s requires a rank-4 NCHW input, got %v", kind, name, v.Shape))
 	}
 	return v.Shape[0], v.Shape[1], v.Shape[2], v.Shape[3]
 }

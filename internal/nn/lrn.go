@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"runtime"
 
 	"gpucnn/internal/par"
 	"gpucnn/internal/tensor"
@@ -9,6 +10,12 @@ import (
 
 // LRN is cross-channel local response normalisation (the AlexNet /
 // GoogLeNet variant): y_i = x_i / (k + α/n · Σ_{j∈window(i)} x_j²)^β.
+//
+// Both passes loop channel-outer over contiguous planes, with each
+// image's spatial range split into one piece per core, so batch 1 runs
+// on every core and every inner loop has unit stride. The channel
+// window is re-summed per channel in float32 (at most N terms), and
+// s^-β is taken by lrnPow.
 type LRN struct {
 	name  string
 	N     int     // window size across channels
@@ -17,8 +24,12 @@ type LRN struct {
 	K     float64
 
 	lastX *Value
+	outV  Value          // held forward Value
 	out   *tensor.Tensor // held forward output
 	scale []float32      // held (k + α/n Σ x²) per element of the last Forward
+	dxV   Value          // held backward Value
+	dx    *tensor.Tensor // held backward output
+	g     []float32      // backward scratch: dy·x·s^(-β-1) per element
 }
 
 // NewLRN builds an LRN layer with AlexNet's default parameters when
@@ -46,39 +57,22 @@ func (l *LRN) Kind() Kind { return KindLRN }
 func (l *LRN) OutShape(in tensor.Shape) tensor.Shape { return in.Clone() }
 
 // Forward normalises each element by its cross-channel energy window.
+// The returned Value is held, like its data: valid until the next
+// Forward.
 func (l *LRN) Forward(ctx *Context, x *Value) *Value {
-	n, c, h, w := checkRank4(x, "lrn "+l.name)
+	n, c, h, w := checkRank4(x, "lrn", l.name)
 	l.lastX = x
-	out := &Value{Shape: x.Shape.Clone()}
+	out := holdValue(&l.outV, x.Shape)
 	ctx.timed(KindLRN, func() {
 		if x.Real() {
 			out.Data = hold(&l.out, out.Shape)
-			scale := holdSlice(&l.scale, x.Elems())
-			hw := h * w
-			half := l.N / 2
-			par.ForEach(n, func(bi int) {
-				base := bi * c * hw
-				for pos := 0; pos < hw; pos++ {
-					for ci := 0; ci < c; ci++ {
-						var energy float64
-						lo, hi := ci-half, ci+half
-						if lo < 0 {
-							lo = 0
-						}
-						if hi >= c {
-							hi = c - 1
-						}
-						for j := lo; j <= hi; j++ {
-							v := float64(x.Data.Data[base+j*hw+pos])
-							energy += v * v
-						}
-						s := l.K + l.Alpha/float64(l.N)*energy
-						idx := base + ci*hw + pos
-						scale[idx] = float32(s)
-						out.Data.Data[idx] = x.Data.Data[idx] / float32(math.Pow(s, l.Beta))
-					}
-				}
-			})
+			j := lrnFwdPool.Get()
+			j.lrnSplit = l.split(n, c, h*w)
+			j.x, j.y = x.Data.Data, out.Data.Data
+			j.scale = holdSlice(&l.scale, x.Elems())
+			par.ForEachRunner(j.items(), j)
+			j.x, j.y, j.scale = nil, nil, nil
+			lrnFwdPool.Put(j)
 		}
 		// Each output reads an N-deep channel window.
 		ctx.launch(elementwiseSpec("lrn_fwd", x.Elems(), float64(4*(l.N+2))))
@@ -88,46 +82,22 @@ func (l *LRN) Forward(ctx *Context, x *Value) *Value {
 
 // Backward applies the LRN gradient:
 // dx_i = dy_i·s_i^{-β} − (2αβ/n)·x_i·Σ_{j∋i} dy_j·x_j·s_j^{-β-1}.
+// It reads the scale the last Forward held. The returned Value and its
+// data are held: valid until the next Backward.
 func (l *LRN) Backward(ctx *Context, dy *Value) *Value {
-	n, c, h, w := checkRank4(l.lastX, "lrn "+l.name)
-	out := &Value{Shape: dy.Shape.Clone()}
+	n, c, h, w := checkRank4(l.lastX, "lrn", l.name)
+	out := holdValue(&l.dxV, dy.Shape)
 	ctx.timed(KindLRN, func() {
 		if dy.Real() && l.lastX.Real() {
-			out.Data = tensor.New(out.Shape...)
-			hw := h * w
-			half := l.N / 2
-			ratio := 2 * l.Alpha * l.Beta / float64(l.N)
-			x := l.lastX.Data.Data
-			par.ForEach(n, func(bi int) {
-				base := bi * c * hw
-				for pos := 0; pos < hw; pos++ {
-					// Precompute g_j = dy_j · x_j · s_j^{-β-1} per channel.
-					g := make([]float64, c)
-					for j := 0; j < c; j++ {
-						idx := base + j*hw + pos
-						s := float64(l.scale[idx])
-						g[j] = float64(dy.Data.Data[idx]) * float64(x[idx]) * math.Pow(s, -l.Beta-1)
-					}
-					for ci := 0; ci < c; ci++ {
-						idx := base + ci*hw + pos
-						s := float64(l.scale[idx])
-						acc := float64(dy.Data.Data[idx]) * math.Pow(s, -l.Beta)
-						lo, hi := ci-half, ci+half
-						if lo < 0 {
-							lo = 0
-						}
-						if hi >= c {
-							hi = c - 1
-						}
-						var sum float64
-						for j := lo; j <= hi; j++ {
-							sum += g[j]
-						}
-						acc -= ratio * float64(x[idx]) * sum
-						out.Data.Data[idx] = float32(acc)
-					}
-				}
-			})
+			out.Data = hold(&l.dx, out.Shape)
+			j := lrnBwdPool.Get()
+			j.lrnSplit = l.split(n, c, h*w)
+			j.x, j.dy, j.dx = l.lastX.Data.Data, dy.Data.Data, out.Data.Data
+			j.scale, j.g = l.scale, holdSlice(&l.g, dy.Elems())
+			j.ratio = float32(2 * l.Alpha * l.Beta / float64(l.N))
+			par.ForEachRunner(j.items(), j)
+			j.x, j.dy, j.dx, j.scale, j.g = nil, nil, nil, nil, nil
+			lrnBwdPool.Put(j)
 		}
 		ctx.launch(elementwiseSpec("lrn_bwd", dy.Elems(), float64(4*(l.N+4))))
 	})
@@ -136,3 +106,139 @@ func (l *LRN) Backward(ctx *Context, dy *Value) *Value {
 
 // Params returns nil; LRN has no parameters.
 func (l *LRN) Params() []*Param { return nil }
+
+// split lays out one pass over an n×c×hw batch: each image's spatial
+// range is cut into one piece per core, and an item is one piece of one
+// image across all its channels.
+func (l *LRN) split(n, c, hw int) lrnSplit {
+	pieces := max(min(runtime.GOMAXPROCS(0), hw), 1)
+	per := max((hw+pieces-1)/pieces, 1)
+	return lrnSplit{
+		n: n, c: c, hw: hw, per: per, pieces: (hw + per - 1) / per,
+		half:   l.N / 2,
+		k:      float32(l.K),
+		alphaN: float32(l.Alpha / float64(l.N)),
+		pow:    newLRNPow(l.Beta),
+	}
+}
+
+// lrnSplit is the item layout and the constants both LRN passes share.
+type lrnSplit struct {
+	n, c, hw    int
+	per, pieces int // spatial piece width, pieces per image
+	half        int // window half-width
+	k, alphaN   float32
+	pow         lrnPow
+}
+
+func (s *lrnSplit) items() int { return s.n * s.pieces }
+
+// item returns the offset of item i's image and its spatial range.
+func (s *lrnSplit) item(i int) (base, p0, p1 int) {
+	p0 = i % s.pieces * s.per
+	return i / s.pieces * s.c * s.hw, p0, min(p0+s.per, s.hw)
+}
+
+// window returns the channel range [lo, hi] the window at ci covers.
+func (s *lrnSplit) window(ci int) (lo, hi int) {
+	return max(ci-s.half, 0), min(ci+s.half, s.c-1)
+}
+
+// lrnFwdJob is one LRN forward; pooled so dispatch allocates nothing.
+type lrnFwdJob struct {
+	lrnSplit
+	x, y, scale []float32
+}
+
+var lrnFwdPool = par.NewJobPool[lrnFwdJob]()
+
+// Run normalises item i: per channel, the window's squares summed into
+// scale, then scale and the output in one pass.
+//
+//hot:noalloc
+func (j *lrnFwdJob) Run(i int) {
+	base, p0, p1 := j.item(i)
+	for ci := 0; ci < j.c; ci++ {
+		off := base + ci*j.hw
+		s := j.scale[off+p0 : off+p1]
+		lo, hi := j.window(ci)
+		for p, v := range j.x[base+lo*j.hw+p0 : base+lo*j.hw+p1] {
+			s[p] = v * v
+		}
+		for ch := lo + 1; ch <= hi; ch++ {
+			xs := j.x[base+ch*j.hw+p0 : base+ch*j.hw+p1]
+			for p, v := range xs[:len(s)] {
+				s[p] += v * v
+			}
+		}
+		xs, ys := j.x[off+p0:off+p1], j.y[off+p0:off+p1]
+		xs, ys = xs[:len(s)], ys[:len(s)]
+		for p, e := range s {
+			sv := j.k + j.alphaN*e
+			s[p] = sv
+			ys[p] = xs[p] * j.pow.of(sv)
+		}
+	}
+}
+
+// lrnBwdJob is one LRN backward; pooled like lrnFwdJob.
+type lrnBwdJob struct {
+	lrnSplit
+	ratio               float32 // 2αβ/n
+	x, dy, dx, scale, g []float32
+}
+
+var lrnBwdPool = par.NewJobPool[lrnBwdJob]()
+
+// Run differentiates item i in two channel-outer passes: the first
+// writes dy·s^-β into dx and dy·x·s^(-β-1) into g, the second subtracts
+// (2αβ/n)·x·g from dx for each plane of g in the channel's window.
+//
+//hot:noalloc
+func (j *lrnBwdJob) Run(i int) {
+	base, p0, p1 := j.item(i)
+	for ci := 0; ci < j.c; ci++ {
+		off := base + ci*j.hw
+		s, xs, dys := j.scale[off+p0:off+p1], j.x[off+p0:off+p1], j.dy[off+p0:off+p1]
+		dxs, gs := j.dx[off+p0:off+p1], j.g[off+p0:off+p1]
+		xs, dys, dxs, gs = xs[:len(s)], dys[:len(s)], dxs[:len(s)], gs[:len(s)]
+		for p, sv := range s {
+			d := dys[p] * j.pow.of(sv)
+			dxs[p] = d
+			gs[p] = d * xs[p] / sv
+		}
+	}
+	for ci := 0; ci < j.c; ci++ {
+		off := base + ci*j.hw
+		xs, dxs := j.x[off+p0:off+p1], j.dx[off+p0:off+p1]
+		xs = xs[:len(dxs)]
+		lo, hi := j.window(ci)
+		for ch := lo; ch <= hi; ch++ {
+			gs := j.g[base+ch*j.hw+p0 : base+ch*j.hw+p1]
+			for p, gv := range gs[:len(dxs)] {
+				dxs[p] -= j.ratio * xs[p] * gv
+			}
+		}
+	}
+}
+
+// lrnPow raises an LRN scale s (positive: s ≥ k > 0) to −β.
+// β = 0.75, every model's value, is 1/(√s·√√s) in float32; other β
+// go through math.Pow.
+type lrnPow struct {
+	beta          float64
+	threeQuarters bool
+}
+
+func newLRNPow(beta float64) lrnPow {
+	return lrnPow{beta: beta, threeQuarters: beta == 0.75}
+}
+
+//hot:noalloc
+func (p lrnPow) of(s float32) float32 {
+	if p.threeQuarters {
+		r := float32(math.Sqrt(float64(s)))
+		return 1 / (r * float32(math.Sqrt(float64(r))))
+	}
+	return float32(math.Pow(float64(s), -p.beta))
+}

@@ -84,7 +84,7 @@ func (l *Pool) spec(name string, elemsIn, elemsOut int) gpusim.KernelSpec {
 
 // Forward pools each window (max keeps argmax indices for backward).
 func (l *Pool) Forward(ctx *Context, x *Value) *Value {
-	n, c, h, w := checkRank4(x, "pool "+l.name)
+	n, c, h, w := checkRank4(x, "pool", l.name)
 	oh, ow := l.outHW(h), l.outHW(w)
 	l.lastX = x
 	out := &Value{Shape: tensor.Shape{n, c, oh, ow}}
@@ -142,7 +142,7 @@ func (l *Pool) Forward(ctx *Context, x *Value) *Value {
 // Backward scatters gradient to the max positions (or spreads it for
 // average pooling).
 func (l *Pool) Backward(ctx *Context, dy *Value) *Value {
-	n, c, h, w := checkRank4(l.lastX, "pool "+l.name)
+	n, c, h, w := checkRank4(l.lastX, "pool", l.name)
 	oh, ow := l.outHW(h), l.outHW(w)
 	out := &Value{Shape: l.lastX.Shape.Clone()}
 	ctx.timed(KindPool, func() {
