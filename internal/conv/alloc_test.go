@@ -1,8 +1,10 @@
 package conv
 
 import (
+	"runtime"
 	"testing"
 
+	"gpucnn/internal/alloctest"
 	"gpucnn/internal/tensor"
 	"gpucnn/internal/workspace"
 )
@@ -84,6 +86,39 @@ func TestUnrollZeroAllocTableI(t *testing.T) {
 		assertZeroAlloc(t, tc.name+"/backward-filter", 3, func() {
 			UnrollBackwardFilter(&ws, tc.cfg, x, dy, dw)
 		})
+	}
+}
+
+// TestUnrollFannedZeroAlloc holds the batch-1 unroll passes to zero
+// steady-state allocations where they fan each image's GEMM out over
+// the pool. That branch needs more than one proc, so the count is read
+// at the host's GOMAXPROCS (alloctest), not through AllocsPerRun, and
+// the test skips on one proc.
+func TestUnrollFannedZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime instruments allocations")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the fanned-out GEMM needs GOMAXPROCS ≥ 2")
+	}
+	for _, base := range fanConfigs {
+		cfg := base
+		cfg.Batch = 1
+		x, w, y, dx, dw, dy := allocTensors(cfg)
+		var ws workspace.Arena
+		for _, tc := range []struct {
+			name string
+			run  func()
+		}{
+			{"forward", func() { UnrollForward(&ws, cfg, x, w, y) }},
+			{"backward-data", func() { UnrollBackwardData(&ws, cfg, dy, w, dx) }},
+			{"backward-filter", func() { UnrollBackwardFilter(&ws, cfg, x, dy, dw) }},
+		} {
+			if got := alloctest.Mallocs(3, tc.run); got != 0 {
+				t.Errorf("%v %s: %d mallocs per steady-state run at GOMAXPROCS %d, want 0",
+					cfg, tc.name, got, runtime.GOMAXPROCS(0))
+			}
+		}
 	}
 }
 

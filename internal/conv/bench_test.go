@@ -79,6 +79,15 @@ var alexNetConvs = []namedConv{
 	{"alexnet_conv5", Config{Batch: 1, Input: 13, Channels: 384, Filters: 256, Kernel: 3, Stride: 1, Pad: 1}},
 }
 
+// alexNetUnrollConvs are AlexNet's conv1 and conv2 at batch 1, which
+// the planner runs on the unrolling engine in the alexnet_infer_autotuned
+// benchmark workload. They are kept apart from alexNetConvs because
+// neither is Winograd-eligible (11×11 stride 4, and 5×5).
+var alexNetUnrollConvs = []namedConv{
+	{"alexnet_conv1", Config{Batch: 1, Input: 227, Channels: 3, Filters: 96, Kernel: 11, Stride: 4}},
+	{"alexnet_conv2", Config{Batch: 1, Input: 27, Channels: 96, Filters: 256, Kernel: 5, Stride: 1, Pad: 2}},
+}
+
 // convPass is one pass of one engine in the per-pass benchmarks.
 type convPass struct {
 	name string
@@ -146,7 +155,9 @@ func BenchmarkConvFFT(b *testing.B) { benchPasses(b, fftPasses, cifarNetConvs) }
 // BenchmarkConvUnroll measures each unrolling pass — fused-im2col
 // forward, TN backward-data, virtual-B backward-filter — on the
 // CIFARNet training layers and the AlexNet inference layers.
-func BenchmarkConvUnroll(b *testing.B) { benchPasses(b, unrollPasses, cifarNetConvs, alexNetConvs) }
+func BenchmarkConvUnroll(b *testing.B) {
+	benchPasses(b, unrollPasses, cifarNetConvs, alexNetUnrollConvs, alexNetConvs)
+}
 
 // BenchmarkConvWinograd measures the Winograd passes on the AlexNet
 // inference layers.

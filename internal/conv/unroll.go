@@ -20,6 +20,14 @@ func (c Config) geom() im2col.Geom {
 	}
 }
 
+// fanGEMM is the one rule the unroll passes share for where their
+// parallelism goes. A pass hands out its items (images, or chunks of
+// images for backward-filter) one slot each; when there are fewer items
+// than procs, the slots alone would leave cores idle, so each item's
+// GEMM fans its ic/jr macro-loops over the par pool as well. Otherwise
+// every item runs a serial GEMM and the items keep every core busy.
+func fanGEMM(items int) bool { return items < runtime.GOMAXPROCS(0) }
+
 // unrollFwdJob is the pooled work unit of UnrollForward: a worker runs
 // one GEMM per claimed image, carving its packing panels from its
 // slot's child arena. The lowered column matrix is never materialised:
@@ -32,6 +40,7 @@ type unrollFwdJob struct {
 	rows, cols     int
 	imgLen, outLen int
 	filters        int
+	fan            bool
 	x, w, y        []float32
 	kids           []*workspace.Arena
 }
@@ -44,7 +53,12 @@ func (j *unrollFwdJob) Run(slot int) {
 		ws.Reset()
 		pk.Reset(j.g, j.x[n*j.imgLen:(n+1)*j.imgLen])
 		// y_n (f×o²) = W (f×(c·k²)) · col ((c·k²)×o²), col virtual
-		gemm.BlockedVirtualB(ws, 1, j.w, pk, 0, j.y[n*j.outLen:(n+1)*j.outLen], j.filters, j.cols, j.rows)
+		y := j.y[n*j.outLen : (n+1)*j.outLen]
+		if j.fan {
+			gemm.ParallelVirtualB(ws, 1, j.w, pk, 0, y, j.filters, j.cols, j.rows)
+		} else {
+			gemm.BlockedVirtualB(ws, 1, j.w, pk, 0, y, j.filters, j.cols, j.rows)
+		}
 	}
 	im2col.PutPacker(pk)
 }
@@ -54,10 +68,13 @@ var unrollFwdPool = par.NewJobPool[unrollFwdJob]()
 // UnrollForward computes the convolution by lowering each image to a
 // column matrix (im2col) and multiplying it by the filter bank viewed
 // as an f×(c·k²) matrix — the Caffe/Torch-cunn/Theano-CorrMM scheme,
-// one GEMM per image, parallel over the batch. The lowering is fused
-// into the GEMM's packing, so the column matrix only ever exists as
-// L1-resident micro-panels. Scratch comes from ws, which the pass
-// resets.
+// one GEMM per image. Images are claimed one per slot; when the batch
+// is smaller than GOMAXPROCS, each image's GEMM also fans out over the
+// pool (fanGEMM), so batch 1 runs on every core. The fanned GEMM blocks
+// and accumulates like the serial one, so its output is the same bits.
+// The lowering is fused into the GEMM's packing, so the column matrix
+// only ever exists as L1-resident micro-panels. Scratch comes from ws,
+// which the pass resets.
 func UnrollForward(ws *workspace.Arena, cfg Config, x, w, y *tensor.Tensor) {
 	checkShapes(cfg, x, w, y)
 	ws.Reset()
@@ -67,7 +84,7 @@ func UnrollForward(ws *workspace.Arena, cfg Config, x, w, y *tensor.Tensor) {
 	j.g, j.rows, j.cols = g, g.ColRows(), g.ColCols()
 	j.imgLen = cfg.Channels * cfg.Input * cfg.Input
 	j.outLen = cfg.Filters * j.cols
-	j.filters = cfg.Filters
+	j.filters, j.fan = cfg.Filters, fanGEMM(cfg.Batch)
 	j.x, j.w, j.y = x.Data, w.Data, y.Data
 	j.kids = ws.Children(j.Slots())
 	par.ForEachSlot(&j.Span, j)
@@ -86,6 +103,7 @@ type unrollBwdDataJob struct {
 	rows, cols     int
 	imgLen, outLen int
 	filters        int
+	fan            bool
 	dy, w, dx      []float32
 	kids           []*workspace.Arena
 }
@@ -96,7 +114,12 @@ func (j *unrollBwdDataJob) Run(slot int) {
 		ws.Reset()
 		col := ws.Float32Uninit(j.rows * j.cols)
 		// col ((c·k²)×o²) = Wᵀ ((c·k²)×f) · dy_n (f×o²)
-		gemm.TN(ws, 1, j.w, j.dy[n*j.outLen:(n+1)*j.outLen], 0, col, j.rows, j.cols, j.filters)
+		dy := j.dy[n*j.outLen : (n+1)*j.outLen]
+		if j.fan {
+			gemm.ParallelTN(ws, 1, j.w, dy, 0, col, j.rows, j.cols, j.filters)
+		} else {
+			gemm.TN(ws, 1, j.w, dy, 0, col, j.rows, j.cols, j.filters)
+		}
 		im2col.Col2im(j.g, col, j.dx[n*j.imgLen:(n+1)*j.imgLen])
 	}
 }
@@ -105,6 +128,9 @@ var unrollBwdDataPool = par.NewJobPool[unrollBwdDataJob]()
 
 // UnrollBackwardData computes dx: per image, col = Wᵀ·dy_n followed by
 // col2im to scatter-accumulate the gradient back to input pixels.
+// Images are claimed one per slot, and under the same rule as
+// UnrollForward a batch smaller than GOMAXPROCS fans each image's TN
+// GEMM over the pool; col2im stays on the image's slot.
 func UnrollBackwardData(ws *workspace.Arena, cfg Config, dy, w, dx *tensor.Tensor) {
 	checkShapes(cfg, dx, w, dy)
 	ws.Reset()
@@ -114,7 +140,7 @@ func UnrollBackwardData(ws *workspace.Arena, cfg Config, dy, w, dx *tensor.Tenso
 	j.g, j.rows, j.cols = g, g.ColRows(), g.ColCols()
 	j.imgLen = cfg.Channels * cfg.Input * cfg.Input
 	j.outLen = cfg.Filters * j.cols
-	j.filters = cfg.Filters
+	j.filters, j.fan = cfg.Filters, fanGEMM(cfg.Batch)
 	j.dy, j.w, j.dx = dy.Data, w.Data, dx.Data
 	j.kids = ws.Children(j.Slots())
 	par.ForEachSlot(&j.Span, j)
@@ -134,6 +160,7 @@ type unrollBwdFilterJob struct {
 	imgLen, outLen int
 	filters, wLen  int
 	batch, per     int
+	fan            bool
 	x, dy          []float32
 	partials       []float32
 	kids           []*workspace.Arena
@@ -152,7 +179,12 @@ func (j *unrollBwdFilterJob) Run(slot int) {
 			// never materialised.
 			ws.Reset()
 			pk.ResetTransposed(j.g, j.x[n*j.imgLen:(n+1)*j.imgLen])
-			gemm.BlockedVirtualB(ws, 1, j.dy[n*j.outLen:(n+1)*j.outLen], pk, 1, partial, j.filters, j.rows, j.cols)
+			dy := j.dy[n*j.outLen : (n+1)*j.outLen]
+			if j.fan {
+				gemm.ParallelVirtualB(ws, 1, dy, pk, 1, partial, j.filters, j.rows, j.cols)
+			} else {
+				gemm.BlockedVirtualB(ws, 1, dy, pk, 1, partial, j.filters, j.rows, j.cols)
+			}
 		}
 	}
 	im2col.PutPacker(pk)
@@ -164,7 +196,10 @@ var unrollBwdFilterPool = par.NewJobPool[unrollBwdFilterJob]()
 // split into one chunk per worker; each chunk accumulates into a
 // private arena-carved partial and the partials are reduced serially
 // in chunk order, so no worker writes shared state and the sum does
-// not depend on which worker took which chunk.
+// not depend on which worker took which chunk. When there are fewer
+// chunks than GOMAXPROCS (at any batch smaller than GOMAXPROCS, where
+// each chunk is one image), each chunk's GEMMs fan out over the pool as
+// well, under the same rule as UnrollForward.
 func UnrollBackwardFilter(ws *workspace.Arena, cfg Config, x, dy, dw *tensor.Tensor) {
 	checkShapes(cfg, x, dw, dy)
 	ws.Reset()
@@ -179,7 +214,7 @@ func UnrollBackwardFilter(ws *workspace.Arena, cfg Config, x, dy, dw *tensor.Ten
 	j.imgLen = cfg.Channels * cfg.Input * cfg.Input
 	j.outLen = cfg.Filters * j.cols
 	j.filters, j.wLen = cfg.Filters, wLen
-	j.batch, j.per = cfg.Batch, per
+	j.batch, j.per, j.fan = cfg.Batch, per, fanGEMM(chunks)
 	j.x, j.dy, j.partials = x.Data, dy.Data, partials
 	j.kids = ws.Children(j.Slots())
 	par.ForEachSlot(&j.Span, j)

@@ -17,10 +17,10 @@
 //     mr×nr micro-kernel (AVX2/FMA assembly on capable amd64 hosts,
 //     portable Go otherwise; see pack.go, kernel_amd64.s) under
 //     runtime-autotuned cache blocking (tune.go).
-//   - Parallel, ParallelIn, ParallelNT: the same kernel with the ic/jr
-//     macro-loops fanned out over the par worker pool — workers share
-//     one packed B block and pack their own A blocks, one arena slot
-//     each.
+//   - Parallel, ParallelIn, ParallelNT, ParallelTN: the same kernel
+//     with the ic/jr macro-loops fanned out over the par worker pool —
+//     workers share one packed B block and pack their own A blocks, one
+//     arena slot each.
 //
 // ParallelNT has one rule over m on top: at m ≤ skinnyM (a
 // fully-connected layer's forward at batch 1 to 4) it packs nothing.
@@ -107,6 +107,16 @@ func TN(ws *workspace.Arena, alpha float32, a []float32, b []float32, beta float
 	}
 	scaleRows(beta, c, 0, m, n)
 	packedGEMM(ws, 1, alpha, matAT(a, m), matB(b, n), c, m, n, k)
+}
+
+// ParallelTN is TN with the ic/jr macro-loops fanned out over the par
+// worker pool; small problems run on the calling goroutine alone.
+func ParallelTN(ws *workspace.Arena, alpha float32, a []float32, b []float32, beta float32, c []float32, m, n, k int) {
+	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
+		panic(fmt.Sprintf("gemm: TN buffer too small for m=%d n=%d k=%d", m, n, k))
+	}
+	scaleRows(beta, c, 0, m, n)
+	packedGEMM(ws, gemmWorkers(m, n, k), alpha, matAT(a, m), matB(b, n), c, m, n, k)
 }
 
 // ParallelNT is NT with the work fanned out over the par worker pool.

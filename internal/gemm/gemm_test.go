@@ -154,6 +154,26 @@ func TestParallelNTMatchesNT(t *testing.T) {
 	}
 }
 
+// TestParallelTNMatchesTN runs ParallelTN at a shape large enough to
+// fan out (m·n·k ≥ 2²⁰) and requires TN's exact bits: the workers split
+// the same blocks the serial kernel walks, and each C tile still sums
+// its k panels in one order.
+func TestParallelTNMatchesTN(t *testing.T) {
+	m, n, k := 130, 110, 90
+	r := tensor.NewRNG(7)
+	at := randMat(r, k, m)
+	b := randMat(r, k, n)
+	c1 := randMat(r, m, n)
+	c2 := append([]float32(nil), c1...)
+	TN(new(workspace.Arena), 1.5, at, b, 0.5, c1, m, n, k)
+	ParallelTN(new(workspace.Arena), 1.5, at, b, 0.5, c2, m, n, k)
+	for i := range c1 {
+		if c1[i] != c2[i] {
+			t.Fatalf("ParallelTN differs from TN at %d: %g vs %g", i, c2[i], c1[i])
+		}
+	}
+}
+
 // TestDistributive checks the algebraic property A*(B+C) = A*B + A*C.
 func TestDistributive(t *testing.T) {
 	f := func(seed uint64) bool {

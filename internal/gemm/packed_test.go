@@ -188,6 +188,7 @@ func TestLargeEntryPointsUsePackedKernel(t *testing.T) {
 			{"NT", func(c []float32) { NT(new(workspace.Arena), alpha, a, bT, beta, c, m, n, k) }},
 			{"TN", func(c []float32) { TN(new(workspace.Arena), alpha, aT, b, beta, c, m, n, k) }},
 			{"ParallelNT", func(c []float32) { ParallelNT(new(workspace.Arena), alpha, a, bT, beta, c, m, n, k) }},
+			{"ParallelTN", func(c []float32) { ParallelTN(new(workspace.Arena), alpha, aT, b, beta, c, m, n, k) }},
 		} {
 			got := append([]float32(nil), c0...)
 			tc.run(got)

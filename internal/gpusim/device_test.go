@@ -326,15 +326,6 @@ func TestProfilerSummaryRenders(t *testing.T) {
 	}
 }
 
-func TestProfilerReset(t *testing.T) {
-	p := NewProfiler()
-	p.Record("k", Metrics{Duration: time.Millisecond})
-	p.Reset()
-	if p.TotalTime() != 0 || len(p.Kernels()) != 0 {
-		t.Fatal("reset should clear the profile")
-	}
-}
-
 func TestDim3Count(t *testing.T) {
 	if (Dim3{}).Count() != 1 {
 		t.Fatal("zero Dim3 should count as 1")

@@ -82,14 +82,6 @@ func (p *Profiler) Record(name string, m Metrics) {
 	ks.sharedSum += m.SharedEff * w
 }
 
-// Reset discards all recorded launches.
-func (p *Profiler) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.kernels = make(map[string]*KernelStats)
-	p.order = nil
-}
-
 // totalLocked sums all recorded launch durations. Callers hold p.mu.
 func (p *Profiler) totalLocked() time.Duration {
 	var t time.Duration

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"gpucnn/internal/alloctest"
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/impls"
@@ -127,9 +128,11 @@ func TestInferenceForwardAllocatesNoActivations(t *testing.T) {
 // TestBatchOneFCAndLRNAllocateNothing holds FC forward and LRN forward
 // and backward at batch 1 to zero steady-state allocations: the layers
 // return held Values over held data, and their kernels dispatch pooled
-// Runners. The FC shape is large enough for ParallelNT's skinny path
-// to fan out over the pool. The least of three readings is taken, as a
-// reading counts every malloc in the process.
+// Runners. The count is read at the host's GOMAXPROCS (alloctest), so
+// on more than one proc it covers the fanned-out kernels: ParallelNT's
+// skinny path claims the FC weight rows over the pool, and LRN splits
+// each image's spatial range over it. testing.AllocsPerRun would set
+// GOMAXPROCS to 1 and measure only the serial branches.
 func TestBatchOneFCAndLRNAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime instruments allocations")
@@ -151,14 +154,9 @@ func TestBatchOneFCAndLRNAllocateNothing(t *testing.T) {
 		{"LRN forward", func() { lrn.Forward(ctx, lxv) }},
 		{"LRN backward", func() { lrn.Backward(ctx, ldyv) }},
 	} {
-		tc.run()
-		tc.run()
-		least := testing.AllocsPerRun(5, tc.run)
-		for i := 1; i < 3; i++ {
-			least = min(least, testing.AllocsPerRun(5, tc.run))
-		}
-		if least != 0 {
-			t.Errorf("%s: %v allocs per steady-state run, want 0", tc.name, least)
+		if got := alloctest.Mallocs(3, tc.run); got != 0 {
+			t.Errorf("%s: %d mallocs per steady-state run at GOMAXPROCS %d, want 0",
+				tc.name, got, runtime.GOMAXPROCS(0))
 		}
 	}
 }
