@@ -72,6 +72,46 @@ bench-kernels-compare:
 	$(call kernel_bench,bench_kernels_new.txt)
 	go run ./cmd/benchjson -in bench_kernels_new.txt -compare BENCH_kernels.json -regress 1.15
 
+# Alternating A/B kernel comparison against another commit, for hosts
+# whose load moves between runs: `make bench-kernels-ab BASE=<ref>
+# [ROUNDS=n]`. BASE is extracted with git archive into a temporary
+# directory, the internal/gemm, internal/conv and internal/nn test
+# binaries of both trees are built, and each round runs the kernel
+# benches once from each tree, the base first in odd rounds and this
+# tree first in even ones, so a load spike lands on both sides alike.
+# Each side is summarised by benchjson (bench_kernels_ab_{base,head}.json)
+# and this tree is compared with the base at the same -regress 1.15 as
+# bench-kernels-compare.
+ROUNDS ?= 5
+
+kernel_bench_once = \
+	$(1)/gemm.test -test.run '^$$' -test.bench 'BenchmarkGEMM' -test.skip 'BenchmarkGEMM/parallel' -test.timeout 60m >> $(2) && \
+	$(1)/gemm.test -test.run '^$$' -test.bench 'BenchmarkGEMM/parallel' -test.cpu 1,2 -test.timeout 60m >> $(2) && \
+	$(1)/conv.test -test.run '^$$' -test.bench 'BenchmarkConvForward|BenchmarkConvFFT|BenchmarkConvUnroll|BenchmarkConvWinograd' -test.timeout 60m >> $(2) && \
+	$(1)/nn.test -test.run '^$$' -test.bench 'BenchmarkLayer' -test.timeout 60m >> $(2)
+
+.PHONY: bench-kernels-ab
+bench-kernels-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-kernels-ab BASE=<ref> [ROUNDS=n]" >&2; exit 2; }
+	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir -p "$$tmp/src" "$$tmp/base" "$$tmp/head"; \
+	git archive $(BASE) | tar -x -C "$$tmp/src"; \
+	for p in gemm conv nn; do \
+		(cd "$$tmp/src" && go test -c -o "$$tmp/base/$$p.test" ./internal/$$p); \
+		go test -c -o "$$tmp/head/$$p.test" ./internal/$$p; \
+	done; \
+	: > bench_kernels_ab_base.txt; : > bench_kernels_ab_head.txt; \
+	for r in $$(seq $(ROUNDS)); do \
+		if [ $$((r % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			echo "round $$r/$(ROUNDS): $$side"; \
+			$(call kernel_bench_once,"$$tmp/$$side",bench_kernels_ab_$$side.txt); \
+		done; \
+	done
+	go run ./cmd/benchjson -in bench_kernels_ab_base.txt -note "kernel benches of $(BASE), alternating A/B rounds" -out bench_kernels_ab_base.json
+	go run ./cmd/benchjson -in bench_kernels_ab_head.txt -note "kernel benches of this tree, alternating A/B rounds against $(BASE)" -out bench_kernels_ab_head.json
+	go run ./cmd/benchjson -in bench_kernels_ab_head.txt -compare bench_kernels_ab_base.json -regress 1.15
+
 # Planner decision-quality snapshot: decision latency (cold + cached)
 # and the autotuned-vs-best-fixed ratio over the five Figure 3 sweeps
 # (the "ratio" metric; 1.0 = always matches the per-cell winner),

@@ -91,7 +91,7 @@ func TestUnrollZeroAllocTableI(t *testing.T) {
 
 // TestUnrollFannedZeroAlloc holds the batch-1 unroll passes to zero
 // steady-state allocations where they fan each image's GEMM out over
-// the pool. That branch needs more than one proc, so the count is read
+// the pool, and the channel-split col2im of backward-data on its own. That branch needs more than one proc, so the count is read
 // at the host's GOMAXPROCS (alloctest), not through AllocsPerRun, and
 // the test skips on one proc.
 func TestUnrollFannedZeroAlloc(t *testing.T) {
@@ -105,6 +105,8 @@ func TestUnrollFannedZeroAlloc(t *testing.T) {
 		cfg := base
 		cfg.Batch = 1
 		x, w, y, dx, dw, dy := allocTensors(cfg)
+		g := cfg.geom()
+		col := make([]float32, g.ColRows()*g.ColCols())
 		var ws workspace.Arena
 		for _, tc := range []struct {
 			name string
@@ -113,11 +115,42 @@ func TestUnrollFannedZeroAlloc(t *testing.T) {
 			{"forward", func() { UnrollForward(&ws, cfg, x, w, y) }},
 			{"backward-data", func() { UnrollBackwardData(&ws, cfg, dy, w, dx) }},
 			{"backward-filter", func() { UnrollBackwardFilter(&ws, cfg, x, dy, dw) }},
+			{"col2im", func() { col2imFanned(g, col, dx.Data) }},
 		} {
 			if got := alloctest.Mallocs(3, tc.run); got != 0 {
 				t.Errorf("%v %s: %d mallocs per steady-state run at GOMAXPROCS %d, want 0",
 					cfg, tc.name, got, runtime.GOMAXPROCS(0))
 			}
+		}
+	}
+}
+
+// TestFFTZeroAllocAtGOMAXPROCS holds the three FFT passes to zero
+// steady-state allocations at the host's GOMAXPROCS, where their
+// transform, per-bin GEMM and inverse phases run on more than one slot
+// (TestOtherEnginesZeroAlloc measures them through AllocsPerRun, on one
+// proc). It skips on one proc.
+func TestFFTZeroAllocAtGOMAXPROCS(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime instruments allocations")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the multi-slot phases need GOMAXPROCS ≥ 2")
+	}
+	cfg := Config{Batch: 4, Input: 16, Channels: 12, Filters: 20, Kernel: 5, Stride: 1, Pad: 2}
+	x, w, y, dx, dw, dy := allocTensors(cfg)
+	var ws workspace.Arena
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"forward", func() { FFTForward(&ws, cfg, x, w, y) }},
+		{"backward-data", func() { FFTBackwardData(&ws, cfg, dy, w, dx) }},
+		{"backward-filter", func() { FFTBackwardFilter(&ws, cfg, x, dy, dw) }},
+	} {
+		if got := alloctest.Mallocs(3, tc.run); got != 0 {
+			t.Errorf("%v fft %s: %d mallocs per steady-state run at GOMAXPROCS %d, want 0",
+				cfg, tc.name, got, runtime.GOMAXPROCS(0))
 		}
 	}
 }

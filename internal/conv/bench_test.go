@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"fmt"
 	"testing"
 
 	"gpucnn/internal/tensor"
@@ -162,3 +163,20 @@ func BenchmarkConvUnroll(b *testing.B) {
 // BenchmarkConvWinograd measures the Winograd passes on the AlexNet
 // inference layers.
 func BenchmarkConvWinograd(b *testing.B) { benchPasses(b, winogradPasses, alexNetConvs) }
+
+// BenchmarkCrossoverFFTUnroll times every pass of the FFT and unrolling
+// engines at CIFARNet conv2's shape (batch 16, 16×16, 32 channels, 32
+// filters) for kernel sizes 3 to 11, padded by (k−1)/2 so the output
+// stays 16×16. Every size runs on a 32-point transform, so the FFT rows
+// stay nearly flat while the unrolling rows grow with k². It is not in
+// the kernel snapshot; EXPERIMENTS.md "Host-clock FFT" reads the
+// host-clock crossover from it.
+func BenchmarkCrossoverFFTUnroll(b *testing.B) {
+	var layers []namedConv
+	for _, k := range []int{3, 5, 7, 9, 11} {
+		cfg := Config{Batch: 16, Input: 16, Channels: 32, Filters: 32, Kernel: k, Stride: 1, Pad: (k - 1) / 2}
+		layers = append(layers, namedConv{fmt.Sprintf("k%d", k), cfg})
+	}
+	b.Run("fft", func(b *testing.B) { benchPasses(b, fftPasses, layers) })
+	b.Run("unroll", func(b *testing.B) { benchPasses(b, unrollPasses, layers) })
+}

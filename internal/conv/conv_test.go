@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -279,6 +280,53 @@ func TestBackwardFilterAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkCIFARNetLayers(t, agree)
+}
+
+// TestFFTAgreementGEMMShapes checks all three FFT passes against the
+// direct reference at channel and filter counts off multiples of 8.
+// The per-bin real products then reach a second and a ragged
+// micro-tile, and the batch and counts make every pass take both
+// orientations of the block-real embedding somewhere in the table.
+// Every output starts as NaN, so an element a pass leaves unwritten
+// fails too.
+func TestFFTAgreementGEMMShapes(t *testing.T) {
+	nan := float32(math.NaN())
+	for _, cf := range [][2]int{{13, 21}, {1, 9}, {21, 3}} {
+		for _, batch := range []int{1, 5} {
+			for _, pad := range []int{0, 2} {
+				cfg := Config{Batch: batch, Input: 11, Channels: cf[0], Filters: cf[1], Kernel: 5, Stride: 1, Pad: pad}
+				x, w := randTensors(cfg, 40)
+				dy := tensor.New(cfg.OutputShape()...)
+				dy.FillUniform(tensor.NewRNG(41), -1, 1)
+				var ws workspace.Arena
+				for _, pass := range []struct {
+					name   string
+					shape  []int
+					direct func(out *tensor.Tensor)
+					fft    func(out *tensor.Tensor)
+				}{
+					{"forward", cfg.OutputShape(),
+						func(y *tensor.Tensor) { DirectForward(cfg, x, w, y) },
+						func(y *tensor.Tensor) { FFTForward(&ws, cfg, x, w, y) }},
+					{"backward-data", cfg.InputShape(),
+						func(dx *tensor.Tensor) { DirectBackwardData(cfg, dy, w, dx) },
+						func(dx *tensor.Tensor) { FFTBackwardData(&ws, cfg, dy, w, dx) }},
+					{"backward-filter", cfg.FilterShape(),
+						func(dw *tensor.Tensor) { DirectBackwardFilter(cfg, x, dy, dw) },
+						func(dw *tensor.Tensor) { FFTBackwardFilter(&ws, cfg, x, dy, dw) }},
+				} {
+					want, got := tensor.New(pass.shape...), tensor.New(pass.shape...)
+					want.Fill(nan)
+					got.Fill(nan)
+					pass.direct(want)
+					pass.fft(got)
+					if !tensor.AllClose(want, got, 1e-3) {
+						t.Errorf("%v %s: FFT differs from direct by %g", cfg, pass.name, tensor.RelDiff(want, got))
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestStridedBackwardAgreement(t *testing.T) {

@@ -108,6 +108,7 @@ type unrollBwdDataJob struct {
 	kids           []*workspace.Arena
 }
 
+//hot:noalloc
 func (j *unrollBwdDataJob) Run(slot int) {
 	ws := j.kids[slot]
 	for n, ok := j.Claim(); ok; n, ok = j.Claim() {
@@ -115,22 +116,58 @@ func (j *unrollBwdDataJob) Run(slot int) {
 		col := ws.Float32Uninit(j.rows * j.cols)
 		// col ((c·k²)×o²) = Wᵀ ((c·k²)×f) · dy_n (f×o²)
 		dy := j.dy[n*j.outLen : (n+1)*j.outLen]
+		dx := j.dx[n*j.imgLen : (n+1)*j.imgLen]
 		if j.fan {
 			gemm.ParallelTN(ws, 1, j.w, dy, 0, col, j.rows, j.cols, j.filters)
+			col2imFanned(j.g, col, dx)
 		} else {
 			gemm.TN(ws, 1, j.w, dy, 0, col, j.rows, j.cols, j.filters)
+			im2col.Col2im(j.g, col, dx)
 		}
-		im2col.Col2im(j.g, col, j.dx[n*j.imgLen:(n+1)*j.imgLen])
 	}
 }
 
 var unrollBwdDataPool = par.NewJobPool[unrollBwdDataJob]()
 
+// col2imJob scatters one image's column matrix back over channel
+// ranges, one item per range of per channels: range i runs Col2im on
+// channels [i·per, (i+1)·per) alone, clearing and accumulating only
+// their planes. Every plane has a single writer and sums its taps in
+// Col2im's order, so the image matches a serial Col2im bit for bit.
+type col2imJob struct {
+	g       im2col.Geom
+	per     int
+	col, dx []float32
+}
+
+//hot:noalloc
+func (j *col2imJob) Run(i int) {
+	g := j.g
+	c0 := i * j.per
+	g.C = min(j.per, j.g.C-c0)
+	rows, plane := g.KH*g.KW*g.OutH()*g.OutW(), g.H*g.W
+	im2col.Col2im(g, j.col[c0*rows:(c0+g.C)*rows], j.dx[c0*plane:(c0+g.C)*plane])
+}
+
+var col2imPool = par.NewJobPool[col2imJob]()
+
+// col2imFanned is im2col.Col2im with the image's channels split over
+// the par pool, for the fanned batch-1 backward-data pass: four ranges
+// per proc, so a range that lands on a busy core holds up little.
+func col2imFanned(g im2col.Geom, col, dx []float32) {
+	j := col2imPool.Get()
+	ranges := min(g.C, 4*runtime.GOMAXPROCS(0))
+	j.g, j.per, j.col, j.dx = g, (g.C+ranges-1)/ranges, col, dx
+	par.ForEachRunner((g.C+j.per-1)/j.per, j)
+	j.col, j.dx = nil, nil
+	col2imPool.Put(j)
+}
+
 // UnrollBackwardData computes dx: per image, col = Wᵀ·dy_n followed by
 // col2im to scatter-accumulate the gradient back to input pixels.
 // Images are claimed one per slot, and under the same rule as
 // UnrollForward a batch smaller than GOMAXPROCS fans each image's TN
-// GEMM over the pool; col2im stays on the image's slot.
+// GEMM over the pool, and then its col2im over channel ranges.
 func UnrollBackwardData(ws *workspace.Arena, cfg Config, dy, w, dx *tensor.Tensor) {
 	checkShapes(cfg, dx, w, dy)
 	ws.Reset()

@@ -23,7 +23,9 @@ var fanConfigs = []Config{
 // where three slots each fan their image's GEMM out at once. The
 // forward output of every image must also be bit-identical to
 // gemm.BlockedVirtualB on that image, because the fanned GEMM walks the
-// same blocks in the same order as the serial one.
+// same blocks in the same order as the serial one, and the
+// backward-data output to gemm.TN followed by a serial im2col.Col2im,
+// because each channel range of the fanned col2im has one writer.
 func TestUnrollFannedPassesMatchDirect(t *testing.T) {
 	for _, base := range fanConfigs {
 		for _, batch := range []int{1, 3} {
@@ -60,6 +62,18 @@ func TestUnrollFannedPassesMatchDirect(t *testing.T) {
 			UnrollBackwardData(&ws, cfg, dy, w, dx2)
 			if !tensor.AllClose(dx1, dx2, 1e-4) {
 				t.Errorf("%v backward-data: differs from direct by %g", cfg, tensor.RelDiff(dx1, dx2))
+			}
+			// The fanned TN GEMM and the channel-split col2im must give
+			// the bits of a serial TN and Col2im on every image.
+			col, img := make([]float32, g.ColRows()*g.ColCols()), make([]float32, imgLen)
+			for n := 0; n < batch; n++ {
+				gemm.TN(new(workspace.Arena), 1, w.Data, dy.Data[n*outLen:(n+1)*outLen], 0, col, g.ColRows(), g.ColCols(), cfg.Filters)
+				im2col.Col2im(g, col, img)
+				for i, v := range dx2.Data[n*imgLen : (n+1)*imgLen] {
+					if v != img[i] {
+						t.Fatalf("%v backward-data image %d: element %d is %g, serial TN and Col2im give %g", cfg, n, i, v, img[i])
+					}
+				}
 			}
 
 			dw1, dw2 := tensor.New(cfg.FilterShape()...), tensor.New(cfg.FilterShape()...)

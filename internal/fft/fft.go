@@ -134,6 +134,14 @@ func (p *Plan) permute(x []complex64) {
 	}
 }
 
+// mul returns a·w in float32 arithmetic. Go evaluates a complex64
+// product by widening both factors to complex128 and rounding back,
+// which makes a butterfly about three times as slow.
+func mul(a, w complex64) complex64 {
+	ar, ai, wr, wi := real(a), imag(a), real(w), imag(w)
+	return complex(ar*wr-ai*wi, ar*wi+ai*wr)
+}
+
 // dit runs the radix-2 decimation-in-time butterflies with twiddles tw
 // over x held in bit-reversed order, leaving natural order. Only the
 // outputs x[:need] are computed; butterflies that feed nothing but
@@ -149,12 +157,19 @@ func (p *Plan) dit(x, tw []complex64, need int) {
 		lim, full := min(blockNeed, half), max(blockNeed-half, 0)
 		for start := 0; start < n; start += size {
 			lo, hi := x[start:start+lim], x[start+half:start+half+lim]
-			for i := 0; i < full; i++ {
-				a, b := lo[i], hi[i]*tw[i*step]
+			// The first twiddle is 1.
+			if full > 0 {
+				a, b := lo[0], hi[0]
+				lo[0], hi[0] = a+b, a-b
+			} else if lim > 0 {
+				lo[0] += hi[0]
+			}
+			for i := 1; i < full; i++ {
+				a, b := lo[i], mul(hi[i], tw[i*step])
 				lo[i], hi[i] = a+b, a-b
 			}
-			for i := full; i < lim; i++ {
-				lo[i] += hi[i] * tw[i*step]
+			for i := max(full, 1); i < lim; i++ {
+				lo[i] += mul(hi[i], tw[i*step])
 			}
 		}
 	}
@@ -172,12 +187,19 @@ func (p *Plan) dif(x []complex64, live int) {
 		lim, full := min(live, half), max(live-half, 0)
 		for start := 0; start < n; start += size {
 			lo, hi := x[start:start+lim], x[start+half:start+half+lim]
-			for i := 0; i < full; i++ {
-				a, b := lo[i], hi[i]
-				lo[i], hi[i] = a+b, (a-b)*tw[i*step]
+			// The first twiddle is 1.
+			if full > 0 {
+				a, b := lo[0], hi[0]
+				lo[0], hi[0] = a+b, a-b
+			} else if lim > 0 {
+				hi[0] = lo[0]
 			}
-			for i := full; i < lim; i++ {
-				hi[i] = lo[i] * tw[i*step]
+			for i := 1; i < full; i++ {
+				a, b := lo[i], hi[i]
+				lo[i], hi[i] = a+b, mul(a-b, tw[i*step])
+			}
+			for i := max(full, 1); i < lim; i++ {
+				hi[i] = mul(lo[i], tw[i*step])
 			}
 		}
 		live = lim

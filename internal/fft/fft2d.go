@@ -189,14 +189,22 @@ func (p *Plan) difRows(x []complex64, m, live int) {
 				lo := x[(start+i)*m : (start+i+1)*m]
 				hi := x[(start+half+i)*m : (start+half+i+1)*m]
 				hi = hi[:len(lo)]
-				if i < full {
+				switch {
+				case i == 0 && i < full:
 					for c, a := range lo {
 						b := hi[c]
-						lo[c], hi[c] = a+b, (a-b)*w
+						lo[c], hi[c] = a+b, a-b
 					}
-				} else {
+				case i == 0:
+					copy(hi, lo)
+				case i < full:
 					for c, a := range lo {
-						hi[c] = a * w
+						b := hi[c]
+						lo[c], hi[c] = a+b, mul(a-b, w)
+					}
+				default:
+					for c, a := range lo {
+						hi[c] = mul(a, w)
 					}
 				}
 			}
@@ -219,14 +227,24 @@ func (p *Plan) ditRows(x []complex64, m, need int) {
 				lo := x[(start+i)*m : (start+i+1)*m]
 				hi := x[(start+half+i)*m : (start+half+i+1)*m]
 				hi = hi[:len(lo)]
-				if i < full {
+				switch {
+				case i == 0 && i < full:
 					for c, a := range lo {
-						b := hi[c] * w
+						b := hi[c]
 						lo[c], hi[c] = a+b, a-b
 					}
-				} else {
+				case i == 0:
 					for c := range lo {
-						lo[c] += hi[c] * w
+						lo[c] += hi[c]
+					}
+				case i < full:
+					for c, a := range lo {
+						b := mul(hi[c], w)
+						lo[c], hi[c] = a+b, a-b
+					}
+				default:
+					for c := range lo {
+						lo[c] += mul(hi[c], w)
 					}
 				}
 			}

@@ -1,9 +1,11 @@
 package gemm
 
 // CMulAccPointwise accumulates c[i] += a[i] * conj-or-plain b[i] over a
-// slice. With conjB set it computes the correlation form, which the
-// frequency-domain convolution's forward and backward-filter passes
-// use; backward-data uses the plain product.
+// slice; with conjB set it computes the correlation form. It is the
+// elementwise frequency-domain product the FFT convolution engines ran
+// one (image, filter, channel) plane at a time before they moved to one
+// packed real GEMM per frequency bin (internal/conv/fftconv.go); the
+// end-to-end benchmark still times it as a probe.
 func CMulAccPointwise(c, a, b []complex64, conjB bool) {
 	if len(a) != len(b) || len(a) != len(c) {
 		panic("gemm: pointwise length mismatch")
