@@ -13,6 +13,7 @@
 //	hotalloc   no allocation constructs in //hot:noalloc functions
 //	atomicmix  no variable accessed both atomically and plainly
 //	wallclock  no time.Now/time.Since in the gpusim/planner sim domain
+//	           or the gemm/conv/fft/im2col kernels
 //	bareignore every //lint:ignore names an analyzer and gives a reason
 //
 // cmd/lint drives the suite through go vet; see README "Static

@@ -11,12 +11,12 @@ func Cost(flops, flopsPerSec float64) time.Duration {
 
 // Stamp reads the wall clock in the sim domain.
 func Stamp() time.Time {
-	return time.Now() // want `time.Now in sim-domain package gpusim`
+	return time.Now() // want `time.Now in clock-free package gpusim`
 }
 
 // Elapsed measures host time in the sim domain.
 func Elapsed(start time.Time) time.Duration {
-	return time.Since(start) // want `time.Since in sim-domain package gpusim`
+	return time.Since(start) // want `time.Since in clock-free package gpusim`
 }
 
 // Probe is a sanctioned calibration boundary.

@@ -1,15 +1,19 @@
 // Package wallclock defines an Analyzer that keeps the wall clock out
-// of the simulated-time domain: no time.Now or time.Since in the
-// gpusim and planner packages.
+// of the packages whose results must be a pure function of their
+// inputs: no time.Now or time.Since in the simulated-time packages
+// (gpusim, planner) or in the host compute kernels (gemm, conv, fft,
+// im2col).
 //
 // The paper reproduction derives every crossover in Figure 3 and
 // Table I from *modeled* time — gpusim's device cost model and the
 // planner's objective scoring. A stray time.Now in that domain
 // silently mixes measured host time into modeled GPU time, the exact
 // conflation DeLTA warns about, and turns a deterministic cost model
-// into one that depends on the build machine's load. The serving
-// layer (serve, obs, telemetry) lives in wall-clock time on purpose
-// and is out of scope.
+// into one that depends on the build machine's load. The kernels are
+// held to the same rule: a timed choice inside them (a blocking size,
+// a loop order) would make a result's float32 summation order depend
+// on how loaded the host was. The serving layer (serve, obs,
+// telemetry) lives in wall-clock time on purpose and is out of scope.
 //
 // The one legitimate crossing is an explicitly marked probe boundary,
 // where the planner calibrates the model against a real measurement:
@@ -18,6 +22,7 @@ package wallclock
 
 import (
 	"go/ast"
+	"slices"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/inspect"
@@ -26,11 +31,12 @@ import (
 	"gpucnn/internal/analysis/lintutil"
 )
 
-const doc = `forbid wall-clock reads in simulated-time packages
+const doc = `forbid wall-clock reads in simulated-time and kernel packages
 
 gpusim and planner model time; time.Now/time.Since there mixes
-measured host time into modeled GPU time. Mark deliberate calibration
-probes with //lint:ignore wallclock <reason>.`
+measured host time into modeled GPU time. gemm, conv, fft and im2col
+compute results that must not depend on host load. Mark deliberate
+calibration probes with //lint:ignore wallclock <reason>.`
 
 // Analyzer is the wallclock pass.
 var Analyzer = &analysis.Analyzer{
@@ -40,19 +46,15 @@ var Analyzer = &analysis.Analyzer{
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 }
 
-// simDomain lists the import-path bases whose time is modeled, not
-// measured.
-var simDomain = []string{"gpusim", "planner"}
+// clockFree lists the import-path bases that must not read the wall
+// clock: the packages whose time is modeled, not measured, and the
+// host kernels whose results must depend on their inputs alone.
+var clockFree = []string{"gpusim", "planner", "gemm", "conv", "fft", "im2col"}
 
 func run(pass *analysis.Pass) (any, error) {
-	inSim := false
-	for _, base := range simDomain {
-		if lintutil.PathIs(pass.Pkg.Path(), base) {
-			inSim = true
-			break
-		}
-	}
-	if !inSim {
+	if !slices.ContainsFunc(clockFree, func(base string) bool {
+		return lintutil.PathIs(pass.Pkg.Path(), base)
+	}) {
 		return nil, nil
 	}
 	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
@@ -68,8 +70,8 @@ func run(pass *analysis.Pass) (any, error) {
 		if name := fn.Name(); name == "Now" || name == "Since" {
 			lintutil.Report(pass, "wallclock", analysis.Diagnostic{
 				Pos: call.Pos(), End: call.End(),
-				Message: "time." + name + " in sim-domain package " + pass.Pkg.Name() +
-					": model time flows through gpusim costs, not the wall clock (//lint:ignore wallclock <reason> for calibration probes)",
+				Message: "time." + name + " in clock-free package " + pass.Pkg.Name() +
+					": its results must not depend on the wall clock (//lint:ignore wallclock <reason> for calibration probes)",
 			})
 		}
 	})

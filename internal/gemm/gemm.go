@@ -15,8 +15,9 @@
 //   - Blocked, NT, TN: BLIS-style serial kernel — both operands are
 //     repacked into contiguous panels and multiplied by a register-tiled
 //     mr×nr micro-kernel (AVX2/FMA assembly on capable amd64 hosts,
-//     portable Go otherwise; see pack.go, kernel_amd64.s) under
-//     runtime-autotuned cache blocking (tune.go).
+//     portable Go otherwise; see pack.go, kernel_amd64.s) under one
+//     cache blocking derived from the detected caches (tune.go), with
+//     no timing, so a product's blocking never depends on host load.
 //   - Parallel, ParallelIn, ParallelNT, ParallelTN: the same kernel
 //     with the ic/jr macro-loops fanned out over the par worker pool —
 //     workers share one packed B block and pack their own A blocks, one

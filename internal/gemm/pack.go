@@ -18,8 +18,8 @@ import (
 // the same point for convolution proper): packing and reuse, not extra
 // FLOPs, are where GEMM performance lives.
 //
-// The loop nest follows the five BLIS macro loops with runtime-tuned
-// extents (tune.go):
+// The loop nest follows the five BLIS macro loops with extents derived
+// from the detected caches (tune.go):
 //
 //	jc over n in nc blocks   → packed B block stays L3/arena-resident
 //	pc over k in kc panels   → one shared packed B block per (jc, pc)
@@ -397,17 +397,18 @@ func (j *macroJob) Run(slot int) {
 var macroJobPool = par.NewJobPool[macroJob]()
 
 // packedGEMM computes C += alpha·op(A)·op(B) over beta-prescaled C with
-// autotuned blocking, carving its packing buffers from ws. Operand
-// sources may be materialised (with per-operand transpose, which is how
-// NT/TN reuse the same micro-kernel); the right operand may also be
-// virtual (a panel-generating packer — the fused im2col path).
+// the cache-derived blocking, carving its packing buffers from ws.
+// Operand sources may be materialised (with per-operand transpose,
+// which is how NT/TN reuse the same micro-kernel); the right operand
+// may also be virtual (a panel-generating packer — the fused im2col
+// path).
 func packedGEMM(ws *workspace.Arena, workers int, alpha float32, aOp aSrc, bOp bSrc, c []float32, m, n, k int) {
-	packedGEMMParams(ws, workers, alpha, aOp, bOp, c, m, n, k, tuneFor(m, n, k))
+	packedGEMMParams(ws, workers, alpha, aOp, bOp, c, m, n, k, baseParams())
 }
 
-// packedGEMMParams is packedGEMM with explicit blocking parameters
-// (the measured probe calls it directly to avoid recursive tuning).
-// With workers <= 1 it runs on the calling goroutine alone.
+// packedGEMMParams is packedGEMM with explicit blocking parameters, so
+// tests can cross every block boundary with small products. With
+// workers <= 1 it runs on the calling goroutine alone.
 func packedGEMMParams(ws *workspace.Arena, workers int, alpha float32, aOp aSrc, bOp bSrc, c []float32,
 	m, n, k int, bp blockParams) {
 	if m == 0 || n == 0 || k == 0 || alpha == 0 {

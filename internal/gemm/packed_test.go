@@ -156,6 +156,45 @@ func TestPackedTNMatchesOracleRagged(t *testing.T) {
 	}
 }
 
+// TestPackedCrossesEveryBlockBoundary runs the packed kernel with
+// blocks far smaller than any cache-derived blocking, so one product
+// spans several mc, kc and nc blocks with a ragged remainder in each
+// (m = 3·mc+5, k = 2·kc+7, n = 2·nc+13). At the derived blocking no
+// other test reaches a second ic or jc block: mc and nc are hundreds
+// to thousands of rows and columns. Every operand orientation runs on
+// 1, 2 and 3 workers, over a zero and a non-zero β.
+func TestPackedCrossesEveryBlockBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	bp := blockParams{mc: 16, kc: 24, nc: 32}
+	m, n, k := 3*bp.mc+5, 2*bp.nc+13, 2*bp.kc+7
+	a := randSlice(rng, m*k)
+	b := randSlice(rng, k*n)
+	aT, bT := transpose(a, m, k), transpose(b, k, n)
+	for _, tc := range []struct {
+		name string
+		aOp  aSrc
+		bOp  bSrc
+	}{
+		{"NN", matA(a, k), matB(b, n)},
+		{"NT", matA(a, k), matBT(bT, k)},
+		{"TN", matAT(aT, m), matB(b, n)},
+		{"virtual", matA(a, k), virtB(materializedB(b, n))},
+	} {
+		for _, workers := range []int{1, 2, 3} {
+			for _, beta := range []float32{0, 0.5} {
+				want := randSlice(rng, m*n)
+				got := append([]float32(nil), want...)
+				Naive(1.1, a, b, beta, want, m, n, k)
+				scaleRows(beta, got, 0, m, n)
+				packedGEMMParams(new(workspace.Arena), workers, 1.1, tc.aOp, tc.bOp, got, m, n, k, bp)
+				if d := maxAbsDiff(want, got); d > tol(k) {
+					t.Fatalf("%s workers=%d beta=%g: max diff %g", tc.name, workers, beta, d)
+				}
+			}
+		}
+	}
+}
+
 // TestLargeEntryPointsUsePackedKernel checks every public SGEMM entry
 // point against the oracle at a multi-tile shape, and at the degenerate
 // shapes with a zero extent: there C must come back as exactly β·C, and

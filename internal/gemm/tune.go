@@ -6,17 +6,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
-
-	"gpucnn/internal/workspace"
 )
 
-// Runtime autotuning of the cache-blocking parameters. The packed
-// kernel's loop nest is governed by three extents, derived at startup
-// from the detected cache hierarchy per the BLIS analytical model
-// (Low et al., "Analytical Modeling Is Enough for High-Performance
-// BLIS") and then refined once per problem-shape class by a measured
-// probe:
+// Cache-derived blocking parameters. The packed kernel's loop nest is
+// governed by three extents, derived once per process from the
+// detected cache hierarchy per the BLIS analytical model (Low et al.,
+// "Analytical Modeling Is Enough for High-Performance BLIS"), with no
+// timing:
 //
 //   - kc: reduction-panel depth. One packed B micro-panel (kc×nr) plus
 //     one packed A micro-panel (mr×kc) must stay L1-resident across the
@@ -136,173 +132,9 @@ func detectCaches() cacheSizes {
 	return cs
 }
 
-var (
-	tuneOnce     sync.Once
-	baseParams   blockParams
-	detectedInfo cacheSizes
-)
-
-// tuneInit derives the analytic baseline once per process.
-func tuneInit() {
-	tuneOnce.Do(func() {
-		detectedInfo = detectCaches()
-		baseParams = analyticParams(detectedInfo)
-	})
-}
-
-// Blocking reports the autotuned analytic blocking parameters
-// (mc, kc, nc) and the detected cache sizes they were derived from.
-// Exposed for benchmarks and the experiment reports.
-func Blocking() (mc, kc, nc, l1d, l2, l3 int) {
-	tuneInit()
-	return baseParams.mc, baseParams.kc, baseParams.nc,
-		detectedInfo.l1d, detectedInfo.l2, detectedInfo.l3
-}
-
-// --- measured-probe refinement ---
-//
-// The analytic parameters assume dense square-ish operands. Skinny or
-// deep shapes (im2col GEMMs are both) sometimes prefer a shallower or
-// deeper kc, so the first large GEMM of each shape class times a small
-// bounded probe over kc candidates and caches the winner. One probe
-// per class per process; everything after hits the cache.
-
-// shapeClass buckets a problem by the ceil-log2 of each extent, so all
-// "Conv3-forward-sized" calls share one tuning decision.
-func shapeClass(m, n, k int) int {
-	return log2Ceil(m)<<16 | log2Ceil(n)<<8 | log2Ceil(k)
-}
-
-func log2Ceil(v int) int {
-	b := 0
-	for (1 << b) < v {
-		b++
-	}
-	return b
-}
-
-const (
-	// probeMinVolume gates probing to problems big enough that a few
-	// milliseconds of one-shot measurement is noise (≥ ~16 MFLOP).
-	probeMinVolume = 1 << 23
-	// probe sub-problem caps: enough work to rank candidates, bounded
-	// so a probe never costs more than a few milliseconds.
-	probeMaxM = 128
-	probeMaxN = 512
-	probeMaxK = 768
-)
-
-var (
-	probeMu    sync.RWMutex
-	probeCache = map[int]blockParams{}
-	// probeDisabled short-circuits the measured probe (tests use it to
-	// pin deterministic parameters).
-	probeDisabled bool
-)
-
-// tuneFor returns the blocking parameters for an m×n×k problem:
-// the analytic baseline, or the probe-refined parameters for large
-// shapes (computed on first sight of the shape class, cached after).
-func tuneFor(m, n, k int) blockParams {
-	tuneInit()
-	if probeDisabled || m*n*k < probeMinVolume {
-		return baseParams
-	}
-	class := shapeClass(m, n, k)
-	probeMu.RLock()
-	p, ok := probeCache[class]
-	probeMu.RUnlock()
-	if ok {
-		return p
-	}
-	p = probeClass(m, n, k)
-	probeMu.Lock()
-	// First writer wins; concurrent probes of the same class measured
-	// the same candidates, so any winner is fine.
-	if prev, ok := probeCache[class]; ok {
-		p = prev
-	} else {
-		probeCache[class] = p
-	}
-	probeMu.Unlock()
-	return p
-}
-
-// probeClass times the packed kernel on a capped synthetic sub-problem
-// for each kc candidate and returns the analytic params with the
-// winning kc (mc re-derived so the A block still fits L2).
-func probeClass(m, n, k int) blockParams {
-	mp, np, kp := m, n, k
-	if mp > probeMaxM {
-		mp = probeMaxM
-	}
-	if np > probeMaxN {
-		np = probeMaxN
-	}
-	if kp > probeMaxK {
-		kp = probeMaxK
-	}
-	candidates := kcCandidates(baseParams.kc, kp)
-	best := baseParams
-	if len(candidates) < 2 {
-		return best
-	}
-	// Zeroed operands keep the probe off subnormal slow paths and make
-	// candidate timings comparable; both arenas are dropped on return.
-	var bufs, scratch workspace.Arena
-	a, b, c := bufs.Float32(mp*kp), bufs.Float32(kp*np), bufs.Float32(mp*np)
-	bestT := time.Duration(1<<63 - 1)
-	for _, kc := range candidates {
-		cand := withKC(baseParams, kc)
-		var min time.Duration
-		for rep := 0; rep < 2; rep++ {
-			scratch.Reset()
-			t0 := time.Now()
-			packedGEMMParams(&scratch, 1, 1, matA(a, kp), matB(b, np), c, mp, np, kp, cand)
-			el := time.Since(t0)
-			if rep == 0 || el < min {
-				min = el
-			}
-		}
-		if min < bestT {
-			bestT, best = min, cand
-		}
-	}
-	return best
-}
-
-// withKC rebuilds params around a candidate kc, re-deriving mc from L2
-// and nc from the panel cap so footprints stay constant.
-func withKC(base blockParams, kc int) blockParams {
-	mc := detectedInfo.l2 / 2 / (4 * kc)
-	mc = clampBlock(mc, mr, 4096, mr)
-	nc := detectedInfo.l3 / 2 / (4 * kc)
-	nc = clampBlock(nc, nr, 4096, nr)
-	return blockParams{mc: mc, kc: kc, nc: nc}
-}
-
-// kcCandidates proposes the analytic kc and its half/double neighbours,
-// clamped to the probe's reduction depth and deduplicated.
-func kcCandidates(kc, kMax int) []int {
-	raw := [3]int{kc / 2, kc, kc * 2}
-	out := make([]int, 0, 3)
-	for _, v := range raw {
-		v = clampBlock(v, 64, 512, 8)
-		if v > kMax {
-			v = clampBlock(kMax, 8, 512, 8)
-			if v == 0 {
-				continue
-			}
-		}
-		dup := false
-		for _, o := range out {
-			if o == v {
-				dup = true
-			}
-		}
-		if !dup {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+// baseParams is the blocking of every product, derived from the
+// detected caches at first use. It depends on the host's caches alone,
+// never on how loaded the host was when the process started.
+var baseParams = sync.OnceValue(func() blockParams {
+	return analyticParams(detectCaches())
+})

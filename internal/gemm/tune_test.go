@@ -26,11 +26,23 @@ func TestParseCacheSize(t *testing.T) {
 }
 
 func TestAnalyticParamsDefaults(t *testing.T) {
-	p := analyticParams(defaultCaches)
-	// 32K L1d → kc = 32768/2/(4·16) = 256; 1M L2 → mc = 524288/(4·256)
-	// = 512; 8M L3 → nc capped at 4096.
-	if p.kc != 256 || p.mc != 512 || p.nc != 4096 {
-		t.Fatalf("analyticParams(defaults) = %+v, want {mc:512 kc:256 nc:4096}", p)
+	cases := []struct {
+		caches cacheSizes
+		want   blockParams
+	}{
+		// 32K L1d → kc = 32768/2/(4·16) = 256; 1M L2 → mc =
+		// 524288/(4·256) = 512; 8M L3 → nc capped at 4096.
+		{defaultCaches, blockParams{mc: 512, kc: 256, nc: 4096}},
+		// 48K L1d → kc = 49152/2/(4·16) = 384; 2M L2 → mc =
+		// 1048576/(4·384) = 682, rounded down to 680; 105M L3 → nc
+		// capped at 4096. These are the values EXPERIMENTS.md quotes
+		// for its 2-core Xeon.
+		{cacheSizes{l1d: 48 << 10, l2: 2 << 20, l3: 105 << 20}, blockParams{mc: 680, kc: 384, nc: 4096}},
+	}
+	for _, c := range cases {
+		if got := analyticParams(c.caches); got != c.want {
+			t.Errorf("analyticParams(%+v) = %+v, want %+v", c.caches, got, c.want)
+		}
 	}
 }
 
@@ -38,7 +50,7 @@ func TestAnalyticParamsQuantisedAndBounded(t *testing.T) {
 	cases := []cacheSizes{
 		{l1d: 1 << 10, l2: 1 << 14, l3: 1 << 16},    // tiny caches
 		{l1d: 1 << 21, l2: 1 << 26, l3: 1 << 30},    // huge caches
-		{l1d: 48 << 10, l2: 2 << 20, l3: 105 << 20}, // this CI machine
+		{l1d: 48 << 10, l2: 2 << 20, l3: 105 << 20}, // a 2-core Xeon
 	}
 	for _, cs := range cases {
 		p := analyticParams(cs)
@@ -55,71 +67,5 @@ func TestAnalyticParamsQuantisedAndBounded(t *testing.T) {
 		if ws := 4 * p.kc * (mr + nr); cs.l1d >= 16<<10 && ws > cs.l1d {
 			t.Errorf("caches %+v: panel working set %d exceeds L1d %d", cs, ws, cs.l1d)
 		}
-	}
-}
-
-func TestShapeClassBuckets(t *testing.T) {
-	if shapeClass(256, 256, 256) != shapeClass(129, 200, 255) {
-		t.Error("shapes in the same log2 buckets got different classes")
-	}
-	if shapeClass(256, 256, 256) == shapeClass(512, 256, 256) {
-		t.Error("shapes in different m buckets share a class")
-	}
-	if shapeClass(64, 128, 256) == shapeClass(256, 128, 64) {
-		t.Error("shapeClass is permutation-blind; m/n/k must be distinguished")
-	}
-}
-
-func TestKCCandidates(t *testing.T) {
-	got := kcCandidates(256, 768)
-	want := []int{128, 256, 512}
-	if len(got) != len(want) {
-		t.Fatalf("kcCandidates(256,768) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("kcCandidates(256,768) = %v, want %v", got, want)
-		}
-	}
-	// Shallow reductions collapse the candidates (and disable probing).
-	if got := kcCandidates(256, 100); len(got) != 1 || got[0] != 96 {
-		t.Fatalf("kcCandidates(256,100) = %v, want [96]", got)
-	}
-}
-
-func TestTuneForCachesProbeDecision(t *testing.T) {
-	// Small problems never probe: the analytic baseline comes back.
-	small := tuneFor(8, 8, 8)
-	if small != baseParams {
-		t.Fatalf("small-problem tuneFor = %+v, want baseline %+v", small, baseParams)
-	}
-	// Large problems probe once per shape class and cache the winner.
-	p1 := tuneFor(256, 256, 256)
-	p2 := tuneFor(255, 255, 255) // same log2 class, above the volume gate
-	if p1 != p2 {
-		t.Fatalf("same-class tuneFor disagrees: %+v vs %+v", p1, p2)
-	}
-	if p1.kc < 64 || p1.kc > 512 || p1.kc%8 != 0 {
-		t.Fatalf("probed kc=%d out of range", p1.kc)
-	}
-	probeMu.RLock()
-	_, cached := probeCache[shapeClass(256, 256, 256)]
-	probeMu.RUnlock()
-	if !cached {
-		t.Fatal("probe result not cached for the shape class")
-	}
-}
-
-func TestProbeDisabledReturnsBaseline(t *testing.T) {
-	probeMu.Lock()
-	probeDisabled = true
-	probeMu.Unlock()
-	defer func() {
-		probeMu.Lock()
-		probeDisabled = false
-		probeMu.Unlock()
-	}()
-	if p := tuneFor(512, 512, 512); p != baseParams {
-		t.Fatalf("probeDisabled tuneFor = %+v, want baseline %+v", p, baseParams)
 	}
 }

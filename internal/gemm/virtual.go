@@ -24,13 +24,6 @@ type BPacker interface {
 	PackPanelB(dst []float32, ldp, p0, kc, j0, nv int)
 }
 
-// PackBFunc adapts a function to BPacker. Note that func values capture
-// by heap allocation — zero-allocation hot paths should implement
-// BPacker on a pooled struct instead (see im2col.PanelPacker).
-type PackBFunc func(dst []float32, ldp, p0, kc, j0, nv int)
-
-func (f PackBFunc) PackPanelB(dst []float32, ldp, p0, kc, j0, nv int) { f(dst, ldp, p0, kc, j0, nv) }
-
 // BlockedVirtualB computes C = alpha*A*vb + beta*C serially, where vb
 // is a virtual k×n right operand whose panels are generated on demand.
 // This is the fused im2col forward path: A is the filter matrix, vb the

@@ -7,9 +7,16 @@ import (
 	"gpucnn/internal/workspace"
 )
 
+// packBFunc adapts a function to BPacker. A func value captures by
+// heap allocation, so hot paths implement BPacker on a pooled struct
+// instead (see im2col.PanelPacker); the tests only need a reference.
+type packBFunc func(dst []float32, ldp, p0, kc, j0, nv int)
+
+func (f packBFunc) PackPanelB(dst []float32, ldp, p0, kc, j0, nv int) { f(dst, ldp, p0, kc, j0, nv) }
+
 // materializedB wraps a row-major k×n matrix as a BPacker, generating
 // panels by straight copy — the reference for the virtual plumbing.
-func materializedB(b []float32, n int) PackBFunc {
+func materializedB(b []float32, n int) packBFunc {
 	return func(dst []float32, ldp, p0, kc, j0, nv int) {
 		for p := 0; p < kc; p++ {
 			src := b[(p0+p)*n+j0:]
