@@ -160,3 +160,40 @@ func TestBatchOneFCAndLRNAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolAndReLUAllocateNothing holds CIFARNet's conv1 ReLU and pool1
+// (max 3/2 over 32×32×32 at batch 32) to zero steady-state allocations
+// in both passes: the layers return held Values over held data,
+// backward included, and dispatch pooled Runners over the par pool.
+// Like TestBatchOneFCAndLRNAllocateNothing it reads the count at the
+// host's GOMAXPROCS, so on more than one proc the fanned-out passes
+// are covered.
+func TestPoolAndReLUAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime instruments allocations")
+	}
+	ctx := nn.NewContext(nil, true)
+	relu, pool := nn.NewReLU("conv1.relu"), nn.NewMaxPool("pool1", 3, 2, 0)
+	x := tensor.New(32, 32, 32, 32)
+	x.FillUniform(tensor.NewRNG(6), -1, 1)
+	xv := nn.NewValue(x)
+	y := pool.Forward(ctx, relu.Forward(ctx, xv))
+	dy := tensor.New(y.Shape...)
+	dy.FillUniform(tensor.NewRNG(7), -1, 1)
+	dyv, dxv := nn.NewValue(dy), nn.NewValue(x.Clone())
+	var mid *nn.Value
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"ReLU forward", func() { mid = relu.Forward(ctx, xv) }},
+		{"pool forward", func() { pool.Forward(ctx, mid) }},
+		{"pool backward", func() { pool.Backward(ctx, dyv) }},
+		{"ReLU backward", func() { relu.Backward(ctx, dxv) }},
+	} {
+		if got := alloctest.Mallocs(3, tc.run); got != 0 {
+			t.Errorf("%s: %d mallocs per steady-state run at GOMAXPROCS %d, want 0",
+				tc.name, got, runtime.GOMAXPROCS(0))
+		}
+	}
+}

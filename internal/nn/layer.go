@@ -18,6 +18,7 @@ package nn
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"gpucnn/internal/gpusim"
@@ -290,6 +291,20 @@ func holdSlice[T any](buf *[]T, n int) []T {
 	*buf = (*buf)[:n]
 	return *buf
 }
+
+// spread cuts n units of work of size elements each into items of per
+// consecutive units for par: about four items per core, so a slow core
+// does not hold a fixed share, and none under minSpread elements, so a
+// small pass runs inline.
+func spread(n, size int) (per, items int) {
+	items = max(min(4*runtime.GOMAXPROCS(0), n*size/minSpread), 1)
+	per = max((n+items-1)/items, 1)
+	return per, (n + per - 1) / per
+}
+
+// minSpread is the fewest elements spread puts in one item: 64 KB of
+// float32, enough to amortise a dispatch.
+const minSpread = 1 << 14
 
 // checkRank4 returns v's NCHW dimensions, panicking with the layer's
 // kind and name when v is not rank 4. The message is built only on

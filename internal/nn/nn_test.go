@@ -82,6 +82,44 @@ func TestReLUForward(t *testing.T) {
 	}
 }
 
+// TestReLUSpecialValues pins ReLU on the values a compare-and-zero
+// loop treats specially: −0, +0 and NaN (of either sign) give +0, as
+// do negatives and −Inf; positives, positive subnormals and +Inf pass.
+// Backward passes dy exactly where the input is > 0 and writes +0
+// everywhere else, also over a held gradient from an earlier pass.
+func TestReLUSpecialValues(t *testing.T) {
+	nan := float32(math.NaN())
+	negNaN := math.Float32frombits(math.Float32bits(nan) | 1<<31)
+	sub := math.Float32frombits(1)
+	// The NaNs next to +Inf and at the top of the bit range bound the
+	// positive NaNs.
+	nanLo, nanHi := math.Float32frombits(0x7f800001), math.Float32frombits(0x7fffffff)
+	in := []float32{float32(math.Copysign(0, -1)), 0, nan, negNaN, nanLo, nanHi, -1,
+		float32(math.Inf(-1)), -sub, sub, 1.5, float32(math.Inf(1)), math.MaxFloat32}
+	wantY := []float32{0, 0, 0, 0, 0, 0, 0, 0, 0, sub, 1.5, float32(math.Inf(1)), math.MaxFloat32}
+	l := NewReLU("r")
+	ctx := NewContext(nil, true)
+	x := tensor.FromSlice(in, 1, len(in))
+	y := l.Forward(ctx, NewValue(x))
+	if i, ok := sameBits(y.Data.Data, wantY); !ok {
+		t.Fatalf("relu(%v) = %v, want %v (+0)", in[i], y.Data.Data[i], wantY[i])
+	}
+	for pass, fill := range []float32{7, -3} {
+		dy := tensor.New(1, len(in))
+		dy.Fill(fill)
+		dx := l.Backward(ctx, NewValue(dy))
+		for i, v := range in {
+			want := float32(0)
+			if v > 0 {
+				want = fill
+			}
+			if math.Float32bits(dx.Data.Data[i]) != math.Float32bits(want) {
+				t.Fatalf("pass %d: relu backward at x=%v gives %v, want %v", pass, v, dx.Data.Data[i], want)
+			}
+		}
+	}
+}
+
 func TestReLUGradient(t *testing.T) {
 	x := tensor.New(2, 3, 4, 4)
 	x.FillUniform(tensor.NewRNG(1), -1, 1)

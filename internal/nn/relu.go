@@ -1,15 +1,25 @@
 package nn
 
 import (
+	"math"
+
 	"gpucnn/internal/par"
 	"gpucnn/internal/tensor"
 )
 
 // ReLU is the rectified-linear activation.
+//
+// Both passes are branch-free selects over contiguous runs, spread
+// over every core by pooled Runners: Forward keeps x where x > 0 and
+// writes +0 elsewhere (NaN and −0 included), and Backward writes dy
+// where x > 0 and +0 elsewhere.
 type ReLU struct {
 	name  string
 	lastX *Value
+	outV  Value          // held forward Value
 	out   *tensor.Tensor // held forward output
+	dxV   Value          // held backward Value
+	dx    *tensor.Tensor // held backward output
 }
 
 // NewReLU builds a ReLU layer.
@@ -24,43 +34,39 @@ func (l *ReLU) Kind() Kind { return KindReLU }
 // OutShape is the identity.
 func (l *ReLU) OutShape(in tensor.Shape) tensor.Shape { return in.Clone() }
 
-// Forward computes max(0, x).
+// Forward computes max(0, x). The returned Value is held, like its
+// data: valid until the next Forward.
 func (l *ReLU) Forward(ctx *Context, x *Value) *Value {
 	l.lastX = x
-	out := &Value{Shape: x.Shape.Clone()}
+	out := holdValue(&l.outV, x.Shape)
 	ctx.timed(KindReLU, func() {
 		if x.Real() {
 			out.Data = hold(&l.out, out.Shape)
-			par.Chunks(x.Data.Len(), 0, func(lo, hi int) {
-				src, dst := x.Data.Data, out.Data.Data
-				for i := lo; i < hi; i++ {
-					v := src[i]
-					if !(v > 0) {
-						v = 0 // the held output keeps the last pass's values
-					}
-					dst[i] = v
-				}
-			})
+			j := reluPool.Get()
+			j.x, j.dst = x.Data.Data, out.Data.Data
+			j.per, j.items = spread(len(j.dst), 1)
+			par.ForEachRunner(j.items, j)
+			j.x, j.dst = nil, nil
+			reluPool.Put(j)
 		}
 		ctx.launch(elementwiseSpec("relu_fwd", x.Elems(), 8))
 	})
 	return out
 }
 
-// Backward passes gradient where the input was positive.
+// Backward passes the gradient where the input was positive. The
+// returned Value and its data are held: valid until the next Backward.
 func (l *ReLU) Backward(ctx *Context, dy *Value) *Value {
-	out := &Value{Shape: dy.Shape.Clone()}
+	out := holdValue(&l.dxV, dy.Shape)
 	ctx.timed(KindReLU, func() {
 		if dy.Real() && l.lastX.Real() {
-			out.Data = tensor.New(out.Shape...)
-			par.Chunks(dy.Data.Len(), 0, func(lo, hi int) {
-				x, g, dst := l.lastX.Data.Data, dy.Data.Data, out.Data.Data
-				for i := lo; i < hi; i++ {
-					if x[i] > 0 {
-						dst[i] = g[i]
-					}
-				}
-			})
+			out.Data = hold(&l.dx, out.Shape)
+			j := reluPool.Get()
+			j.x, j.dy, j.dst = l.lastX.Data.Data, dy.Data.Data, out.Data.Data
+			j.per, j.items = spread(len(j.dst), 1)
+			par.ForEachRunner(j.items, j)
+			j.x, j.dy, j.dst = nil, nil, nil
+			reluPool.Put(j)
 		}
 		ctx.launch(elementwiseSpec("relu_bwd", dy.Elems(), 12))
 	})
@@ -69,3 +75,42 @@ func (l *ReLU) Backward(ctx *Context, dy *Value) *Value {
 
 // Params returns nil; ReLU has no parameters.
 func (l *ReLU) Params() []*Param { return nil }
+
+// reluJob is one ReLU pass over per-element runs; forward when dy is
+// nil. Pooled so dispatch allocates nothing.
+type reluJob struct {
+	x, dy, dst []float32
+	per, items int
+}
+
+var reluPool = par.NewJobPool[reluJob]()
+
+// Run writes item i's run of dst: x (forward) or dy (backward) masked
+// by x > 0.
+//
+//hot:noalloc
+func (j *reluJob) Run(i int) {
+	lo := i * j.per
+	dst := j.dst[lo:min(lo+j.per, len(j.dst))]
+	x := j.x[lo : lo+len(dst)]
+	if j.dy == nil {
+		for k, v := range x {
+			b := math.Float32bits(v)
+			dst[k] = math.Float32frombits(b & positive(b))
+		}
+		return
+	}
+	dy := j.dy[lo : lo+len(dst)]
+	for k, v := range x {
+		dst[k] = math.Float32frombits(math.Float32bits(dy[k]) & positive(math.Float32bits(v)))
+	}
+}
+
+// positive returns all ones when the float32 with bits b is > 0 (a
+// positive subnormal, normal or +Inf: b in [1, 0x7f800000]) and 0
+// otherwise (±0, negative, NaN), without a branch.
+//
+//hot:noalloc
+func positive(b uint32) uint32 {
+	return uint32((int64(b-1) - 0x7f800000) >> 63)
+}

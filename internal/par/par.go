@@ -311,30 +311,3 @@ func (s *Span) Claim() (int, bool) {
 func ForEachSlot(s *Span, r Runner) {
 	forEach(s.slots, s.slots, r)
 }
-
-// Chunks splits [0, n) into roughly equal [lo, hi) chunks and runs
-// f(lo, hi) for each in parallel. Use when per-index work is tiny and
-// the body can amortise across a contiguous range.
-func Chunks(n, workers int, f func(lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			f(0, n)
-		}
-		return
-	}
-	per := (n + workers - 1) / workers
-	ForEachN((n+per-1)/per, workers, func(ci int) {
-		lo := ci * per
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		f(lo, hi)
-	})
-}

@@ -164,28 +164,6 @@ func TestRunnerDispatchDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestChunksCoverExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 64, 1001} {
-		for _, w := range []int{0, 1, 3, 8} {
-			hits := make([]int32, n)
-			Chunks(n, w, func(lo, hi int) {
-				if lo < 0 || hi > n || lo > hi {
-					t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
-					return
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("n=%d w=%d: index %d hit %d times", n, w, i, h)
-				}
-			}
-		}
-	}
-}
-
 // slotRunner counts the claims of each item and the entries of each
 // slot.
 type slotRunner struct {

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/obs"
@@ -81,6 +82,7 @@ type Fleet struct {
 	ring     *hashRing
 	nextID   int
 	closed   bool
+	spin     atomic.Uint64 // least-load scan start, advanced per route
 }
 
 // FleetStats aggregates the replica counters.
@@ -183,6 +185,9 @@ func (f *Fleet) scaleIn(id int) int {
 }
 
 // route picks a replica for the key under the configured policy.
+// Least-load scans start one replica further on each call, so ties go
+// round the fleet instead of to its first replica: sequential requests
+// that each drain before the next spread over every idle replica.
 // Caller holds f.mu (read).
 func (f *Fleet) route(key string) *replica {
 	if len(f.order) == 0 {
@@ -196,8 +201,9 @@ func (f *Fleet) route(key string) *replica {
 	}
 	var best *replica
 	var bestLoad int64
-	for _, id := range f.order {
-		r := f.replicas[id]
+	start := int((f.spin.Add(1) - 1) % uint64(len(f.order)))
+	for i := range f.order {
+		r := f.replicas[f.order[(start+i)%len(f.order)]]
 		if l := r.srv.Load(); best == nil || l < bestLoad {
 			best, bestLoad = r, l
 		}

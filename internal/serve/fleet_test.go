@@ -135,6 +135,27 @@ func TestFleetHashRoutingStickiness(t *testing.T) {
 	}
 }
 
+// TestFleetLeastLoadTiesRotate submits requests one at a time to a
+// two-replica least-load fleet, each served before the next is sent,
+// so every route sees a tie. The rotating scan start must spread them
+// over both replicas instead of sending all of them to the first.
+func TestFleetLeastLoadTiesRotate(t *testing.T) {
+	f := newTestFleet(t, FleetOptions{
+		Replicas:  2,
+		Autoscale: AutoscaleConfig{Min: 2, Max: 2, Interval: -1},
+	})
+	for i := 0; i < 8; i++ {
+		if _, err := f.Submit(context.Background(), "", PriorityStandard); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	for id, rs := range f.Stats().PerReplica {
+		if rs.Submitted == 0 {
+			t.Errorf("replica %d received none of 8 sequential requests", id)
+		}
+	}
+}
+
 // TestFleetAutoscaleOnBurnAndIdle is the acceptance-criterion test:
 // under a fake clock, injected shed burn walks the fleet monitor into
 // PAGE and the autoscaler scales out (respecting hysteresis and the
