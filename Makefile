@@ -64,9 +64,11 @@ bench-kernels-quick:
 
 # Re-run the kernel benchmarks and diff the medians against the
 # committed BENCH_kernels.json. Exits non-zero if any benchmark's
-# new/old ns ratio exceeds the -regress threshold; benchmarks that are
-# new or removed are reported but never fail the run. Refresh the
-# snapshot itself with `make bench-kernels`.
+# new/old ns ratio exceeds the -regress threshold and a one-sided
+# rank-sum test on the two sides' per-run ns/op agrees at 5% (a row
+# over the threshold that the test does not confirm prints as noise);
+# benchmarks that are new or removed are reported but never fail the
+# run. Refresh the snapshot itself with `make bench-kernels`.
 .PHONY: bench-kernels-compare
 bench-kernels-compare:
 	$(call kernel_bench,bench_kernels_new.txt)
@@ -79,9 +81,9 @@ bench-kernels-compare:
 # binaries of both trees are built, and each round runs the kernel
 # benches once from each tree, the base first in odd rounds and this
 # tree first in even ones, so a load spike lands on both sides alike.
-# Each side is summarised by benchjson (bench_kernels_ab_{base,head}.json)
-# and this tree is compared with the base at the same -regress 1.15 as
-# bench-kernels-compare.
+# Each side is summarised by benchjson (bench_kernels_ab_{base,head}.json,
+# per-round ns/op included) and this tree is compared with the base at
+# the same -regress 1.15 and rank-sum test as bench-kernels-compare.
 ROUNDS ?= 5
 
 kernel_bench_once = \

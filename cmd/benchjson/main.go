@@ -10,9 +10,15 @@
 //	go run ./cmd/benchjson -in bench.txt -compare BENCH_kernels.json -regress 1.15
 //
 // With -compare the freshly parsed medians are diffed against a prior
-// snapshot: one row per benchmark with the new/old ns ratio, and any
-// benchmark slower than the -regress threshold flags the run (non-zero
-// exit), which is what `make bench-kernels-compare` gates on.
+// snapshot: one row per benchmark with the new/old ns ratio and the
+// one-sided p-value of a rank-sum test on the two sides' per-run ns/op.
+// A benchmark flags the run (non-zero exit), which is what `make
+// bench-kernels-compare` gates on, when its ratio exceeds the -regress
+// threshold and the rank-sum test also finds it slower at the 5% level.
+// A row over the threshold that the test does not confirm is reported
+// as "noise". Where a side carries no per-run values (a snapshot
+// written before they were recorded) or too few for the test to reach
+// 5%, the ratio alone decides, as it always did.
 package main
 
 import (
@@ -43,7 +49,8 @@ type Summary struct {
 	NsPerOp   float64            `json:"ns_per_op_median"`
 	NsMin     float64            `json:"ns_per_op_min"`
 	NsMax     float64            `json:"ns_per_op_max"`
-	Metrics   map[string]float64 `json:"metrics,omitempty"` // medians
+	NsRuns    []float64          `json:"ns_per_op_runs,omitempty"` // every run, in input order
+	Metrics   map[string]float64 `json:"metrics,omitempty"`        // medians
 	AllocsPct *float64           `json:"allocs_per_op,omitempty"`
 }
 
@@ -178,13 +185,77 @@ type compareRow struct {
 	OldNs  float64
 	NewNs  float64
 	Ratio  float64 // new/old; <1 is faster, >1 is slower
-	Status string  // "faster", "ok", "REGRESSION", "new", "removed"
+	P      float64 // one-sided rank-sum p that new is slower; -1 when not tested
+	Status string  // "faster", "ok", "noise", "REGRESSION", "new", "removed"
+}
+
+// alpha is the rank-sum test's one-sided significance level.
+const alpha = 0.05
+
+// rankSumP returns the exact one-sided p-value of the Mann–Whitney
+// rank-sum test that the values in b tend to be larger than those in a:
+// the share of all ways to split the pooled values into groups of
+// len(a) and len(b) whose U statistic (pairs with b above a, ties
+// counting half) is at least the observed one. It returns -1 when even
+// the most extreme split cannot reach alpha, so the test has no say.
+func rankSumP(a, b []float64) float64 {
+	n, m := len(a), len(b)
+	// ways[i][j][u] counts orderings of i values of a and j of b with
+	// U = u; the largest value is either a's (adding nothing) or b's
+	// (lying above all i of a's).
+	ways := make([][][]float64, n+1)
+	for i := range ways {
+		ways[i] = make([][]float64, m+1)
+		for j := range ways[i] {
+			ways[i][j] = make([]float64, i*j+1)
+			if i == 0 || j == 0 {
+				ways[i][j][0] = 1
+				continue
+			}
+			for u := range ways[i][j] {
+				if u <= (i-1)*j {
+					ways[i][j][u] += ways[i-1][j][u]
+				}
+				if u >= i {
+					ways[i][j][u] += ways[i][j-1][u-i]
+				}
+			}
+		}
+	}
+	dist := ways[n][m]
+	total := 0.0
+	for _, w := range dist {
+		total += w
+	}
+	if total == 0 || 1/total > alpha {
+		return -1
+	}
+	u2 := 0 // twice U, so a tie counts one
+	for _, x := range a {
+		for _, y := range b {
+			switch {
+			case y > x:
+				u2 += 2
+			case y == x:
+				u2++
+			}
+		}
+	}
+	tail := 0.0
+	for u, w := range dist {
+		if 2*u >= u2 {
+			tail += w
+		}
+	}
+	return tail / total
 }
 
 // compareSnapshots diffs new medians against an old snapshot. A
-// benchmark whose new/old ns ratio exceeds threshold is a regression;
-// benchmarks present on only one side are reported informationally and
-// never flag the run.
+// benchmark whose new/old ns ratio exceeds threshold is a regression
+// unless the rank-sum test on the per-run values says the shift could
+// be noise (status "noise"); without a usable test the ratio alone
+// decides. Benchmarks present on only one side are reported
+// informationally and never flag the run.
 func compareSnapshots(oldSnap, newSnap Snapshot, threshold float64) (rows []compareRow, regressed bool) {
 	oldByName := map[string]Summary{}
 	for _, s := range oldSnap.Benchmarks {
@@ -198,11 +269,13 @@ func compareSnapshots(oldSnap, newSnap Snapshot, threshold float64) (rows []comp
 			rows = append(rows, compareRow{Name: s.Name, NewNs: s.NsPerOp, Status: "new"})
 			continue
 		}
-		row := compareRow{Name: s.Name, OldNs: o.NsPerOp, NewNs: s.NsPerOp}
+		row := compareRow{Name: s.Name, OldNs: o.NsPerOp, NewNs: s.NsPerOp, P: rankSumP(o.NsRuns, s.NsRuns)}
 		if o.NsPerOp > 0 {
 			row.Ratio = s.NsPerOp / o.NsPerOp
 		}
 		switch {
+		case row.Ratio > threshold && row.P >= alpha:
+			row.Status = "noise"
 		case row.Ratio > threshold:
 			row.Status = "REGRESSION"
 			regressed = true
@@ -223,9 +296,9 @@ func compareSnapshots(oldSnap, newSnap Snapshot, threshold float64) (rows []comp
 
 // renderCompare prints the delta table.
 func renderCompare(w io.Writer, rows []compareRow, threshold float64) {
-	fmt.Fprintf(w, "%-48s %14s %14s %8s  %s\n", "benchmark", "old ns/op", "new ns/op", "ratio", "status")
+	fmt.Fprintf(w, "%-48s %14s %14s %8s %8s  %s\n", "benchmark", "old ns/op", "new ns/op", "ratio", "p", "status")
 	for _, r := range rows {
-		oldNs, newNs, ratio := "-", "-", "-"
+		oldNs, newNs, ratio, p := "-", "-", "-", "-"
 		if r.OldNs > 0 {
 			oldNs = strconv.FormatFloat(r.OldNs, 'f', 0, 64)
 		}
@@ -235,9 +308,13 @@ func renderCompare(w io.Writer, rows []compareRow, threshold float64) {
 		if r.Ratio > 0 {
 			ratio = strconv.FormatFloat(r.Ratio, 'f', 3, 64)
 		}
-		fmt.Fprintf(w, "%-48s %14s %14s %8s  %s\n", r.Name, oldNs, newNs, ratio, r.Status)
+		if r.P >= 0 && r.Ratio > 0 {
+			p = strconv.FormatFloat(r.P, 'f', 3, 64)
+		}
+		fmt.Fprintf(w, "%-48s %14s %14s %8s %8s  %s\n", r.Name, oldNs, newNs, ratio, p, r.Status)
 	}
-	fmt.Fprintf(w, "(ratio = new/old median ns/op; >%.2f flags a regression)\n", threshold)
+	fmt.Fprintf(w, "(ratio = new/old median ns/op; p = one-sided rank-sum p that new is slower, - when untested;\n"+
+		" ratio >%.2f flags a regression when p < %.2f or untested, and reads noise otherwise)\n", threshold, alpha)
 }
 
 func main() {
@@ -296,6 +373,7 @@ func main() {
 				metricVals[u] = append(metricVals[u], v)
 			}
 		}
+		s.NsRuns = append([]float64(nil), nss...)
 		sort.Float64s(nss)
 		s.NsPerOp = median(nss)
 		s.NsMin = nss[0]

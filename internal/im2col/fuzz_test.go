@@ -14,6 +14,14 @@ func FuzzRoundTripMultiplicity(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(3), uint8(1), uint8(0))
 	f.Add(uint64(7), uint8(12), uint8(2), uint8(2), uint8(1))
 	f.Add(uint64(9), uint8(6), uint8(1), uint8(1), uint8(1))
+	// Padding as wide as the kernel (2×2 kernel, pad 2).
+	f.Add(uint64(4), uint8(1), uint8(1), uint8(0), uint8(2))
+	// Output rows of 5 and 7, not a multiple of a packed panel's 8.
+	f.Add(uint64(5), uint8(3), uint8(2), uint8(0), uint8(1))
+	f.Add(uint64(6), uint8(3), uint8(1), uint8(1), uint8(2))
+	// Strides of 2 and 3 with padding.
+	f.Add(uint64(2), uint8(9), uint8(3), uint8(1), uint8(2))
+	f.Add(uint64(3), uint8(11), uint8(2), uint8(2), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, size, kernel, stride, pad uint8) {
 		g := Geom{
 			C: 1 + int(seed%3),
@@ -34,6 +42,7 @@ func FuzzRoundTripMultiplicity(f *testing.F) {
 		Im2col(g, img, col)
 		back := make([]float32, len(img))
 		Col2im(g, col, back)
+		checkCol2imBits(t, g, int64(seed))
 		cnt := coverageCount(g)
 		for i := range img {
 			if math.Abs(float64(back[i]-img[i]*cnt[i])) > 1e-4 {

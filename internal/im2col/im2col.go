@@ -4,6 +4,14 @@
 // of a matrix so convolution becomes a single GEMM; col2im scatters a
 // column matrix back, accumulating where receptive fields overlap (the
 // backward-data path).
+//
+// The kernels on the engines' hot paths (PanelPacker, Col2im) work in
+// runs: for one kernel tap and one output row, the output columns whose
+// input pixel lies inside the image form a single interval, found once
+// for any stride. The packers clear their panel and copy each interval
+// in as a whole run; Col2im adds each run back and skips the padding.
+// Im2col keeps the plain per-element loop; it is the reference the
+// packers are tested against.
 package im2col
 
 import "fmt"
@@ -99,8 +107,31 @@ func Im2col(g Geom, img []float32, col []float32) {
 	}
 }
 
+// span is the interval [lo, hi) of output positions along one axis
+// whose input coordinate o·stride + k − pad falls inside the image for
+// one kernel offset k; positions outside it read padding.
+type span struct{ lo, hi int }
+
+// validSpan returns the span of kernel offset k over out output
+// positions of an axis with in input pixels.
+func validSpan(k, pad, stride, in, out int) span {
+	off := k - pad
+	var lo, hi int
+	if off < 0 {
+		lo = (-off + stride - 1) / stride
+	}
+	if in > off {
+		hi = (in - off + stride - 1) / stride
+	}
+	lo = min(lo, out)
+	return span{lo, max(lo, min(hi, out))}
+}
+
 // Col2im scatters col (ColRows()×ColCols()) back into img (C×H×W),
-// accumulating overlapping contributions. img is zeroed first.
+// accumulating overlapping contributions. img is zeroed first. Each
+// (tap, output row) adds its in-image run in one pass; a pixel still
+// receives its taps in row order of col, so the sums are the same bits
+// as an element-by-element scatter.
 //
 //hot:noalloc
 func Col2im(g Geom, col []float32, img []float32) {
@@ -110,33 +141,39 @@ func Col2im(g Geom, col []float32, img []float32) {
 		//lint:ignore hotalloc the failed-precondition panic may format its message; the hot loop below stays clean
 		panic(fmt.Sprintf("im2col: buffers too small for %+v", g))
 	}
-	for i := range img[:g.C*g.H*g.W] {
-		img[i] = 0
-	}
-	row := 0
+	clear(img[:g.C*g.H*g.W])
+	rowStep := g.StrideH * g.W
+	src := 0
 	for c := 0; c < g.C; c++ {
-		chanBase := c * g.H * g.W
 		for kh := 0; kh < g.KH; kh++ {
+			ys := validSpan(kh, g.PadH, g.StrideH, g.H, oh)
 			for kw := 0; kw < g.KW; kw++ {
-				src := col[row*cols:]
-				idx := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*g.StrideH + kh - g.PadH
-					if iy < 0 || iy >= g.H {
-						idx += ow
-						continue
-					}
-					rowBase := chanBase + iy*g.W
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*g.StrideW + kw - g.PadW
-						if ix >= 0 && ix < g.W {
-							img[rowBase+ix] += src[idx]
-						}
-						idx++
+				xs := validSpan(kw, g.PadW, g.StrideW, g.W, ow)
+				if n := xs.hi - xs.lo; n > 0 {
+					di := c*g.H*g.W + (ys.lo*g.StrideH+kh-g.PadH)*g.W + xs.lo*g.StrideW + kw - g.PadW
+					for si := src + ys.lo*ow + xs.lo; si < src+ys.hi*ow; si += ow {
+						addRun(img[di:], g.StrideW, col[si:si+n])
+						di += rowStep
 					}
 				}
-				row++
+				src += cols
 			}
 		}
+	}
+}
+
+// addRun adds s[i] to d[i·ds] for every i.
+//
+//hot:noalloc
+func addRun(d []float32, ds int, s []float32) {
+	if ds == 1 {
+		d = d[:len(s)]
+		for i, v := range s {
+			d[i] += v
+		}
+		return
+	}
+	for i, v := range s {
+		d[i*ds] += v
 	}
 }

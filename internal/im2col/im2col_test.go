@@ -2,6 +2,7 @@ package im2col
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -118,6 +119,75 @@ func TestCol2imAccumulates(t *testing.T) {
 		if img[i] != want[i] {
 			t.Fatalf("img = %v, want %v", img, want)
 		}
+	}
+}
+
+// col2imRef is the element-by-element scatter Col2im replaced: every
+// (tap, output position) is bounds-tested and added on its own, in the
+// order of col's rows. Col2im must match it bit for bit.
+func col2imRef(g Geom, col []float32, img []float32) {
+	oh, ow := g.OutH(), g.OutW()
+	cols := oh * ow
+	for i := range img[:g.C*g.H*g.W] {
+		img[i] = 0
+	}
+	row := 0
+	for c := 0; c < g.C; c++ {
+		chanBase := c * g.H * g.W
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				src := col[row*cols:]
+				idx := 0
+				for oy := 0; oy < oh; oy++ {
+					iy := oy*g.StrideH + kh - g.PadH
+					if iy < 0 || iy >= g.H {
+						idx += ow
+						continue
+					}
+					rowBase := chanBase + iy*g.W
+					for ox := 0; ox < ow; ox++ {
+						ix := ox*g.StrideW + kw - g.PadW
+						if ix >= 0 && ix < g.W {
+							img[rowBase+ix] += src[idx]
+						}
+						idx++
+					}
+				}
+				row++
+			}
+		}
+	}
+}
+
+// checkCol2imBits scatters a random column matrix through Col2im and
+// col2imRef and requires the same bits at every pixel. The column
+// values span several magnitudes so a change in summation order would
+// show in the low bits.
+func checkCol2imBits(t *testing.T, g Geom, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	col := make([]float32, g.ColRows()*g.ColCols())
+	for i := range col {
+		col[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)))
+	}
+	got := make([]float32, g.C*g.H*g.W)
+	for i := range got {
+		got[i] = float32(i) // Col2im must overwrite, not add to, the target
+	}
+	want := make([]float32, len(got))
+	Col2im(g, col, got)
+	col2imRef(g, col, want)
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("geom %+v: img[%d] = %g (%#08x), reference %g (%#08x)",
+				g, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+func TestCol2imMatchesReferenceBits(t *testing.T) {
+	for i, g := range panelGeoms {
+		checkCol2imBits(t, g, int64(i+1))
 	}
 }
 

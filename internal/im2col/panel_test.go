@@ -6,7 +6,9 @@ import (
 )
 
 // panelGeoms covers ragged spatial extents, all the stride/pad
-// combinations the Table I sweep uses, and 1×1 kernels.
+// combinations the Table I sweep uses, 1×1 kernels, padding as wide as
+// the kernel, output rows narrower than a panel, and the CIFARNet and
+// AlexNet layers the unrolling engine runs.
 var panelGeoms = []Geom{
 	{C: 1, H: 4, W: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1},
 	{C: 3, H: 8, W: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
@@ -15,7 +17,20 @@ var panelGeoms = []Geom{
 	{C: 3, H: 16, W: 16, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
 	{C: 1, H: 5, W: 5, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 4, PadW: 4},
 	{C: 5, H: 6, W: 13, KH: 2, KW: 4, StrideH: 2, StrideW: 3, PadH: 1, PadW: 1},
+	{C: 2, H: 3, W: 2, KH: 3, KW: 2, StrideH: 1, StrideW: 2, PadH: 3, PadW: 2},
+	{C: 2, H: 5, W: 3, KH: 2, KW: 3, StrideH: 3, StrideW: 1, PadH: 1, PadW: 4},
+	cifarConv1, cifarConv2, cifarConv3, alexConv1, alexConv2,
 }
+
+// The layers the unrolling engine runs in the benchmark workloads.
+var (
+	cifarConv1 = Geom{C: 3, H: 32, W: 32, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}
+	cifarConv2 = Geom{C: 32, H: 16, W: 16, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}
+	cifarConv3 = Geom{C: 32, H: 8, W: 8, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}
+	alexConv1  = Geom{C: 3, H: 227, W: 227, KH: 11, KW: 11, StrideH: 4, StrideW: 4}
+	alexConv2  = Geom{C: 96, H: 27, W: 27, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}
+	alexConv5  = Geom{C: 384, H: 13, W: 13, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+)
 
 func randImage(rng *rand.Rand, g Geom) []float32 {
 	img := make([]float32, g.C*g.H*g.W)
@@ -102,6 +117,15 @@ func FuzzPanelPacker(f *testing.F) {
 	f.Add(3, 8, 8, 3, 3, 1, 1, 1, 1, 0, 10, false)
 	f.Add(2, 9, 7, 5, 3, 2, 1, 2, 0, 4, 0, true)
 	f.Add(1, 4, 4, 3, 3, 1, 1, 0, 0, 0, 0, false)
+	// Padding as wide as the kernel: whole runs of padding.
+	f.Add(1, 2, 3, 2, 1, 0, 0, 3, 2, 5, 3, false)
+	f.Add(1, 2, 3, 2, 1, 0, 0, 3, 2, 5, 3, true)
+	// Output rows of 5 and 7: a panel crosses one or two rows.
+	f.Add(0, 8, 6, 4, 2, 0, 0, 2, 0, 2, 3, false)
+	f.Add(1, 6, 6, 2, 2, 0, 0, 1, 1, 4, 9, true)
+	// Strides above 1 on both axes.
+	f.Add(2, 11, 10, 3, 2, 2, 1, 1, 2, 7, 1, false)
+	f.Add(2, 11, 10, 3, 2, 1, 2, 2, 1, 1, 7, true)
 	f.Fuzz(func(t *testing.T, c, h, w, kh, kw, sh, sw, ph, pw, p0, j0 int, trans bool) {
 		fold := func(v, lo, hi int) int {
 			if v < 0 {
@@ -164,4 +188,52 @@ func FuzzPanelPacker(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkPanelPacker packs the whole of op(B) for one image of each
+// CIFARNet conv layer and of AlexNet's conv1 and conv5, in both
+// orientations, as the packed GEMM walks
+// it: kc-row blocks of 8-column panels. kc = 384 is the blocking the
+// GEMM derives for a 48 KiB L1d. GB/s counts the floats written.
+func BenchmarkPanelPacker(b *testing.B) {
+	const kc, nr = 384, 8
+	layers := []struct {
+		name string
+		g    Geom
+	}{
+		{"conv1", cifarConv1},
+		{"conv2", cifarConv2},
+		{"conv3", cifarConv3},
+		{"alexnet_conv1", alexConv1},
+		{"alexnet_conv5", alexConv5},
+	}
+	for _, orient := range []string{"fwd", "trans"} {
+		for _, l := range layers {
+			g := l.g
+			img := randImage(rand.New(rand.NewSource(1)), g)
+			rows, cols := g.ColRows(), g.ColCols()
+			if orient == "trans" {
+				rows, cols = cols, rows
+			}
+			dst := make([]float32, kc*nr)
+			b.Run(orient+"/"+l.name, func(b *testing.B) {
+				pk := GetPacker()
+				defer PutPacker(pk)
+				if orient == "trans" {
+					pk.ResetTransposed(g, img)
+				} else {
+					pk.Reset(g, img)
+				}
+				for i := 0; i < b.N; i++ {
+					for p0 := 0; p0 < rows; p0 += kc {
+						kcv := min(kc, rows-p0)
+						for j0 := 0; j0 < cols; j0 += nr {
+							pk.PackPanelB(dst, nr, p0, kcv, j0, min(nr, cols-j0))
+						}
+					}
+				}
+				b.ReportMetric(float64(rows*cols*4)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+		}
+	}
 }

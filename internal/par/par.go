@@ -184,21 +184,15 @@ func ForEach(n int, f func(i int)) {
 	forEach(n, runtime.GOMAXPROCS(0), funcRunner(f))
 }
 
-// ForEachN is ForEach with an explicit worker bound. A non-positive
-// bound is clamped to GOMAXPROCS: callers passing a miscomputed 0 used
-// to silently lose all parallelism.
-func ForEachN(n, workers int, f func(i int)) {
-	forEach(n, workers, funcRunner(f))
-}
-
 // ForEachRunner is ForEach dispatching a Runner; with a pooled Runner
 // the call is allocation-free.
 func ForEachRunner(n int, r Runner) {
 	forEach(n, runtime.GOMAXPROCS(0), r)
 }
 
-// ForEachNRunner is ForEachRunner with an explicit worker bound,
-// clamped to GOMAXPROCS when non-positive.
+// ForEachNRunner is ForEachRunner with an explicit worker bound. A
+// non-positive bound is clamped to GOMAXPROCS: callers passing a
+// miscomputed 0 used to silently lose all parallelism.
 func ForEachNRunner(n, workers int, r Runner) {
 	forEach(n, workers, r)
 }

@@ -22,7 +22,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 func TestForEachNSerialFallback(t *testing.T) {
 	sum := 0
 	// workers=1 must run inline with no data race on the plain int.
-	ForEachN(50, 1, func(i int) { sum += i })
+	ForEachNRunner(50, 1, funcRunner(func(i int) { sum += i }))
 	if sum != 49*50/2 {
 		t.Fatalf("sum = %d", sum)
 	}
@@ -44,12 +44,12 @@ func TestForEachNZeroWorkersClampsToGOMAXPROCS(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			ForEachN(2, workers, func(i int) {
+			ForEachNRunner(2, workers, funcRunner(func(i int) {
 				select {
 				case meet <- i:
 				case <-meet:
 				}
-			})
+			}))
 		}()
 		select {
 		case <-done:
@@ -64,7 +64,7 @@ func TestForEachNZeroWorkersClampsToGOMAXPROCS(t *testing.T) {
 func TestForEachNNegativeWorkersCoverAll(t *testing.T) {
 	const n = 200
 	hits := make([]int32, n)
-	ForEachN(n, -1, func(i int) { atomic.AddInt32(&hits[i], 1) })
+	ForEachNRunner(n, -1, funcRunner(func(i int) { atomic.AddInt32(&hits[i], 1) }))
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("index %d hit %d times", i, h)
@@ -106,14 +106,14 @@ func TestConcurrentNestedForEachRunsEachIndexOnce(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ForEachN(callers, callers, func(c int) {
+		ForEachNRunner(callers, callers, funcRunner(func(c int) {
 			for r := 0; r < rounds; r++ {
 				base := (c*rounds + r) * outer * inner
 				ForEach(outer, func(o int) {
 					ForEach(inner, func(i int) { atomic.AddInt32(&hits[base+o*inner+i], 1) })
 				})
 			}
-		})
+		}))
 	}()
 	select {
 	case <-done:
