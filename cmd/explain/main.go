@@ -9,13 +9,12 @@
 // and prints the per-layer decision table: for each Table I layer plus
 // the flag-specified configuration, every candidate engine's predicted
 // cost from the gpusim cost model, the chosen engine, and the margin
-// over the runner-up. -probe K refines the top K candidates per layer
-// with a one-shot measured probe (real numerics; slow at full shapes).
+// over the runner-up.
 //
 // Usage:
 //
 //	explain [-b 64] [-i 128] [-c 3] [-f 64] [-k 11] [-s 1]
-//	explain -plan [-device k40c] [-probe 0] [flags as above]
+//	explain -plan [-device k40c] [flags as above]
 package main
 
 import (
@@ -39,7 +38,6 @@ func main() {
 	k := flag.Int("k", 11, "kernel extent")
 	s := flag.Int("s", 1, "stride")
 	plan := flag.Bool("plan", false, "print the plan-time autotuner decision table (Table I layers + this configuration)")
-	probe := flag.Int("probe", 0, "with -plan: refine the top K candidates per layer with a one-shot measured probe")
 	device := flag.String("device", "k40c", "device spec to plan for (k40c, titanx)")
 	flag.Parse()
 
@@ -53,7 +51,7 @@ func main() {
 	}
 
 	if *plan {
-		printPlanTable(spec, cfg, *probe)
+		printPlanTable(spec, cfg)
 		return
 	}
 
@@ -90,17 +88,13 @@ func main() {
 // printPlanTable runs the autotuner over the Table I layers plus the
 // flag configuration and renders the decision table, then the full
 // candidate scorecard for the flag configuration.
-func printPlanTable(spec gpusim.DeviceSpec, cfg conv.Config, probe int) {
-	p := planner.New(planner.Options{ProbeTopK: probe, Cache: planner.NewCache()})
+func printPlanTable(spec gpusim.DeviceSpec, cfg conv.Config) {
+	p := planner.New(planner.Options{Cache: planner.NewCache()})
 	layers := workload.TableI()
 	layers = append(layers, workload.NamedConfig{Name: "(flags)", Cfg: cfg.WithDefaults()})
 
-	fmt.Printf("plan-time autotuner decisions — %s, training objective", spec.Name)
-	if probe > 1 {
-		fmt.Printf(", measured probe over top %d", probe)
-	}
-	fmt.Printf("\n\n%-8s %-20s %-15s %-10s %12s %8s  %s\n",
-		"layer", "config", "chosen", "strategy", "predicted", "margin", "reason")
+	fmt.Printf("plan-time autotuner decisions — %s, training objective\n\n%-8s %-20s %-15s %-10s %12s %8s  %s\n",
+		spec.Name, "layer", "config", "chosen", "strategy", "predicted", "margin", "reason")
 	var last planner.Decision
 	for _, nc := range layers {
 		d, err := p.Decide(spec, nc.Cfg)
@@ -122,10 +116,6 @@ func printPlanTable(spec gpusim.DeviceSpec, cfg conv.Config, probe int) {
 			fmt.Printf("  %-16s %-10s %12s  skipped: %s\n", c.Engine, c.Strategy, "—", c.Skipped)
 			continue
 		}
-		line := fmt.Sprintf("  %-16s %-10s %12v", c.Engine, c.Strategy, c.Predicted.Round(1000))
-		if c.Measured > 0 {
-			line += fmt.Sprintf("  measured %v", c.Measured.Round(1000))
-		}
-		fmt.Println(line)
+		fmt.Printf("  %-16s %-10s %12v\n", c.Engine, c.Strategy, c.Predicted.Round(1000))
 	}
 }

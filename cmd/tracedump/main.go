@@ -29,7 +29,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strings"
 
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/impls"
@@ -38,22 +37,6 @@ import (
 	"gpucnn/internal/obs"
 	"gpucnn/internal/telemetry"
 )
-
-func buildModel(name string, eng impls.Engine) (*models.Model, error) {
-	switch strings.ToLower(name) {
-	case "alexnet":
-		return models.AlexNet(eng), nil
-	case "vgg19", "vgg":
-		return models.VGG19(eng), nil
-	case "googlenet":
-		return models.GoogLeNet(eng), nil
-	case "overfeat":
-		return models.OverFeat(eng), nil
-	case "lenet5", "lenet":
-		return models.LeNet5(eng), nil
-	}
-	return nil, fmt.Errorf("unknown model %q (have alexnet, vgg19, googlenet, overfeat, lenet5)", name)
-}
 
 func writeTo(path string, f func(io.Writer) error) error {
 	if path == "" {
@@ -89,7 +72,7 @@ func simulate(ctx *nn.Context, model *models.Model, b, iters int) (err error) {
 }
 
 func main() {
-	modelName := flag.String("model", "alexnet", "model to run (alexnet, vgg19, googlenet, overfeat, lenet5)")
+	modelName := flag.String("model", "alexnet", "model to run (alexnet, vgg, googlenet, overfeat, lenet5, cifarnet; any case)")
 	implName := flag.String("impl", "cuDNN", "convolution engine")
 	b := flag.Int("b", 128, "mini-batch size")
 	iters := flag.Int("iters", 1, "training iterations to simulate")
@@ -105,7 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := buildModel(*modelName, eng)
+	model, err := models.Build(*modelName, eng)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,8 +34,8 @@ func main() {
 
 	fmt.Printf("profiling one training iteration per model (engine %s, batch %d)\n\n",
 		engine.Name(), *batch)
-	for _, name := range []string{"GoogLeNet", "VGG", "OverFeat", "AlexNet"} {
-		m := models.All(engine)[name]
+	for _, name := range models.Figure2 {
+		m := models.Builders[name](engine)
 		dev := gpusim.New(gpusim.TeslaK40c())
 		ctx := nn.NewContext(dev, true)
 		m.Net.SimulateIteration(ctx, tensor.Shape(m.InputShape(*batch)))

@@ -73,8 +73,7 @@ func main() {
 		log.Fatal(err)
 	}
 	restored := models.LeNet5(engine)
-	x, _ := test.Batch(0, 1)
-	restored.Net.Forward(nn.NewContext(nil, false), nn.NewValue(x)) // materialise params
+	restored.Net.Forward(nn.NewContext(nil, false), nn.ShapeOnly(restored.InputShape(1)...)) // declare params
 	if err := restored.Net.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		log.Fatal(err)
 	}

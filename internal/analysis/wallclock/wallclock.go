@@ -14,10 +14,8 @@
 // a loop order) would make a result's float32 summation order depend
 // on how loaded the host was. The serving layer (serve, obs,
 // telemetry) lives in wall-clock time on purpose and is out of scope.
-//
-// The one legitimate crossing is an explicitly marked probe boundary,
-// where the planner calibrates the model against a real measurement:
-// suppress it with //lint:ignore wallclock <reason>.
+// There is no sanctioned crossing: host time is measured outside these
+// packages, never fed back into them.
 package wallclock
 
 import (
@@ -35,8 +33,8 @@ const doc = `forbid wall-clock reads in simulated-time and kernel packages
 
 gpusim and planner model time; time.Now/time.Since there mixes
 measured host time into modeled GPU time. gemm, conv, fft and im2col
-compute results that must not depend on host load. Mark deliberate
-calibration probes with //lint:ignore wallclock <reason>.`
+compute results that must not depend on host load. Time host work
+from outside these packages.`
 
 // Analyzer is the wallclock pass.
 var Analyzer = &analysis.Analyzer{
@@ -71,7 +69,7 @@ func run(pass *analysis.Pass) (any, error) {
 			lintutil.Report(pass, "wallclock", analysis.Diagnostic{
 				Pos: call.Pos(), End: call.End(),
 				Message: "time." + name + " in clock-free package " + pass.Pkg.Name() +
-					": its results must not depend on the wall clock (//lint:ignore wallclock <reason> for calibration probes)",
+					": its results must not depend on the wall clock; time it from outside the package",
 			})
 		}
 	})

@@ -37,15 +37,14 @@ type ModelBreakdown struct {
 // is dropped from the result instead of aborting the figure.
 func Figure2Ctx(ctx context.Context, opt Options) []ModelBreakdown {
 	batches := map[string]int{"AlexNet": 128, "GoogLeNet": 128, "OverFeat": 128, "VGG": 64}
-	order := []string{"GoogLeNet", "VGG", "OverFeat", "AlexNet"}
-	results := make([]ModelBreakdown, len(order))
-	done := make([]bool, len(order))
-	errs := runIndexed(ctx, len(order), opt, func(ctx context.Context, i int) {
+	results := make([]ModelBreakdown, len(models.Figure2))
+	done := make([]bool, len(models.Figure2))
+	errs := runIndexed(ctx, len(models.Figure2), opt, func(ctx context.Context, i int) {
 		if ctx.Err() != nil {
 			return
 		}
-		name := order[i]
-		m := models.All(impls.NewCaffe())[name]
+		name := models.Figure2[i]
+		m := models.Builders[name](impls.NewCaffe())
 		dev := gpusim.New(gpusim.TeslaK40c())
 		nctx := nn.NewContext(dev, true)
 		batch := batches[name]

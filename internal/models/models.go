@@ -6,6 +6,10 @@
 package models
 
 import (
+	"fmt"
+	"sort"
+	"strings"
+
 	"gpucnn/internal/impls"
 	"gpucnn/internal/nn"
 	"gpucnn/internal/tensor"
@@ -175,14 +179,31 @@ func LeNet5(eng impls.Engine) *Model {
 	return &Model{Net: net, InputSize: 28, InputChans: 1, Classes: 10}
 }
 
-// All returns the paper's four profiled models keyed by name.
-func All(eng impls.Engine) map[string]*Model {
-	return map[string]*Model{
-		"AlexNet":   AlexNet(eng),
-		"GoogLeNet": GoogLeNet(eng),
-		"VGG":       VGG19(eng),
-		"OverFeat":  OverFeat(eng),
+// Builders maps each model's name to its constructor.
+var Builders = map[string]func(impls.Engine) *Model{
+	"AlexNet":   AlexNet,
+	"GoogLeNet": GoogLeNet,
+	"VGG":       VGG19,
+	"OverFeat":  OverFeat,
+	"LeNet5":    LeNet5,
+	"CIFARNet":  CIFARNet,
+}
+
+// Figure2 names the paper's four profiled models, in Figure 2's order.
+var Figure2 = []string{"GoogLeNet", "VGG", "OverFeat", "AlexNet"}
+
+// Build builds the named model (the name matched case-insensitively)
+// on eng.
+func Build(name string, eng impls.Engine) (*Model, error) {
+	names := make([]string, 0, len(Builders))
+	for n, build := range Builders {
+		if strings.EqualFold(n, name) {
+			return build(eng), nil
+		}
+		names = append(names, n)
 	}
+	sort.Strings(names)
+	return nil, fmt.Errorf("models: unknown model %q (have %s)", name, strings.Join(names, ", "))
 }
 
 // CIFARNet builds cuda-convnet's classic CIFAR-10 architecture

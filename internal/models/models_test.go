@@ -1,6 +1,7 @@
 package models
 
 import (
+	"runtime"
 	"testing"
 
 	"gpucnn/internal/gpusim"
@@ -20,6 +21,10 @@ func simulate(t *testing.T, m *Model, batch int) (*nn.Context, *gpusim.Device) {
 	return ctx, dev
 }
 
+// figure2Batches are Figure 2's batch sizes (VGG's 64 keeps its
+// activations inside the K40c's 12 GB).
+var figure2Batches = map[string]int{"AlexNet": 128, "GoogLeNet": 128, "OverFeat": 128, "VGG": 64}
+
 // TestParameterCounts asserts the sizes the paper quotes in Section I:
 // AlexNet "more than 60 million parameters", VGGNet "over 144 million"
 // (VGG-19's exact count is 143.67 M), GoogLeNet "about 6.8 million".
@@ -35,7 +40,7 @@ func TestParameterCounts(t *testing.T) {
 		{LeNet5(nil), 40_000, 70_000},
 	}
 	for _, c := range cases {
-		// Parameters initialise lazily on the first (simulate-only) pass.
+		// Layers declare their parameters on the first pass of either kind.
 		ctx := nn.NewContext(nil, true)
 		c.m.Net.SimulateIteration(ctx, tensor.Shape(c.m.InputShape(1)))
 		got := c.m.Net.ParamCount()
@@ -86,7 +91,8 @@ func TestLayerComposition(t *testing.T) {
 }
 
 func TestOutputShapes(t *testing.T) {
-	for name, m := range All(nil) {
+	for _, name := range Figure2 {
+		m := Builders[name](nil)
 		out := m.Net.OutShape(tensor.Shape(m.InputShape(4)))
 		if !out.Equal(tensor.Shape{4, 1000}) {
 			t.Errorf("%s output shape = %v, want [4 1000]", name, out)
@@ -105,9 +111,9 @@ func TestFigure2ConvDominance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model simulation in short mode")
 	}
-	batches := map[string]int{"AlexNet": 128, "GoogLeNet": 128, "OverFeat": 128, "VGG": 64}
-	for name, m := range All(impls.NewCaffe()) {
-		ctx, dev := simulate(t, m, batches[name])
+	for _, name := range Figure2 {
+		m := Builders[name](impls.NewCaffe())
+		ctx, dev := simulate(t, m, figure2Batches[name])
 		share := nn.ConvShare(ctx.TimeByKind)
 		if share < 0.80 || share > 0.98 {
 			t.Errorf("%s conv share = %.1f%%, want within [80%%, 98%%] (paper: 86-94%%)",
@@ -239,9 +245,9 @@ func TestEvaluateBatches(t *testing.T) {
 // plan every layer of every profiled model (strided, 1×1, 3×3, 5×5,
 // 7×7, 11×11) and never be slower than a fixed cuDNN choice.
 func TestAutoEngineRunsEveryModel(t *testing.T) {
-	for name := range All(nil) {
-		auto := All(planner.NewAutotuned(planner.Options{Cache: planner.NewCache()}))[name]
-		fixed := All(impls.NewCuDNN())[name]
+	for _, name := range Figure2 {
+		auto := Builders[name](planner.NewAutotuned(planner.Options{Cache: planner.NewCache()}))
+		fixed := Builders[name](impls.NewCuDNN())
 		_, devA := simulate(t, auto, 32)
 		_, devF := simulate(t, fixed, 32)
 		if devA.Elapsed() > devF.Elapsed() {
@@ -249,5 +255,29 @@ func TestAutoEngineRunsEveryModel(t *testing.T) {
 		}
 		auto.Net.Release()
 		fixed.Net.Release()
+	}
+}
+
+// TestShapeOnlyAllocatesNoParameters profiles each Figure 2 model for
+// one shape-only training iteration on a fresh device. The run declares
+// the parameters but must not allocate them (VGG-19's weights and
+// gradients alone are 1.15 GB), and the counts, which come from the
+// declared shapes, stay exact.
+func TestShapeOnlyAllocatesNoParameters(t *testing.T) {
+	const bound = 32 << 20
+	params := map[string]int{"GoogLeNet": 6_998_552, "VGG": 143_667_240, "OverFeat": 145_920_872, "AlexNet": 62_378_344}
+	for _, name := range Figure2 {
+		m := Builders[name](impls.NewCaffe())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		simulate(t, m, figure2Batches[name])
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > bound {
+			t.Errorf("%s: shape-only iteration allocated %d bytes, want under %d", name, d, bound)
+		}
+		if got := m.Net.ParamCount(); got != params[name] {
+			t.Errorf("%s: ParamCount = %d, want %d", name, got, params[name])
+		}
+		m.Net.Release()
 	}
 }

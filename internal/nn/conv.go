@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
@@ -24,7 +23,6 @@ type Conv struct {
 
 	weight *Param
 	bias   *Param
-	inited bool
 
 	// Cached per-shape engine plan and the inputs of the last forward.
 	plan    impls.Plan
@@ -80,24 +78,9 @@ func (l *Conv) ensureParams(channels int) {
 	if l.weight != nil {
 		return
 	}
-	l.weight = NewParam(l.name+".weight", l.Filters, channels, l.Kernel, l.Kernel)
-	l.bias = NewParam(l.name+".bias", l.Filters)
-}
-
-// initWeights fills the weights on first real use (simulate-only runs
-// never pay for initialising VGG-scale parameter tensors).
-func (l *Conv) initWeights() {
-	if l.inited {
-		return
-	}
-	l.inited = true
-	// He-style fan-in scaling keeps deep stacks trainable.
-	fanIn := float64(l.weight.W.Dim(1) * l.Kernel * l.Kernel)
-	sigma := float32(1.0)
-	if fanIn > 0 {
-		sigma = float32(math.Sqrt(2 / fanIn))
-	}
-	l.weight.W.FillNormal(tensor.NewRNG(uint64(len(l.name))*2654435761+7), sigma)
+	l.weight = NewParam(l.name+".weight", heNormal(uint64(len(l.name))*2654435761+7, channels*l.Kernel*l.Kernel),
+		l.Filters, channels, l.Kernel, l.Kernel)
+	l.bias = NewParam(l.name+".bias", nil, l.Filters)
 }
 
 func (l *Conv) ensurePlan(ctx *Context, cfg conv.Config) impls.Plan {
@@ -136,16 +119,16 @@ func (l *Conv) Forward(ctx *Context, x *Value) *Value {
 	ctx.timed(KindConv, func() {
 		plan := l.ensurePlan(ctx, cfg)
 		if x.Real() {
-			l.initWeights()
+			w := l.weight.Materialise().W
 			out.Data = hold(&l.out, out.Shape)
 			if plan != nil {
-				if err := plan.Forward(x.Data, l.weight.W, out.Data); err != nil {
+				if err := plan.Forward(x.Data, w, out.Data); err != nil {
 					panic(err)
 				}
 			} else {
-				conv.UnrollForward(&l.ws, cfg, x.Data, l.weight.W, out.Data)
+				conv.UnrollForward(&l.ws, cfg, x.Data, w, out.Data)
 			}
-			l.addBias(out.Data)
+			l.addBias(out.Data, l.bias.Materialise().W.Data)
 		} else if plan != nil {
 			if err := plan.Forward(nil, nil, nil); err != nil {
 				panic(err)
@@ -156,11 +139,11 @@ func (l *Conv) Forward(ctx *Context, x *Value) *Value {
 	return out
 }
 
-func (l *Conv) addBias(y *tensor.Tensor) {
+func (l *Conv) addBias(y *tensor.Tensor, bias []float32) {
 	n, f := y.Dim(0), y.Dim(1)
 	hw := y.Dim(2) * y.Dim(3)
 	par.ForEach(n*f, func(j int) {
-		b := l.bias.W.Data[j%f]
+		b := bias[j%f]
 		seg := y.Data[j*hw : (j+1)*hw]
 		for i := range seg {
 			seg[i] += b

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"gpucnn/internal/gemm"
 	"gpucnn/internal/tensor"
@@ -18,10 +17,8 @@ type FC struct {
 	weight *Param // (Out, In)
 	bias   *Param // (Out)
 	lastX  *Value
-	outV   Value          // held forward Value
-	out    *tensor.Tensor // held forward output
-	inDim  int
-	inited bool
+	outV   Value           // held forward Value
+	out    *tensor.Tensor  // held forward output
 	ws     workspace.Arena // GEMM packing scratch, reset per GEMM
 }
 
@@ -52,25 +49,12 @@ func (l *FC) OutShape(in tensor.Shape) tensor.Shape {
 }
 
 func (l *FC) ensureParams(in int) {
-	if l.weight != nil {
-		if l.inDim != in {
-			panic(fmt.Sprintf("nn: fc %s input width changed from %d to %d", l.name, l.inDim, in))
-		}
-		return
+	if l.weight == nil {
+		l.weight = NewParam(l.name+".weight", heNormal(uint64(len(l.name))*0x9E3779B9+13, in), l.Out, in)
+		l.bias = NewParam(l.name+".bias", nil, l.Out)
+	} else if l.weight.Shape[1] != in {
+		panic(fmt.Sprintf("nn: fc %s input width changed from %d to %d", l.name, l.weight.Shape[1], in))
 	}
-	l.inDim = in
-	l.weight = NewParam(l.name+".weight", l.Out, in)
-	l.bias = NewParam(l.name+".bias", l.Out)
-}
-
-// initWeights fills the weights on first real use.
-func (l *FC) initWeights() {
-	if l.inited {
-		return
-	}
-	l.inited = true
-	sigma := float32(math.Sqrt(2 / float64(l.inDim)))
-	l.weight.W.FillNormal(tensor.NewRNG(uint64(len(l.name))*0x9E3779B9+13), sigma)
 }
 
 // Forward computes y = x·Wᵀ + b. The returned Value is held, like its
@@ -83,15 +67,15 @@ func (l *FC) Forward(ctx *Context, x *Value) *Value {
 	out := holdValue(&l.outV, tensor.Shape{batch, l.Out})
 	ctx.timed(KindFC, func() {
 		if x.Real() {
-			l.initWeights()
+			bias := l.bias.Materialise().W.Data
 			out.Data = hold(&l.out, out.Shape)
 			// y (batch×out) = x (batch×in) · Wᵀ (in×out), x read flat.
 			l.ws.Reset()
-			gemm.ParallelNT(&l.ws, 1, x.Data.Data, l.weight.W.Data, 0, out.Data.Data, batch, l.Out, in)
+			gemm.ParallelNT(&l.ws, 1, x.Data.Data, l.weight.Materialise().W.Data, 0, out.Data.Data, batch, l.Out, in)
 			for bi := 0; bi < batch; bi++ {
 				row := out.Data.Data[bi*l.Out:]
 				for j := 0; j < l.Out; j++ {
-					row[j] += l.bias.W.Data[j]
+					row[j] += bias[j]
 				}
 			}
 		}
@@ -104,7 +88,7 @@ func (l *FC) Forward(ctx *Context, x *Value) *Value {
 // Backward computes dx, dW and db.
 func (l *FC) Backward(ctx *Context, dy *Value) *Value {
 	batch := l.lastX.Shape[0]
-	in := l.inDim
+	in := l.weight.Shape[1]
 	out := &Value{Shape: l.lastX.Shape.Clone()}
 	ctx.timed(KindFC, func() {
 		if dy.Real() && l.lastX.Real() {

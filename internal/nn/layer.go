@@ -13,11 +13,13 @@
 //   - Simulate-only mode (Value.Data == nil): only shapes flow through
 //     the network and only the device clock advances — this is how the
 //     big model profiles run without allocating ImageNet-scale
-//     activations on the host.
+//     activations or parameters on the host. Parameters get storage and
+//     initial values on first real use (Param.Materialise).
 package nn
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -65,20 +67,45 @@ func (v *Value) Real() bool { return v != nil && v.Data != nil }
 // Elems returns the element count of the value's shape.
 func (v *Value) Elems() int { return v.Shape.Elems() }
 
-// Param is a learnable tensor with its gradient.
+// Param is a learnable tensor with its gradient. A layer declares its
+// parameters from their shapes on its first pass of either kind; W and
+// Grad stay nil until Materialise allocates both and fills W, exactly
+// once, when a real pass, Save or Load first needs them.
 type Param struct {
-	Name string
-	W    *tensor.Tensor
-	Grad *tensor.Tensor
+	Name  string
+	Shape tensor.Shape
+	W     *tensor.Tensor // nil until materialised
+	Grad  *tensor.Tensor // nil until materialised
+	init  func(w *tensor.Tensor)
 }
 
-// NewParam allocates a parameter and its gradient buffer.
-func NewParam(name string, dims ...int) *Param {
-	return &Param{Name: name, W: tensor.New(dims...), Grad: tensor.New(dims...)}
+// NewParam declares a parameter of the given shape. init fills W when
+// it is materialised; nil leaves it zero, as for biases.
+func NewParam(name string, init func(w *tensor.Tensor), dims ...int) *Param {
+	return &Param{Name: name, Shape: tensor.Shape(dims).Clone(), init: init}
 }
 
-// Elems returns the parameter element count.
-func (p *Param) Elems() int { return p.W.Len() }
+// Materialise allocates W and Grad and fills W on its first call, and
+// returns p.
+func (p *Param) Materialise() *Param {
+	if p.W == nil {
+		p.W, p.Grad = tensor.New(p.Shape...), tensor.New(p.Shape...)
+		if p.init != nil {
+			p.init(p.W)
+		}
+	}
+	return p
+}
+
+// Elems returns the parameter element count of the declared shape.
+func (p *Param) Elems() int { return p.Shape.Elems() }
+
+// heNormal is He-style fan-in scaling, which keeps deep stacks
+// trainable: normal weights of sigma √(2/fanIn) from a fixed seed.
+func heNormal(seed uint64, fanIn int) func(*tensor.Tensor) {
+	sigma := float32(math.Sqrt(2 / float64(fanIn)))
+	return func(w *tensor.Tensor) { w.FillNormal(tensor.NewRNG(seed), sigma) }
+}
 
 // Context carries the per-run state: the simulated device (optional),
 // training flag, RNG for dropout, and the per-kind time ledger.

@@ -120,9 +120,9 @@ func (n *Net) Params() []*Param {
 	return ps
 }
 
-// ParamCount returns the total number of learnable scalars. Layers
-// initialise parameters lazily, so the network must have seen one
-// Forward (real or simulate-only) first.
+// ParamCount returns the total number of learnable scalars from the
+// declared shapes, so one Forward of either kind must come first; it
+// needs no parameter storage.
 func (n *Net) ParamCount() int {
 	total := 0
 	for _, p := range n.Params() {
@@ -131,10 +131,12 @@ func (n *Net) ParamCount() int {
 	return total
 }
 
-// ZeroGrads clears all parameter gradients.
+// ZeroGrads clears all materialised parameter gradients.
 func (n *Net) ZeroGrads() {
 	for _, p := range n.Params() {
-		p.Grad.Zero()
+		if p.Grad != nil {
+			p.Grad.Zero()
+		}
 	}
 }
 

@@ -389,7 +389,7 @@ func TestBranchGradient(t *testing.T) {
 }
 
 func TestSGDStep(t *testing.T) {
-	p := NewParam("w", 3)
+	p := NewParam("w", nil, 3).Materialise()
 	p.W.Fill(1)
 	p.Grad.Fill(2)
 	opt := NewSGD(0.1, 0, 0)

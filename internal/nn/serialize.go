@@ -14,7 +14,7 @@ import (
 
 var checkpointMagic = [8]byte{'g', 'p', 'u', 'c', 'n', 'n', 'c', '1'}
 
-// SaveParams writes the parameters to w.
+// SaveParams writes the parameters to w, materialising any without storage.
 func SaveParams(w io.Writer, params []*Param) error {
 	if _, err := w.Write(checkpointMagic[:]); err != nil {
 		return err
@@ -23,14 +23,14 @@ func SaveParams(w io.Writer, params []*Param) error {
 		return err
 	}
 	for _, p := range params {
+		p.Materialise()
 		if err := writeString(w, p.Name); err != nil {
 			return err
 		}
-		shape := p.W.Shape()
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(shape))); err != nil {
+		if err := binary.Write(w, binary.LittleEndian, uint32(len(p.Shape))); err != nil {
 			return err
 		}
-		for _, d := range shape {
+		for _, d := range p.Shape {
 			if err := binary.Write(w, binary.LittleEndian, uint32(d)); err != nil {
 				return err
 			}
@@ -49,7 +49,7 @@ func SaveParams(w io.Writer, params []*Param) error {
 // LoadParams reads a checkpoint written by SaveParams into params. The
 // parameter names and shapes must match exactly, in order — loading a
 // checkpoint into a different architecture is an error, not silent
-// corruption.
+// corruption. A parameter is materialised only once both check out.
 func LoadParams(r io.Reader, params []*Param) error {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -77,24 +77,23 @@ func LoadParams(r io.Reader, params []*Param) error {
 		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
 			return err
 		}
-		shape := p.W.Shape()
-		if int(rank) != len(shape) {
-			return fmt.Errorf("nn: %s rank %d vs %d", name, rank, len(shape))
+		if int(rank) != len(p.Shape) {
+			return fmt.Errorf("nn: %s rank %d vs %d", name, rank, len(p.Shape))
 		}
-		for i := range shape {
+		for i, want := range p.Shape {
 			var d uint32
 			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
 				return err
 			}
-			if int(d) != shape[i] {
-				return fmt.Errorf("nn: %s dim %d is %d in checkpoint, %d in network", name, i, d, shape[i])
+			if int(d) != want {
+				return fmt.Errorf("nn: %s dim %d is %d in checkpoint, %d in network", name, i, d, want)
 			}
 		}
-		buf := make([]byte, 4*len(p.W.Data))
+		buf := make([]byte, 4*p.Elems())
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return fmt.Errorf("nn: reading %s data: %w", name, err)
 		}
-		for i := range p.W.Data {
+		for i := range p.Materialise().W.Data {
 			p.W.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
 		}
 	}
@@ -104,8 +103,8 @@ func LoadParams(r io.Reader, params []*Param) error {
 // Save writes the network's parameters to w.
 func (n *Net) Save(w io.Writer) error { return SaveParams(w, n.Params()) }
 
-// Load reads a checkpoint into the network. The network must already
-// have its parameters materialised (run one forward pass first).
+// Load reads a checkpoint into the network, which must have declared
+// its parameters: one forward pass of either kind is enough.
 func (n *Net) Load(r io.Reader) error { return LoadParams(r, n.Params()) }
 
 func writeString(w io.Writer, s string) error {

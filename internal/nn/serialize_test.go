@@ -120,3 +120,31 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("empty input should fail")
 	}
 }
+
+// TestLoadAfterShapeOnlyPassSurvivesFirstRealPass loads a checkpoint
+// into a net whose parameters were declared by a shape-only pass: the
+// first real pass must run the loaded weights, not re-initialise them.
+func TestLoadAfterShapeOnlyPassSurvivesFirstRealPass(t *testing.T) {
+	x := tensor.New(2, 2, 6, 6)
+	x.FillUniform(tensor.NewRNG(5), -1, 1)
+	a := tinyNet()
+	materialise(a)
+	for _, p := range a.Params() {
+		p.W.FillUniform(tensor.NewRNG(uint64(len(p.Name))), -1, 1)
+	}
+	want := a.Forward(NewContext(nil, false), NewValue(x)).Data.Clone()
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	b := tinyNet()
+	b.Forward(NewContext(nil, false), ShapeOnly(2, 2, 6, 6))
+	if err := b.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := b.Forward(NewContext(nil, false), NewValue(x)).Data
+	if d := tensor.MaxAbsDiff(want, got); d > 1e-6 {
+		t.Fatalf("loaded net's first real pass differs from the saved net by %g", d)
+	}
+}

@@ -15,9 +15,13 @@ func NewSGD(lr, momentum, decay float32) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, Decay: decay, velocity: map[*Param][]float32{}}
 }
 
-// Step applies one update to every parameter and zeroes the gradients.
+// Step applies one update to every parameter and zeroes the gradients,
+// skipping any without storage: their gradients are zero.
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
+		if p.W == nil {
+			continue
+		}
 		v, ok := s.velocity[p]
 		if !ok {
 			v = make([]float32, p.Elems())

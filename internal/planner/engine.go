@@ -30,7 +30,7 @@ type autotuned struct {
 
 // NewAutotuned returns the cost-model-driven engine. The zero Options
 // value matches the instance registered as "Autotuned": the default
-// candidate pool, training objective, no probe, shared DefaultCache.
+// candidate pool, training objective, shared DefaultCache.
 func NewAutotuned(opts Options) impls.Engine {
 	return &autotuned{p: New(opts)}
 }
@@ -137,7 +137,4 @@ func annotateSpan(dev *gpusim.Device, d Decision) {
 		SetAttr("planner.reason", d.Reason).
 		SetAttr("planner.predicted", d.Predicted.String()).
 		SetAttr("planner.cached", fmt.Sprint(d.FromCache))
-	if d.Measured > 0 {
-		sp.SetAttr("planner.measured", d.Measured.String())
-	}
 }

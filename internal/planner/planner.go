@@ -8,11 +8,10 @@
 // Scoring runs each candidate's full kernel plan (DeviceSpec.simulate
 // over one training iteration or inference pass) on a private scratch
 // device, so decisions never touch the caller's simulated clock or
-// memory accountant. The top candidates can optionally be re-ranked by
-// a one-shot measured probe — one real (CPU-executed) forward pass —
-// and the winning decision is cached per (device, objective, config)
-// so repeated plans, including every device of every serving replica
-// building its per-device plans, reuse it without re-scoring.
+// memory accountant. The winning decision is cached per (device,
+// objective, config) so repeated plans, including every device of
+// every serving replica building its per-device plans, reuse it
+// without re-scoring.
 //
 // The result is exposed as the eighth registry engine, "Autotuned"
 // (see engine.go), validated against the paper's Figure 3 sweeps: per
@@ -29,8 +28,6 @@ import (
 	"gpucnn/internal/conv"
 	"gpucnn/internal/gpusim"
 	"gpucnn/internal/impls"
-	"gpucnn/internal/tensor"
-	"gpucnn/internal/workload"
 )
 
 // Objective selects what a candidate's cost model scores: a full
@@ -59,7 +56,6 @@ type Candidate struct {
 	Engine    string
 	Strategy  conv.Strategy
 	Predicted time.Duration // simulated cost of one objective pass
-	Measured  time.Duration // wall time of the one-shot probe (0 = not probed)
 	Skipped   string        // why the engine was excluded ("" = scored)
 }
 
@@ -74,7 +70,6 @@ type Decision struct {
 	Strategy  conv.Strategy // winner's convolution family
 	Reason    string        // human-readable rationale
 	Predicted time.Duration // winner's simulated cost
-	Measured  time.Duration // winner's probed cost (0 = not probed)
 
 	Candidates []Candidate // every candidate, fastest predicted first
 
@@ -104,20 +99,13 @@ func (d Decision) Margin() float64 {
 
 // Options configure a Planner. The zero value scores the paper's seven
 // engines plus the Winograd and Theano-legacy extensions for the
-// training objective, with no measured probe, against the shared
-// DefaultCache.
+// training objective against the shared DefaultCache.
 type Options struct {
 	// Candidates is the engine pool the planner chooses from. Nil means
 	// DefaultCandidates().
 	Candidates []impls.Engine
 	// Objective is what the cost model scores (default Training).
 	Objective Objective
-	// ProbeTopK > 0 refines the decision by running a one-shot measured
-	// probe — one real, numerics-executing forward pass — on the K
-	// candidates with the best predicted cost, and ranking those by
-	// measured time. Expensive (real arithmetic at the layer's full
-	// shape); leave 0 for cost-model-only decisions.
-	ProbeTopK int
 	// Cache holds decisions across planners and replicas. Nil means the
 	// process-wide DefaultCache.
 	Cache *Cache
@@ -137,11 +125,9 @@ type Planner struct {
 	candidates []impls.Engine
 	byName     map[string]impls.Engine
 	objective  Objective
-	probeTopK  int
 	cache      *Cache
 
 	scored atomic.Int64 // cost-model evaluations run
-	probed atomic.Int64 // measured probes run
 }
 
 // New creates a planner.
@@ -156,7 +142,6 @@ func New(opts Options) *Planner {
 		candidates: opts.Candidates,
 		byName:     make(map[string]impls.Engine, len(opts.Candidates)),
 		objective:  opts.Objective,
-		probeTopK:  opts.ProbeTopK,
 		cache:      opts.Cache,
 	}
 	for _, e := range opts.Candidates {
@@ -171,9 +156,6 @@ func (p *Planner) Cache() *Cache { return p.cache }
 // Scored returns how many cost-model evaluations the planner has run —
 // cache hits run none, which is what the determinism tests pin.
 func (p *Planner) Scored() int64 { return p.scored.Load() }
-
-// Probed returns how many measured probes the planner has run.
-func (p *Planner) Probed() int64 { return p.probed.Load() }
 
 // Engine resolves a decision's winner to a runnable engine: the
 // planner's own candidate instance when it has one, the registry
@@ -257,21 +239,11 @@ func (p *Planner) decide(spec gpusim.DeviceSpec, cfg conv.Config) (Decision, err
 			cfg, spec.Name, strings.Join(why, "; "))
 	}
 
-	if p.probeTopK > 1 && scored > 1 {
-		p.probe(spec, cfg, &d, scored)
-	}
-
 	win := d.Candidates[0]
-	d.Engine, d.Strategy = win.Engine, win.Strategy
-	d.Predicted, d.Measured = win.Predicted, win.Measured
-	switch {
-	case scored == 1:
+	d.Engine, d.Strategy, d.Predicted = win.Engine, win.Strategy, win.Predicted
+	if scored == 1 {
 		d.Reason = fmt.Sprintf("only supporting engine (%s)", win.Strategy)
-	case win.Measured > 0:
-		d.Reason = fmt.Sprintf("measured probe: %v beats %s (predicted %v vs %v)",
-			win.Measured.Round(time.Microsecond), d.Candidates[1].Engine,
-			win.Predicted.Round(time.Microsecond), d.Candidates[1].Predicted.Round(time.Microsecond))
-	default:
+	} else {
 		d.Reason = fmt.Sprintf("cost model: %v vs %s %v (+%.0f%%)",
 			win.Predicted.Round(time.Microsecond), d.Candidates[1].Engine,
 			d.Candidates[1].Predicted.Round(time.Microsecond), 100*d.Margin())
@@ -300,45 +272,4 @@ func (p *Planner) score(spec gpusim.DeviceSpec, cfg conv.Config, e impls.Engine)
 		return 0, err
 	}
 	return dev.Elapsed(), nil
-}
-
-// probe re-ranks the top-K predicted candidates by one real forward
-// pass each (full numerics on synthetic tensors), the one-shot
-// measured refinement for layers the cost model ranks too close to
-// call. Candidates whose probe fails keep their predicted rank.
-func (p *Planner) probe(spec gpusim.DeviceSpec, cfg conv.Config, d *Decision, scored int) {
-	k := p.probeTopK
-	if k > scored {
-		k = scored
-	}
-	x, w := workload.SyntheticTensors(cfg, 1)
-	y := tensor.New(cfg.OutputShape()...)
-	for i := 0; i < k; i++ {
-		c := &d.Candidates[i]
-		e, ok := p.byName[c.Engine]
-		if !ok {
-			continue
-		}
-		dev := gpusim.New(spec)
-		plan, err := e.Plan(dev, cfg)
-		if err != nil {
-			continue
-		}
-		p.probed.Add(1)
-		//lint:ignore wallclock the probe is the sanctioned model-vs-measured calibration boundary
-		start := time.Now()
-		err = plan.Forward(x, w, y)
-		if err == nil {
-			//lint:ignore wallclock measured refinement deliberately reads host time at the probe boundary
-			c.Measured = time.Since(start)
-		}
-		plan.Release()
-	}
-	sort.SliceStable(d.Candidates[:k], func(i, j int) bool {
-		ci, cj := d.Candidates[i], d.Candidates[j]
-		if (ci.Measured > 0) != (cj.Measured > 0) {
-			return ci.Measured > 0
-		}
-		return ci.Measured < cj.Measured
-	})
 }
