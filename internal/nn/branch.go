@@ -12,11 +12,17 @@ import (
 // The concatenation cost is attributed to the Concat category, matching
 // the "Concat layer" slice in the paper's Figure 2 GoogLeNet breakdown.
 type Branch struct {
-	name    string
-	Paths   [][]Layer
-	lastX   *Value
-	out     *tensor.Tensor // held concatenated forward output
-	splitsC []int          // per-path channel widths of the last forward
+	name  string
+	Paths [][]Layer
+	lastX *Value
+	fwd   held   // concatenated forward output
+	bwd   held   // input gradient: the paths' input gradients summed
+	grads []held // per-path slices of the last Backward's dy
+
+	// parts holds each path's output after a Forward and its slice of
+	// dy (in grads) after a Backward: the path's channel width either
+	// way.
+	parts []*Value
 }
 
 // NewBranch builds a branch layer over the given paths.
@@ -56,78 +62,103 @@ func (l *Branch) OutShape(in tensor.Shape) tensor.Shape {
 // Forward runs every path and concatenates.
 func (l *Branch) Forward(ctx *Context, x *Value) *Value {
 	l.lastX = x
-	outs := make([]*Value, len(l.Paths))
-	l.splitsC = holdSlice(&l.splitsC, len(l.Paths))
+	l.parts = holdSlice(&l.parts, len(l.Paths))
 	for pi, path := range l.Paths {
 		v := x
 		for _, layer := range path {
 			v = layer.Forward(ctx, v)
 		}
-		outs[pi] = v
-		l.splitsC[pi] = v.Shape[1]
+		l.parts[pi] = v
 	}
-	shape := l.OutShape(x.Shape)
-	out := &Value{Shape: shape}
+	first, c := l.parts[0].Shape, 0
+	for pi, v := range l.parts {
+		if len(v.Shape) != 4 || v.Shape[0] != first[0] || v.Shape[2] != first[2] || v.Shape[3] != first[3] {
+			panic(fmt.Sprintf("nn: branch %s path %d output %v does not concatenate with %v", l.name, pi, v.Shape, first))
+		}
+		c += v.Shape[1]
+	}
+	out := l.fwd.at(tensor.Shape{first[0], c, first[2], first[3]}, x.Real())
 	ctx.timed(KindConcat, func() {
 		if x.Real() {
-			out.Data = hold(&l.out, shape)
-			n, hw := shape[0], shape[2]*shape[3]
-			totalC := shape[1]
-			par.ForEach(n, func(bi int) {
-				cOff := 0
-				for pi, v := range outs {
-					cw := l.splitsC[pi]
-					src := v.Data.Data[bi*cw*hw : (bi+1)*cw*hw]
-					dst := out.Data.Data[(bi*totalC+cOff)*hw:]
-					copy(dst[:cw*hw], src)
-					cOff += cw
-				}
-			})
+			l.concat(out.Data, false)
 		}
-		ctx.launch(elementwiseSpec("concat", shape.Elems(), 8))
+		ctx.launch(elementwiseSpec("concat", out.Elems(), 8))
 	})
 	return out
 }
 
-// Backward splits the gradient and sums the paths' input gradients.
+// Backward splits the gradient and sums the paths' input gradients
+// into the held dx, cleared first: 0 + g keeps the bits a fresh buffer
+// gave, which copying the first path in would not for −0.
 func (l *Branch) Backward(ctx *Context, dy *Value) *Value {
-	n := dy.Shape[0]
-	hw := dy.Shape[2] * dy.Shape[3]
-	totalC := dy.Shape[1]
-
-	// Split dy per path.
-	parts := make([]*Value, len(l.Paths))
+	n, h, w := dy.Shape[0], dy.Shape[2], dy.Shape[3]
+	l.grads = holdSlice(&l.grads, len(l.Paths))
 	ctx.timed(KindConcat, func() {
-		cOff := 0
-		for pi, cw := range l.splitsC {
-			part := &Value{Shape: tensor.Shape{n, cw, dy.Shape[2], dy.Shape[3]}}
-			if dy.Real() {
-				part.Data = tensor.New(part.Shape...)
-				for bi := 0; bi < n; bi++ {
-					src := dy.Data.Data[(bi*totalC+cOff)*hw:]
-					copy(part.Data.Data[bi*cw*hw:(bi+1)*cw*hw], src[:cw*hw])
-				}
-			}
-			parts[pi] = part
-			cOff += cw
+		for pi, p := range l.parts {
+			l.parts[pi] = l.grads[pi].at(tensor.Shape{n, p.Shape[1], h, w}, dy.Real())
+		}
+		if dy.Real() {
+			l.concat(dy.Data, true)
 		}
 		ctx.launch(elementwiseSpec("concat_bwd", dy.Elems(), 8))
 	})
-
-	out := &Value{Shape: l.lastX.Shape.Clone()}
+	dx := l.bwd.at(l.lastX.Shape, dy.Real())
 	if dy.Real() {
-		out.Data = tensor.New(out.Shape...)
+		dx.Data.Zero()
 	}
 	for pi, path := range l.Paths {
-		g := parts[pi]
+		g := l.parts[pi]
 		for i := len(path) - 1; i >= 0; i-- {
 			g = path[i].Backward(ctx, g)
 		}
 		if g.Real() {
-			out.Data.AddScaled(g.Data, 1)
+			dx.Data.AddScaled(g.Data, 1)
 		}
 	}
-	return out
+	return dx
+}
+
+// concat copies each image's channel slabs, path by path, between the
+// concatenated tensor whole and the tensors of l.parts: into whole, or
+// out of it when split.
+func (l *Branch) concat(whole *tensor.Tensor, split bool) {
+	j := concatPool.Get()
+	j.whole, j.parts, j.split = whole.Data, l.parts, split
+	j.n, j.hw = whole.Dim(0), whole.Dim(2)*whole.Dim(3)
+	j.per, j.items = spread(j.n, len(j.whole)/j.n)
+	par.ForEachRunner(j.items, j)
+	j.whole, j.parts = nil, nil
+	concatPool.Put(j)
+}
+
+// concatJob is one concatenation over runs of per images. Pooled so
+// dispatch allocates nothing.
+type concatJob struct {
+	whole             []float32
+	parts             []*Value
+	split             bool
+	n, hw, per, items int
+}
+
+var concatPool = par.NewJobPool[concatJob]()
+
+// Run copies item i's images.
+//
+//hot:noalloc
+func (j *concatJob) Run(i int) {
+	for bi := i * j.per; bi < min((i+1)*j.per, j.n); bi++ {
+		off := bi * (len(j.whole) / j.n)
+		for _, p := range j.parts {
+			size := p.Shape[1] * j.hw
+			seg, part := j.whole[off:off+size], p.Data.Data[bi*size:(bi+1)*size]
+			if j.split {
+				copy(part, seg)
+			} else {
+				copy(seg, part)
+			}
+			off += size
+		}
+	}
 }
 
 // Params collects parameters from every path.

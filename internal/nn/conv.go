@@ -23,13 +23,16 @@ type Conv struct {
 
 	weight *Param
 	bias   *Param
+	params []*Param // weight and bias, once declared
 
 	// Cached per-shape engine plan and the inputs of the last forward.
 	plan    impls.Plan
 	planCfg conv.Config
 	planDev *gpusim.Device
 	lastX   *Value
-	out     *tensor.Tensor  // held forward output
+	fwd     held            // forward output
+	bwd     held            // input gradient
+	dw      held            // filter gradient of the last Backward, added into weight.Grad
 	ws      workspace.Arena // scratch of the plan-less (no device) passes
 }
 
@@ -81,6 +84,7 @@ func (l *Conv) ensureParams(channels int) {
 	l.weight = NewParam(l.name+".weight", heNormal(uint64(len(l.name))*2654435761+7, channels*l.Kernel*l.Kernel),
 		l.Filters, channels, l.Kernel, l.Kernel)
 	l.bias = NewParam(l.name+".bias", nil, l.Filters)
+	l.params = []*Param{l.weight, l.bias}
 }
 
 func (l *Conv) ensurePlan(ctx *Context, cfg conv.Config) impls.Plan {
@@ -115,12 +119,11 @@ func (l *Conv) Forward(ctx *Context, x *Value) *Value {
 	cfg := l.cfgFor(x.Shape)
 	l.ensureParams(cfg.Channels)
 	l.lastX = x
-	out := &Value{Shape: cfg.OutputShape()}
+	out := l.fwd.at(cfg.OutputShape(), x.Real())
 	ctx.timed(KindConv, func() {
 		plan := l.ensurePlan(ctx, cfg)
 		if x.Real() {
 			w := l.weight.Materialise().W
-			out.Data = hold(&l.out, out.Shape)
 			if plan != nil {
 				if err := plan.Forward(x.Data, w, out.Data); err != nil {
 					panic(err)
@@ -128,7 +131,7 @@ func (l *Conv) Forward(ctx *Context, x *Value) *Value {
 			} else {
 				conv.UnrollForward(&l.ws, cfg, x.Data, w, out.Data)
 			}
-			l.addBias(out.Data, l.bias.Materialise().W.Data)
+			addBias(out.Data, l.bias.Materialise().W.Data)
 		} else if plan != nil {
 			if err := plan.Forward(nil, nil, nil); err != nil {
 				panic(err)
@@ -139,50 +142,73 @@ func (l *Conv) Forward(ctx *Context, x *Value) *Value {
 	return out
 }
 
-func (l *Conv) addBias(y *tensor.Tensor, bias []float32) {
-	n, f := y.Dim(0), y.Dim(1)
-	hw := y.Dim(2) * y.Dim(3)
-	par.ForEach(n*f, func(j int) {
-		b := bias[j%f]
-		seg := y.Data[j*hw : (j+1)*hw]
-		for i := range seg {
-			seg[i] += b
-		}
-	})
+// addBias adds each filter's bias to its output planes.
+func addBias(y *tensor.Tensor, bias []float32) {
+	j := biasPool.Get()
+	j.y, j.bias, j.hw = y.Data, bias, y.Dim(2)*y.Dim(3)
+	j.per, j.items = spread(y.Dim(0)*y.Dim(1), j.hw)
+	par.ForEachRunner(j.items, j)
+	j.y, j.bias = nil, nil
+	biasPool.Put(j)
 }
 
-// Backward computes dx and accumulates weight/bias gradients.
+// biasJob adds the bias over runs of per (image, filter) planes of hw
+// elements. Pooled so dispatch allocates nothing.
+type biasJob struct {
+	y, bias        []float32
+	hw, per, items int
+}
+
+var biasPool = par.NewJobPool[biasJob]()
+
+// Run adds the bias to item i's planes.
+//
+//hot:noalloc
+func (j *biasJob) Run(i int) {
+	planes := len(j.y) / j.hw
+	for p := i * j.per; p < min((i+1)*j.per, planes); p++ {
+		b := j.bias[p%len(j.bias)]
+		seg := j.y[p*j.hw : (p+1)*j.hw]
+		for k := range seg {
+			seg[k] += b
+		}
+	}
+}
+
+// Backward computes dx and accumulates weight/bias gradients. The
+// engines overwrite dx and the held dw, so neither needs clearing.
 func (l *Conv) Backward(ctx *Context, dy *Value) *Value {
 	cfg := l.cfgFor(l.lastX.Shape)
-	out := &Value{Shape: l.lastX.Shape.Clone()}
+	data := dy.Real() && l.lastX.Real()
+	dx := l.bwd.at(l.lastX.Shape, data)
 	ctx.timed(KindConv, func() {
 		plan := l.ensurePlan(ctx, cfg)
-		if dy.Real() && l.lastX.Real() {
+		if data {
 			// Bias gradient: per-filter sum of dy.
 			n, f := dy.Shape[0], dy.Shape[1]
 			hw := dy.Shape[2] * dy.Shape[3]
+			db := l.bias.grad().Data
 			for j := 0; j < n*f; j++ {
 				var s float32
 				seg := dy.Data.Data[j*hw : (j+1)*hw]
 				for _, v := range seg {
 					s += v
 				}
-				l.bias.Grad.Data[j%f] += s
+				db[j%f] += s
 			}
-			out.Data = tensor.New(out.Shape...)
-			dw := tensor.New(l.weight.W.Shape()...)
+			dw := l.dw.at(l.weight.Shape, true).Data
 			if plan != nil {
-				if err := plan.BackwardData(dy.Data, l.weight.W, out.Data); err != nil {
+				if err := plan.BackwardData(dy.Data, l.weight.W, dx.Data); err != nil {
 					panic(err)
 				}
 				if err := plan.BackwardFilter(l.lastX.Data, dy.Data, dw); err != nil {
 					panic(err)
 				}
 			} else {
-				conv.UnrollBackwardData(&l.ws, cfg, dy.Data, l.weight.W, out.Data)
+				conv.UnrollBackwardData(&l.ws, cfg, dy.Data, l.weight.W, dx.Data)
 				conv.UnrollBackwardFilter(&l.ws, cfg, l.lastX.Data, dy.Data, dw)
 			}
-			l.weight.Grad.AddScaled(dw, 1)
+			l.weight.grad().AddScaled(dw, 1)
 		} else if plan != nil {
 			if err := plan.BackwardData(nil, nil, nil); err != nil {
 				panic(err)
@@ -193,13 +219,8 @@ func (l *Conv) Backward(ctx *Context, dy *Value) *Value {
 		}
 		ctx.launch(elementwiseSpec("bias_grad", dy.Elems(), 4))
 	})
-	return out
+	return dx
 }
 
-// Params returns weight and bias.
-func (l *Conv) Params() []*Param {
-	if l.weight == nil {
-		return nil
-	}
-	return []*Param{l.weight, l.bias}
-}
+// Params returns weight and bias, or nil before the first pass.
+func (l *Conv) Params() []*Param { return l.params }

@@ -9,9 +9,10 @@ type Dropout struct {
 	name string
 	P    float32
 
-	out    *tensor.Tensor // held forward output
-	mask   []float32      // held mask of the last training Forward
-	masked bool           // whether the last Forward applied mask
+	fwd    held      // forward output
+	bwd    held      // input gradient
+	mask   []float32 // held mask of the last training Forward
+	masked bool      // whether the last Forward applied mask
 }
 
 // NewDropout builds a dropout layer with drop probability p.
@@ -28,10 +29,9 @@ func (l *Dropout) OutShape(in tensor.Shape) tensor.Shape { return in.Clone() }
 
 // Forward samples a fresh mask each training pass.
 func (l *Dropout) Forward(ctx *Context, x *Value) *Value {
-	out := &Value{Shape: x.Shape.Clone()}
+	out := l.fwd.at(x.Shape, x.Real())
 	ctx.timed(KindDropout, func() {
 		if x.Real() {
-			out.Data = hold(&l.out, out.Shape)
 			l.masked = ctx.Train && l.P > 0
 			if !l.masked {
 				copy(out.Data.Data, x.Data.Data)
@@ -57,10 +57,9 @@ func (l *Dropout) Forward(ctx *Context, x *Value) *Value {
 
 // Backward applies the same mask to the gradient.
 func (l *Dropout) Backward(ctx *Context, dy *Value) *Value {
-	out := &Value{Shape: dy.Shape.Clone()}
+	out := l.bwd.at(dy.Shape, dy.Real())
 	ctx.timed(KindDropout, func() {
 		if dy.Real() {
-			out.Data = tensor.New(out.Shape...)
 			if !l.masked {
 				copy(out.Data.Data, dy.Data.Data)
 			} else {

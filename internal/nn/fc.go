@@ -14,11 +14,12 @@ type FC struct {
 	name string
 	Out  int
 
-	weight *Param // (Out, In)
-	bias   *Param // (Out)
+	weight *Param   // (Out, In)
+	bias   *Param   // (Out)
+	params []*Param // weight and bias, once declared
 	lastX  *Value
-	outV   Value           // held forward Value
-	out    *tensor.Tensor  // held forward output
+	fwd    held            // forward output
+	bwd    held            // input gradient
 	ws     workspace.Arena // GEMM packing scratch, reset per GEMM
 }
 
@@ -52,23 +53,22 @@ func (l *FC) ensureParams(in int) {
 	if l.weight == nil {
 		l.weight = NewParam(l.name+".weight", heNormal(uint64(len(l.name))*0x9E3779B9+13, in), l.Out, in)
 		l.bias = NewParam(l.name+".bias", nil, l.Out)
+		l.params = []*Param{l.weight, l.bias}
 	} else if l.weight.Shape[1] != in {
 		panic(fmt.Sprintf("nn: fc %s input width changed from %d to %d", l.name, l.weight.Shape[1], in))
 	}
 }
 
-// Forward computes y = x·Wᵀ + b. The returned Value is held, like its
-// data: valid until the next Forward.
+// Forward computes y = x·Wᵀ + b.
 func (l *FC) Forward(ctx *Context, x *Value) *Value {
 	batch := x.Shape[0]
 	in := l.inFeatures(x.Shape)
 	l.ensureParams(in)
 	l.lastX = x
-	out := holdValue(&l.outV, tensor.Shape{batch, l.Out})
+	out := l.fwd.at(tensor.Shape{batch, l.Out}, x.Real())
 	ctx.timed(KindFC, func() {
 		if x.Real() {
 			bias := l.bias.Materialise().W.Data
-			out.Data = hold(&l.out, out.Shape)
 			// y (batch×out) = x (batch×in) · Wᵀ (in×out), x read flat.
 			l.ws.Reset()
 			gemm.ParallelNT(&l.ws, 1, x.Data.Data, l.weight.Materialise().W.Data, 0, out.Data.Data, batch, l.Out, in)
@@ -85,40 +85,36 @@ func (l *FC) Forward(ctx *Context, x *Value) *Value {
 	return out
 }
 
-// Backward computes dx, dW and db.
+// Backward computes dx, dW and db. The GEMM overwrites dx (beta 0), so
+// the held dx needs no clearing.
 func (l *FC) Backward(ctx *Context, dy *Value) *Value {
 	batch := l.lastX.Shape[0]
 	in := l.weight.Shape[1]
-	out := &Value{Shape: l.lastX.Shape.Clone()}
+	data := dy.Real() && l.lastX.Real()
+	dx := l.bwd.at(l.lastX.Shape, data)
 	ctx.timed(KindFC, func() {
-		if dy.Real() && l.lastX.Real() {
+		if data {
 			// db = column sums of dy.
+			db := l.bias.grad().Data
 			for bi := 0; bi < batch; bi++ {
 				row := dy.Data.Data[bi*l.Out:]
 				for j := 0; j < l.Out; j++ {
-					l.bias.Grad.Data[j] += row[j]
+					db[j] += row[j]
 				}
 			}
-			// dW (out×in) += dyᵀ (out×batch) · x (batch×in)
-			flat := l.lastX.Data.Reshape(batch, in)
+			// dW (out×in) += dyᵀ (out×batch) · x (batch×in), x read flat.
 			l.ws.Reset()
-			gemm.TN(&l.ws, 1, dy.Data.Data, flat.Data, 1, l.weight.Grad.Data, l.Out, in, batch)
+			gemm.TN(&l.ws, 1, dy.Data.Data, l.lastX.Data.Data, 1, l.weight.grad().Data, l.Out, in, batch)
 			// dx (batch×in) = dy (batch×out) · W (out×in)
-			out.Data = tensor.New(out.Shape...)
 			l.ws.Reset()
-			gemm.ParallelIn(&l.ws, 1, dy.Data.Data, l.weight.W.Data, 0, out.Data.Reshape(batch, in).Data, batch, in, l.Out)
+			gemm.ParallelIn(&l.ws, 1, dy.Data.Data, l.weight.W.Data, 0, dx.Data.Data, batch, in, l.Out)
 		}
 		ctx.launch(fcGemmSpec(in, batch, l.Out)) // dx
 		ctx.launch(fcGemmSpec(l.Out, in, batch)) // dW
 		ctx.launch(elementwiseSpec("bias_grad", batch*l.Out, 4))
 	})
-	return out
+	return dx
 }
 
-// Params returns weight and bias.
-func (l *FC) Params() []*Param {
-	if l.weight == nil {
-		return nil
-	}
-	return []*Param{l.weight, l.bias}
-}
+// Params returns weight and bias, or nil before the first pass.
+func (l *FC) Params() []*Param { return l.params }

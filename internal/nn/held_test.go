@@ -1,6 +1,7 @@
 package nn_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -10,13 +11,13 @@ import (
 	"gpucnn/internal/impls"
 	"gpucnn/internal/models"
 	"gpucnn/internal/nn"
+	"gpucnn/internal/planner"
 	"gpucnn/internal/tensor"
 	"gpucnn/internal/workload"
 )
 
-// heldNet is a small network with every layer kind that holds its
-// forward output, on engine eng (nil: the default, run plan-less
-// without a device).
+// heldNet is a small network with every layer kind, on engine eng
+// (nil: the default, run plan-less without a device).
 func heldNet(eng impls.Engine) *nn.Net {
 	return nn.NewNet("held",
 		nn.NewConv("c1", eng, 6, 3, 1, 1),
@@ -32,14 +33,18 @@ func heldNet(eng impls.Engine) *nn.Net {
 	)
 }
 
-// TestHeldActivationsMatchFreshNet runs one network forward on an
-// input A, then on B = −A, then on a batch of another size, and checks
-// each output against a fresh network's forward on the same input.
-// Negating A flips the sign of every first-layer output (biases start
-// at zero), so a held ReLU output that kept the last pass's positives,
-// or any layer that left part of its held output unwritten, shows as a
-// difference. Every engine runs it with a device attached, and the
-// plan-less default without one, in inference and training mode.
+// TestHeldActivationsMatchFreshNet runs one network on an input A,
+// then on B = −A, then on a batch of another size, and checks each
+// pass's output against a fresh network's on the same input, bit for
+// bit. Negating A flips the sign of every first-layer output (biases
+// start at zero), so a held ReLU output that kept the last pass's
+// positives, or any layer that left part of its held output unwritten,
+// shows as a difference. In training mode each step also runs Backward
+// from the loss, and the input gradient and every parameter gradient
+// must match too, so a held gradient that a layer accumulates into
+// without clearing it first shows as well. Every engine runs it with a
+// device attached, and the plan-less default without one, in inference
+// and training mode.
 func TestHeldActivationsMatchFreshNet(t *testing.T) {
 	engines := append([]impls.Engine{nil}, impls.All()...)
 	engines = append(engines, impls.Extensions()...)
@@ -49,6 +54,7 @@ func TestHeldActivationsMatchFreshNet(t *testing.T) {
 	b.Scale(-1)
 	c := tensor.New(3, 3, 8, 8)
 	c.FillUniform(tensor.NewRNG(22), -1, 1)
+	labels := []int{0, 3, 1}
 	for _, eng := range engines {
 		name := "default"
 		if eng != nil {
@@ -59,27 +65,58 @@ func TestHeldActivationsMatchFreshNet(t *testing.T) {
 			}
 		}
 		for _, train := range []bool{false, true} {
-			forward := func(net *nn.Net, x *tensor.Tensor) *tensor.Tensor {
+			// step runs net on x and returns copies of what it produced:
+			// the output, then in training mode the input gradient and
+			// each parameter gradient, named alike.
+			step := func(net *nn.Net, x *tensor.Tensor) (names []string, got []*tensor.Tensor) {
 				var dev *gpusim.Device
 				if eng != nil {
 					dev = gpusim.New(gpusim.TeslaK40c())
 				}
 				ctx := nn.NewContext(dev, train)
 				ctx.RNG = tensor.NewRNG(5) // the same dropout mask for both nets
-				return net.Forward(ctx, nn.NewValue(x)).Data.Clone()
+				net.ZeroGrads()
+				out := net.Forward(ctx, nn.NewValue(x))
+				names, got = []string{"output"}, []*tensor.Tensor{out.Data.Clone()}
+				if !train {
+					return names, got
+				}
+				net.Loss().Loss(labels[:x.Dim(0)])
+				dx := net.Backward(ctx, &nn.Value{Shape: out.Shape})
+				names, got = append(names, "input gradient"), append(got, dx.Data.Clone())
+				for _, p := range net.Params() {
+					names, got = append(names, p.Name+" gradient"), append(got, p.Grad.Clone())
+				}
+				return names, got
 			}
 			held := heldNet(eng)
-			forward(held, a)
+			step(held, a)
 			for _, x := range []*tensor.Tensor{b, c} {
-				got, want := forward(held, x), forward(heldNet(eng), x)
-				if d := tensor.RelDiff(want, got); !(d <= 1e-6) {
-					t.Errorf("%s train=%v input %v: held net differs from a fresh one by %g",
-						name, train, x.Shape(), d)
+				names, got := step(held, x)
+				_, want := step(heldNet(eng), x)
+				for i, w := range want {
+					if !sameBits(got[i], w) {
+						t.Errorf("%s train=%v input %v: the held net's %s differs from a fresh one's by %g",
+							name, train, x.Shape(), names[i], tensor.RelDiff(w, got[i]))
+					}
 				}
 			}
 			held.Release()
 		}
 	}
+}
+
+// sameBits reports whether a and b have one shape and the same bits.
+func sameBits(a, b *tensor.Tensor) bool {
+	if !a.Shape().Equal(b.Shape()) {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float32bits(v) != math.Float32bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // confOf is the convolution config conv l runs on input shape in.
@@ -90,49 +127,82 @@ func confOf(l *nn.Conv, in tensor.Shape) conv.Config {
 	}
 }
 
-// TestInferenceForwardAllocatesNoActivations holds the steady state of
-// a CIFARNet inference forward at batch 16 on cuDNN with a device
-// attached: once every layer holds its output, a pass allocates less
-// than 5% of the activation bytes it produces. The least of three
-// passes is taken, so an unrelated allocation elsewhere in the process
-// does not count against it.
-func TestInferenceForwardAllocatesNoActivations(t *testing.T) {
+// TestTrainingStepAllocatesNothing holds a whole CIFARNet training
+// step at batch 32, TrainStep plus SGD.Step over parameters gathered
+// once, to zero steady-state allocations on cuDNN and on fbfft with a
+// K40c attached, and a batch-16 inference forward on the Autotuned
+// engine likewise: every layer writes both passes into buffers it
+// holds. The count is read at the host's GOMAXPROCS (alloctest), so on
+// more than one proc it covers the fanned-out kernels, pooling's and
+// ReLU's both passes among them; testing.AllocsPerRun would set
+// GOMAXPROCS to 1 and measure only the serial branches. A step waits
+// on dozens of dispatches, and with more procs than cores the runtime
+// now and then allocates a waiter (a sudog) for one of those waits, so
+// the gate takes the least of stepTries readings: an allocation of the
+// step itself lands in every one.
+func TestTrainingStepAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime instruments allocations")
 	}
-	m := models.CIFARNet(impls.NewCuDNN())
+	for _, eng := range []impls.Engine{impls.NewCuDNN(), impls.NewFbfft()} {
+		m := models.CIFARNet(eng)
+		ctx := nn.NewContext(gpusim.New(gpusim.TeslaK40c()), true)
+		x, labels := workload.SyntheticBatch(32, m.InputChans, m.InputSize, m.Classes, 3)
+		opt := nn.NewSGD(0.01, 0.9, 5e-4)
+		m.Net.TrainStep(ctx, x, labels)
+		params := m.Net.Params()
+		step := func() {
+			m.Net.TrainStep(ctx, x, labels)
+			opt.Step(params)
+		}
+		if got := alloctest.Mallocs(stepTries, step); got != 0 {
+			t.Errorf("%s: %d mallocs per steady-state training step at GOMAXPROCS %d, want 0",
+				eng.Name(), got, runtime.GOMAXPROCS(0))
+		}
+		m.Net.Release()
+	}
+	m := models.CIFARNet(planner.NewAutotuned(planner.Options{}))
 	defer m.Net.Release()
 	x, _ := workload.SyntheticBatch(16, m.InputChans, m.InputSize, m.Classes, 3)
 	ctx := nn.NewContext(gpusim.New(gpusim.TeslaK40c()), false)
-	for i := 0; i < 2; i++ {
-		m.Net.Forward(ctx, nn.NewValue(x))
+	xv := nn.NewValue(x)
+	if got := alloctest.Mallocs(stepTries, func() { m.Net.Forward(ctx, xv) }); got != 0 {
+		t.Errorf("Autotuned: %d mallocs per steady-state inference forward at GOMAXPROCS %d, want 0",
+			got, runtime.GOMAXPROCS(0))
 	}
-	var least, acts uint64
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		act0 := ctx.ActivationBytes
-		runtime.ReadMemStats(&before)
-		m.Net.Forward(ctx, nn.NewValue(x))
-		runtime.ReadMemStats(&after)
-		acts = uint64(ctx.ActivationBytes - act0)
-		if got := after.TotalAlloc - before.TotalAlloc; i == 0 || got < least {
-			least = got
+}
+
+// stepTries is how many readings TestTrainingStepAllocatesNothing
+// takes the least of.
+const stepTries = 10
+
+// TestGradientsExistOnlyAfterBackward checks that parameter gradients
+// get storage on the first Backward that accumulates into them: a real
+// inference forward of CIFARNet leaves every Grad nil, and one
+// TrainStep gives every parameter one.
+func TestGradientsExistOnlyAfterBackward(t *testing.T) {
+	m := models.CIFARNet(nil)
+	x, labels := workload.SyntheticBatch(2, m.InputChans, m.InputSize, m.Classes, 3)
+	m.Net.Forward(nn.NewContext(nil, false), nn.NewValue(x))
+	for _, p := range m.Net.Params() {
+		if p.W == nil || p.Grad != nil {
+			t.Fatalf("after an inference forward %s has W %v and Grad %v, want only W", p.Name, p.W != nil, p.Grad != nil)
 		}
 	}
-	if least*20 >= acts {
-		t.Fatalf("steady-state forward allocates %d bytes, not under 5%% of its %d activation bytes", least, acts)
+	m.Net.TrainStep(nn.NewContext(nil, true), x, labels)
+	for _, p := range m.Net.Params() {
+		if p.Grad == nil {
+			t.Fatalf("after a training step %s has no gradient", p.Name)
+		}
 	}
-	t.Logf("steady-state forward allocates %d bytes against %d activation bytes", least, acts)
 }
 
 // TestBatchOneFCAndLRNAllocateNothing holds FC forward and LRN forward
-// and backward at batch 1 to zero steady-state allocations: the layers
-// return held Values over held data, and their kernels dispatch pooled
-// Runners. The count is read at the host's GOMAXPROCS (alloctest), so
-// on more than one proc it covers the fanned-out kernels: ParallelNT's
-// skinny path claims the FC weight rows over the pool, and LRN splits
-// each image's spatial range over it. testing.AllocsPerRun would set
-// GOMAXPROCS to 1 and measure only the serial branches.
+// and backward at batch 1 to zero steady-state allocations, the cases
+// a CIFARNet step does not reach: it has no LRN and runs FC at batch
+// 32. Counted at the host's GOMAXPROCS like the training step, this
+// covers ParallelNT's skinny path, which claims the FC weight rows over
+// the pool, and LRN's split of each image's spatial range over it.
 func TestBatchOneFCAndLRNAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime instruments allocations")
@@ -153,43 +223,6 @@ func TestBatchOneFCAndLRNAllocateNothing(t *testing.T) {
 		{"FC forward", func() { fc.Forward(ctx, fxv) }},
 		{"LRN forward", func() { lrn.Forward(ctx, lxv) }},
 		{"LRN backward", func() { lrn.Backward(ctx, ldyv) }},
-	} {
-		if got := alloctest.Mallocs(3, tc.run); got != 0 {
-			t.Errorf("%s: %d mallocs per steady-state run at GOMAXPROCS %d, want 0",
-				tc.name, got, runtime.GOMAXPROCS(0))
-		}
-	}
-}
-
-// TestPoolAndReLUAllocateNothing holds CIFARNet's conv1 ReLU and pool1
-// (max 3/2 over 32×32×32 at batch 32) to zero steady-state allocations
-// in both passes: the layers return held Values over held data,
-// backward included, and dispatch pooled Runners over the par pool.
-// Like TestBatchOneFCAndLRNAllocateNothing it reads the count at the
-// host's GOMAXPROCS, so on more than one proc the fanned-out passes
-// are covered.
-func TestPoolAndReLUAllocateNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race runtime instruments allocations")
-	}
-	ctx := nn.NewContext(nil, true)
-	relu, pool := nn.NewReLU("conv1.relu"), nn.NewMaxPool("pool1", 3, 2, 0)
-	x := tensor.New(32, 32, 32, 32)
-	x.FillUniform(tensor.NewRNG(6), -1, 1)
-	xv := nn.NewValue(x)
-	y := pool.Forward(ctx, relu.Forward(ctx, xv))
-	dy := tensor.New(y.Shape...)
-	dy.FillUniform(tensor.NewRNG(7), -1, 1)
-	dyv, dxv := nn.NewValue(dy), nn.NewValue(x.Clone())
-	var mid *nn.Value
-	for _, tc := range []struct {
-		name string
-		run  func()
-	}{
-		{"ReLU forward", func() { mid = relu.Forward(ctx, xv) }},
-		{"pool forward", func() { pool.Forward(ctx, mid) }},
-		{"pool backward", func() { pool.Backward(ctx, dyv) }},
-		{"ReLU backward", func() { relu.Backward(ctx, dxv) }},
 	} {
 		if got := alloctest.Mallocs(3, tc.run); got != 0 {
 			t.Errorf("%s: %d mallocs per steady-state run at GOMAXPROCS %d, want 0",

@@ -68,14 +68,16 @@ func (v *Value) Real() bool { return v != nil && v.Data != nil }
 func (v *Value) Elems() int { return v.Shape.Elems() }
 
 // Param is a learnable tensor with its gradient. A layer declares its
-// parameters from their shapes on its first pass of either kind; W and
-// Grad stay nil until Materialise allocates both and fills W, exactly
-// once, when a real pass, Save or Load first needs them.
+// parameters from their shapes on its first pass of either kind. W
+// stays nil until Materialise allocates and fills it, exactly once,
+// when a real pass, Save or Load first needs it; Grad stays nil until
+// the first real Backward accumulates into it, so a net that only
+// runs inference holds no gradients.
 type Param struct {
 	Name  string
 	Shape tensor.Shape
 	W     *tensor.Tensor // nil until materialised
-	Grad  *tensor.Tensor // nil until materialised
+	Grad  *tensor.Tensor // nil until a Backward accumulates into it
 	init  func(w *tensor.Tensor)
 }
 
@@ -85,16 +87,25 @@ func NewParam(name string, init func(w *tensor.Tensor), dims ...int) *Param {
 	return &Param{Name: name, Shape: tensor.Shape(dims).Clone(), init: init}
 }
 
-// Materialise allocates W and Grad and fills W on its first call, and
-// returns p.
+// Materialise allocates W and fills it on its first call, and returns
+// p.
 func (p *Param) Materialise() *Param {
 	if p.W == nil {
-		p.W, p.Grad = tensor.New(p.Shape...), tensor.New(p.Shape...)
+		p.W = tensor.New(p.Shape...)
 		if p.init != nil {
 			p.init(p.W)
 		}
 	}
 	return p
+}
+
+// grad returns Grad for a Backward to accumulate into, allocating it
+// zeroed on first use.
+func (p *Param) grad() *tensor.Tensor {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.Shape...)
+	}
+	return p.Grad
 }
 
 // Elems returns the parameter element count of the declared shape.
@@ -221,13 +232,15 @@ type Layer interface {
 	// compatibility (panics on impossible shapes, like the engines do).
 	OutShape(in tensor.Shape) tensor.Shape
 	// Forward consumes x and produces the layer output. Layers cache
-	// what they need for Backward. The output's data is a tensor the
-	// layer holds and overwrites on its next Forward (reallocating only
-	// when the shape changes), so the returned Value is valid until
-	// that layer's next Forward; copy it to keep it longer.
+	// what they need for Backward.
+	//
+	// Both passes return a Value the layer holds, over data it holds:
+	// the layer overwrites both on its next call of the same pass
+	// (reallocating only when the shape changes), so a returned Value
+	// is valid until then; copy it to keep it longer.
 	Forward(ctx *Context, x *Value) *Value
 	// Backward consumes the output gradient and returns the input
-	// gradient, accumulating parameter gradients internally.
+	// gradient, accumulating parameter gradients into Param.Grad.
 	Backward(ctx *Context, dy *Value) *Value
 	// Params returns the layer's learnable parameters (may be empty).
 	Params() []*Param
@@ -286,31 +299,35 @@ func fcGemmSpec(m, n, k int) gpusim.KernelSpec {
 	}
 }
 
-// hold returns *t when it already has shape s, and otherwise stores a
-// fresh tensor of shape s in *t and returns that. Layers keep their
-// forward outputs this way: at a steady shape every Forward writes into
-// the same tensor, so a pass allocates no activations.
-func hold(t **tensor.Tensor, s tensor.Shape) *tensor.Tensor {
-	if *t == nil || !(*t).Shape().Equal(s) {
-		*t = tensor.New(s...)
-	}
-	return *t
+// held is a layer's output buffer for one pass: the Value the pass
+// returns and the tensor behind it. Every layer keeps one per pass, so
+// at a steady shape a pass allocates nothing. The tensor keeps the
+// previous call's data, so a pass that accumulates into its output
+// clears it first.
+type held struct {
+	v Value
+	t *tensor.Tensor
 }
 
-// holdValue re-points the held Value *v at shape s, cloning s only when
-// *v has another shape, and clears its data for the caller to set. FC
-// and LRN return held Values, so a steady pass through them allocates
-// nothing.
-func holdValue(v *Value, s tensor.Shape) *Value {
-	if !v.Shape.Equal(s) {
-		v.Shape = s.Clone()
+// at re-points the held Value at shape s, cloning s only when it
+// changes, and returns it: over the held tensor when data is set
+// (reallocated only when the shape changes), shape-only otherwise.
+func (h *held) at(s tensor.Shape, data bool) *Value {
+	if !h.v.Shape.Equal(s) {
+		h.v.Shape = s.Clone()
 	}
-	v.Data = nil
-	return v
+	h.v.Data = nil
+	if data {
+		if h.t == nil || !h.t.Shape().Equal(s) {
+			h.t = tensor.New(h.v.Shape...)
+		}
+		h.v.Data = h.t
+	}
+	return &h.v
 }
 
-// holdSlice is hold for flat forward-only scratch: it returns (*buf)[:n],
-// growing *buf first when it is too short.
+// holdSlice is held for flat scratch: it returns (*buf)[:n], growing
+// *buf first when it is too short.
 func holdSlice[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n)

@@ -24,12 +24,10 @@ type LRN struct {
 	K     float64
 
 	lastX *Value
-	outV  Value          // held forward Value
-	out   *tensor.Tensor // held forward output
-	scale []float32      // held (k + α/n Σ x²) per element of the last Forward
-	dxV   Value          // held backward Value
-	dx    *tensor.Tensor // held backward output
-	g     []float32      // backward scratch: dy·x·s^(-β-1) per element
+	fwd   held      // forward output
+	scale []float32 // held (k + α/n Σ x²) per element of the last Forward
+	bwd   held      // input gradient
+	g     []float32 // backward scratch: dy·x·s^(-β-1) per element
 }
 
 // NewLRN builds an LRN layer with AlexNet's default parameters when
@@ -57,15 +55,12 @@ func (l *LRN) Kind() Kind { return KindLRN }
 func (l *LRN) OutShape(in tensor.Shape) tensor.Shape { return in.Clone() }
 
 // Forward normalises each element by its cross-channel energy window.
-// The returned Value is held, like its data: valid until the next
-// Forward.
 func (l *LRN) Forward(ctx *Context, x *Value) *Value {
 	n, c, h, w := checkRank4(x, "lrn", l.name)
 	l.lastX = x
-	out := holdValue(&l.outV, x.Shape)
+	out := l.fwd.at(x.Shape, x.Real())
 	ctx.timed(KindLRN, func() {
 		if x.Real() {
-			out.Data = hold(&l.out, out.Shape)
 			j := lrnFwdPool.Get()
 			j.lrnSplit = l.split(n, c, h*w)
 			j.x, j.y = x.Data.Data, out.Data.Data
@@ -82,14 +77,13 @@ func (l *LRN) Forward(ctx *Context, x *Value) *Value {
 
 // Backward applies the LRN gradient:
 // dx_i = dy_i·s_i^{-β} − (2αβ/n)·x_i·Σ_{j∋i} dy_j·x_j·s_j^{-β-1}.
-// It reads the scale the last Forward held. The returned Value and its
-// data are held: valid until the next Backward.
+// It reads the scale the last Forward held.
 func (l *LRN) Backward(ctx *Context, dy *Value) *Value {
 	n, c, h, w := checkRank4(l.lastX, "lrn", l.name)
-	out := holdValue(&l.dxV, dy.Shape)
+	data := dy.Real() && l.lastX.Real()
+	out := l.bwd.at(dy.Shape, data)
 	ctx.timed(KindLRN, func() {
-		if dy.Real() && l.lastX.Real() {
-			out.Data = hold(&l.dx, out.Shape)
+		if data {
 			j := lrnBwdPool.Get()
 			j.lrnSplit = l.split(n, c, h*w)
 			j.x, j.dy, j.dx = l.lastX.Data.Data, dy.Data.Data, out.Data.Data

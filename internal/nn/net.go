@@ -15,6 +15,8 @@ import (
 type Net struct {
 	Name   string
 	Layers []Layer
+
+	in, seed held // TrainStep's and SimulateIteration's input and gradient seed
 }
 
 // NewNet builds a network.
@@ -154,13 +156,15 @@ func (n *Net) Loss() *SoftmaxLoss {
 // ZeroGrads first or use the SGD trainer).
 func (n *Net) TrainStep(ctx *Context, x *tensor.Tensor, labels []int) (loss, acc float64) {
 	ctx.Train = true
-	out := n.Forward(ctx, NewValue(x))
+	in := n.in.at(x.Shape(), false)
+	in.Data = x
+	out := n.Forward(ctx, in)
 	sl := n.Loss()
 	if sl == nil {
 		panic("nn: TrainStep requires a SoftmaxLoss terminal layer")
 	}
 	loss, acc = sl.Loss(labels)
-	n.Backward(ctx, &Value{Shape: out.Shape.Clone()})
+	n.Backward(ctx, n.seed.at(out.Shape, false))
 	return loss, acc
 }
 
@@ -169,8 +173,8 @@ func (n *Net) TrainStep(ctx *Context, x *tensor.Tensor, labels []int) (loss, acc
 // is the measurement loop behind Figure 2.
 func (n *Net) SimulateIteration(ctx *Context, inputShape tensor.Shape) {
 	ctx.Train = true
-	out := n.Forward(ctx, &Value{Shape: inputShape.Clone()})
-	n.Backward(ctx, &Value{Shape: out.Shape.Clone()})
+	out := n.Forward(ctx, n.in.at(inputShape, false))
+	n.Backward(ctx, n.seed.at(out.Shape, false))
 }
 
 // Release frees any device plans held by convolution layers.

@@ -391,7 +391,7 @@ func TestBranchGradient(t *testing.T) {
 func TestSGDStep(t *testing.T) {
 	p := NewParam("w", nil, 3).Materialise()
 	p.W.Fill(1)
-	p.Grad.Fill(2)
+	p.grad().Fill(2)
 	opt := NewSGD(0.1, 0, 0)
 	opt.Step([]*Param{p})
 	for _, v := range p.W.Data {
@@ -411,6 +411,33 @@ func TestSGDStep(t *testing.T) {
 	optM.Step([]*Param{p})
 	if step2 := first - p.W.Data[0]; step2 <= 0.2 {
 		t.Fatalf("momentum step %v should exceed the plain step 0.2", step2)
+	}
+}
+
+// TestSGDStepNilGradIsZero checks that a parameter no Backward has
+// reached (nil Grad) gets the update a zero gradient gives, bit for
+// bit: weight decay and momentum still apply, over two steps.
+func TestSGDStepNilGradIsZero(t *testing.T) {
+	nilGrad := NewParam("w", heNormal(3, 4), 5).Materialise()
+	zeroGrad := NewParam("w", heNormal(3, 4), 5).Materialise()
+	zeroGrad.grad()
+	nilGrad.W.Data[0] = float32(math.Copysign(0, -1))
+	zeroGrad.W.Data[0] = nilGrad.W.Data[0]
+	before := nilGrad.W.Data[1]
+	opt := NewSGD(0.1, 0.9, 5e-4)
+	for step := 0; step < 2; step++ {
+		opt.Step([]*Param{nilGrad, zeroGrad})
+	}
+	if nilGrad.Grad != nil {
+		t.Fatal("Step allocated a gradient")
+	}
+	for i, w := range nilGrad.W.Data {
+		if math.Float32bits(w) != math.Float32bits(zeroGrad.W.Data[i]) {
+			t.Fatalf("w[%d] = %v with a nil gradient, %v with a zero one", i, w, zeroGrad.W.Data[i])
+		}
+	}
+	if nilGrad.W.Data[1] == before {
+		t.Fatal("decay did not move the weights")
 	}
 }
 

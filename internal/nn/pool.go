@@ -42,11 +42,9 @@ type Pool struct {
 	Pad    int
 
 	lastX  *Value
-	outV   Value          // held forward Value
-	out    *tensor.Tensor // held forward output
-	argmax []int32        // held plane offset of each output's max (max mode); -1 for an empty window
-	dxV    Value          // held backward Value
-	dx     *tensor.Tensor // held backward output
+	fwd    held    // forward output
+	argmax []int32 // held plane offset of each output's max (max mode); -1 for an empty window
+	bwd    held    // input gradient
 }
 
 // NewMaxPool builds a max-pooling layer.
@@ -101,15 +99,13 @@ func (l *Pool) spec(name string, elemsIn, elemsOut int) gpusim.KernelSpec {
 	}
 }
 
-// Forward pools each window. The returned Value is held, like its
-// data: valid until the next Forward.
+// Forward pools each window.
 func (l *Pool) Forward(ctx *Context, x *Value) *Value {
 	n, c, h, w := checkRank4(x, "pool", l.name)
 	l.lastX = x
-	out := holdValue(&l.outV, tensor.Shape{n, c, l.outHW(h), l.outHW(w)})
+	out := l.fwd.at(tensor.Shape{n, c, l.outHW(h), l.outHW(w)}, x.Real())
 	ctx.timed(KindPool, func() {
 		if x.Real() {
-			out.Data = hold(&l.out, out.Shape)
 			j := poolFwdPool.Get()
 			j.poolGeom = l.geom(n*c, h, w)
 			j.x, j.y = x.Data.Data, out.Data.Data
@@ -127,14 +123,13 @@ func (l *Pool) Forward(ctx *Context, x *Value) *Value {
 
 // Backward sends each output's gradient to its window's max position,
 // as the last Forward held it (or spreads it evenly over the window for
-// average pooling). The returned Value and its data are held: valid
-// until the next Backward.
+// average pooling).
 func (l *Pool) Backward(ctx *Context, dy *Value) *Value {
 	n, c, h, w := checkRank4(l.lastX, "pool", l.name)
-	out := holdValue(&l.dxV, l.lastX.Shape)
+	data := dy.Real() && l.lastX.Real()
+	out := l.bwd.at(l.lastX.Shape, data)
 	ctx.timed(KindPool, func() {
-		if dy.Real() && l.lastX.Real() {
-			out.Data = hold(&l.dx, out.Shape)
+		if data {
 			j := poolBwdPool.Get()
 			j.poolGeom = l.geom(n*c, h, w)
 			j.arg, j.dy, j.dx = l.argmax, dy.Data.Data, out.Data.Data

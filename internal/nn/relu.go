@@ -16,10 +16,8 @@ import (
 type ReLU struct {
 	name  string
 	lastX *Value
-	outV  Value          // held forward Value
-	out   *tensor.Tensor // held forward output
-	dxV   Value          // held backward Value
-	dx    *tensor.Tensor // held backward output
+	fwd   held // forward output
+	bwd   held // input gradient
 }
 
 // NewReLU builds a ReLU layer.
@@ -34,14 +32,12 @@ func (l *ReLU) Kind() Kind { return KindReLU }
 // OutShape is the identity.
 func (l *ReLU) OutShape(in tensor.Shape) tensor.Shape { return in.Clone() }
 
-// Forward computes max(0, x). The returned Value is held, like its
-// data: valid until the next Forward.
+// Forward computes max(0, x).
 func (l *ReLU) Forward(ctx *Context, x *Value) *Value {
 	l.lastX = x
-	out := holdValue(&l.outV, x.Shape)
+	out := l.fwd.at(x.Shape, x.Real())
 	ctx.timed(KindReLU, func() {
 		if x.Real() {
-			out.Data = hold(&l.out, out.Shape)
 			j := reluPool.Get()
 			j.x, j.dst = x.Data.Data, out.Data.Data
 			j.per, j.items = spread(len(j.dst), 1)
@@ -54,13 +50,12 @@ func (l *ReLU) Forward(ctx *Context, x *Value) *Value {
 	return out
 }
 
-// Backward passes the gradient where the input was positive. The
-// returned Value and its data are held: valid until the next Backward.
+// Backward passes the gradient where the input was positive.
 func (l *ReLU) Backward(ctx *Context, dy *Value) *Value {
-	out := holdValue(&l.dxV, dy.Shape)
+	data := dy.Real() && l.lastX.Real()
+	out := l.bwd.at(dy.Shape, data)
 	ctx.timed(KindReLU, func() {
-		if dy.Real() && l.lastX.Real() {
-			out.Data = hold(&l.dx, out.Shape)
+		if data {
 			j := reluPool.Get()
 			j.x, j.dy, j.dst = l.lastX.Data.Data, dy.Data.Data, out.Data.Data
 			j.per, j.items = spread(len(j.dst), 1)

@@ -15,8 +15,10 @@ func NewSGD(lr, momentum, decay float32) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, Decay: decay, velocity: map[*Param][]float32{}}
 }
 
-// Step applies one update to every parameter and zeroes the gradients,
-// skipping any without storage: their gradients are zero.
+// Step applies one update to every parameter and zeroes the gradients.
+// It skips parameters without weights, and a nil Grad reads as zero, so
+// weight decay and momentum still apply to a parameter no Backward has
+// reached.
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
 		if p.W == nil {
@@ -27,11 +29,21 @@ func (s *SGD) Step(params []*Param) {
 			v = make([]float32, p.Elems())
 			s.velocity[p] = v
 		}
-		for i := range p.W.Data {
-			g := p.Grad.Data[i] + s.Decay*p.W.Data[i]
+		var grad []float32
+		if p.Grad != nil {
+			grad = p.Grad.Data
+		}
+		for i, w := range p.W.Data {
+			var gi float32
+			if grad != nil {
+				gi = grad[i]
+			}
+			g := gi + s.Decay*w
 			v[i] = s.Momentum*v[i] - s.LR*g
 			p.W.Data[i] += v[i]
 		}
-		p.Grad.Zero()
+		if p.Grad != nil {
+			p.Grad.Zero()
+		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 type SoftmaxLoss struct {
 	name string
 
-	out    *tensor.Tensor // held forward output
-	probs  *tensor.Tensor // out after a real Forward, nil before
+	fwd    held           // forward output
+	bwd    held           // the gradient seed
+	probs  *tensor.Tensor // fwd's data after a real Forward, nil before
 	labels []int
 }
 
@@ -30,19 +31,24 @@ func (l *SoftmaxLoss) Kind() Kind { return KindLoss }
 
 // OutShape is the identity (probabilities per class).
 func (l *SoftmaxLoss) OutShape(in tensor.Shape) tensor.Shape {
+	l.checkRank2(in)
+	return in.Clone()
+}
+
+// checkRank2 panics unless in is (batch, classes).
+func (l *SoftmaxLoss) checkRank2(in tensor.Shape) {
 	if len(in) != 2 {
 		panic(fmt.Sprintf("nn: softmax %s requires (batch, classes) input, got %v", l.name, in))
 	}
-	return in.Clone()
 }
 
 // Forward computes row-wise softmax (numerically stabilised).
 func (l *SoftmaxLoss) Forward(ctx *Context, x *Value) *Value {
-	out := &Value{Shape: l.OutShape(x.Shape)}
+	l.checkRank2(x.Shape)
+	out := l.fwd.at(x.Shape, x.Real())
 	ctx.timed(KindLoss, func() {
 		if x.Real() {
 			batch, classes := x.Shape[0], x.Shape[1]
-			out.Data = hold(&l.out, out.Shape)
 			for bi := 0; bi < batch; bi++ {
 				row := x.Data.Data[bi*classes : (bi+1)*classes]
 				dst := out.Data.Data[bi*classes : (bi+1)*classes]
@@ -105,11 +111,12 @@ func (l *SoftmaxLoss) Loss(labels []int) (loss float64, accuracy float64) {
 // Backward seeds the network gradient: (probs − one-hot) / batch. The
 // dy argument is ignored (the loss is the terminal node).
 func (l *SoftmaxLoss) Backward(ctx *Context, dy *Value) *Value {
-	out := &Value{Shape: dy.Shape.Clone()}
+	data := l.probs != nil && l.labels != nil
+	out := l.bwd.at(dy.Shape, data)
 	ctx.timed(KindLoss, func() {
-		if l.probs != nil && l.labels != nil {
+		if data {
 			batch, classes := l.probs.Dim(0), l.probs.Dim(1)
-			out.Data = l.probs.Clone()
+			copy(out.Data.Data, l.probs.Data)
 			inv := float32(1.0 / float64(batch))
 			for bi, label := range l.labels {
 				row := out.Data.Data[bi*classes : (bi+1)*classes]
