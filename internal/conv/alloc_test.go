@@ -129,7 +129,8 @@ func TestUnrollFannedZeroAlloc(t *testing.T) {
 // steady-state allocations at the host's GOMAXPROCS, where their
 // transform, per-bin GEMM and inverse phases run on more than one slot
 // (TestOtherEnginesZeroAlloc measures them through AllocsPerRun, on one
-// proc). It skips on one proc.
+// proc), on a whole-image shape and on CIFARNet conv1, which runs 3×3
+// tiles. It skips on one proc.
 func TestFFTZeroAllocAtGOMAXPROCS(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime instruments allocations")
@@ -137,20 +138,24 @@ func TestFFTZeroAllocAtGOMAXPROCS(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("the multi-slot phases need GOMAXPROCS ≥ 2")
 	}
-	cfg := Config{Batch: 4, Input: 16, Channels: 12, Filters: 20, Kernel: 5, Stride: 1, Pad: 2}
-	x, w, y, dx, dw, dy := allocTensors(cfg)
-	var ws workspace.Arena
-	for _, tc := range []struct {
-		name string
-		run  func()
-	}{
-		{"forward", func() { FFTForward(&ws, cfg, x, w, y) }},
-		{"backward-data", func() { FFTBackwardData(&ws, cfg, dy, w, dx) }},
-		{"backward-filter", func() { FFTBackwardFilter(&ws, cfg, x, dy, dw) }},
+	for _, cfg := range []Config{
+		{Batch: 4, Input: 16, Channels: 12, Filters: 20, Kernel: 5, Stride: 1, Pad: 2},
+		{Batch: 4, Input: 32, Channels: 3, Filters: 32, Kernel: 5, Stride: 1, Pad: 2},
 	} {
-		if got := alloctest.Mallocs(3, tc.run); got != 0 {
-			t.Errorf("%v fft %s: %d mallocs per steady-state run at GOMAXPROCS %d, want 0",
-				cfg, tc.name, got, runtime.GOMAXPROCS(0))
+		x, w, y, dx, dw, dy := allocTensors(cfg)
+		var ws workspace.Arena
+		for _, tc := range []struct {
+			name string
+			run  func()
+		}{
+			{"forward", func() { FFTForward(&ws, cfg, x, w, y) }},
+			{"backward-data", func() { FFTBackwardData(&ws, cfg, dy, w, dx) }},
+			{"backward-filter", func() { FFTBackwardFilter(&ws, cfg, x, dy, dw) }},
+		} {
+			if got := alloctest.Mallocs(3, tc.run); got != 0 {
+				t.Errorf("%v fft %s: %d mallocs per steady-state run at GOMAXPROCS %d, want 0",
+					cfg, tc.name, got, runtime.GOMAXPROCS(0))
+			}
 		}
 	}
 }

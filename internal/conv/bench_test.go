@@ -63,8 +63,9 @@ type namedConv struct {
 }
 
 // cifarNetConvs are CIFARNet's three 5×5 conv layers at the batch-16
-// training shape the cifarnet_train_fbfft benchmark workload runs;
-// their FFT plan sizes are 64, 32 and 16.
+// training shape the cifarnet_train_fbfft benchmark workload runs; the
+// FFT passes run conv1 as 3×3 tiles on a 16-point plan and conv2 and
+// conv3 whole on 32 and 16 points.
 var cifarNetConvs = []namedConv{
 	{"conv1", Config{Batch: 16, Input: 32, Channels: 3, Filters: 32, Kernel: 5, Stride: 1, Pad: 2}},
 	{"conv2", Config{Batch: 16, Input: 16, Channels: 32, Filters: 32, Kernel: 5, Stride: 1, Pad: 2}},
@@ -167,8 +168,9 @@ func BenchmarkConvWinograd(b *testing.B) { benchPasses(b, winogradPasses, alexNe
 // BenchmarkCrossoverFFTUnroll times every pass of the FFT and unrolling
 // engines at CIFARNet conv2's shape (batch 16, 16×16, 32 channels, 32
 // filters) for kernel sizes 3 to 11, padded by (k−1)/2 so the output
-// stays 16×16. Every size runs on a 32-point transform, so the FFT rows
-// stay nearly flat while the unrolling rows grow with k². It is not in
+// stays 16×16. k = 5…11 run whole images on a 32-point transform and
+// k = 3 runs 3×3 tiles on 8 points, so the FFT rows stay nearly flat
+// while the unrolling rows grow with k². It is not in
 // the kernel snapshot; EXPERIMENTS.md "Host-clock FFT" reads the
 // host-clock crossover from it.
 func BenchmarkCrossoverFFTUnroll(b *testing.B) {

@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -178,8 +179,8 @@ func TestUnrollMatchesDirectForward(t *testing.T) {
 }
 
 // checkCIFARNetLayers runs agree on CIFARNet's conv1–conv3 at batch 2,
-// whose FFT plan sizes (64, 32, 16) are larger than the random configs
-// reach.
+// whose FFT plans (3×3 tiles of 16 points, whole 32- and 16-point
+// grids) are larger than the random configs reach.
 func checkCIFARNetLayers(t *testing.T, agree func(cfg Config, seed uint64) bool) {
 	t.Helper()
 	for _, tc := range cifarNetConvs {
@@ -287,44 +288,70 @@ func TestBackwardFilterAgreement(t *testing.T) {
 // The per-bin real products then reach a second and a ragged
 // micro-tile, and the batch and counts make every pass take both
 // orientations of the block-real embedding somewhere in the table.
-// Every output starts as NaN, so an element a pass leaves unwritten
-// fails too.
 func TestFFTAgreementGEMMShapes(t *testing.T) {
-	nan := float32(math.NaN())
 	for _, cf := range [][2]int{{13, 21}, {1, 9}, {21, 3}} {
 		for _, batch := range []int{1, 5} {
 			for _, pad := range []int{0, 2} {
-				cfg := Config{Batch: batch, Input: 11, Channels: cf[0], Filters: cf[1], Kernel: 5, Stride: 1, Pad: pad}
-				x, w := randTensors(cfg, 40)
-				dy := tensor.New(cfg.OutputShape()...)
-				dy.FillUniform(tensor.NewRNG(41), -1, 1)
-				var ws workspace.Arena
-				for _, pass := range []struct {
-					name   string
-					shape  []int
-					direct func(out *tensor.Tensor)
-					fft    func(out *tensor.Tensor)
-				}{
-					{"forward", cfg.OutputShape(),
-						func(y *tensor.Tensor) { DirectForward(cfg, x, w, y) },
-						func(y *tensor.Tensor) { FFTForward(&ws, cfg, x, w, y) }},
-					{"backward-data", cfg.InputShape(),
-						func(dx *tensor.Tensor) { DirectBackwardData(cfg, dy, w, dx) },
-						func(dx *tensor.Tensor) { FFTBackwardData(&ws, cfg, dy, w, dx) }},
-					{"backward-filter", cfg.FilterShape(),
-						func(dw *tensor.Tensor) { DirectBackwardFilter(cfg, x, dy, dw) },
-						func(dw *tensor.Tensor) { FFTBackwardFilter(&ws, cfg, x, dy, dw) }},
-				} {
-					want, got := tensor.New(pass.shape...), tensor.New(pass.shape...)
-					want.Fill(nan)
-					got.Fill(nan)
-					pass.direct(want)
-					pass.fft(got)
-					if !tensor.AllClose(want, got, 1e-3) {
-						t.Errorf("%v %s: FFT differs from direct by %g", cfg, pass.name, tensor.RelDiff(want, got))
-					}
-				}
+				checkFFTPasses(t, Config{Batch: batch, Input: 11, Channels: cf[0], Filters: cf[1], Kernel: 5, Stride: 1, Pad: pad})
 			}
+		}
+	}
+}
+
+// TestFFTAgreementTiledShapes runs the same check on shapes FFTTiling
+// cuts into 3×3 tiles: 5×5 kernels at pad 0 and 2 and a 3×3 kernel
+// padded by more than k−1 (its dy windows start inside dy), each with a
+// ragged last tile on every pass, and a 4×4 input padded so far that
+// the forward's first windows hold no input at all and backward-data
+// runs one tile on the tiling plan.
+func TestFFTAgreementTiledShapes(t *testing.T) {
+	shapes := []struct{ input, kernel, pad int }{{34, 5, 0}, {32, 5, 2}, {13, 3, 3}, {4, 3, 20}}
+	for _, sh := range shapes {
+		for _, cf := range [][2]int{{13, 21}, {1, 9}, {21, 3}} {
+			for _, batch := range []int{1, 5} {
+				cfg := Config{Batch: batch, Input: sh.input, Channels: cf[0], Filters: cf[1], Kernel: sh.kernel, Stride: 1, Pad: sh.pad}
+				if _, tiles := FFTTiling(cfg); tiles != 3 {
+					t.Fatalf("%v: FFTTiling cuts %d tiles per axis, want 3", cfg, tiles)
+				}
+				checkFFTPasses(t, cfg)
+			}
+		}
+	}
+}
+
+// checkFFTPasses compares the three FFT passes of cfg with the direct
+// reference at 1e-3. Every output starts as NaN, so an element a pass
+// leaves unwritten fails too.
+func checkFFTPasses(t *testing.T, cfg Config) {
+	t.Helper()
+	nan := float32(math.NaN())
+	x, w := randTensors(cfg, 40)
+	dy := tensor.New(cfg.OutputShape()...)
+	dy.FillUniform(tensor.NewRNG(41), -1, 1)
+	var ws workspace.Arena
+	for _, pass := range []struct {
+		name   string
+		shape  []int
+		direct func(out *tensor.Tensor)
+		fft    func(out *tensor.Tensor)
+	}{
+		{"forward", cfg.OutputShape(),
+			func(y *tensor.Tensor) { DirectForward(cfg, x, w, y) },
+			func(y *tensor.Tensor) { FFTForward(&ws, cfg, x, w, y) }},
+		{"backward-data", cfg.InputShape(),
+			func(dx *tensor.Tensor) { DirectBackwardData(cfg, dy, w, dx) },
+			func(dx *tensor.Tensor) { FFTBackwardData(&ws, cfg, dy, w, dx) }},
+		{"backward-filter", cfg.FilterShape(),
+			func(dw *tensor.Tensor) { DirectBackwardFilter(cfg, x, dy, dw) },
+			func(dw *tensor.Tensor) { FFTBackwardFilter(&ws, cfg, x, dy, dw) }},
+	} {
+		want, got := tensor.New(pass.shape...), tensor.New(pass.shape...)
+		want.Fill(nan)
+		got.Fill(nan)
+		pass.direct(want)
+		pass.fft(got)
+		if !tensor.AllClose(want, got, 1e-3) {
+			t.Errorf("%v %s: FFT differs from direct by %g", cfg, pass.name, tensor.RelDiff(want, got))
 		}
 	}
 }
@@ -374,6 +401,36 @@ func TestBackwardFilterMatchesNumericalGradient(t *testing.T) {
 	num := NumericalGradFilter(cfg, DirectForward, x, w, r, 1e-2)
 	if !tensor.AllClose(dw, num, 2e-2) {
 		t.Fatalf("analytic dw differs from numerical: %g", tensor.RelDiff(dw, num))
+	}
+}
+
+// TestFFTTiling pins the tiling rule on the CIFARNet and AlexNet layers
+// the FFT engines run and on the fbfft model's own cases: only CIFARNet
+// conv1, just past a power of two, and a 144-point input tile.
+func TestFFTTiling(t *testing.T) {
+	type tilingCase struct {
+		name            string
+		cfg             Config
+		n, tilesPerAxis int
+	}
+	cases := []tilingCase{
+		{"cifarnet conv1", Config{Batch: 16, Input: 32, Channels: 3, Filters: 32, Kernel: 5, Stride: 1, Pad: 2}, 16, 3},
+		{"cifarnet conv2", Config{Batch: 16, Input: 16, Channels: 32, Filters: 32, Kernel: 5, Stride: 1, Pad: 2}, 32, 1},
+		{"cifarnet conv3", Config{Batch: 16, Input: 8, Channels: 32, Filters: 64, Kernel: 5, Stride: 1, Pad: 2}, 16, 1},
+		{"alexnet conv2", Config{Batch: 1, Input: 27, Channels: 96, Filters: 256, Kernel: 5, Stride: 1, Pad: 2}, 32, 1},
+		{"alexnet conv3", Config{Batch: 1, Input: 13, Channels: 256, Filters: 384, Kernel: 3, Stride: 1, Pad: 1}, 16, 1},
+		{"alexnet conv4", Config{Batch: 1, Input: 13, Channels: 384, Filters: 384, Kernel: 3, Stride: 1, Pad: 1}, 16, 1},
+		{"alexnet conv5", Config{Batch: 1, Input: 13, Channels: 384, Filters: 256, Kernel: 3, Stride: 1, Pad: 1}, 16, 1},
+	}
+	// The fbfft model's cases (TestFbfftTilingChoices in internal/impls).
+	for _, c := range [][3]int{{128, 128, 1}, {96, 128, 1}, {144, 64, 3}, {256, 256, 1}, {32, 32, 1}} {
+		cfg := Config{Batch: 64, Input: c[0], Channels: 3, Filters: 64, Kernel: 11, Stride: 1}
+		cases = append(cases, tilingCase{fmt.Sprintf("i=%d k=11", c[0]), cfg, c[1], c[2]})
+	}
+	for _, c := range cases {
+		if n, perAxis := FFTTiling(c.cfg); n != c.n || perAxis != c.tilesPerAxis {
+			t.Errorf("%s: FFTTiling = (%d, %d), want (%d, %d)", c.name, n, perAxis, c.n, c.tilesPerAxis)
+		}
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 	"gpucnn/internal/workspace"
 )
 
-// FFTPlanSize returns the per-axis transform size used by the FFT
-// strategy for a config: the padded input extent rounded up to a power
-// of two. This rounding is what produces the step-function memory
-// profile of fbfft in the paper's Figure 5.
+// FFTPlanSize returns the per-axis transform size of the whole padded
+// input: its extent rounded up to a power of two. This rounding is what
+// produces the step-function memory profile of fbfft in the paper's
+// Figure 5; FFTTiling picks the size the passes run on.
 func FFTPlanSize(cfg Config) int {
 	return fft.NextPow2(cfg.Input + 2*cfg.Pad)
 }
@@ -25,26 +25,54 @@ func fftCheckStride(cfg Config) {
 	}
 }
 
-// forwardPlane transforms one side×side real plane, zero-padded by pad
-// on every side, into grid. buf holds the padded plane; only its
-// interior is written, so a zeroed buf keeps its border across calls.
-func forwardPlane(plan *fft.Plan2D, plane []float32, side, pad int, buf []float32, grid, scratch []complex64) {
-	if pad > 0 {
-		ip := side + 2*pad
-		for r := 0; r < side; r++ {
-			copy(buf[(r+pad)*ip+pad:][:side], plane[r*side:][:side])
+// FFTTiling returns fbfft's transform size n and overlap tiles per axis
+// for a stride-1 config: of the whole padded input on FFTPlanSize and
+// every smaller power of two past the kernel, cut into tiles that each
+// yield n−k+1 outputs per axis, the one with the fewest half-spectrum
+// bins in all. Large inputs just past a power of two tile (CIFARNet
+// conv1 runs 3×3 tiles of 16 points instead of one 64-point grid);
+// the rest keep one whole-image tile.
+func FFTTiling(cfg Config) (n, tilesPerAxis int) {
+	ip := cfg.Input + 2*cfg.Pad
+	full := fft.NextPow2(ip)
+	o := ip - cfg.Kernel + 1
+	bins := func(n int) int { return n * (n/2 + 1) }
+	n, tilesPerAxis = full, 1
+	best := bins(full)
+	for cand := fft.NextPow2(cfg.Kernel + 1); cand < full; cand *= 2 {
+		step := cand - cfg.Kernel + 1
+		t := (o + step - 1) / step
+		if b := t * t * bins(cand); b < best {
+			n, tilesPerAxis, best = cand, t, b
 		}
-		plane, side = buf, ip
 	}
-	plan.ForwardHalf(plane[:side*side], side, side, grid, scratch)
+	return n, tilesPerAxis
 }
 
-// padLen is the padded-plane buffer a slot needs for side×side planes.
-func padLen(side, pad int) int {
-	if pad == 0 {
-		return 0
+// fftTiles is the tiling one pass runs on: t×t tiles per plane on an
+// n-point plan, step rows apart.
+type fftTiles struct{ n, t, step int }
+
+// tilesFor tiles a pass whose output planes are out×out by FFTTiling's
+// plan: on a plan smaller than the whole image the pass cuts its output
+// into step×step tiles (the last ones ragged), and runs one
+// whole-image tile otherwise.
+func tilesFor(cfg Config, out int) fftTiles {
+	n, t := FFTTiling(cfg)
+	step := n - cfg.Kernel + 1
+	if t > 1 {
+		t = (out + step - 1) / step
 	}
-	return (side + 2*pad) * (side + 2*pad)
+	return fftTiles{n: n, t: t, step: step}
+}
+
+// mat is the tiled items×inner planes of data, side×side each, as the
+// (item, tile)×plane matrix whose row item·t² + tile holds that tile of
+// every plane of the item. window and off place each tile (see
+// planeMat).
+func (g fftTiles) mat(data []float32, items, inner, side, off int, window bool) planeMat {
+	return planeMat{data: data, rows: items * g.t * g.t, cols: inner, rs: inner, cs: 1,
+		side: side, inner: inner, tiles: g.t, step: g.step, off: off, window: window}
 }
 
 // Every pass runs in fbfft's layout: the channel (or filter, or batch)
@@ -57,21 +85,33 @@ func padLen(side, pad int) int {
 //
 // backward-data computes dX[ξ] = dY[ξ]·W[ξ], and backward-filter
 // dW[ξ] = dY[ξ]ᴴ·X[ξ], summed over the batch by the product's inner
-// dimension. A pass runs in three phases, each a pooled job:
+// dimension.
 //
-//  1. fftPlaneJob transforms every plane of both operands, one item per
-//     fftChunk planes.
+// Planes run as t×t overlap-save tiles on an n-point plan (tilesFor),
+// and each tile of an image is one more row of the product: B·t² rows
+// instead of B. Forward and backward-data cut their output planes into
+// step×step tiles, step = n−k+1, and transform for each the n×n window
+// of the input that all of the tile's outputs read, so a tile's
+// product holds its outputs whole and each is written once.
+// Backward-filter cuts dy into the forward's output tiles and x into
+// its windows, so the inner dimension B·t² sums over tiles as well as
+// images. One whole-image tile is the untiled case.
+//
+// A pass runs in three phases, each a pooled job:
+//
+//  1. fftPlaneJob transforms every tile of every plane of both
+//     operands, one item per fftChunk tiles.
 //  2. fftGEMMJob multiplies, one item per block of fftBins bins: for
 //     each bin it builds the two operands' real matrices in its slot
 //     and runs one real gemm.Blocked product there, then stores the
 //     block's products. Workers carve their packing panels from
 //     levelled child arenas.
-//  3. fftPlaneJob inverse-transforms every output plane, one item per
-//     fftChunk planes.
+//  3. fftPlaneJob inverse-transforms every output tile, one item per
+//     fftChunk tiles.
 //
 // Between the phases, spectra are stored bin-block-major: for a set of
-// P planes, bin ξ = β·fftBins + t of plane p sits at β·blockLen(P) +
-// p·fftBins + t. A plane's bins of one block fill whole cache lines, so
+// P planes (plane tiles, when tiled), bin ξ = β·fftBins + t of plane p
+// sits at β·blockLen(P) + p·fftBins + t. A plane's bins of one block fill whole cache lines, so
 // a transform writes (and an inverse reads) lines that no other plane
 // touches, and a block's bins of every plane are one contiguous run
 // that the multiply phase reads, and writes, front to back.
@@ -105,17 +145,57 @@ func blocks(nb int) int { return (nb + fftBins - 1) / fftBins }
 // the same few cache sets.
 func blockLen(planes int) int { return (planes | 1) * fftBins }
 
-// planeMat is a complex matrix over the planes of a tensor: element
-// (r, c) is the half spectrum of plane r·rs + c·cs of data, a side×side
-// plane placed at (off, off) of the n×n grid, conjugated when conj is
-// set. spec holds the spectra of all rows·cols planes bin-block-major.
+// planeMat is a complex matrix over the plane tiles of a tensor:
+// element (r, c) is the half spectrum of spectrum slot r·rs + c·cs,
+// conjugated when conj is set, and spec holds the spectra of all
+// rows·cols slots bin-block-major. Slot q is tile (q/inner) mod t² of
+// plane (q/(inner·t²))·inner + q mod inner of data, which holds
+// side×side planes, inner of them per batch item; untiled (t ≤ 1),
+// slot q is plane q.
+//
+// Along each axis, tile i of a window matrix is the n plane rows from
+// i·step − off, placed at grid row 0 (rows outside the plane are
+// zero); tile i of any other matrix is plane rows i·step up to the
+// next tile (the last takes the rest of the plane), placed at grid row
+// off. An output is always of the second kind: its tile is cropped
+// from the grid at off.
 type planeMat struct {
 	data       []float32
 	rows, cols int
 	rs, cs     int
 	side, off  int
+	inner      int
+	tiles      int
+	step       int
+	window     bool
 	conj       bool
 	spec       []complex64
+}
+
+// slot returns the plane and the tile row and column of slot q.
+func (s *planeMat) slot(q int) (plane, ty, tx int) {
+	if s.tiles <= 1 {
+		return q, 0, 0
+	}
+	tt := s.tiles * s.tiles
+	tile := q / s.inner % tt
+	return q/(s.inner*tt)*s.inner + q%s.inner, tile / s.tiles, tile % s.tiles
+}
+
+// span returns the plane rows [r0, r1) of tile i along an axis on an
+// n-point grid, and the grid row g of r0. A window tile past the plane
+// is empty (r1 ≤ r0).
+func (s *planeMat) span(i, n int) (r0, r1, g int) {
+	if s.window {
+		lo := i*s.step - s.off
+		r0 = max(lo, 0)
+		return r0, min(lo+n, s.side), r0 - lo
+	}
+	r0, r1 = i*s.step, s.side
+	if i < s.tiles-1 {
+		r1 = r0 + s.step
+	}
+	return r0, r1, s.off
 }
 
 // specLen is the length of the spectra of s over nb bins.
@@ -135,51 +215,92 @@ func (s *planeMat) imSign() float32 {
 	return 1
 }
 
-// fftPlaneJob transforms the planes of m, one item per fftChunk
-// consecutive planes: forward, from m.data into the slot's grids and
+// fftPlaneJob transforms the plane tiles of m, one item per fftChunk
+// consecutive slots: forward, from m.data into the slot's grids and
 // then into m.spec; with inverse set, out of m.spec into the slot's
 // grids and back into m.data. A chunk's runs of one bin block are
 // adjacent in m.spec, so each block moves as one contiguous stretch.
 // The slot's grids sit whole blocks apart, so every move is a whole
-// run; the bins past nb it carries are never read. Pooled for
-// allocation-free dispatch.
+// run; the bins past nb it carries are never read. A tile that is not
+// whole rows of its plane passes through the slot's n×n stage. Pooled
+// for allocation-free dispatch.
 type fftPlaneJob struct {
 	par.Span
 	plan    *fft.Plan2D
 	m       planeMat
 	inverse bool
-	pads    []float32
+	stage   []float32
 	scratch []complex64
 }
 
 //hot:noalloc
 func (j *fftPlaneJob) Run(slot int) {
 	nb, n, m := j.plan.Bins(), j.plan.N(), &j.m
-	planes, plane := m.rows*m.cols, m.side*m.side
+	slots, plane := m.rows*m.cols, m.side*m.side
 	gl := blocks(nb) * fftBins
-	bl, own := blockLen(planes), fftChunk*gl+n
+	bl, own := blockLen(slots), fftChunk*gl+n
 	grids := j.scratch[slot*own : slot*own+fftChunk*gl]
 	scratch := j.scratch[slot*own+fftChunk*gl : (slot+1)*own]
-	var buf []float32
-	if !j.inverse {
-		pl := padLen(m.side, m.off)
-		buf = j.pads[slot*pl : (slot+1)*pl]
-	}
+	stage := j.stage[slot*n*n : (slot+1)*n*n]
 	for it, ok := j.Claim(); ok; it, ok = j.Claim() {
 		p0 := it * fftChunk
-		pn := min(fftChunk, planes-p0)
+		pn := min(fftChunk, slots-p0)
 		if j.inverse {
 			moveBins(grids, m.spec, gl, bl, p0, pn, true)
-			for q := 0; q < pn; q++ {
-				j.plan.InverseHalf(grids[q*gl:q*gl+nb], m.data[(p0+q)*plane:(p0+q+1)*plane],
-					m.side, m.side, m.off, m.off, scratch)
-			}
-			continue
 		}
 		for q := 0; q < pn; q++ {
-			forwardPlane(j.plan, m.data[(p0+q)*plane:(p0+q+1)*plane], m.side, m.off, buf, grids[q*gl:q*gl+nb], scratch)
+			p, ty, tx := m.slot(p0 + q)
+			data, grid := m.data[p*plane:(p+1)*plane], grids[q*gl:q*gl+nb]
+			r0, r1, g := m.span(ty, n)
+			c0, c1, h := m.span(tx, n)
+			if j.inverse {
+				inverseTile(j.plan, grid, data, m.side, r0, r1, c0, c1, g, h, stage, scratch)
+			} else {
+				forwardTile(j.plan, data, m.side, r0, r1, c0, c1, g, h, grid, stage, scratch)
+			}
 		}
-		moveBins(grids, m.spec, gl, bl, p0, pn, false)
+		if !j.inverse {
+			moveBins(grids, m.spec, gl, bl, p0, pn, false)
+		}
+	}
+}
+
+// forwardTile transforms rows [r0, r1) and columns [c0, c1) of the
+// side×side plane, placed at grid row g and column h, into grid. Whole
+// rows at the origin transform in place; any other tile is first
+// copied into stage, behind g zero rows and h zero columns.
+func forwardTile(plan *fft.Plan2D, plane []float32, side, r0, r1, c0, c1, g, h int, grid []complex64, stage []float32, scratch []complex64) {
+	if r1 <= r0 || c1 <= c0 {
+		clear(grid)
+		return
+	}
+	if g == 0 && h == 0 && c0 == 0 && c1 == side {
+		plan.ForwardHalf(plane[r0*side:r1*side], r1-r0, side, grid, scratch)
+		return
+	}
+	rows, cols := g+r1-r0, h+c1-c0
+	clear(stage[:g*cols])
+	for r := r0; r < r1; r++ {
+		row := stage[(g+r-r0)*cols : (g+r-r0+1)*cols]
+		clear(row[:h])
+		copy(row[h:], plane[r*side+c0:r*side+c1])
+	}
+	plan.ForwardHalf(stage[:rows*cols], rows, cols, grid, scratch)
+}
+
+// inverseTile inverse-transforms grid, destroying it, and writes its
+// window at grid row g and column h into rows [r0, r1) and columns
+// [c0, c1) of the side×side plane. Whole rows are written in place;
+// any other tile passes through stage.
+func inverseTile(plan *fft.Plan2D, grid []complex64, plane []float32, side, r0, r1, c0, c1, g, h int, stage []float32, scratch []complex64) {
+	rows, cols := r1-r0, c1-c0
+	if c0 == 0 && c1 == side {
+		plan.InverseHalf(grid, plane[r0*side:r1*side], rows, cols, g, h, scratch)
+		return
+	}
+	plan.InverseHalf(grid, stage[:rows*cols], rows, cols, g, h, scratch)
+	for r := 0; r < rows; r++ {
+		copy(plane[(r0+r)*side+c0:(r0+r)*side+c1], stage[r*cols:(r+1)*cols])
 	}
 }
 
@@ -203,16 +324,16 @@ func moveBins(grids, spec []complex64, gl, bl, p0, pn int, back bool) {
 
 var fftPlanePool = par.NewJobPool[fftPlaneJob]()
 
-// transformPlanes runs fftPlaneJob over the planes of m. scratch holds
-// fftChunk grids of whole blocks and one FFT row per proc; pads, which is zeroed, holds
-// one padded plane per proc for a forward transform with m.off > 0.
-func transformPlanes(plan *fft.Plan2D, m planeMat, inverse bool, scratch []complex64, pads []float32) {
+// transformPlanes runs fftPlaneJob over the plane tiles of m. scratch
+// holds fftChunk grids of whole blocks and one FFT row per proc, stage
+// one n×n plane per proc.
+func transformPlanes(plan *fft.Plan2D, m planeMat, inverse bool, scratch []complex64, stage []float32) {
 	j := fftPlanePool.Get()
 	j.Reset((m.rows*m.cols + fftChunk - 1) / fftChunk)
 	j.plan, j.m, j.inverse = plan, m, inverse
-	j.scratch, j.pads = scratch, pads
+	j.scratch, j.stage = scratch, stage
 	par.ForEachSlot(&j.Span, j)
-	j.m, j.pads, j.scratch = planeMat{}, nil, nil
+	j.m, j.stage, j.scratch = planeMat{}, nil, nil
 	fftPlanePool.Put(j)
 }
 
@@ -307,8 +428,8 @@ var fftGEMMPool = par.NewJobPool[fftGEMMJob]()
 // fftProduct computes the planes of p = a·b per bin in the three phases
 // above. It carves from ws, which the pass has just reset, once per
 // slab: the three spectra and every proc's transform scratch in one
-// complex carve, the padded planes and the GEMM phase's buffers in one
-// real carve. A pass on a fresh arena then grows each slab once, to
+// complex carve, the transform stages and the GEMM phase's buffers in
+// one real carve. A pass on a fresh arena then grows each slab once, to
 // exactly its footprint, and leaves no outgrown slab behind. The GEMM
 // workers carve their packing panels from ws's children.
 func fftProduct(ws *workspace.Arena, plan *fft.Plan2D, a, b, p planeMat) {
@@ -324,7 +445,6 @@ func fftProduct(ws *workspace.Arena, plan *fft.Plan2D, a, b, p planeMat) {
 	for _, s := range mats {
 		s.spec, c64 = c64[:s.specLen(nb)], c64[s.specLen(nb):]
 	}
-	pa, pb := procs*padLen(a.side, a.off), procs*padLen(b.side, b.off)
 	// The multiply phase expands the operand with fewer rows: b when a
 	// has more rows than b has columns, by computing pᵀ = bᵀ·aᵀ.
 	ta, tb, tp := a, b, p
@@ -332,63 +452,78 @@ func fftProduct(ws *workspace.Arena, plan *fft.Plan2D, a, b, p planeMat) {
 		ta, tb, tp = b.t(), a.t(), p.t()
 	}
 	m, k, n := ta.rows, ta.cols, tb.cols
-	f32 := ws.Float32Uninit(pa + pb + procs*(4*m*k+2*k*n+fftBins*2*m*n))
-	clear(f32[:pa+pb])
-	transformPlanes(plan, a, false, c64, f32[:pa])
-	transformPlanes(plan, b, false, c64, f32[pa:pa+pb])
+	st := procs * plan.N() * plan.N()
+	f32 := ws.Float32Uninit(st + procs*(4*m*k+2*k*n+fftBins*2*m*n))
+	stage := f32[:st]
+	transformPlanes(plan, a, false, c64, stage)
+	transformPlanes(plan, b, false, c64, stage)
 
 	j := fftGEMMPool.Get()
 	j.Reset(blocks(nb))
-	j.nb, j.a, j.b, j.p, j.bufs = nb, ta, tb, tp, f32[pa+pb:]
+	j.nb, j.a, j.b, j.p, j.bufs = nb, ta, tb, tp, f32[st:]
 	j.kids = ws.Children(j.Slots())
 	par.ForEachSlot(&j.Span, j)
 	ws.Level()
 	j.a, j.b, j.p, j.bufs, j.kids = planeMat{}, planeMat{}, planeMat{}, nil, nil
 	fftGEMMPool.Put(j)
 
-	transformPlanes(plan, p, true, c64, nil)
+	transformPlanes(plan, p, true, c64, stage)
 }
 
 // FFTForward computes the convolution in the frequency domain: per bin,
 // Y = X·conj(W)ᵀ (the correlation form), summing over channels, then
-// the inverse transform cropped to the valid o×o region. Requires
-// stride 1. Every matrix and per-worker buffer is carved from ws, which
-// the pass resets.
+// the inverse transform cropped to the valid outputs of each tile.
+// Requires stride 1. Every matrix and per-worker buffer is carved from
+// ws, which the pass resets.
 func FFTForward(ws *workspace.Arena, cfg Config, x, w, y *tensor.Tensor) {
 	fftCheckStride(cfg)
 	checkShapes(cfg, x, w, y)
 	b, c, f, o := cfg.Batch, cfg.Channels, cfg.Filters, cfg.Out()
+	g := tilesFor(cfg, o)
 	ws.Reset()
-	fftProduct(ws, fft.Plan2DFor(FFTPlanSize(cfg)),
-		planeMat{data: x.Data, rows: b, cols: c, rs: c, cs: 1, side: cfg.Input, off: cfg.Pad},
+	fftProduct(ws, fft.Plan2DFor(g.n),
+		g.mat(x.Data, b, c, cfg.Input, cfg.Pad, true),
 		planeMat{data: w.Data, rows: c, cols: f, rs: 1, cs: c, side: cfg.Kernel, conj: true},
-		planeMat{data: y.Data, rows: b, cols: f, rs: f, cs: 1, side: o})
+		g.mat(y.Data, b, f, o, 0, false))
 }
 
 // FFTBackwardData computes dx in the frequency domain: per bin, dX =
-// dY·W, the full (non-conjugated) product summed over filters, cropped
-// at the padding offset. Requires stride 1.
+// dY·W, the full (non-conjugated) product summed over filters. On the
+// whole-image plan the full convolution fits the grid, so dy sits at
+// the origin and dx is cropped at the padding offset; on a tiling plan
+// a tile's dx is the n−k+1 rows whose k-row reach stays inside its dy
+// window, cropped at k−1.
+// Requires stride 1.
 func FFTBackwardData(ws *workspace.Arena, cfg Config, dy, w, dx *tensor.Tensor) {
 	fftCheckStride(cfg)
 	checkShapes(cfg, dx, w, dy)
 	b, c, f := cfg.Batch, cfg.Channels, cfg.Filters
+	g := tilesFor(cfg, cfg.Input)
+	crop := cfg.Pad
+	if g.n < FFTPlanSize(cfg) {
+		crop = cfg.Kernel - 1
+	}
 	ws.Reset()
-	fftProduct(ws, fft.Plan2DFor(FFTPlanSize(cfg)),
-		planeMat{data: dy.Data, rows: b, cols: f, rs: f, cs: 1, side: cfg.Out()},
+	fftProduct(ws, fft.Plan2DFor(g.n),
+		g.mat(dy.Data, b, f, cfg.Out(), crop-cfg.Pad, true),
 		planeMat{data: w.Data, rows: f, cols: c, rs: c, cs: 1, side: cfg.Kernel},
-		planeMat{data: dx.Data, rows: b, cols: c, rs: c, cs: 1, side: cfg.Input, off: cfg.Pad})
+		g.mat(dx.Data, b, c, cfg.Input, crop, false))
 }
 
 // FFTBackwardFilter computes dw in the frequency domain: per bin, dW =
-// dYᴴ·X, so each (filter, channel) spectrum is Σ_batch X·conj(dY),
-// inverse-transformed and cropped to k×k. Requires stride 1.
+// dYᴴ·X, so each (filter, channel) spectrum is Σ over images and tiles
+// of X·conj(dY), inverse-transformed and cropped to k×k. dy is cut into
+// the forward's output tiles and x into its windows. Requires stride 1.
 func FFTBackwardFilter(ws *workspace.Arena, cfg Config, x, dy, dw *tensor.Tensor) {
 	fftCheckStride(cfg)
 	checkShapes(cfg, x, dw, dy)
 	b, c, f := cfg.Batch, cfg.Channels, cfg.Filters
+	g := tilesFor(cfg, cfg.Out())
+	dyH := g.mat(dy.Data, b, f, cfg.Out(), 0, false).t()
+	dyH.conj = true
 	ws.Reset()
-	fftProduct(ws, fft.Plan2DFor(FFTPlanSize(cfg)),
-		planeMat{data: dy.Data, rows: f, cols: b, rs: 1, cs: f, side: cfg.Out(), conj: true},
-		planeMat{data: x.Data, rows: b, cols: c, rs: c, cs: 1, side: cfg.Input, off: cfg.Pad},
+	fftProduct(ws, fft.Plan2DFor(g.n),
+		dyH,
+		g.mat(x.Data, b, c, cfg.Input, cfg.Pad, true),
 		planeMat{data: dw.Data, rows: f, cols: c, rs: c, cs: 1, side: cfg.Kernel})
 }

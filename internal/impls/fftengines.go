@@ -71,32 +71,18 @@ func (p *fftParams) gridBins(n int) int {
 	return n * n
 }
 
-// tiling picks the transform size and overlap-add tile count for a
-// config. Theano-fft always pads the whole image to the next power of
-// two; fbfft decomposes large inputs into overlapping power-of-two
-// tiles and picks the tile size that minimises total frequency bins —
-// the behaviour that keeps its runtime competitive on inputs past 128
-// while still producing the step-function memory profile of Figure 5.
+// tiling picks the transform size and overlap tile count for a config.
+// Theano-fft always pads the whole image to the next power of two;
+// fbfft decomposes large inputs into overlapping power-of-two tiles by
+// conv.FFTTiling, the rule the host passes run on, which picks the
+// tile size that minimises total frequency bins — the behaviour that
+// keeps its runtime competitive on inputs past 128 while still
+// producing the step-function memory profile of Figure 5.
 func (p *fftParams) tiling(cfg conv.Config) (n, tilesPerAxis int) {
-	ip := cfg.Input + 2*cfg.Pad
-	full := fft.NextPow2(ip)
 	if !p.tiled {
-		return full, 1
+		return conv.FFTPlanSize(cfg), 1
 	}
-	o := ip - cfg.Kernel + 1 // stride 1 output extent
-	bestN, bestTiles, bestBins := full, 1, p.gridBins(full)
-	for cand := fft.NextPow2(cfg.Kernel + 1); cand < full; cand *= 2 {
-		step := cand - cfg.Kernel + 1
-		if step <= 0 {
-			continue
-		}
-		t := (o + step - 1) / step
-		bins := t * t * p.gridBins(cand)
-		if bins < bestBins {
-			bestN, bestTiles, bestBins = cand, t, bins
-		}
-	}
-	return bestN, bestTiles
+	return conv.FFTTiling(cfg)
 }
 
 // fftModel is the launch model of one planned FFT convolution. Its
@@ -307,7 +293,9 @@ func (p *fftModel) launch(dev *gpusim.Device, ps pass) error {
 
 // FbfftOptions toggles fbfft's two key design choices for ablation
 // studies: overlap-add tiling of large inputs and the reuse of x/dy
-// spectra across the passes of one iteration.
+// spectra across the passes of one iteration. Both ablate the K40c
+// model only: the host passes of every FFT engine run conv.FFTTiling's
+// tiles and transform every operand on every pass.
 type FbfftOptions struct {
 	DisableTiling         bool
 	DisableTransformReuse bool

@@ -19,6 +19,8 @@ type Branch struct {
 	bwd   held   // input gradient: the paths' input gradients summed
 	grads []held // per-path slices of the last Backward's dy
 
+	params []*Param // what Params last returned
+
 	// parts holds each path's output after a Forward and its slice of
 	// dy (in grads) after a Backward: the path's channel width either
 	// way.
@@ -161,13 +163,14 @@ func (j *concatJob) Run(i int) {
 	}
 }
 
-// Params collects parameters from every path.
+// Params collects parameters from every path into a slice the branch
+// holds; it is valid until the next call, and appending to it copies.
 func (l *Branch) Params() []*Param {
-	var ps []*Param
+	l.params = l.params[:0]
 	for _, path := range l.Paths {
 		for _, layer := range path {
-			ps = append(ps, layer.Params()...)
+			l.params = append(l.params, layer.Params()...)
 		}
 	}
-	return ps
+	return l.params[:len(l.params):len(l.params)]
 }

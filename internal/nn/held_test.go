@@ -128,10 +128,10 @@ func confOf(l *nn.Conv, in tensor.Shape) conv.Config {
 }
 
 // TestTrainingStepAllocatesNothing holds a whole CIFARNet training
-// step at batch 32, TrainStep plus SGD.Step over parameters gathered
-// once, to zero steady-state allocations on cuDNN and on fbfft with a
-// K40c attached, and a batch-16 inference forward on the Autotuned
-// engine likewise: every layer writes both passes into buffers it
+// step at batch 32, TrainStep plus SGD.Step over Net.Params() called
+// inside the step, as a training loop does, to zero steady-state
+// allocations on cuDNN and on fbfft with a K40c attached, and a
+// batch-16 inference forward on the Autotuned engine likewise: every layer writes both passes into buffers it
 // holds. The count is read at the host's GOMAXPROCS (alloctest), so on
 // more than one proc it covers the fanned-out kernels, pooling's and
 // ReLU's both passes among them; testing.AllocsPerRun would set
@@ -150,10 +150,9 @@ func TestTrainingStepAllocatesNothing(t *testing.T) {
 		x, labels := workload.SyntheticBatch(32, m.InputChans, m.InputSize, m.Classes, 3)
 		opt := nn.NewSGD(0.01, 0.9, 5e-4)
 		m.Net.TrainStep(ctx, x, labels)
-		params := m.Net.Params()
 		step := func() {
 			m.Net.TrainStep(ctx, x, labels)
-			opt.Step(params)
+			opt.Step(m.Net.Params())
 		}
 		if got := alloctest.Mallocs(stepTries, step); got != 0 {
 			t.Errorf("%s: %d mallocs per steady-state training step at GOMAXPROCS %d, want 0",
@@ -193,6 +192,23 @@ func TestGradientsExistOnlyAfterBackward(t *testing.T) {
 	for _, p := range m.Net.Params() {
 		if p.Grad == nil {
 			t.Fatalf("after a training step %s has no gradient", p.Name)
+		}
+	}
+}
+
+// TestParamsAppendCopies checks that Net.Params and Branch.Params hand
+// out no spare capacity of the slice they hold, so a caller's append
+// copies instead of writing into what the next call returns.
+func TestParamsAppendCopies(t *testing.T) {
+	net := heldNet(nil)
+	x := tensor.New(2, 3, 8, 8)
+	x.FillUniform(tensor.NewRNG(1), -1, 1)
+	net.Forward(nn.NewContext(nil, false), nn.NewValue(x))
+	br := net.Layers[3].(*nn.Branch)
+	for name, params := range map[string]func() []*nn.Param{"Net": net.Params, "Branch": br.Params} {
+		ps := params()
+		if len(ps) == 0 || cap(ps) != len(ps) {
+			t.Errorf("%s.Params: len %d cap %d, want a non-empty slice with no spare capacity", name, len(ps), cap(ps))
 		}
 	}
 }

@@ -242,7 +242,8 @@ type Layer interface {
 	// Backward consumes the output gradient and returns the input
 	// gradient, accumulating parameter gradients into Param.Grad.
 	Backward(ctx *Context, dy *Value) *Value
-	// Params returns the layer's learnable parameters (may be empty).
+	// Params returns the layer's learnable parameters (may be empty)
+	// in a slice the layer may hold: it is valid until the next call.
 	Params() []*Param
 }
 

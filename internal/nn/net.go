@@ -16,7 +16,8 @@ type Net struct {
 	Name   string
 	Layers []Layer
 
-	in, seed held // TrainStep's and SimulateIteration's input and gradient seed
+	in, seed held     // TrainStep's and SimulateIteration's input and gradient seed
+	params   []*Param // what Params last returned
 }
 
 // NewNet builds a network.
@@ -113,13 +114,16 @@ func (n *Net) observeLayer(ctx *Context, l Layer, pass string) func() {
 	}
 }
 
-// Params collects every learnable parameter.
+// Params collects every learnable parameter into a slice the net
+// holds, so a training loop may call it every step without allocating.
+// The returned slice is valid until the next call; its capacity is cut
+// to its length, so appending to it copies.
 func (n *Net) Params() []*Param {
-	var ps []*Param
+	n.params = n.params[:0]
 	for _, l := range n.Layers {
-		ps = append(ps, l.Params()...)
+		n.params = append(n.params, l.Params()...)
 	}
-	return ps
+	return n.params[:len(n.params):len(n.params)]
 }
 
 // ParamCount returns the total number of learnable scalars from the
