@@ -8,9 +8,9 @@ import (
 	"gpucnn/internal/workspace"
 )
 
-// FuzzPackedGEMM drives the packing routines and micro-kernel with
-// fuzzer-chosen shapes and data seeds, comparing against the Naive
-// oracle. The shape space is folded into [1, 40] per dimension so the
+// FuzzPackedGEMM drives the packing routines and every micro-kernel
+// level the host runs with fuzzer-chosen shapes and data seeds,
+// comparing against the Naive oracle. The shape space is folded into [1, 40] per dimension so the
 // fuzzer explores tile-edge interactions rather than giant products.
 func FuzzPackedGEMM(f *testing.F) {
 	f.Add(uint8(3), uint8(5), uint8(7), int64(1))
@@ -37,12 +37,17 @@ func FuzzPackedGEMM(f *testing.F) {
 			v := float32(rng.NormFloat64())
 			want[i], got[i] = v, v
 		}
+		c0 := append([]float32(nil), want...)
 		Naive(1.5, a, b, 0.25, want, m, n, k)
-		Blocked(new(workspace.Arena), 1.5, a, b, 0.25, got, m, n, k)
 		limit := 1e-4 * math.Sqrt(float64(k)+1)
-		for i := range want {
-			if d := math.Abs(float64(want[i] - got[i])); d > limit {
-				t.Fatalf("m=%d n=%d k=%d: c[%d] diff %g (want %v got %v)", m, n, k, i, d, want[i], got[i])
+		for l := levelGo; l <= hostLevel; l++ {
+			setLevel(t, l)
+			copy(got, c0)
+			Blocked(new(workspace.Arena), 1.5, a, b, 0.25, got, m, n, k)
+			for i := range want {
+				if d := math.Abs(float64(want[i] - got[i])); d > limit {
+					t.Fatalf("%v: m=%d n=%d k=%d: c[%d] diff %g (want %v got %v)", l, m, n, k, i, d, want[i], got[i])
+				}
 			}
 		}
 	})

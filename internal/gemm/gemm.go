@@ -13,11 +13,13 @@
 //
 //   - Naive: the textbook triple loop, used as the correctness oracle.
 //   - Blocked, NT, TN: BLIS-style serial kernel — both operands are
-//     repacked into contiguous panels and multiplied by a register-tiled
-//     mr×nr micro-kernel (AVX2/FMA assembly on capable amd64 hosts,
-//     portable Go otherwise; see pack.go, kernel_amd64.s) under one
-//     cache blocking derived from the detected caches (tune.go), with
-//     no timing, so a product's blocking never depends on host load.
+//     repacked into contiguous p-major panels and multiplied by a
+//     register-tiled 16×16 micro-kernel, picked once at init for the
+//     host's instruction set (AVX-512 or AVX2/FMA assembly on amd64,
+//     portable Go otherwise; see pack.go, kernel.go, kernel_amd64.s)
+//     under one cache blocking derived from the detected caches
+//     (tune.go), with no timing, so a product's blocking never depends
+//     on host load.
 //   - Parallel, ParallelIn, ParallelNT, ParallelTN: the same kernel
 //     with the ic/jr macro-loops fanned out over the par worker pool —
 //     workers share one packed B block and pack their own A blocks, one

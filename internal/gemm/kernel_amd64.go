@@ -2,21 +2,38 @@
 
 package gemm
 
-// useFMA gates the assembly micro-kernel: true when the CPU supports
-// AVX2+FMA and the OS saves YMM state on context switch (OSXSAVE +
-// XCR0). Checked once at init. When true the assembly kernel runs
-// every micro-tile, ragged edge tiles included (microKernel); the
-// scalar Go kernel is the fallback only for hosts where it is false.
-var useFMA = cpuHasAVX2FMA()
+// cpuLevel probes CPUID and XGETBV for the widest kernel this host and
+// its OS support; implemented in kernel_amd64.s.
+func cpuLevel() kernelLevel
 
-// cpuHasAVX2FMA probes CPUID/XGETBV; implemented in kernel_amd64.s.
-func cpuHasAVX2FMA() bool
-
-// microKernelFMA multiplies one packed row-major mr×kc A panel with one
-// packed p-major kc×nr B panel and adds the alpha-scaled full 8×8 tile
-// into C at ct (row stride ldc floats). AVX2/FMA assembly in
-// kernel_amd64.s; callers guarantee kc ≥ 1 and a full 8×8 tile at ct
-// (a ragged tile goes through a stack tile, see microKernel).
+// microKernelAVX512 multiplies one packed p-major kc×16 A panel with
+// one packed p-major kc×16 B panel and adds the alpha-scaled full 16×16
+// tile into C at ct (row stride ldc floats): sixteen zmm accumulators,
+// A values broadcast from memory by the FMAs themselves. Callers
+// guarantee kc ≥ 1 and a full tile at ct (a ragged tile goes through a
+// stack tile, see microKernel).
 //
 //go:noescape
-func microKernelFMA(kc int, ap, bp, ct *float32, ldc int, alpha float32)
+func microKernelAVX512(kc int, ap, bp, ct *float32, ldc int, alpha float32)
+
+// microKernelAVX2 is microKernelAVX512's contract on AVX2/FMA: the
+// tile runs as row groups of 6, 6 and 4 with twelve ymm accumulators,
+// and its C is bit-identical to the AVX-512 kernel's.
+//
+//go:noescape
+func microKernelAVX2(kc int, ap, bp, ct *float32, ldc int, alpha float32)
+
+// microKernelAVX2N8 runs microKernelAVX2 on the left eight columns
+// of the tile only, as two groups of eight rows with eight ymm
+// accumulators, for ragged tiles with at most eight valid columns;
+// columns 8–15 of C are not touched.
+//
+//go:noescape
+func microKernelAVX2N8(kc int, ap, bp, ct *float32, ldc int, alpha float32)
+
+// transpose8Strips writes the 8×(8·blocks) strip of rows src,
+// src+lda, … into the p-major A panel at dst, eight floats per
+// reduction step at row stride mr (AVX assembly; see packA).
+//
+//go:noescape
+func transpose8Strips(src *float32, lda, blocks int, dst *float32)

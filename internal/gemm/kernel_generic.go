@@ -2,12 +2,25 @@
 
 package gemm
 
-// useFMA is false off amd64: every tile goes through the portable
+// cpuLevel is levelGo off amd64: every tile goes through the portable
 // scalar micro-kernel.
-const useFMA = false
+func cpuLevel() kernelLevel { return levelGo }
 
-// microKernelFMA exists so pack.go links on every GOARCH; the useFMA
-// guard means it is never reached here.
-func microKernelFMA(kc int, ap, bp, ct *float32, ldc int, alpha float32) {
-	panic("gemm: microKernelFMA called on a non-amd64 build")
+// The assembly kernels exist so kernel.go links on every GOARCH; the
+// level guard means they are never reached here.
+
+func microKernelAVX512(kc int, ap, bp, ct *float32, ldc int, alpha float32) {
+	panic("gemm: microKernelAVX512 called on a non-amd64 build")
+}
+
+func microKernelAVX2(kc int, ap, bp, ct *float32, ldc int, alpha float32) {
+	panic("gemm: microKernelAVX2 called on a non-amd64 build")
+}
+
+func microKernelAVX2N8(kc int, ap, bp, ct *float32, ldc int, alpha float32) {
+	panic("gemm: microKernelAVX2N8 called on a non-amd64 build")
+}
+
+func transpose8Strips(src *float32, lda, blocks int, dst *float32) {
+	panic("gemm: transpose8Strips called on a non-amd64 build")
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // BLIS-style packed kernel. The operands are repacked into contiguous
-// panels — A into row-major mr×kc panels, B into p-major kc×nr panels —
+// p-major panels — A into kc×mr panels, B into kc×nr panels —
 // so the register-tiled micro-kernel streams both with unit stride and
 // the C tile's dot products accumulate in registers instead of bouncing
 // through cache lines of strided B rows. This is the data-layout half of
@@ -25,14 +25,14 @@ import (
 //	pc over k in kc panels   → one shared packed B block per (jc, pc)
 //	ic over m in mc blocks   → packed A block stays L2-resident
 //	jr over nc in nr panels  → B micro-panel stays L1-resident
-//	ir over mc in mr panels  → micro-kernel (FMA asm or scalar Go)
+//	ir over mc in mr panels  → micro-kernel (kernel.go)
 //
 // Parallel entry points partition the ic/jr macro loops (not individual
 // C tiles): each worker packs its A blocks into its own slot of the
 // caller's arena and all workers share the read-only packed B block.
 const (
-	mr = 8 // rows per micro-tile (one packed A panel)
-	nr = 8 // columns per micro-tile (one packed B panel)
+	mr = 16 // rows per micro-tile (one packed A panel)
+	nr = 16 // columns per micro-tile (one packed B panel)
 )
 
 func roundUp(x, m int) int { return (x + m - 1) / m * m }
@@ -60,65 +60,85 @@ func matB(data []float32, ldb int) bSrc  { return bSrc{data: data, ldb: ldb} }
 func matBT(data []float32, ldb int) bSrc { return bSrc{data: data, ldb: ldb, trans: true} }
 func virtB(v BPacker) bSrc               { return bSrc{v: v} }
 
-// packA copies the mv×kc block of op(A) at (i0, p0) into a row-major
-// mr×kc panel, zero-padding the tail rows. With transA, A is stored k×m
+// Both panels are p-major with the same width (mr == nr): the values
+// of one reduction step sit at consecutive floats. An operand whose
+// step values are contiguous in memory (A transposed, B as stored) is
+// packed by packSteps; one whose rows run along the reduction (A as
+// stored, B transposed) is transposed into the panel by packRows.
+
+// packA copies the mv×kc block of op(A) at (i0, p0) into a p-major
+// kc×mr panel, zero-padding the tail rows. With transA, A is stored k×m
 // and the logical element (i, p) is a[p*lda+i].
 //
 //hot:noalloc
 func packA(dst, a []float32, lda, i0, mv, p0, kc int, transA bool) {
 	if transA {
-		for r := 0; r < mv; r++ {
-			col := i0 + r
-			row := dst[r*kc : (r+1)*kc]
-			for p := range row {
-				row[p] = a[(p0+p)*lda+col]
-			}
-		}
-	} else {
-		for r := 0; r < mv; r++ {
-			src := a[(i0+r)*lda+p0:]
-			copy(dst[r*kc:(r+1)*kc], src[:kc])
-		}
+		packSteps(dst, a, lda, p0*lda+i0, mv, kc)
+		return
 	}
-	clear(dst[mv*kc : mr*kc])
+	packRows(dst, a, lda, i0*lda+p0, mv, kc)
 }
 
 // packB copies the kc×nv block of op(B) at (p0, j0) into a p-major
-// kc×nr panel (nr consecutive column values per reduction step),
-// zero-padding the tail columns. With transB, B is stored n×k and the
-// logical element (p, j) is b[j*ldb+p].
+// kc×nr panel, zero-padding the tail columns. With transB, B is stored
+// n×k and the logical element (p, j) is b[j*ldb+p].
 //
 //hot:noalloc
 func packB(dst, b []float32, ldb, p0, kc, j0, nv int, transB bool) {
 	if transB {
-		if nv < nr {
-			clear(dst[:kc*nr])
-		}
-		for c := 0; c < nv; c++ {
-			src := b[(j0+c)*ldb+p0:]
-			for p := 0; p < kc; p++ {
-				dst[p*nr+c] = src[p]
-			}
-		}
+		packRows(dst, b, ldb, j0*ldb+p0, nv, kc)
 		return
 	}
-	if nv == nr {
-		for p := 0; p < kc; p++ {
-			src := b[(p0+p)*ldb+j0:]
-			d := dst[p*nr : p*nr+nr : p*nr+nr]
-			d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
-			d[4], d[5], d[6], d[7] = src[4], src[5], src[6], src[7]
-		}
-		return
-	}
+	packSteps(dst, b, ldb, p0*ldb+j0, nv, kc)
+}
+
+// packSteps fills a p-major kc×nr panel whose step p is the nv floats
+// at src[off+p*ld:], zero-padding each step to nr.
+//
+//hot:noalloc
+func packSteps(dst, src []float32, ld, off, nv, kc int) {
+	dst = dst[:kc*nr]
 	for p := 0; p < kc; p++ {
-		src := b[(p0+p)*ldb+j0:]
-		d := dst[p*nr : p*nr+nr]
-		for c := 0; c < nv; c++ {
-			d[c] = src[c]
+		s := src[off+p*ld:]
+		d := dst[p*nr : p*nr+nr : p*nr+nr]
+		if nv == nr {
+			*(*[nr]float32)(d) = *(*[nr]float32)(s)
+			continue
 		}
-		for c := nv; c < nr; c++ {
-			d[c] = 0
+		copy(d[:nv], s[:nv])
+		clear(d[nv:])
+	}
+}
+
+// packRows fills a p-major kc×nr panel from nv rows of kc floats,
+// row r at src[off+r*ld:], zero-padding each step to nr: a transpose,
+// eight rows at a time by 8×8 vector blocks where the host has AVX,
+// element by element for the rest.
+//
+//hot:noalloc
+func packRows(dst, src []float32, ld, off, nv, kc int) {
+	dst = dst[:kc*nr]
+	r, pv := 0, 0
+	if level != levelGo {
+		pv = kc / 8 * 8
+		for ; r+8 <= nv && pv > 0; r += 8 {
+			_ = src[off+(r+7)*ld+pv-1]
+			transpose8Strips(&src[off+r*ld], ld, pv/8, &dst[r])
+		}
+	}
+	for rr := 0; rr < nv; rr++ {
+		p := pv
+		if rr >= r {
+			p = 0
+		}
+		row := src[off+rr*ld : off+rr*ld+kc]
+		for ; p < kc; p++ {
+			dst[p*nr+rr] = row[p]
+		}
+	}
+	if nv < nr {
+		for p := 0; p < kc; p++ {
+			clear(dst[p*nr+nv : p*nr+nr])
 		}
 	}
 }
@@ -140,6 +160,22 @@ func packPanelB(dst []float32, s bSrc, p0, kc, j0, nv int) {
 	packB(dst, s.data, s.ldb, p0, kc, j0, nv, s.trans)
 }
 
+// packABlock packs the mBlk×kc block of op(A) at (ic, pc) as
+// consecutive kc×mr panels into dst.
+//
+//hot:noalloc
+func packABlock(dst []float32, s aSrc, ic, mBlk, pc, kc int) {
+	panels := (mBlk + mr - 1) / mr
+	for pi := 0; pi < panels; pi++ {
+		i0 := ic + pi*mr
+		mv := ic + mBlk - i0
+		if mv > mr {
+			mv = mr
+		}
+		packA(dst[pi*mr*kc:], s.data, s.lda, i0, mv, pc, kc, s.trans)
+	}
+}
+
 // --- software prefetch (next-panel touch) ---
 
 // touchGuard exists so the compiler cannot prove the touch loads dead.
@@ -158,8 +194,8 @@ func touchSink(v float32) {
 
 // touchPanel pulls the leading cache lines of the next packed panel
 // toward L1 while the current panel is still being consumed — the
-// software-prefetch half of the micro-kernel's data staging (the FMA
-// kernel additionally issues PREFETCHT0 ahead of its B stream).
+// software-prefetch half of the micro-kernel's data staging (the
+// assembly kernels also run PREFETCHT0 ahead of both panel streams).
 //
 //hot:noalloc
 func touchPanel(p []float32) {
@@ -172,97 +208,6 @@ func touchPanel(p []float32) {
 		t += p[i]
 	}
 	touchSink(t)
-}
-
-// microKernelGo multiplies one packed A panel (row-major mr×kc) with
-// one packed B panel (p-major kc×nr) and adds the alpha-scaled mv×nv
-// valid region into the C tile at ct (leading dimension ldc). Each
-// row's nr partial sums live in registers for the whole reduction — C
-// is touched exactly once per (row, panel) — and both panels stream
-// with unit stride out of L1. Portable fallback for hosts without
-// AVX2/FMA; on FMA hosts every tile, ragged or full, runs the assembly
-// kernel.
-//
-//hot:noalloc
-func microKernelGo(kc int, ap, bp, ct []float32, ldc int, alpha float32, mv, nv int) {
-	for r := 0; r < mv; r++ {
-		arow := ap[r*kc : r*kc+kc]
-		var s0, s1, s2, s3, s4, s5, s6, s7 float32
-		bi := 0
-		for _, av := range arow {
-			brow := bp[bi : bi+nr : bi+nr]
-			s0 += av * brow[0]
-			s1 += av * brow[1]
-			s2 += av * brow[2]
-			s3 += av * brow[3]
-			s4 += av * brow[4]
-			s5 += av * brow[5]
-			s6 += av * brow[6]
-			s7 += av * brow[7]
-			bi += nr
-		}
-		crow := ct[r*ldc:]
-		if nv == nr {
-			crow = crow[:nr:nr]
-			crow[0] += alpha * s0
-			crow[1] += alpha * s1
-			crow[2] += alpha * s2
-			crow[3] += alpha * s3
-			crow[4] += alpha * s4
-			crow[5] += alpha * s5
-			crow[6] += alpha * s6
-			crow[7] += alpha * s7
-		} else {
-			sums := [nr]float32{s0, s1, s2, s3, s4, s5, s6, s7}
-			for c := 0; c < nv; c++ {
-				crow[c] += alpha * sums[c]
-			}
-		}
-	}
-}
-
-// microKernel dispatches one micro-tile. On capable hosts the AVX2/FMA
-// assembly kernel runs every tile: a full 8×8 tile straight into C, a
-// ragged one (mv < mr or nv < nr) into a zeroed stack tile whose mv×nv
-// valid part is then added into C. Both packed panels are zero-padded
-// to mr×kc and kc×nr, so the padding rows and columns only ever reach
-// the discarded part of the stack tile. Other hosts run the scalar Go
-// kernel.
-//
-//hot:noalloc
-func microKernel(kc int, ap, bp, ct []float32, ldc int, alpha float32, mv, nv int) {
-	if !useFMA {
-		microKernelGo(kc, ap, bp, ct, ldc, alpha, mv, nv)
-		return
-	}
-	if mv == mr && nv == nr {
-		microKernelFMA(kc, &ap[0], &bp[0], &ct[0], ldc, alpha)
-		return
-	}
-	var tile [mr * nr]float32
-	microKernelFMA(kc, &ap[0], &bp[0], &tile[0], nr, alpha)
-	for r := 0; r < mv; r++ {
-		crow := ct[r*ldc : r*ldc+nv]
-		for c, v := range tile[r*nr : r*nr+nv] {
-			crow[c] += v
-		}
-	}
-}
-
-// packABlock packs the mBlk×kc block of op(A) at (ic, pc) as
-// consecutive mr×kc panels into dst.
-//
-//hot:noalloc
-func packABlock(dst []float32, s aSrc, ic, mBlk, pc, kc int) {
-	panels := (mBlk + mr - 1) / mr
-	for pi := 0; pi < panels; pi++ {
-		i0 := ic + pi*mr
-		mv := ic + mBlk - i0
-		if mv > mr {
-			mv = mr
-		}
-		packA(dst[pi*mr*kc:], s.data, s.lda, i0, mv, pc, kc, s.trans)
-	}
 }
 
 // macroKernel streams the packed B panels [jLo, jHi) of the current

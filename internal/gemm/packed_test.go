@@ -10,7 +10,7 @@ import (
 
 // raggedSizes covers the packing edge cases: tiny shapes, the mr/nr
 // tile boundaries ±1, and cache-block boundaries.
-var raggedSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 127}
+var raggedSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127}
 
 func randSlice(rng *rand.Rand, n int) []float32 {
 	s := make([]float32, n)
@@ -72,28 +72,31 @@ func TestPackedMatchesNaiveRagged(t *testing.T) {
 }
 
 // TestMicroKernelEveryRaggedTile sweeps every valid extent (mv, nv) of
-// a micro-tile. Each product is (mr+mv)×(nr+nv), so one call covers a
-// full tile, a ragged bottom edge, a ragged right edge and a ragged
-// corner, with C's leading dimension wider than the ragged part; on FMA
-// hosts the ragged tiles run the assembly kernel through a stack tile.
+// a micro-tile under every kernel level the host runs. Each product is
+// (mr+mv)×(nr+nv), so one call covers a full tile, a ragged bottom
+// edge, a ragged right edge and a ragged corner, with C's leading
+// dimension wider than the ragged part; at the assembly levels the
+// ragged tiles run through a stack tile.
 func TestMicroKernelEveryRaggedTile(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, k := range []int{1, 3, 17, 256} {
-		for mv := 1; mv <= mr; mv++ {
-			for nv := 1; nv <= nr; nv++ {
-				m, n := mr+mv, nr+nv
-				a := randSlice(rng, m*k)
-				b := randSlice(rng, k*n)
-				want := randSlice(rng, m*n)
-				got := append([]float32(nil), want...)
-				Naive(1.5, a, b, 0.5, want, m, n, k)
-				Blocked(new(workspace.Arena), 1.5, a, b, 0.5, got, m, n, k)
-				if d := maxAbsDiff(want, got); d > tol(k) {
-					t.Fatalf("mv=%d nv=%d k=%d: max diff %g", mv, nv, k, d)
+	forEachLevel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		for _, k := range []int{1, 3, 17, 256} {
+			for mv := 1; mv <= mr; mv++ {
+				for nv := 1; nv <= nr; nv++ {
+					m, n := mr+mv, nr+nv
+					a := randSlice(rng, m*k)
+					b := randSlice(rng, k*n)
+					want := randSlice(rng, m*n)
+					got := append([]float32(nil), want...)
+					Naive(1.5, a, b, 0.5, want, m, n, k)
+					Blocked(new(workspace.Arena), 1.5, a, b, 0.5, got, m, n, k)
+					if d := maxAbsDiff(want, got); d > tol(k) {
+						t.Fatalf("mv=%d nv=%d k=%d: max diff %g", mv, nv, k, d)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestPackedParallelMatchesNaiveRagged(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // timing:
 //
 //   - kc: reduction-panel depth. One packed B micro-panel (kc×nr) plus
-//     one packed A micro-panel (mr×kc) must stay L1-resident across the
+//     one packed A micro-panel (kc×mr) must stay L1-resident across the
 //     whole micro-kernel reduction.
 //   - mc: rows per packed A block. The mc×kc block is what the macro
 //     loop keeps L2-resident while it streams B panels over it.
@@ -54,7 +54,7 @@ func clampBlock(v, lo, hi, quantum int) int {
 // rules, quantised to the micro-tile extents.
 func analyticParams(cs cacheSizes) blockParams {
 	// L1: the B micro-panel (kc×nr) and the streaming A micro-panel
-	// (mr×kc) should together fill about half of L1d, leaving the rest
+	// (kc×mr) should together fill about half of L1d, leaving the rest
 	// for the C tile and incidental lines.
 	kc := cs.l1d / 2 / (4 * (mr + nr))
 	kc = clampBlock(kc, 64, 512, 8)

@@ -30,14 +30,14 @@ func TestAnalyticParamsDefaults(t *testing.T) {
 		caches cacheSizes
 		want   blockParams
 	}{
-		// 32K L1d → kc = 32768/2/(4·16) = 256; 1M L2 → mc =
-		// 524288/(4·256) = 512; 8M L3 → nc capped at 4096.
-		{defaultCaches, blockParams{mc: 512, kc: 256, nc: 4096}},
-		// 48K L1d → kc = 49152/2/(4·16) = 384; 2M L2 → mc =
-		// 1048576/(4·384) = 682, rounded down to 680; 105M L3 → nc
+		// 32K L1d → kc = 32768/2/(4·32) = 128; 1M L2 → mc =
+		// 524288/(4·128) = 1024; 8M L3 → nc capped at 4096.
+		{defaultCaches, blockParams{mc: 1024, kc: 128, nc: 4096}},
+		// 48K L1d → kc = 49152/2/(4·32) = 192; 2M L2 → mc =
+		// 1048576/(4·192) = 1365, rounded down to 1360; 105M L3 → nc
 		// capped at 4096. These are the values EXPERIMENTS.md quotes
 		// for its 2-core Xeon.
-		{cacheSizes{l1d: 48 << 10, l2: 2 << 20, l3: 105 << 20}, blockParams{mc: 680, kc: 384, nc: 4096}},
+		{cacheSizes{l1d: 48 << 10, l2: 2 << 20, l3: 105 << 20}, blockParams{mc: 1360, kc: 192, nc: 4096}},
 	}
 	for _, c := range cases {
 		if got := analyticParams(c.caches); got != c.want {

@@ -193,10 +193,10 @@ func FuzzPanelPacker(f *testing.F) {
 // BenchmarkPanelPacker packs the whole of op(B) for one image of each
 // CIFARNet conv layer and of AlexNet's conv1 and conv5, in both
 // orientations, as the packed GEMM walks
-// it: kc-row blocks of 8-column panels. kc = 384 is the blocking the
+// it: kc-row blocks of 16-column panels. kc = 192 is the blocking the
 // GEMM derives for a 48 KiB L1d. GB/s counts the floats written.
 func BenchmarkPanelPacker(b *testing.B) {
-	const kc, nr = 384, 8
+	const kc, nr = 192, 16
 	layers := []struct {
 		name string
 		g    Geom
