@@ -238,7 +238,7 @@ func (j *fftPlaneJob) Run(slot int) {
 	nb, n, m := j.plan.Bins(), j.plan.N(), &j.m
 	slots, plane := m.rows*m.cols, m.side*m.side
 	gl := blocks(nb) * fftBins
-	bl, own := blockLen(slots), fftChunk*gl+n
+	bl, own := blockLen(slots), fftChunk*gl+j.plan.ScratchLen()
 	grids := j.scratch[slot*own : slot*own+fftChunk*gl]
 	scratch := j.scratch[slot*own+fftChunk*gl : (slot+1)*own]
 	stage := j.stage[slot*n*n : (slot+1)*n*n]
@@ -325,8 +325,8 @@ func moveBins(grids, spec []complex64, gl, bl, p0, pn int, back bool) {
 var fftPlanePool = par.NewJobPool[fftPlaneJob]()
 
 // transformPlanes runs fftPlaneJob over the plane tiles of m. scratch
-// holds fftChunk grids of whole blocks and one FFT row per proc, stage
-// one n×n plane per proc.
+// holds fftChunk grids of whole blocks and the plan's ScratchLen() per
+// proc, stage one n×n plane per proc.
 func transformPlanes(plan *fft.Plan2D, m planeMat, inverse bool, scratch []complex64, stage []float32) {
 	j := fftPlanePool.Get()
 	j.Reset((m.rows*m.cols + fftChunk - 1) / fftChunk)
@@ -441,7 +441,7 @@ func fftProduct(ws *workspace.Arena, plan *fft.Plan2D, a, b, p planeMat) {
 	}
 	// The spectra come first, so each starts on a line, and every
 	// plane's run of fftBins bins fills whole lines of its own.
-	c64 := ws.Complex64Uninit(specs + procs*(fftChunk*blocks(nb)*fftBins+plan.N()))
+	c64 := ws.Complex64Uninit(specs + procs*(fftChunk*blocks(nb)*fftBins+plan.ScratchLen()))
 	for _, s := range mats {
 		s.spec, c64 = c64[:s.specLen(nb)], c64[s.specLen(nb):]
 	}

@@ -111,9 +111,9 @@ func TestForwardRealIntoClearsPadRegion(t *testing.T) {
 		img[i] = float32(i + 1)
 	}
 	clean := make([]complex64, p.Bins())
-	p.ForwardHalf(img, h, w, clean, make([]complex64, n))
+	p.ForwardHalf(img, h, w, clean, make([]complex64, p.ScratchLen()))
 	dirty := make([]complex64, p.Bins())
-	scratch := make([]complex64, n)
+	scratch := make([]complex64, p.ScratchLen())
 	for _, buf := range [][]complex64{dirty, scratch} {
 		for i := range buf {
 			buf[i] = complex(999, -999)

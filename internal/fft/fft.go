@@ -1,9 +1,12 @@
 // Package fft implements the Fast Fourier Transform machinery behind the
-// FFT-based convolution strategy (fbfft, Theano-fft). It provides an
-// iterative radix-2 decimation-in-time transform, a decimation-in-
-// frequency variant (fbfft's decimateInFrequency kernel uses DIF),
-// half-spectrum real 2-D transforms, and a naive DFT used as the
-// correctness oracle in tests.
+// FFT-based convolution strategy (fbfft, Theano-fft): half-spectrum
+// real 2-D transforms whose row and column passes are both radix-2
+// stages over whole rows of a matrix (decimation in frequency forward,
+// as fbfft's decimateInFrequency kernel, and decimation in time
+// inverse), a 1-D forward transform, and a naive DFT used as the
+// correctness oracle in tests. Each stage runs one AVX-512, AVX2 or Go
+// kernel, picked once by CPUID (internal/cpuid); all three round every
+// bin alike, so their outputs are bit-identical.
 package fft
 
 import (
@@ -90,33 +93,12 @@ func PlanFor(n int) *Plan {
 }
 
 // Forward performs an in-place forward DFT of x (length must equal the
-// plan length) using iterative radix-2 decimation in time.
+// plan length): the bit-reversal permutation, then the radix-2
+// decimation-in-time butterflies as ditRows over one column.
 func (p *Plan) Forward(x []complex64) {
 	p.checkLen(x)
 	p.permute(x)
-	p.dit(x, p.forward, p.n)
-}
-
-// Inverse performs an in-place inverse DFT including the 1/n scaling.
-func (p *Plan) Inverse(x []complex64) {
-	p.checkLen(x)
-	p.permute(x)
-	p.dit(x, p.inverse, p.n)
-	inv := complex(float32(1)/float32(p.n), 0)
-	for i := range x {
-		x[i] *= inv
-	}
-}
-
-// ForwardDIF performs an in-place forward DFT using decimation in
-// frequency, leaving the output in natural order. Numerically it
-// matches Forward. The DIF stages it runs are the schedule of fbfft's
-// decimateInFrequency kernel, and the ones the half-spectrum 2-D
-// transforms use without the final permutation.
-func (p *Plan) ForwardDIF(x []complex64) {
-	p.checkLen(x)
-	p.dif(x, p.n)
-	p.permute(x)
+	p.ditRows(x, p.forward, 1, p.n)
 }
 
 func (p *Plan) checkLen(x []complex64) {
@@ -140,70 +122,6 @@ func (p *Plan) permute(x []complex64) {
 func mul(a, w complex64) complex64 {
 	ar, ai, wr, wi := real(a), imag(a), real(w), imag(w)
 	return complex(ar*wr-ai*wi, ar*wi+ai*wr)
-}
-
-// dit runs the radix-2 decimation-in-time butterflies with twiddles tw
-// over x held in bit-reversed order, leaving natural order. Only the
-// outputs x[:need] are computed; butterflies that feed nothing but
-// later entries are skipped, and those entries are left undefined.
-func (p *Plan) dit(x, tw []complex64, need int) {
-	n := p.n
-	x = x[:n]
-	for size := 2; size <= n; size <<= 1 {
-		half, step := size>>1, n/size
-		// Each size-block needs its first min(need, size) outputs,
-		// which take the first lim entries of both half-blocks.
-		blockNeed := min(need, size)
-		lim, full := min(blockNeed, half), max(blockNeed-half, 0)
-		for start := 0; start < n; start += size {
-			lo, hi := x[start:start+lim], x[start+half:start+half+lim]
-			// The first twiddle is 1.
-			if full > 0 {
-				a, b := lo[0], hi[0]
-				lo[0], hi[0] = a+b, a-b
-			} else if lim > 0 {
-				lo[0] += hi[0]
-			}
-			for i := 1; i < full; i++ {
-				a, b := lo[i], mul(hi[i], tw[i*step])
-				lo[i], hi[i] = a+b, a-b
-			}
-			for i := max(full, 1); i < lim; i++ {
-				lo[i] += mul(hi[i], tw[i*step])
-			}
-		}
-	}
-}
-
-// dif runs the radix-2 decimation-in-frequency butterflies over x in
-// natural order, leaving bit-reversed order. Entries from x[live] on
-// are taken as zero and never read, so a caller need not clear them;
-// butterflies whose partner is such a zero only scale their input.
-func (p *Plan) dif(x []complex64, live int) {
-	n, tw := p.n, p.forward
-	x = x[:n]
-	for size := n; size >= 2; size >>= 1 {
-		half, step := size>>1, n/size
-		lim, full := min(live, half), max(live-half, 0)
-		for start := 0; start < n; start += size {
-			lo, hi := x[start:start+lim], x[start+half:start+half+lim]
-			// The first twiddle is 1.
-			if full > 0 {
-				a, b := lo[0], hi[0]
-				lo[0], hi[0] = a+b, a-b
-			} else if lim > 0 {
-				hi[0] = lo[0]
-			}
-			for i := 1; i < full; i++ {
-				a, b := lo[i], hi[i]
-				lo[i], hi[i] = a+b, mul(a-b, tw[i*step])
-			}
-			for i := max(full, 1); i < lim; i++ {
-				hi[i] = mul(lo[i], tw[i*step])
-			}
-		}
-		live = lim
-	}
 }
 
 // DFTNaive computes the O(n²) discrete Fourier transform, used as the

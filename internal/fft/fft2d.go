@@ -44,34 +44,38 @@ func (p *Plan2D) N() int { return p.n }
 // Bins returns the length of a half-spectrum grid, n·(n/2+1).
 func (p *Plan2D) Bins() int { return p.n * p.cols }
 
+// ScratchLen returns the scratch length ForwardHalf and InverseHalf
+// need, n·⌈n/2⌉ complex64s: the row pass transforms every pair of image
+// rows as one column of an n-row matrix.
+func (p *Plan2D) ScratchLen() int { return p.n * ((p.n + 1) / 2) }
+
 // ForwardHalf transforms the real h×w image img (row-major), zero-padded
 // to n×n, into the half-spectrum grid (length Bins()). Every bin is
 // written, so an uninitialised arena carve-out is a valid grid. Rows
 // are transformed two at a time, packed as the real and imaginary
-// parts of one complex row, and only the h image rows are transformed;
-// the column pass skips butterflies whose partner rows are padding.
-// scratch must hold at least n complex64s.
+// parts of one complex column of scratch, and only the h image rows are
+// transformed; both passes skip butterflies whose partners are
+// padding. scratch must hold at least ScratchLen() complex64s.
 func (p *Plan2D) ForwardHalf(img []float32, h, w int, grid, scratch []complex64) {
 	n, m, pl := p.n, p.cols, p.plan
 	p.check("real input", h, w, 0, 0, grid, scratch)
-	z := scratch[:n]
+	q := (h + 1) / 2
+	z := scratch[:n*q]
 	for r := 0; r < h; r += 2 {
-		a := img[r*w : (r+1)*w]
+		a, j := img[r*w:(r+1)*w], r/2
 		if r+1 == h {
 			for c, v := range a {
-				z[c] = complex(v, 0)
+				z[c*q+j] = complex(v, 0)
 			}
-			pl.dif(z, w)
-			pl.splitOne(z, grid[r*m:(r+1)*m])
 			continue
 		}
 		b := img[(r+1)*w : (r+2)*w]
 		for c, v := range a {
-			z[c] = complex(v, b[c])
+			z[c*q+j] = complex(v, b[c])
 		}
-		pl.dif(z, w)
-		pl.splitPair(z, grid[r*m:(r+1)*m], grid[(r+1)*m:(r+2)*m])
 	}
+	pl.difRows(z, q, w)
+	pl.splitPairs(z, q, grid[:h*m], m)
 	pl.difRows(grid, m, h)
 }
 
@@ -79,34 +83,27 @@ func (p *Plan2D) ForwardHalf(img []float32, h, w int, grid, scratch []complex64)
 // writes the real h×w window whose top-left corner is at row offH,
 // column offW, scaled by 1/n², into out (row-major h×w). Only the
 // output rows and columns up to the window's far edge are computed.
-// scratch must hold at least n complex64s.
+// scratch must hold at least ScratchLen() complex64s.
 func (p *Plan2D) InverseHalf(grid []complex64, out []float32, h, w, offH, offW int, scratch []complex64) {
 	n, m, pl := p.n, p.cols, p.plan
 	p.check("output window", h, w, offH, offW, grid, scratch)
-	pl.ditRows(grid, m, offH+h)
-	z := scratch[:n]
+	pl.ditRows(grid, pl.inverse, m, offH+h)
+	q := (h + 1) / 2
+	z := scratch[:n*q]
+	pl.mergePairs(z, q, grid[offH*m:(offH+h)*m], m)
+	pl.ditRows(z, pl.inverse, q, offW+w)
 	scale := float32(1) / float32(n*n)
-	need := offW + w
 	for r := 0; r < h; r += 2 {
-		// A lone last row is paired with itself: the real part of
-		// a + i·a is still a.
-		ga := grid[(offH+r)*m : (offH+r+1)*m]
-		gb := ga
-		if r+1 < h {
-			gb = grid[(offH+r+1)*m : (offH+r+2)*m]
-		}
-		pl.mergePair(z, ga, gb)
-		pl.dit(z, pl.inverse, need)
-		dst := out[r*w : (r+1)*w]
+		dst, j := out[r*w:(r+1)*w], r/2
 		if r+1 == h {
 			for c := range dst {
-				dst[c] = real(z[offW+c]) * scale
+				dst[c] = real(z[(offW+c)*q+j]) * scale
 			}
 			continue
 		}
 		dst2 := out[(r+1)*w : (r+2)*w]
 		for c := range dst {
-			v := z[offW+c]
+			v := z[(offW+c)*q+j]
 			dst[c], dst2[c] = real(v)*scale, imag(v)*scale
 		}
 	}
@@ -119,136 +116,102 @@ func (p *Plan2D) check(what string, h, w, offH, offW int, grid, scratch []comple
 	if len(grid) != p.Bins() {
 		panic(fmt.Sprintf("fft: grid length %d does not match %d×%d", len(grid), p.n, p.cols))
 	}
-	if len(scratch) < p.n {
-		panic(fmt.Sprintf("fft: scratch length %d is below plan size %d", len(scratch), p.n))
+	if len(scratch) < p.ScratchLen() {
+		panic(fmt.Sprintf("fft: scratch length %d is below %d", len(scratch), p.ScratchLen()))
 	}
 }
 
-// splitPair unpacks y, the bit-reversed spectrum of z = a + i·b for
-// real rows a and b, into their half spectra: A[k] = (Z[k] +
-// conj(Z[n-k]))/2 and B[k] = (Z[k] - conj(Z[n-k]))/2i.
-func (p *Plan) splitPair(y, da, db []complex64) {
-	n, rev := p.n, p.rev
-	da[0], db[0] = complex(real(y[0]), 0), complex(imag(y[0]), 0)
-	if n == 1 {
-		return
-	}
-	h := n / 2
-	zh := y[rev[h]]
-	da[h], db[h] = complex(real(zh), 0), complex(imag(zh), 0)
-	for k := 1; k < h; k++ {
-		zk, zn := y[rev[k]], y[rev[n-k]]
-		zn = complex(real(zn), -imag(zn))
-		s, d := zk+zn, zk-zn
-		da[k] = complex(real(s)*0.5, imag(s)*0.5)
-		db[k] = complex(imag(d)*0.5, -real(d)*0.5)
-	}
-}
-
-// splitOne copies the half spectrum of a single real row out of its
-// bit-reversed spectrum y.
-func (p *Plan) splitOne(y, da []complex64) {
-	for k := range da {
-		da[k] = y[p.rev[k]]
-	}
-}
-
-// mergePair builds in z the bit-reversed full spectrum of a + i·b from
-// the half spectra A and B of real rows a and b, using Z[k] = A[k] +
-// i·B[k] and Z[n-k] = conj(A[k]) + i·conj(B[k]). The DC and Nyquist
-// bins of a real row are real, so their rounding residue is dropped.
-func (p *Plan) mergePair(z, sa, sb []complex64) {
-	n, rev := p.n, p.rev
-	z[0] = complex(real(sa[0]), real(sb[0]))
-	if n == 1 {
-		return
-	}
-	h := n / 2
-	z[rev[h]] = complex(real(sa[h]), real(sb[h]))
-	for k := 1; k < h; k++ {
-		a, b := sa[k], sb[k]
-		z[rev[k]] = complex(real(a)-imag(b), imag(a)+real(b))
-		z[rev[n-k]] = complex(real(a)+imag(b), real(b)-imag(a))
-	}
-}
-
-// difRows runs dif over the n rows of x, each m bins wide, as the
-// elements of one length-n column transform, so every butterfly is a
-// contiguous loop over two whole rows. Rows from live on are taken as
-// zero and never read. The 1-D row transforms keep the scalar dif and
-// dit: run through these loops at m = 1 they make a convolution pass
-// about a tenth slower.
-func (p *Plan) difRows(x []complex64, m, live int) {
-	n, tw := p.n, p.forward
-	for size := n; size >= 2; size >>= 1 {
-		half, step := size>>1, n/size
-		lim, full := min(live, half), max(live-half, 0)
-		for start := 0; start < n; start += size {
-			for i := 0; i < lim; i++ {
-				w := tw[i*step]
-				lo := x[(start+i)*m : (start+i+1)*m]
-				hi := x[(start+half+i)*m : (start+half+i+1)*m]
-				hi = hi[:len(lo)]
-				switch {
-				case i == 0 && i < full:
-					for c, a := range lo {
-						b := hi[c]
-						lo[c], hi[c] = a+b, a-b
-					}
-				case i == 0:
-					copy(hi, lo)
-				case i < full:
-					for c, a := range lo {
-						b := hi[c]
-						lo[c], hi[c] = a+b, mul(a-b, w)
-					}
-				default:
-					for c, a := range lo {
-						hi[c] = mul(a, w)
-					}
-				}
-			}
+// splitPairs unpacks the q columns of y, the bit-reversed spectra of
+// the packed rows z = a + i·b, into the half spectra of the rows of
+// grid, m bins each, two rows per column: A[k] = (Z[k] + conj(Z[n-k]))/2
+// and B[k] = (Z[k] - conj(Z[n-k]))/2i. A lone last row of grid (an odd
+// row count) was packed with zero imaginary parts, so its half spectrum
+// is its column's.
+func (p *Plan) splitPairs(y []complex64, q int, grid []complex64, m int) {
+	n, rev, h := p.n, p.rev, len(grid)/m
+	for j := 0; 2*j+1 < h; j++ {
+		da, db := grid[2*j*m:(2*j+1)*m], grid[(2*j+1)*m:(2*j+2)*m]
+		da[0], db[0] = complex(real(y[j]), 0), complex(imag(y[j]), 0)
+		if n == 1 {
+			continue
 		}
+		hn := n / 2
+		zh := y[rev[hn]*q+j]
+		da[hn], db[hn] = complex(real(zh), 0), complex(imag(zh), 0)
+		for k := 1; k < hn; k++ {
+			zk, zn := y[rev[k]*q+j], y[rev[n-k]*q+j]
+			zn = complex(real(zn), -imag(zn))
+			s, d := zk+zn, zk-zn
+			da[k] = complex(real(s)*0.5, imag(s)*0.5)
+			db[k] = complex(imag(d)*0.5, -real(d)*0.5)
+		}
+	}
+	if h%2 == 1 {
+		da := grid[(h-1)*m:]
+		for k := range da {
+			da[k] = y[rev[k]*q+h/2]
+		}
+	}
+}
+
+// mergePairs builds in the q columns of z the bit-reversed full
+// spectra of a + i·b from the half spectra A and B of consecutive rows
+// a and b of grid, m bins each, using Z[k] = A[k] + i·B[k] and Z[n-k] =
+// conj(A[k]) + i·conj(B[k]). A lone last row of grid is paired with
+// itself: the real part of a + i·a is still a. The DC and Nyquist bins
+// of a real row are real, so their rounding residue is dropped.
+func (p *Plan) mergePairs(z []complex64, q int, grid []complex64, m int) {
+	n, rev, h := p.n, p.rev, len(grid)/m
+	for j := 0; j < q; j++ {
+		sa := grid[2*j*m : (2*j+1)*m]
+		sb := sa
+		if 2*j+1 < h {
+			sb = grid[(2*j+1)*m : (2*j+2)*m]
+		}
+		z[j] = complex(real(sa[0]), real(sb[0]))
+		if n == 1 {
+			continue
+		}
+		hn := n / 2
+		z[rev[hn]*q+j] = complex(real(sa[hn]), real(sb[hn]))
+		for k := 1; k < hn; k++ {
+			a, b := sa[k], sb[k]
+			z[rev[k]*q+j] = complex(real(a)-imag(b), imag(a)+real(b))
+			z[rev[n-k]*q+j] = complex(real(a)+imag(b), real(b)-imag(a))
+		}
+	}
+}
+
+// difRows runs the radix-2 decimation-in-frequency butterflies down the
+// columns of x, n rows of m bins in natural row order, leaving the rows
+// in bit-reversed order: one length-n transform per column, each stage
+// one difStage over whole rows. Both passes of ForwardHalf run here,
+// the row pass with the packed row pairs as columns. Rows from live on
+// are taken as zero and never read; butterflies whose partner is such a
+// zero only scale their input.
+func (p *Plan) difRows(x []complex64, m, live int) {
+	n := p.n
+	_ = x[n*m-1]
+	for half := n / 2; half >= 1; half >>= 1 {
+		lim, full := min(live, half), max(live-half, 0)
+		difStage(x, p.forward, m, half, n/(2*half), lim, full)
 		live = lim
 	}
 }
 
-// ditRows runs dit over the n rows of x, each m bins wide, held in
-// bit-reversed row order, and computes only output rows [0, need).
-func (p *Plan) ditRows(x []complex64, m, need int) {
-	n, tw := p.n, p.inverse
-	for size := 2; size <= n; size <<= 1 {
-		half, step := size>>1, n/size
-		blockNeed := min(need, size)
-		lim, full := min(blockNeed, half), max(blockNeed-half, 0)
-		for start := 0; start < n; start += size {
-			for i := 0; i < lim; i++ {
-				w := tw[i*step]
-				lo := x[(start+i)*m : (start+i+1)*m]
-				hi := x[(start+half+i)*m : (start+half+i+1)*m]
-				hi = hi[:len(lo)]
-				switch {
-				case i == 0 && i < full:
-					for c, a := range lo {
-						b := hi[c]
-						lo[c], hi[c] = a+b, a-b
-					}
-				case i == 0:
-					for c := range lo {
-						lo[c] += hi[c]
-					}
-				case i < full:
-					for c, a := range lo {
-						b := mul(hi[c], w)
-						lo[c], hi[c] = a+b, a-b
-					}
-				default:
-					for c := range lo {
-						lo[c] += mul(hi[c], w)
-					}
-				}
-			}
-		}
+// ditRows runs the radix-2 decimation-in-time butterflies with twiddles
+// tw down the columns of x, n rows of m bins held in bit-reversed row
+// order, leaving natural order, one ditStage per stage. Only output
+// rows [0, need) are computed; butterflies that feed nothing but later
+// rows are skipped, and those rows are left undefined.
+func (p *Plan) ditRows(x, tw []complex64, m, need int) {
+	n := p.n
+	_ = x[n*m-1]
+	for half := 1; half < n; half <<= 1 {
+		// Each block of 2·half rows needs its first min(need, 2·half)
+		// outputs, which take the first lim rows of both halves.
+		blockNeed := min(need, 2*half)
+		ditStage(x, tw, m, half, n/(2*half), min(blockNeed, half), max(blockNeed-half, 0))
 	}
 }
 

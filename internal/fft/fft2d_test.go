@@ -13,8 +13,11 @@ import (
 // are checked against.
 func (p *Plan2D) Forward(x []complex64) { p.apply(x, (*Plan).Forward) }
 
-// Inverse inverse-transforms x in place, including full 1/n² scaling.
-func (p *Plan2D) Inverse(x []complex64) { p.apply(x, (*Plan).Inverse) }
+// Inverse inverse-transforms x in place, including full 1/n² scaling,
+// by the naive DFT.
+func (p *Plan2D) Inverse(x []complex64) {
+	p.apply(x, func(_ *Plan, r []complex64) { copy(r, DFTNaive(r, true)) })
+}
 
 func (p *Plan2D) apply(x []complex64, f func(*Plan, []complex64)) {
 	n := p.n
@@ -67,7 +70,7 @@ func TestForwardHalfMatchesComplexOracle(t *testing.T) {
 		p := NewPlan2D(n)
 		m := n/2 + 1
 		r := tensor.NewRNG(uint64(n))
-		scratch := make([]complex64, n)
+		scratch := make([]complex64, p.ScratchLen())
 		grid := make([]complex64, p.Bins())
 		for _, h := range extentsAround(n) {
 			for _, w := range []int{1, (n + 1) / 2, n} {
@@ -98,7 +101,7 @@ func TestForwardHalfMatchesComplexOracle(t *testing.T) {
 func checkRoundTrip(t *testing.T, p *Plan2D, img []float32, h, w, oh, ow, offH, offW int) {
 	t.Helper()
 	grid := make([]complex64, p.Bins())
-	scratch := make([]complex64, p.N())
+	scratch := make([]complex64, p.ScratchLen())
 	p.ForwardHalf(img, h, w, grid, scratch)
 	out := make([]float32, oh*ow)
 	p.InverseHalf(grid, out, oh, ow, offH, offW, scratch)
@@ -138,12 +141,14 @@ func TestHalfRoundTripWithCrop(t *testing.T) {
 func TestHalfRejectsOutOfRangeWindow(t *testing.T) {
 	p := NewPlan2D(8)
 	grid := make([]complex64, p.Bins())
-	scratch := make([]complex64, 8)
+	scratch := make([]complex64, p.ScratchLen())
+	short := scratch[:p.ScratchLen()-1]
 	for name, f := range map[string]func(){
-		"image too tall":  func() { p.ForwardHalf(make([]float32, 9), 9, 1, grid, scratch) },
-		"window past end": func() { p.InverseHalf(grid, make([]float32, 4), 2, 2, 7, 0, scratch) },
-		"short scratch":   func() { p.ForwardHalf(make([]float32, 1), 1, 1, grid, scratch[:4]) },
-		"full-size grid":  func() { p.ForwardHalf(make([]float32, 1), 1, 1, make([]complex64, 64), scratch) },
+		"image too tall":        func() { p.ForwardHalf(make([]float32, 9), 9, 1, grid, scratch) },
+		"window past end":       func() { p.InverseHalf(grid, make([]float32, 4), 2, 2, 7, 0, scratch) },
+		"short forward scratch": func() { p.ForwardHalf(make([]float32, 1), 1, 1, grid, short) },
+		"short inverse scratch": func() { p.InverseHalf(grid, make([]float32, 1), 1, 1, 0, 0, short) },
+		"full-size grid":        func() { p.ForwardHalf(make([]float32, 1), 1, 1, make([]complex64, 64), scratch) },
 	} {
 		func() {
 			defer func() {

@@ -91,18 +91,23 @@ func TestPlanIsConcurrencySafe(t *testing.T) {
 	}
 }
 
-// TestDIFInverseRoundTrip: DIF forward composed with the (DIT) inverse
-// is the identity.
+// TestDIFInverseRoundTrip: the DIF forward transform of difRows
+// composed with the DIT inverse of ditRows is the identity, and so is
+// it composed with the naive inverse DFT.
 func TestDIFInverseRoundTrip(t *testing.T) {
 	n := 128
 	r := tensor.NewRNG(23)
 	x := randSignal(r, n)
 	p := NewPlan(n)
 	y := append([]complex64(nil), x...)
-	p.ForwardDIF(y)
-	p.Inverse(y)
+	forwardDIF(p, y)
+	z := DFTNaive(y, true)
+	inverseDIT(p, y)
 	if d := cdist(x, y); d > 1e-4 {
 		t.Fatalf("DIF/inverse round trip error %g", d)
+	}
+	if d := cdist(x, z); d > 1e-4 {
+		t.Fatalf("DIF/naive inverse round trip error %g", d)
 	}
 }
 
@@ -114,7 +119,7 @@ func TestLengthOnePlan(t *testing.T) {
 	if x[0] != complex(3, -2) {
 		t.Fatalf("length-1 forward = %v", x[0])
 	}
-	p.Inverse(x)
+	inverseDIT(p, x)
 	if x[0] != complex(3, -2) {
 		t.Fatalf("length-1 inverse = %v", x[0])
 	}

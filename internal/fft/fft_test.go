@@ -64,6 +64,28 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
+// forwardDIF is the forward DFT as difRows computes it on one column:
+// the decimation-in-frequency butterflies, then the bit-reversal
+// permutation.
+func forwardDIF(p *Plan, x []complex64) {
+	p.difRows(x, 1, p.n)
+	p.permute(x)
+}
+
+// inverseDIT is the inverse DFT as InverseHalf's row pass computes it
+// on one column: the bit-reversal permutation, the decimation-in-time
+// butterflies with the inverse twiddles, then the 1/n scaling.
+func inverseDIT(p *Plan, x []complex64) {
+	p.permute(x)
+	p.ditRows(x, p.inverse, 1, p.n)
+	for i := range x {
+		x[i] *= complex(1/float32(p.n), 0)
+	}
+}
+
+// TestDIFMatchesDIT checks the decimation-in-frequency transform of
+// difRows against the decimation-in-time one of Forward, and both
+// against the naive DFT.
 func TestDIFMatchesDIT(t *testing.T) {
 	for _, n := range []int{2, 8, 32, 128} {
 		r := tensor.NewRNG(uint64(100 + n))
@@ -72,23 +94,29 @@ func TestDIFMatchesDIT(t *testing.T) {
 		a := append([]complex64(nil), x...)
 		b := append([]complex64(nil), x...)
 		p.Forward(a)
-		p.ForwardDIF(b)
+		forwardDIF(p, b)
 		if d := cdist(a, b); d > 1e-3 {
 			t.Fatalf("n=%d: DIF differs from DIT by %g", n, d)
+		}
+		if d := cdist(b, DFTNaive(x, false)); d > 1e-3 {
+			t.Fatalf("n=%d: DIF differs from the naive DFT by %g", n, d)
 		}
 	}
 }
 
+// TestInverseRoundTrip inverts the naive DFT of x with inverseDIT, and
+// the naive inverse DFT of x with Forward.
 func TestInverseRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := tensor.NewRNG(seed)
 		n := 1 << (1 + r.Intn(8))
 		x := randSignal(r, n)
 		p := NewPlan(n)
-		y := append([]complex64(nil), x...)
-		p.Forward(y)
-		p.Inverse(y)
-		return cdist(x, y) < 1e-4
+		y := DFTNaive(x, false)
+		inverseDIT(p, y)
+		z := DFTNaive(x, true)
+		p.Forward(z)
+		return cdist(x, y) < 1e-4 && cdist(x, z) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -219,7 +247,7 @@ func TestForwardRealPadding(t *testing.T) {
 	img := []float32{1, 2, 3, 4}
 	p := NewPlan2D(8)
 	grid := make([]complex64, p.Bins())
-	p.ForwardHalf(img, 2, 2, grid, make([]complex64, 8))
+	p.ForwardHalf(img, 2, 2, grid, make([]complex64, p.ScratchLen()))
 	if math.Abs(float64(real(grid[0]))-10) > 1e-4 || math.Abs(float64(imag(grid[0]))) > 1e-4 {
 		t.Fatalf("DC bin = %v, want 10", grid[0])
 	}
@@ -235,7 +263,7 @@ func TestInverseRealIntoOffset(t *testing.T) {
 	}
 	p := NewPlan2D(n)
 	grid := make([]complex64, p.Bins())
-	scratch := make([]complex64, n)
+	scratch := make([]complex64, p.ScratchLen())
 	p.ForwardHalf(img, n, n, grid, scratch)
 	out := make([]float32, 4*4)
 	p.InverseHalf(grid, out, 4, 4, 2, 3, scratch)
@@ -265,10 +293,10 @@ func TestBatchForwardRealMatchesSerial(t *testing.T) {
 	batch := make([][]complex64, len(images))
 	par.ForEach(len(images), func(i int) {
 		batch[i] = make([]complex64, p.Bins())
-		p.ForwardHalf(images[i], 10, 12, batch[i], make([]complex64, p.N()))
+		p.ForwardHalf(images[i], 10, 12, batch[i], make([]complex64, p.ScratchLen()))
 	})
 	want := make([]complex64, p.Bins())
-	scratch := make([]complex64, p.N())
+	scratch := make([]complex64, p.ScratchLen())
 	for i := range images {
 		p.ForwardHalf(images[i], 10, 12, want, scratch)
 		if d := cdist(batch[i], want); d != 0 {
@@ -311,7 +339,7 @@ func TestConvolutionTheorem(t *testing.T) {
 		}
 	}
 	p := NewPlan2D(n)
-	scratch := make([]complex64, n)
+	scratch := make([]complex64, p.ScratchLen())
 	X := make([]complex64, p.Bins())
 	H := make([]complex64, p.Bins())
 	p.ForwardHalf(x, n, n, X, scratch)

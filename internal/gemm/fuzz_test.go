@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gpucnn/internal/cpuid"
 	"gpucnn/internal/workspace"
 )
 
@@ -40,7 +41,7 @@ func FuzzPackedGEMM(f *testing.F) {
 		c0 := append([]float32(nil), want...)
 		Naive(1.5, a, b, 0.25, want, m, n, k)
 		limit := 1e-4 * math.Sqrt(float64(k)+1)
-		for l := levelGo; l <= hostLevel; l++ {
+		for l := cpuid.Go; l <= cpuid.Host; l++ {
 			setLevel(t, l)
 			copy(got, c0)
 			Blocked(new(workspace.Arena), 1.5, a, b, 0.25, got, m, n, k)

@@ -1,32 +1,14 @@
 package gemm
 
-// kernelLevel names one micro-kernel over the packed 16×16 tile. Every
-// level reads the same panels (pack.go); only the instructions differ.
-type kernelLevel int
+import "gpucnn/internal/cpuid"
 
-const (
-	levelGo     kernelLevel = iota // portable scalar Go
-	levelAVX2                      // AVX2/FMA: row groups of 6, 6 and 4, 12 ymm accumulators
-	levelAVX512                    // AVX-512F: 16 zmm accumulators, embedded-broadcast FMAs
-)
-
-func (l kernelLevel) String() string {
-	switch l {
-	case levelAVX2:
-		return "avx2"
-	case levelAVX512:
-		return "avx512"
-	}
-	return "go"
-}
-
-// hostLevel is the widest kernel the CPU and OS support, probed once
-// at init (CPUID and XGETBV on amd64, levelGo elsewhere).
-var hostLevel = cpuLevel()
-
-// level is the kernel every tile runs. It is hostLevel; tests lower it
-// to reach the narrower kernels on a wider host.
-var level = hostLevel
+// level is the micro-kernel every tile runs over the packed 16×16
+// tile: cpuid.AVX512 (16 zmm accumulators, embedded-broadcast FMAs),
+// cpuid.AVX2 (AVX2/FMA, row groups of 6, 6 and 4, 12 ymm accumulators)
+// or cpuid.Go (portable scalar Go). Every level reads the same panels
+// (pack.go); only the instructions differ. It is cpuid.Host; tests
+// lower it to reach the narrower kernels on a wider host.
+var level = cpuid.Host
 
 // microKernelGo multiplies one packed A panel (p-major kc×mr) with one
 // packed B panel (p-major kc×nr) and adds the alpha-scaled mv×nv valid
@@ -67,7 +49,7 @@ func microKernelGo(kc int, ap, bp, ct []float32, ldc int, alpha float32, mv, nv 
 //
 //hot:noalloc
 func microKernelAsm(kc int, ap, bp, ct *float32, ldc int, alpha float32) {
-	if level == levelAVX512 {
+	if level == cpuid.AVX512 {
 		microKernelAVX512(kc, ap, bp, ct, ldc, alpha)
 		return
 	}
@@ -82,11 +64,11 @@ func microKernelAsm(kc int, ap, bp, ct *float32, ldc int, alpha float32) {
 // tile. On AVX2 a 16-column row costs two FMAs a step, so a ragged tile
 // with at most eight valid columns runs the left half alone
 // (microKernelAVX2N8); on AVX-512 a row is one FMA at either width.
-// levelGo runs the scalar kernel on the valid region alone.
+// cpuid.Go runs the scalar kernel on the valid region alone.
 //
 //hot:noalloc
 func microKernel(kc int, ap, bp, ct []float32, ldc int, alpha float32, mv, nv int) {
-	if level == levelGo {
+	if level == cpuid.Go {
 		microKernelGo(kc, ap, bp, ct, ldc, alpha, mv, nv)
 		return
 	}
@@ -95,7 +77,7 @@ func microKernel(kc int, ap, bp, ct []float32, ldc int, alpha float32, mv, nv in
 		return
 	}
 	var tile [mr * nr]float32
-	if level == levelAVX2 && nv <= nr/2 {
+	if level == cpuid.AVX2 && nv <= nr/2 {
 		microKernelAVX2N8(kc, &ap[0], &bp[0], &tile[0], nr, alpha)
 	} else {
 		microKernelAsm(kc, &ap[0], &bp[0], &tile[0], nr, alpha)

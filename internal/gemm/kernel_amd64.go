@@ -2,10 +2,6 @@
 
 package gemm
 
-// cpuLevel probes CPUID and XGETBV for the widest kernel this host and
-// its OS support; implemented in kernel_amd64.s.
-func cpuLevel() kernelLevel
-
 // microKernelAVX512 multiplies one packed p-major kc×16 A panel with
 // one packed p-major kc×16 B panel and adds the alpha-scaled full 16×16
 // tile into C at ct (row stride ldc floats): sixteen zmm accumulators,

@@ -2,12 +2,8 @@
 
 package gemm
 
-// cpuLevel is levelGo off amd64: every tile goes through the portable
-// scalar micro-kernel.
-func cpuLevel() kernelLevel { return levelGo }
-
-// The assembly kernels exist so kernel.go links on every GOARCH; the
-// level guard means they are never reached here.
+// The assembly kernels exist so kernel.go links on every GOARCH; off
+// amd64 cpuid.Host is cpuid.Go, so they are never reached here.
 
 func microKernelAVX512(kc int, ap, bp, ct *float32, ldc int, alpha float32) {
 	panic("gemm: microKernelAVX512 called on a non-amd64 build")

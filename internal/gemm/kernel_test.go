@@ -4,14 +4,16 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"gpucnn/internal/cpuid"
 )
 
 // setLevel makes every tile run the kernel of level l until the test
 // ends, skipping the test where the host cannot run it.
-func setLevel(t testing.TB, l kernelLevel) {
+func setLevel(t testing.TB, l cpuid.Level) {
 	t.Helper()
-	if l > hostLevel {
-		t.Skipf("host runs kernels up to %v, not %v", hostLevel, l)
+	if l > cpuid.Host {
+		t.Skipf("host runs kernels up to %v, not %v", cpuid.Host, l)
 	}
 	prev := level
 	level = l
@@ -21,7 +23,7 @@ func setLevel(t testing.TB, l kernelLevel) {
 // forEachLevel runs f as one subtest per kernel level, each skipped on
 // a host that lacks its instruction set.
 func forEachLevel(t *testing.T, f func(t *testing.T)) {
-	for l := levelGo; l <= levelAVX512; l++ {
+	for l := cpuid.Go; l <= cpuid.AVX512; l++ {
 		t.Run(l.String(), func(t *testing.T) {
 			setLevel(t, l)
 			f(t)
@@ -36,7 +38,7 @@ func forEachLevel(t *testing.T, f func(t *testing.T)) {
 // the Go kernel rounds each product before adding it and must match
 // within tol(k).
 func TestKernelsAgreeOnOnePanel(t *testing.T) {
-	if hostLevel < levelAVX2 {
+	if cpuid.Host < cpuid.AVX2 {
 		t.Skip("host has no AVX2/FMA kernel")
 	}
 	rng := rand.New(rand.NewSource(31))
@@ -45,19 +47,19 @@ func TestKernelsAgreeOnOnePanel(t *testing.T) {
 		ap := randSlice(rng, kc*mr)
 		bp := randSlice(rng, kc*nr)
 		c0 := randSlice(rng, mr*ldc)
-		run := func(l kernelLevel) []float32 {
+		run := func(l cpuid.Level) []float32 {
 			c := append([]float32(nil), c0...)
 			switch l {
-			case levelAVX512:
+			case cpuid.AVX512:
 				microKernelAVX512(kc, &ap[0], &bp[0], &c[0], ldc, 1.25)
-			case levelAVX2:
+			case cpuid.AVX2:
 				microKernelAVX2(kc, &ap[0], &bp[0], &c[0], ldc, 1.25)
 			default:
 				microKernelGo(kc, ap, bp, c, ldc, 1.25, mr, nr)
 			}
 			return c
 		}
-		avx2, scalar := run(levelAVX2), run(levelGo)
+		avx2, scalar := run(cpuid.AVX2), run(cpuid.Go)
 		for i := range c0 {
 			if i%ldc >= nr && avx2[i] != c0[i] {
 				t.Fatalf("kc=%d: avx2 wrote C[%d] past the tile", kc, i)
@@ -77,10 +79,10 @@ func TestKernelsAgreeOnOnePanel(t *testing.T) {
 				t.Fatalf("kc=%d: C[%d] avx2 left half %v, want %v", kc, i, v, want)
 			}
 		}
-		if hostLevel < levelAVX512 {
+		if cpuid.Host < cpuid.AVX512 {
 			continue
 		}
-		for i, v := range run(levelAVX512) {
+		for i, v := range run(cpuid.AVX512) {
 			if math.Float32bits(v) != math.Float32bits(avx2[i]) {
 				t.Fatalf("kc=%d: C[%d] avx512 %v, avx2 %v", kc, i, v, avx2[i])
 			}

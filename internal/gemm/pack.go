@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"gpucnn/internal/cpuid"
 	"gpucnn/internal/par"
 	"gpucnn/internal/workspace"
 )
@@ -119,7 +120,7 @@ func packSteps(dst, src []float32, ld, off, nv, kc int) {
 func packRows(dst, src []float32, ld, off, nv, kc int) {
 	dst = dst[:kc*nr]
 	r, pv := 0, 0
-	if level != levelGo {
+	if level != cpuid.Go {
 		pv = kc / 8 * 8
 		for ; r+8 <= nv && pv > 0; r += 8 {
 			_ = src[off+(r+7)*ld+pv-1]
