@@ -4,9 +4,9 @@
 // stages over whole rows of a matrix (decimation in frequency forward,
 // as fbfft's decimateInFrequency kernel, and decimation in time
 // inverse), a 1-D forward transform, and a naive DFT used as the
-// correctness oracle in tests. Each stage runs one AVX-512, AVX2 or Go
-// kernel, picked once by CPUID (internal/cpuid); all three round every
-// bin alike, so their outputs are bit-identical.
+// correctness oracle in tests. Each stage runs one AVX2 or Go kernel,
+// picked once by CPUID (internal/cpuid); both round every bin alike, so
+// their outputs are bit-identical.
 package fft
 
 import (

@@ -8,10 +8,10 @@ import (
 )
 
 // FuzzRoundTrip drives the transforms with fuzzed seeds and sizes: the
-// 1-D forward transforms against the naive DFT and back, and the
-// half-spectrum 2-D real pair round trip, whose grid and window must
-// also match the Go stages bit for bit at the host's level. Under plain
-// `go test` the seed corpus runs as unit cases, and `go test
+// 1-D forward transforms against the naive DFT, against each other and
+// back, and the half-spectrum 2-D real pair round trip, whose grid and
+// window must also match the Go stages bit for bit at the host's level.
+// Under plain `go test` the seed corpus runs as unit cases, and `go test
 // -fuzz=FuzzRoundTrip` explores further.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint8(4))
@@ -37,6 +37,10 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if d := cdist(b, want); d > 1e-5*float64(n) {
 			t.Fatalf("n=%d seed=%d: DIF differs from the naive DFT by %g", n, seed, d)
+		}
+		// DIF must agree with DIT on the same input.
+		if d := cdist(a, b); d > 1e-3 {
+			t.Fatalf("n=%d seed=%d: DIF/DIT mismatch %g", n, seed, d)
 		}
 		inverseDIT(p, b)
 		if d := cdist(x, b); d > 1e-3 {

@@ -2,23 +2,10 @@
 
 package fft
 
-// difStageAVX512 is difStage on AVX-512F: eight bins of a row pair per
-// zmm, a row's last m mod 8 bins as a ymm, an xmm and a single bin, so
-// no load or store reaches past the row. Callers guarantee x
-// holds 2·half·blocks rows of m bins and tw at least lim·blocks
-// entries when lim > 0.
-//
-//go:noescape
-func difStageAVX512(x, tw *complex64, m, half, blocks, lim, full int)
-
-// ditStageAVX512 is ditStage on AVX-512F, with difStageAVX512's
-// contract.
-//
-//go:noescape
-func ditStageAVX512(x, tw *complex64, m, half, blocks, lim, full int)
-
-// difStageAVX2 is difStageAVX512 on AVX2: four bins per ymm, a row's
-// last m mod 4 bins as an xmm and a single bin.
+// difStageAVX2 is difStage on AVX2: four bins of a row pair per ymm, a
+// row's last m mod 4 bins as an xmm and a single bin, so no load or
+// store reaches past the row. Callers guarantee x holds 2·half·blocks
+// rows of m bins and tw at least lim·blocks entries when lim > 0.
 //
 //go:noescape
 func difStageAVX2(x, tw *complex64, m, half, blocks, lim, full int)

@@ -15,9 +15,9 @@
 //	R11 twiddle stride      R12  lim         R13  full
 //	CX  row i               R14  twiddle tw[i·blocks]
 
-// Loads and stores: whole vectors of any width, and the last single
-// bin of a row. A row's tail runs as unmasked narrower vectors (four,
-// two, then one bin), never as a masked store: a masked store does not
+// Loads and stores: whole ymm or xmm vectors, and the last single bin
+// of a row. A row's tail runs as unmasked narrower vectors (two
+// bins, then one), never as a masked store: a masked store does not
 // forward to the next stage's load of the same bins, and that stall
 // cost more than the tail's work.
 #define LDU(mem, r) VMOVUPS mem, r
@@ -29,9 +29,8 @@
 #define HI (DX)(AX*1)
 
 // Every body below runs on registers 0–4, with the row's twiddle as
-// wr (wr in every lane) and wi ((−wi, wi) in every bin): registers 12–14
-// in both kernels, so the AVX-512 kernel can run the AVX2 kernel's
-// ymm and xmm bodies on the low parts of its zmm registers.
+// wr (wr in every lane, register 14) and wi ((−wi, wi) in every bin,
+// register 13), so one body serves the ymm vectors and the xmm tail.
 
 // v ← v·w, with t as scratch.
 #define CMUL(v, t, wr, wi) \
@@ -71,35 +70,9 @@
 #define DIT_D(LD, ST, r0, r1, r2, r3, r4, wr, wi) \
 	LD(LO, r0); LD(HI, r1); CMUL(r1, r4, wr, wi); VADDPS r1, r0, r0; ST(r0, LO)
 
-// COLS512 runs BODY over the row pair: whole zmm vectors of eight bins,
-// then the m mod 8 tail bins as a ymm, an xmm and a single bin.
-#define COLS512(BODY, loop, t4, t2, t1, end) \
-	XORQ AX, AX; \
-loop: \
-	CMPQ  AX, R8; \
-	JGE   t4; \
-	BODY(LDU, STU, Z0, Z1, Z2, Z3, Z4, Z14, Z13); \
-	ADDQ  $64, AX; \
-	JMP   loop; \
-t4: \
-	TESTQ $4, m+16(FP); \
-	JZ    t2; \
-	BODY(LDU, STU, Y0, Y1, Y2, Y3, Y4, Y14, Y13); \
-	ADDQ  $32, AX; \
-t2: \
-	TESTQ $2, m+16(FP); \
-	JZ    t1; \
-	BODY(LDU, STU, X0, X1, X2, X3, X4, X14, X13); \
-	ADDQ  $16, AX; \
-t1: \
-	TESTQ $1, m+16(FP); \
-	JZ    end; \
-	BODY(LD1, ST1, X0, X1, X2, X3, X4, X14, X13); \
-end:
-
-// COLS256 is COLS512 on ymm vectors of four bins, the m mod 4 tail
-// bins as an xmm and a single bin.
-#define COLS256(BODY, loop, t4, t2, t1, end) \
+// COLS runs BODY over the row pair: whole ymm vectors of four bins,
+// then the m mod 4 tail bins as an xmm and a single bin.
+#define COLS(BODY, loop, t2, t1, end) \
 	XORQ AX, AX; \
 loop: \
 	CMPQ  AX, R8; \
@@ -121,23 +94,18 @@ end:
 // Twiddle of the current row: wr in every lane of register 14, (−wi,
 // wi) in every bin of register 13 (register 12 holds the real-lane
 // sign bits).
-#define TW512 \
-	VBROADCASTSS (R14), Z14; \
-	VBROADCASTSS 4(R14), Z13; \
-	VPXORD       Z12, Z13, Z13
-
-#define TW256 \
+#define TW \
 	VBROADCASTSS (R14), Y14; \
 	VBROADCASTSS 4(R14), Y13; \
 	VXORPS       Y12, Y13, Y13
 
 // ARGS loads the scalar arguments into the registers listed above and
-// returns when lim is 0; shift is log2 of the bins per vector.
-#define ARGS(shift) \
+// returns when lim is 0.
+#define ARGS \
 	MOVQ  m+16(FP), R9; \
 	MOVQ  R9, R8; \
-	SHRQ  $shift, R8; \
-	SHLQ  $(shift+3), R8; \
+	SHRQ  $2, R8; \
+	SHLQ  $5, R8; \
 	SHLQ  $3, R9; \
 	MOVQ  half+24(FP), R10; \
 	IMULQ R9, R10; \
@@ -152,17 +120,17 @@ end:
 
 // STAGE runs one stage: per block, row 0 as case A (full > 0) or B,
 // rows 1 … full−1 as case C and rows max(full, 1) … lim−1 as case D.
-#define STAGE(COLS, TW, A, B, C, D) \
+#define STAGE(A, B, C, D) \
 block: \
 	MOVQ DI, SI; \
 	LEAQ (DI)(R10*1), DX; \
 	MOVQ tw+8(FP), R14; \
 	TESTQ R13, R13; \
 	JZ   row0b; \
-	COLS(A, la, ta4, ta2, ta1, ea); \
+	COLS(A, la, ta2, ta1, ea); \
 	JMP  row0done; \
 row0b: \
-	COLS(B, lb, tb4, tb2, tb1, eb); \
+	COLS(B, lb, tb2, tb1, eb); \
 row0done: \
 	ADDQ R9, SI; ADDQ R9, DX; ADDQ R11, R14; \
 	MOVQ $1, CX; \
@@ -170,7 +138,7 @@ rowsC: \
 	CMPQ CX, R13; \
 	JGE  rowsD; \
 	TW; \
-	COLS(C, lc, tc4, tc2, tc1, ec); \
+	COLS(C, lc, tc2, tc1, ec); \
 	ADDQ R9, SI; ADDQ R9, DX; ADDQ R11, R14; \
 	INCQ CX; \
 	JMP  rowsC; \
@@ -178,7 +146,7 @@ rowsD: \
 	CMPQ CX, R12; \
 	JGE  next; \
 	TW; \
-	COLS(D, ld, td4, td2, td1, ed); \
+	COLS(D, ld, td2, td1, ed); \
 	ADDQ R9, SI; ADDQ R9, DX; ADDQ R11, R14; \
 	INCQ CX; \
 	JMP  rowsD; \
@@ -187,49 +155,26 @@ next: \
 	DECQ BX; \
 	JNZ  block
 
-// SETUP512 and SETUP256 put the sign bit of every real lane in
-// register 12.
-#define SETUP512 \
-	MOVQ         $0x80000000, AX; \
-	VPBROADCASTQ AX, Z12
-
-#define SETUP256 \
+// SETUP puts the sign bit of every real lane in register 12.
+#define SETUP \
 	MOVQ         $0x80000000, AX; \
 	VMOVQ        AX, X12; \
 	VPBROADCASTQ X12, Y12
 
-// func difStageAVX512(x, tw *complex64, m, half, blocks, lim, full int)
-TEXT ·difStageAVX512(SB), NOSPLIT, $0-56
-	ARGS(3)
-	SETUP512
-	STAGE(COLS512, TW512, BFLY_A, DIF_B, DIF_C, DIF_D)
-done:
-	VZEROUPPER
-	RET
-
-// func ditStageAVX512(x, tw *complex64, m, half, blocks, lim, full int)
-TEXT ·ditStageAVX512(SB), NOSPLIT, $0-56
-	ARGS(3)
-	SETUP512
-	STAGE(COLS512, TW512, BFLY_A, DIT_B, DIT_C, DIT_D)
-done:
-	VZEROUPPER
-	RET
-
 // func difStageAVX2(x, tw *complex64, m, half, blocks, lim, full int)
 TEXT ·difStageAVX2(SB), NOSPLIT, $0-56
-	ARGS(2)
-	SETUP256
-	STAGE(COLS256, TW256, BFLY_A, DIF_B, DIF_C, DIF_D)
+	ARGS
+	SETUP
+	STAGE(BFLY_A, DIF_B, DIF_C, DIF_D)
 done:
 	VZEROUPPER
 	RET
 
 // func ditStageAVX2(x, tw *complex64, m, half, blocks, lim, full int)
 TEXT ·ditStageAVX2(SB), NOSPLIT, $0-56
-	ARGS(2)
-	SETUP256
-	STAGE(COLS256, TW256, BFLY_A, DIT_B, DIT_C, DIT_D)
+	ARGS
+	SETUP
+	STAGE(BFLY_A, DIT_B, DIT_C, DIT_D)
 done:
 	VZEROUPPER
 	RET
